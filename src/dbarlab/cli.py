@@ -126,6 +126,19 @@ def parse_config(path) -> ExperimentConfig:
     return cfg
 
 
+def _op_int(cfg: ExperimentConfig, name: str, default: int, minimum: int, why: str) -> int:
+    """Integer [operation] field, rejected by name if unparsable or below minimum."""
+    try:
+        value = int(cfg.op_params.get(name, default))
+    except ValueError as exc:
+        raise ValidationError(f"field {name!r} in [operation]: {exc}") from exc
+    if value < minimum:
+        raise ValidationError(
+            f"field {name!r} in [operation] must be at least {minimum} ({why}), got {value}"
+        )
+    return value
+
+
 def _grid(cfg: ExperimentConfig) -> GridSpec:
     return GridSpec(cfg.n, cfg.N, cfg.L)
 
@@ -293,7 +306,7 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
     grid = _grid(cfg)
     if grid.n != 1:
         raise ValidationError("the solve pipeline is configured for n = 1")
-    count = int(cfg.op_params.get("count", 20))
+    count = _op_int(cfg, "count", 20, 1, "each sweep step averages over its sources")
     sweep = [float(v) for v in str(cfg.op_params.get("sweep", "1,2,4")).split(",")]
     sigma = float(cfg.op_params.get("sigma", 0.3))
     spread = float(cfg.op_params.get("spread", 0.25))
@@ -355,9 +368,10 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
 
 
 def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
+    nu_max = _op_int(cfg, "nu_max", 8, 3,
+                     "the weak-limit check compares the last two Cauchy defects")
     grid = _grid(cfg)
     cat = _metric_for(cfg, grid)
-    nu_max = int(cfg.op_params.get("nu_max", 8))
     eps0 = float(cfg.op_params.get("eps0", 16.0 * grid.spacing))
     sigma = float(cfg.op_params.get("sigma", 0.2))
     schedule = MollifierSchedule(eps0, nu_max)

@@ -14,6 +14,12 @@ solvable subspace, so conjugate gradients with a flat-symbol preconditioner
 converges without touching the cokernel.  The returned u = h^{-1} dbar^T z
 lies in Range(T*), hence is Gram-orthogonal to Ker(T) to machine precision
 regardless of how accurately the iteration converged.
+
+CG keeps z, r and p as Fourier spectra.  With D the per-mode dbar symbol,
+A acts as D F[h^{-1} F^{-1}[D^H p]], the preconditioner is the cached
+per-mode pseudoinverse of D D^H, and the stopping norm needs r on the
+lattice: three transforms per iteration.  The final u and its true residual
+go through the real-space dbar^T and dbar.
 """
 
 from __future__ import annotations
@@ -146,19 +152,38 @@ def _flat_symbol(grid: GridSpec, p: int) -> np.ndarray:
     return D
 
 
+# eigh's backward error is a few eps times the largest eigenvalue, so the
+# exact cokernel zeros come out as +-O(eps * top); the cutoff sits well above
+# that and far below the smallest genuine eigenvalue (2 pi/L)^2/4, which is
+# ~3e-4 of the top at N = 64.
+_CUTOFF = 1e4 * np.finfo(np.float64).eps
+
+
 @lru_cache(maxsize=16)
 def _symbol_eig(grid: GridSpec, p: int) -> tuple:
     """Eigen-decomposition of B = D D^H per mode, for projection and pinv.
 
-    Directions with eigenvalue below 1e-20 of the global top are the exact
-    cokernel bins (zeroed Nyquist/zero modes and transverse directions); the
-    smallest genuine eigenvalue is (2 pi/L)^2/4, far above that floor.
+    Directions with eigenvalue at most _CUTOFF times the global top are the
+    exact cokernel bins (zeroed Nyquist/zero modes and transverse directions).
     """
     D = _flat_symbol(grid, p)
     B = D @ np.conj(np.swapaxes(D, -1, -2))
     vals, vecs = np.linalg.eigh(B)
-    keep = vals > vals.max() * 1e-20
+    keep = vals > vals.max() * _CUTOFF
     return vals, vecs, keep
+
+
+@lru_cache(maxsize=16)
+def _flat_pinv(grid: GridSpec, p: int) -> np.ndarray:
+    """Per-mode pseudoinverse P = V diag(1/lambda) V^H of B = D D^H.
+
+    Exact inverse of the constant-weight normal operator on its range; the
+    cokernel directions are projected out, which is safe because residuals of
+    the substituted system never leave the range.
+    """
+    vals, vecs, keep = _symbol_eig(grid, p)
+    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    return np.einsum("...jm,...m,...km->...jk", vecs, inv_vals, np.conj(vecs))
 
 
 def _mode_transform(grid: GridSpec, coeffs: np.ndarray, forward: bool) -> np.ndarray:
@@ -166,16 +191,22 @@ def _mode_transform(grid: GridSpec, coeffs: np.ndarray, forward: bool) -> np.nda
     return np.fft.fftn(coeffs, axes=axes) if forward else np.fft.ifftn(coeffs, axes=axes)
 
 
+def _per_mode(mat: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Per-mode matrix product: mat (grid + (a, b)) times spec (grid + (b, r))."""
+    return np.einsum("...ab,...br->...ar", mat, spec)
+
+
+def _range_component(grid: GridSpec, p: int, spec: np.ndarray) -> np.ndarray:
+    """Part of a (n,p) spectrum, shape grid + (C(n,p), r), in the range of dbar."""
+    _vals, vecs, keep = _symbol_eig(grid, p)
+    comp = _per_mode(np.conj(np.swapaxes(vecs, -1, -2)), spec)
+    return _per_mode(vecs, np.where(keep[..., None], comp, 0.0))
+
+
 def range_projection_defect(f: EForm) -> float:
     """Relative l2 mass of f outside the exact discrete range of dbar."""
-    grid = f.grid
-    p = f.q
-    vals, vecs, keep = _symbol_eig(grid, p)
-    spec = _mode_transform(grid, f.coeffs, True)
-    # components along eigenvectors, per rank channel
-    comp = np.einsum("...mj,...jr->...mr", np.conj(np.swapaxes(vecs, -1, -2)), spec[..., 0, :, :])
-    proj = np.where(keep[..., None], comp, 0.0)
-    kept = np.einsum("...jm,...mr->...jr", vecs, proj)
+    spec = _mode_transform(f.grid, f.coeffs, True)
+    kept = _range_component(f.grid, f.q, spec[..., 0, :, :])
     total = np.linalg.norm(spec)
     lost = np.linalg.norm(spec[..., 0, :, :] - kept)
     return float(lost / max(total, 1e-300))
@@ -184,32 +215,11 @@ def range_projection_defect(f: EForm) -> float:
 def project_to_range(f: EForm) -> EForm:
     """Remove the (measure-zero) cokernel bins: zero/Nyquist modes and
     directions transverse to the dbar multiplier."""
-    grid = f.grid
-    p = f.q
-    vals, vecs, keep = _symbol_eig(grid, p)
-    spec = _mode_transform(grid, f.coeffs, True)
-    comp = np.einsum("...mj,...jr->...mr", np.conj(np.swapaxes(vecs, -1, -2)), spec[..., 0, :, :])
-    comp = np.where(keep[..., None], comp, 0.0)
-    spec[..., 0, :, :] = np.einsum("...jm,...mr->...jr", vecs, comp)
+    spec = _mode_transform(f.grid, f.coeffs, True)
+    spec[..., 0, :, :] = _range_component(f.grid, f.q, spec[..., 0, :, :])
     out = f.copy()
-    out.coeffs = _mode_transform(grid, spec, False)
+    out.coeffs = _mode_transform(f.grid, spec, False)
     return out
-
-
-def _flat_pinv_apply(grid: GridSpec, p: int, coeffs: np.ndarray) -> np.ndarray:
-    """Per-mode pseudoinverse of the flat normal-equation symbol B = D D^H.
-
-    Exact inverse of the constant-weight normal operator on its range; the
-    cokernel directions are projected out, which is safe because residuals of
-    the substituted system never leave the range.
-    """
-    vals, vecs, keep = _symbol_eig(grid, p)
-    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    spec = _mode_transform(grid, coeffs, True)
-    comp = np.einsum("...mj,...jr->...mr", np.conj(np.swapaxes(vecs, -1, -2)), spec[..., 0, :, :])
-    comp = comp * inv_vals[..., None]
-    spec[..., 0, :, :] = np.einsum("...jm,...mr->...jr", vecs, comp)
-    return _mode_transform(grid, spec, False)
 
 
 def closedness_defect(f: EForm, h: MetricField) -> float:
@@ -235,7 +245,6 @@ def solve_min_norm(
     delta: float | None = None,
     tol: float = 1e-10,
     maxiter_factor: int = 10,
-    precond: str = "flat",
     range_tol: float = 1e-8,
     closed_tol: float = 1e-8,
     margin: float = 0.125,
@@ -276,31 +285,35 @@ def solve_min_norm(
         )
 
     hinv = h.inverse_mat()
+    D = _flat_symbol(grid, p)
+    DH = np.conj(np.swapaxes(D, -1, -2))
+    P = _flat_pinv(grid, p)
 
-    def apply_A(z: np.ndarray) -> np.ndarray:
-        v = EForm(grid, f.rank, n, p, z)
-        w = dbar_transpose(v)
-        w.coeffs = np.einsum("...ab,...ijb->...ija", hinv, w.coeffs)
-        return dbar(w).coeffs
+    # CG runs on spectra of shape grid + (C(n,p), r); the dz slot of an
+    # (n,p)-form is the single index (0..n-1) and is dropped
+    def to_form(spec: np.ndarray) -> EForm:
+        return EForm(grid, f.rank, n, p, _mode_transform(grid, spec, False)[..., None, :, :])
 
-    def apply_M(r: np.ndarray) -> np.ndarray:
-        if precond == "none":
-            return r
-        return _flat_pinv_apply(grid, p, r)
+    def apply_A(spec: np.ndarray) -> np.ndarray:
+        w = _mode_transform(grid, _per_mode(DH, spec), False)
+        w = np.einsum("...ab,...jb->...ja", hinv, w)
+        return _per_mode(D, _mode_transform(grid, w, True))
 
-    def h2_norm(res: np.ndarray) -> float:
-        form = EForm(grid, f.rank, n, p, res)
-        return np.sqrt(max(H2.norm2(form), 0.0))
+    def h2_norm(spec: np.ndarray) -> float:
+        return np.sqrt(max(H2.norm2(to_form(spec)), 0.0))
 
     dim = f.coeffs.size
     maxiter = int(maxiter_factor * np.ceil(np.sqrt(dim)))
     f_norm = np.sqrt(f_norm2)
 
-    z = np.zeros_like(f.coeffs)
-    r = f.coeffs.copy()
-    Mr = apply_M(r)
+    # Parseval scales rho and pAp by the same factor, so alpha and beta are
+    # those of the real-space iteration
+    f_hat = _mode_transform(grid, f.coeffs[..., 0, :, :], True)
+    z = np.zeros_like(f_hat)
+    r = f_hat.copy()
+    Mr = _per_mode(P, r)
     rho = np.vdot(r, Mr).real
-    pdir = Mr.copy()
+    pdir = Mr
     iterations = 0
     resid = h2_norm(r) / f_norm
     best_resid = resid
@@ -320,14 +333,14 @@ def solve_min_norm(
             raise SolverError(
                 "conjugate gradients broke down on a nonpositive curvature direction "
                 "(near-kernel of the normal operator)",
-                near_null=EForm(grid, f.rank, n, p, pdir.copy()),
+                near_null=to_form(pdir),
                 iterations=iterations,
                 residual=resid,
             )
         alpha = rho / pAp
         z += alpha * pdir
         r -= alpha * Ap
-        Mr = apply_M(r)
+        Mr = _per_mode(P, r)
         rho_new = np.vdot(r, Mr).real
         beta = rho_new / rho
         rho = rho_new
@@ -349,14 +362,15 @@ def solve_min_norm(
                 )
             restarts += 1
             z = best_z.copy()
-            r = f.coeffs - apply_A(z)
-            Mr = apply_M(r)
+            r = f_hat - apply_A(z)
+            Mr = _per_mode(P, r)
             rho = np.vdot(r, Mr).real
-            pdir = Mr.copy()
+            pdir = Mr
             resid = h2_norm(r) / f_norm
 
-    zform = EForm(grid, f.rank, n, p, best_z if best_resid < resid else z)
-    u = dbar_transpose(zform)
+    # the solution and its true residual go through the real-space operators,
+    # which checks the spectral iteration on every solve
+    u = dbar_transpose(to_form(best_z if best_resid < resid else z))
     u.coeffs = np.einsum("...ab,...ijb->...ija", hinv, u.coeffs)
 
     true_resid_form = dbar(u)

@@ -1,0 +1,100 @@
+"""Real-space preconditioned CG for the minimal-norm dbar solve, the reference
+for the Fourier-space loop in ``dbarlab.hormander.solve_min_norm``.
+
+Every vector (z, r, p) lives on the lattice and every operator goes through
+the package's real-space ``dbar`` and ``dbar_transpose``; the flat-symbol
+preconditioner transforms forward and back on each application.  It runs no
+preconditions and no seam or bound bookkeeping: it is the bare iteration, so
+that agreement with the fast path checks the spectral operators, the cached
+per-mode preconditioner and the rescaled inner products.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dbarlab.errors import SolverError
+from dbarlab.exterior import EForm
+from dbarlab.hermitian import dbar
+from dbarlab.hormander import HilbertStructure, _symbol_eig, dbar_transpose
+
+
+def _mode_transform(grid, coeffs, forward):
+    axes = tuple(range(2 * grid.n))
+    return np.fft.fftn(coeffs, axes=axes) if forward else np.fft.ifftn(coeffs, axes=axes)
+
+
+def flat_pinv_apply(grid, p, coeffs):
+    """Per-mode pseudoinverse of B = D D^H, applied through two transforms."""
+    vals, vecs, keep = _symbol_eig(grid, p)
+    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    spec = _mode_transform(grid, coeffs, True)
+    comp = np.einsum("...mj,...jr->...mr", np.conj(np.swapaxes(vecs, -1, -2)), spec[..., 0, :, :])
+    comp = comp * inv_vals[..., None]
+    spec[..., 0, :, :] = np.einsum("...jm,...mr->...jr", vecs, comp)
+    return _mode_transform(grid, spec, False)
+
+
+def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
+    """Minimal-norm u with dbar u = f by real-space CG; returns (u, iterations)."""
+    grid = f.grid
+    n = grid.n
+    p = f.q
+    H2 = HilbertStructure(grid, f.rank, n, p, h)
+    hinv = h.inverse_mat()
+
+    def apply_A(z):
+        w = dbar_transpose(EForm(grid, f.rank, n, p, z))
+        w.coeffs = np.einsum("...ab,...ijb->...ija", hinv, w.coeffs)
+        return dbar(w).coeffs
+
+    def h2_norm(res):
+        return np.sqrt(max(H2.norm2(EForm(grid, f.rank, n, p, res)), 0.0))
+
+    maxiter = int(maxiter_factor * np.ceil(np.sqrt(f.coeffs.size)))
+    f_norm = np.sqrt(H2.norm2(f))
+
+    z = np.zeros_like(f.coeffs)
+    r = f.coeffs.copy()
+    Mr = flat_pinv_apply(grid, p, r)
+    rho = np.vdot(r, Mr).real
+    pdir = Mr.copy()
+    iterations = 0
+    resid = h2_norm(r) / f_norm
+    best_resid = resid
+    best_z = z.copy()
+    restarts = 0
+    while resid > tol:
+        if iterations >= maxiter:
+            raise SolverError(f"reference CG hit the cap {maxiter} at {resid:.3e}")
+        Ap = apply_A(pdir)
+        pAp = np.vdot(pdir, Ap).real
+        if pAp <= 0.0:
+            raise SolverError("reference CG broke down")
+        alpha = rho / pAp
+        z += alpha * pdir
+        r -= alpha * Ap
+        Mr = flat_pinv_apply(grid, p, r)
+        rho_new = np.vdot(r, Mr).real
+        beta = rho_new / rho
+        rho = rho_new
+        pdir = Mr + beta * pdir
+        iterations += 1
+        resid = h2_norm(r) / f_norm
+        if resid < best_resid:
+            best_resid = resid
+            best_z = z.copy()
+        elif resid > 10.0 * best_resid:
+            if restarts >= 5:
+                raise SolverError(f"reference CG stalled at {best_resid:.3e}")
+            restarts += 1
+            z = best_z.copy()
+            r = f.coeffs - apply_A(z)
+            Mr = flat_pinv_apply(grid, p, r)
+            rho = np.vdot(r, Mr).real
+            pdir = Mr.copy()
+            resid = h2_norm(r) / f_norm
+
+    u = dbar_transpose(EForm(grid, f.rank, n, p, best_z if best_resid < resid else z))
+    u.coeffs = np.einsum("...ab,...ijb->...ija", hinv, u.coeffs)
+    return u, iterations

@@ -132,6 +132,19 @@ def test_cli_seed_override_changes_report(tmp_path):
     assert (out1 / "solve.csv").read_bytes() != (out2 / "solve.csv").read_bytes()
 
 
+@pytest.mark.parametrize("op, field, value", [
+    ("regularize", "nu_max", "2"),
+    ("solve", "count", "0"),
+    ("solve", "count", "many"),
+])
+def test_cli_rejects_crashing_operation_field(tmp_path, capsys, op, field, value):
+    text = BASE.replace("name = identities\ncount = 5", f"name = {op}\n{field} = {value}")
+    cfg = write_config(tmp_path, text)
+    assert main([op, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{field!r}" in err and "Traceback" not in err
+
+
 def test_report_convergence_slope_and_rules():
     fit = report_convergence([(16, 1e-1), (32, 1e-3), (64, 1e-5)])
     assert fit["slope"] == pytest.approx(np.log(1e-5 / 1e-1) / np.log(4.0), rel=1e-6)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from cg_reference import reference_min_norm
 from dbarlab.errors import FormError, PreconditionError, SolverError
 from dbarlab.exterior import EForm, norm_sq
 from dbarlab.grid import GridSpec, integrate
 from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal
 from dbarlab.hormander import (
     HilbertStructure,
+    _symbol_eig,
     apply_T,
     apply_Tstar,
     closedness_defect,
@@ -249,6 +251,19 @@ def test_iteration_cap_surfaces_as_solver_error():
     assert err.value.residual is not None
 
 
+def test_breakdown_reports_near_null_direction():
+    # a pure zero-mode source, let through by a loose range tolerance, gives
+    # a search direction in the kernel of the normal operator
+    g = GridSpec(1, 16, 8.0)
+    f = EForm.zeros(g, 1, 1, 1)
+    f.coeffs[...] = 1.0
+    with pytest.raises(SolverError) as err:
+        solve_min_norm(f, MetricField.identity(g, 1), range_tol=2.0)
+    near_null = err.value.near_null
+    assert (near_null.p, near_null.q) == (1, 1)
+    assert near_null.coeffs.shape == f.coeffs.shape
+
+
 def test_closedness_defect_top_degree_is_zero(rng):
     g = GridSpec(1, 16, 8.0)
     h = MetricField.identity(g, 1)
@@ -278,14 +293,28 @@ def test_solve_n2_top_degree_bound():
     assert check["passed"]
 
 
-def test_solve_sees_closed_n2_source(rng):
-    # a dbar-exact source at (2,1) is solvable and the solution reproduces it
+def closed_n2_source(rng):
+    """A dbar-exact (2,1)-source on a coarse n = 2 grid, with its metric."""
     g = GridSpec(2, 8, 8.0)
     h, _ = gaussian_metric(g, c=0.5)
-    u0 = random_form(g, 1, 2, 0, rng, kmax_frac=0.2)
-    f = dbar(u0)
+    return g, h, dbar(random_form(g, 1, 2, 0, rng, kmax_frac=0.2))
+
+
+def top_degree_n2_source(rng=None):
+    """A range-projected (2,2) bump on an n = 2 grid, with its metric."""
+    g = GridSpec(2, 16, 8.0)
+    h, _ = gaussian_metric(g, c=0.5)
+    f = EForm.zeros(g, 1, 2, 2)
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * 4, 0.35).values
+    return g, h, project_to_range(f)
+
+
+def test_solve_sees_closed_n2_source(rng):
+    # a dbar-exact source at (2,1) is solvable and the solution reproduces it
+    g, h, f = closed_n2_source(rng)
     assert closedness_defect(f, h) < 1e-10
-    # the small rough n=2 system has a roundoff floor near 1e-8
+    # a quick 1e-8 solve; the same source converges to 1e-10 as well
+    # (test_solve_closed_n2_source_to_1e10)
     u, rep = solve_min_norm(f, h, tol=1e-8)
     assert rep.residual < 1e-7
     # u is the minimal solution, not necessarily u0; residual is the contract
@@ -337,3 +366,43 @@ def test_flat_symbol_cokernel_dimension():
     assert keep.shape == g.shape + (1,)
     killed = (~keep).sum()
     assert killed == 4  # (kx, ky) in {0, Nyquist}^2
+
+
+def test_symbol_eig_keeps_exact_rank_n2():
+    # at (n, p) = (2, 1) B = D D^H is 2x2 per mode with rank one wherever some
+    # dzbar multiplier is nonzero; the exactly-zero transverse eigenvalues
+    # come out of eigh as +-1e-17 and must not be kept
+    g = GridSpec(2, 8, 8.0)
+    _vals, _vecs, keep = _symbol_eig(g, 1)
+    zero_per_axis = int((g.wavenumbers() == 0.0).sum())
+    assert keep.sum() == g.num_points - zero_per_axis ** 4 == 4080
+
+
+def test_solve_closed_n2_source_to_1e10(rng):
+    g, h, f = closed_n2_source(rng)
+    u, rep = solve_min_norm(f, h, tol=1e-10)
+    assert rep.residual < 1e-9
+
+
+def n1_bump_source(rng=None):
+    """A range-projected (1,1) bump on an n = 1 grid, with its metric."""
+    g = GridSpec(1, 32, 8.0)
+    h, _ = gaussian_metric(g, c=1.0)
+    f = EForm.zeros(g, 1, 1, 1)
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.2, g.center - 0.1), 0.3).values
+    return g, h, project_to_range(f)
+
+
+@pytest.mark.parametrize(
+    "make_source",
+    [n1_bump_source, closed_n2_source, top_degree_n2_source],
+    ids=["n1-N32-p1", "n2-N8-p1", "n2-N16-p2"],
+)
+def test_spectral_cg_matches_real_space_reference(make_source, rng):
+    g, h, f = make_source(rng)
+    u, rep = solve_min_norm(f, h, tol=1e-10)
+    u_ref, iterations_ref = reference_min_norm(f, h, tol=1e-10)
+    H1 = HilbertStructure(g, 1, g.n, f.q - 1, h)
+    diff = H1.norm2(EForm(g, 1, g.n, f.q - 1, u.coeffs - u_ref.coeffs))
+    assert np.sqrt(diff / H1.norm2(u_ref)) < 1e-8
+    assert abs(rep.iterations - iterations_ref) <= 0.02 * iterations_ref
