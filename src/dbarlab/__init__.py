@@ -30,7 +30,6 @@ from .grid import (
 )
 from .exterior import (
     EForm,
-    UnimodularConstant,
     c_const,
     conjugate_form,
     dv_density,
@@ -70,6 +69,7 @@ from .bochner import (
     basic_estimate,
     bk_integrated,
     bk_pointwise,
+    bk_reports,
     cross_term_integrals,
     xi_omega_identity,
 )
@@ -106,7 +106,6 @@ from .weights import (
     default_smoothing_scale,
     gaussian_metric,
     plateau_bump,
-    quadratic_box_margin,
     random_band_limited,
     random_form,
     smooth_source_bump,

@@ -11,6 +11,11 @@ and integrating over the periodic box kills the exact-derivative terms,
 leaving the four-integral balance used by the a-priori estimate.  Every term
 is evaluated with the spectral calculus and reported as a density against
 dV; the residual is the max pointwise mismatch over the requested region.
+
+Both forms of the identity are read off one term pass that builds every
+density once.  The pass computes the connection term D'gamma once and reuses
+it for the adjoint, since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports
+returns the pointwise and integrated reports of a single pass.
 """
 
 from __future__ import annotations
@@ -79,6 +84,115 @@ def check_support(alpha: EForm, h: MetricField, margin: float, tol: float = SUPP
     return leak
 
 
+def _require_np_form(alpha: EForm):
+    if alpha.p != alpha.grid.n or alpha.q < 1:
+        raise FormError(
+            f"identity requires an (n,p)-form with p >= 1, got ({alpha.p},{alpha.q})"
+        )
+
+
+def _bk_terms(
+    alpha: EForm, h: MetricField, theta: CurvatureField | None, pointwise: bool
+) -> dict:
+    """Every density of the identity against dV, each computed once.
+
+    The adjoint term reuses D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.
+    The left side and the two cross terms only enter the pointwise identity
+    (their integrals vanish), so pointwise=False skips them.
+    """
+    n = alpha.grid.n
+    p = alpha.q
+    if theta is None:
+        theta = curvature(h)
+    gamma = hodge_star(alpha)
+    om_p1 = omega_power(alpha.grid, p - 1)
+    ic = 1j * c_const(n - p)
+
+    dpg = dprime(gamma, h)
+    terms = {
+        "curvature": ic * _density(
+            wedge(pairing(curvature_wedge(theta, gamma), gamma, h), om_p1)
+        ),
+        "adjoint_sq": norm_sq(wedge(1j * dpg, om_p1), h).values.real,
+        "dbar_gamma_sq": norm_sq(dbar(gamma), h).values.real,
+        "dbar_alpha_sq": (
+            np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h).values.real
+        ),
+    }
+    if pointwise:
+        terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
+        dbar_dpg = dbar(dpg)
+        terms["cross_minus"] = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
+        terms["cross_plus"] = ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
+    return terms
+
+
+def _pointwise_report(alpha: EForm, t: dict, margin: float) -> IdentityReport:
+    lhs = t["lhs"]
+    rhs = (
+        t["curvature"] + t["cross_minus"] + t["cross_plus"]
+        + t["adjoint_sq"] + t["dbar_gamma_sq"] - t["dbar_alpha_sq"]
+    )
+    region = _interior(alpha.grid, margin)
+    resid = np.abs(lhs - rhs)[region].max()
+    scale = max(
+        float(np.abs(lhs)[region].max()),
+        float(np.abs(t["curvature"])[region].max()),
+        float(t["adjoint_sq"][region].max()),
+        float(t["dbar_gamma_sq"][region].max()),
+        1e-300,
+    )
+    report = IdentityReport("bk-pointwise", alpha.grid.n, alpha.q, alpha.grid.N)
+    report.terms = {
+        name: float(np.abs(t[name])[region].max())
+        for name in (
+            "curvature", "cross_minus", "cross_plus",
+            "adjoint_sq", "dbar_gamma_sq", "dbar_alpha_sq",
+        )
+    }
+    report.residual = float(resid)
+    report.relative_residual = float(resid / scale)
+    return report
+
+
+def _integrated_report(alpha: EForm, t: dict, leak: float) -> IdentityReport:
+    grid = alpha.grid
+    I_curv = integrate_density(t["curvature"], grid)
+    I_dbar_gamma = integrate_density(t["dbar_gamma_sq"], grid)
+    I_tstar = integrate_density(t["adjoint_sq"], grid)
+    I_dbar_alpha = integrate_density(t["dbar_alpha_sq"], grid)  # zeros when p == n
+    residual = I_curv + I_dbar_gamma - I_tstar - I_dbar_alpha
+    scale = max(abs(I_curv), I_dbar_gamma, I_tstar, abs(I_dbar_alpha), 1e-300)
+
+    report = IdentityReport("bk-integrated", grid.n, alpha.q, grid.N)
+    report.terms = {
+        "curvature_integral": float(np.real(I_curv)),
+        "dbar_gamma_integral": float(I_dbar_gamma),
+        "adjoint_integral": float(I_tstar),
+        "dbar_alpha_integral": float(I_dbar_alpha),
+        "seam_leakage": float(leak),
+    }
+    report.residual = float(abs(residual))
+    report.relative_residual = float(abs(residual) / scale)
+    return report
+
+
+def bk_reports(
+    alpha: EForm,
+    h: MetricField,
+    theta: CurvatureField | None = None,
+    margin: float = 0.125,
+) -> tuple:
+    """(pointwise, periodic integrated) reports from one pass over the terms.
+
+    Equal to bk_pointwise(alpha, h, theta, margin) and
+    bk_integrated(alpha, h, theta) at a single evaluation of each term.
+    """
+    _require_np_form(alpha)
+    t = _bk_terms(alpha, h, theta, pointwise=True)
+    return _pointwise_report(alpha, t, margin), _integrated_report(alpha, t, 0.0)
+
+
 def bk_pointwise(
     alpha: EForm,
     h: MetricField,
@@ -86,51 +200,8 @@ def bk_pointwise(
     margin: float = 0.125,
 ) -> IdentityReport:
     """Max pointwise residual of the del-dbar identity over the interior region."""
-    n = alpha.grid.n
-    p = alpha.q
-    if alpha.p != n or p < 1:
-        raise FormError(f"identity requires an (n,p)-form with p >= 1, got ({alpha.p},{alpha.q})")
-    if theta is None:
-        theta = curvature(h)
-    gamma = hodge_star(alpha)
-    om_p1 = omega_power(alpha.grid, p - 1)
-    ic = 1j * c_const(n - p)
-
-    lhs = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
-
-    dpg = dprime(gamma, h)
-    dbar_dpg = dbar(dpg)
-    t_curv = ic * _density(wedge(pairing(curvature_wedge(theta, gamma), gamma, h), om_p1))
-    t_cross1 = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
-    t_cross2 = ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
-    t_tstar = norm_sq(dbar_star_formal(alpha, h), h).values.real
-    t_dbar_gamma = norm_sq(dbar(gamma), h).values.real
-    t_dbar_alpha = (
-        np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h).values.real
-    )
-
-    rhs = t_curv + t_cross1 + t_cross2 + t_tstar + t_dbar_gamma - t_dbar_alpha
-    region = _interior(alpha.grid, margin)
-    resid = np.abs(lhs - rhs)[region].max()
-    scale = max(
-        float(np.abs(lhs)[region].max()),
-        float(np.abs(t_curv)[region].max()),
-        float(t_tstar[region].max()),
-        float(t_dbar_gamma[region].max()),
-        1e-300,
-    )
-    report = IdentityReport("bk-pointwise", n, p, alpha.grid.N)
-    report.terms = {
-        "curvature": float(np.abs(t_curv)[region].max()),
-        "cross_minus": float(np.abs(t_cross1)[region].max()),
-        "cross_plus": float(np.abs(t_cross2)[region].max()),
-        "adjoint_sq": float(np.abs(t_tstar)[region].max()),
-        "dbar_gamma_sq": float(np.abs(t_dbar_gamma)[region].max()),
-        "dbar_alpha_sq": float(np.abs(t_dbar_alpha)[region].max()),
-    }
-    report.residual = float(resid)
-    report.relative_residual = float(resid / scale)
-    return report
+    _require_np_form(alpha)
+    return _pointwise_report(alpha, _bk_terms(alpha, h, theta, pointwise=True), margin)
 
 
 def bk_integrated(
@@ -146,42 +217,9 @@ def bk_integrated(
     mode="stein" additionally enforces the compact-support proxy and reports
     the measured seam leakage.
     """
-    n = alpha.grid.n
-    p = alpha.q
-    if alpha.p != n or p < 1:
-        raise FormError(f"identity requires an (n,p)-form with p >= 1, got ({alpha.p},{alpha.q})")
-    leak = 0.0
-    if mode == "stein":
-        leak = check_support(alpha, h, margin, support_tol)
-    if theta is None:
-        theta = curvature(h)
-    gamma = hodge_star(alpha)
-    om_p1 = omega_power(alpha.grid, p - 1)
-    ic = 1j * c_const(n - p)
-
-    curv_density = ic * _density(wedge(pairing(curvature_wedge(theta, gamma), gamma, h), om_p1))
-    I_curv = integrate_density(curv_density, alpha.grid)
-    I_dbar_gamma = integrate_density(norm_sq(dbar(gamma), h).values.real, alpha.grid)
-    I_tstar = integrate_density(norm_sq(dbar_star_formal(alpha, h), h).values.real, alpha.grid)
-    I_dbar_alpha = (
-        0.0
-        if p == n
-        else integrate_density(norm_sq(dbar(alpha), h).values.real, alpha.grid)
-    )
-    residual = I_curv + I_dbar_gamma - I_tstar - I_dbar_alpha
-    scale = max(abs(I_curv), I_dbar_gamma, I_tstar, abs(I_dbar_alpha), 1e-300)
-
-    report = IdentityReport("bk-integrated", n, p, alpha.grid.N)
-    report.terms = {
-        "curvature_integral": float(np.real(I_curv)),
-        "dbar_gamma_integral": float(I_dbar_gamma),
-        "adjoint_integral": float(I_tstar),
-        "dbar_alpha_integral": float(I_dbar_alpha),
-        "seam_leakage": float(leak),
-    }
-    report.residual = float(abs(residual))
-    report.relative_residual = float(abs(residual) / scale)
-    return report
+    _require_np_form(alpha)
+    leak = check_support(alpha, h, margin, support_tol) if mode == "stein" else 0.0
+    return _integrated_report(alpha, _bk_terms(alpha, h, theta, pointwise=False), leak)
 
 
 def integrate_density(density: np.ndarray, grid) -> float:
@@ -201,14 +239,15 @@ def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
     gamma = hodge_star(alpha)
     om_p1 = omega_power(alpha.grid, p - 1)
     ic = 1j * c_const(n - p)
-    dbar_dpg = dbar(dprime(gamma, h))
+    dpg = dprime(gamma, h)
+    dbar_dpg = dbar(dpg)
     c_minus = integrate_density(
         -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1)), alpha.grid
     )
     c_plus = integrate_density(
         ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1)), alpha.grid
     )
-    adj = integrate_density(norm_sq(dbar_star_formal(alpha, h), h).values.real, alpha.grid)
+    adj = integrate_density(norm_sq(wedge(1j * dpg, om_p1), h).values.real, alpha.grid)
     return c_minus, c_plus, -adj
 
 

@@ -42,18 +42,6 @@ def c_const(p: int) -> complex:
     return 1j ** ((p * p) % 4)
 
 
-@dataclass(frozen=True)
-class UnimodularConstant:
-    """Degree-tagged value of i**(p*p)."""
-
-    p: int
-    value: complex
-
-    @classmethod
-    def of(cls, p: int) -> "UnimodularConstant":
-        return cls(p, c_const(p))
-
-
 @lru_cache(maxsize=64)
 def index_tuples(n: int, k: int) -> tuple:
     """All strictly increasing k-tuples from {0, ..., n-1}, lexicographic."""

@@ -169,9 +169,24 @@ def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -
     dims = 2 * grid.n
     if arr.shape[:dims] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
-    mult = _dz_multiplier(grid, j, conjugate)
-    mult = mult.reshape(mult.shape + (1,) * (arr.ndim - dims))
-    spec = np.fft.fftn(arr, axes=tuple(range(dims)))
+    return from_spectrum(grid, to_spectrum(grid, arr), _dz_multiplier(grid, j, conjugate))
+
+
+def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
+    """Forward FFT over the grid axes; trailing component axes ride along."""
+    return np.fft.fftn(arr, axes=tuple(range(2 * grid.n)))
+
+
+def from_spectrum(grid: GridSpec, spec: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Inverse FFT over the grid axes of mult * spec.
+
+    mult broadcasts against the grid axes; trailing component axes of spec
+    are multiplied entrywise.  Callers that need several derivatives of one
+    array transform it once with ``to_spectrum`` and apply each multiplier
+    here.
+    """
+    dims = 2 * grid.n
+    mult = mult.reshape(mult.shape + (1,) * (spec.ndim - dims))
     return np.fft.ifftn(mult * spec, axes=tuple(range(dims)))
 
 

@@ -104,9 +104,6 @@ class MetricField:
     def det(self) -> np.ndarray:
         return np.linalg.det(self.mat).real
 
-    def min_eigenvalue(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mat)[..., 0]
-
     def with_default_mask(self, rel_threshold: float = DEFAULT_MASK_REL) -> "MetricField":
         """Mask points whose determinant sits below rel_threshold * median det."""
         det = self.det()

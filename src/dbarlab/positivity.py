@@ -128,14 +128,6 @@ def _griffiths_matrices(hm, th, xi):
     return np.einsum("j,k,...jkab->...ab", xi, np.conj(xi), hT)
 
 
-def _direction_net(kt: int, kphi: int):
-    ts = np.linspace(0.0, 0.5 * np.pi, kt)
-    phis = np.linspace(0.0, 2.0 * np.pi, kphi, endpoint=False)
-    for t in ts:
-        for phi in phis:
-            yield np.array([np.cos(t), np.sin(t) * np.exp(1j * phi)])
-
-
 def griffiths_report(
     h: MetricField,
     theta: CurvatureField,

@@ -21,7 +21,6 @@ budget split evenly across the 2n real axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +64,7 @@ def saturating_square_profile(N: int, L: float, r0: float, s: float) -> tuple:
     """
     tm = r0 + CORE_REACH * s
     r1 = tm + RAMP_REACH * s
-    if not 0 < r0 and r1 <= 0.5 * L:
+    if not (0 < r0 and r1 <= 0.5 * L):
         raise ValidationError(
             f"profile does not fit the box: r0={r0}, s={s}, saturation {r1} vs L/2={L / 2}"
         )
@@ -176,12 +175,6 @@ def apodized_quadratic_weight(
         shape[axis] = grid.N
         phi = phi + prof.reshape(shape)
     return ScalarField(grid, c * phi)
-
-
-def quadratic_box_margin(grid: GridSpec, r0: float) -> float:
-    """Interior margin fraction whose box sits inside the exactly quadratic zone."""
-    frac = 0.5 - r0 / grid.L + 1.0 / grid.N
-    return max(frac, 0.0)
 
 
 def gaussian_metric(
@@ -304,20 +297,27 @@ def random_band_limited(
     kmax_frac: float = 0.25,
     real: bool = False,
 ) -> ScalarField:
-    """Random field with spectrum supported on |k_axis| <= kmax_frac * N/2."""
+    """Random field with spectrum supported on |k_axis| <= kmax_frac * N/2.
+
+    The kept modes form a box of m^(2n) coefficients, drawn in C order of the
+    full spectrum, so the field is synthesized separably: one N x m
+    DFT-matrix contraction per axis instead of an inverse FFT of the mostly
+    empty full grid.
+    """
     kmax = max(1, int(kmax_frac * grid.N / 2))
-    spec = np.zeros(grid.shape, dtype=np.complex128)
     freqs = np.fft.fftfreq(grid.N) * grid.N
-    keep_axis = np.abs(freqs) <= kmax
-    keep = np.ones(grid.shape, dtype=bool)
+    modes = np.flatnonzero(np.abs(freqs) <= kmax)
     dims = 2 * grid.n
-    for axis in range(dims):
-        shape = [1] * dims
-        shape[axis] = grid.N
-        keep &= keep_axis.reshape(shape)
-    count = int(keep.sum())
-    spec[keep] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    vals = np.fft.ifftn(spec) * grid.N ** grid.n
+    count = modes.size ** dims
+    vals = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    vals = vals.reshape((modes.size,) * dims)
+    phase = np.outer(np.arange(grid.N), modes) % grid.N
+    synth = np.exp((2j * np.pi / grid.N) * phase)
+    # the 1/N per axis of the inverse FFT times the N^n normalization
+    vals = vals / grid.N ** grid.n
+    for _ in range(dims):
+        # contracting the leading axis appends the synthesized one last
+        vals = np.tensordot(vals, synth, axes=([0], [1]))
     if real:
         vals = vals.real.astype(np.complex128)
     return ScalarField(grid, vals)
@@ -342,13 +342,3 @@ def random_form(
     if interior:
         form = scale_by_field(form, plateau_bump(grid))
     return form
-
-
-@dataclass
-class WeightFamily:
-    """One member of the Gaussian weight sweep exp(-c|z|^2)."""
-
-    c: float
-    metric: MetricField
-    r0: float
-    interior_margin: float

@@ -5,13 +5,15 @@ from dbarlab.bochner import (
     basic_estimate,
     bk_integrated,
     bk_pointwise,
+    bk_reports,
     cross_term_integrals,
+    integrate_density,
     xi_omega_identity,
 )
 from dbarlab.errors import FormError, SupportError
-from dbarlab.exterior import EForm, scale_by_field
+from dbarlab.exterior import EForm, norm_sq, scale_by_field
 from dbarlab.grid import GridSpec
-from dbarlab.hermitian import MetricField, curvature
+from dbarlab.hermitian import MetricField, curvature, dbar_star_formal
 from dbarlab.positivity import nakano_delta
 from dbarlab.weights import (
     gaussian_metric,
@@ -227,3 +229,24 @@ def test_basic_estimate_n2(rng):
         alpha = scale_by_field(alpha, bump)
         res = basic_estimate(alpha, h, delta)
         assert res["relative_slack"] >= -1e-6
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (2, 2)])
+def test_bk_reports_matches_separate_calls(rng, n, p):
+    g = GridSpec(n, 32 if n == 1 else 16, 8.0)
+    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    alpha = random_form(g, 1, n, p, rng, kmax_frac=0.2, interior=True)
+    rep_p, rep_i = bk_reports(alpha, h, margin=0.125)
+    sep_p = bk_pointwise(alpha, h, margin=0.125)
+    sep_i = bk_integrated(alpha, h, mode="periodic")
+    assert rep_p.residual == sep_p.residual
+    assert rep_p.relative_residual == sep_p.relative_residual
+    assert rep_p.terms == sep_p.terms
+    scale = max(abs(v) for v in sep_i.terms.values())
+    assert scale > 0
+    assert abs(rep_i.residual - sep_i.residual) <= 1e-13 * scale
+    for name, value in sep_i.terms.items():
+        assert abs(rep_i.terms[name] - value) <= 1e-13 * scale
+    # the pass reuses D'gamma for the adjoint term; the formal adjoint recomputes it
+    adjoint = integrate_density(norm_sq(dbar_star_formal(alpha, h), h).values, g)
+    assert abs(rep_i.terms["adjoint_integral"] - adjoint) <= 1e-13 * scale

@@ -134,6 +134,7 @@ def test_cli_seed_override_changes_report(tmp_path):
 
 @pytest.mark.parametrize("op, field, value", [
     ("regularize", "nu_max", "2"),
+    ("identities", "count", "0"),
     ("solve", "count", "0"),
     ("solve", "count", "many"),
 ])

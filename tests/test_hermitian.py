@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import spectral_reference as ref
 
 from dbarlab.errors import FormError
 from dbarlab.exterior import (
@@ -275,3 +276,24 @@ def test_motivational_subharmonicity_identity():
     resid = np.abs(lhs - curv_term - grad_term)[box].max()
     scale = max(np.abs(curv_term[box]).max(), np.abs(grad_term[box]).max())
     assert resid < 1e-5 * scale
+
+
+@pytest.mark.parametrize("n, N, rank", [(1, 16, 2), (2, 8, 1)])
+def test_transform_once_operators_match_per_direction_reference(rng, n, N, rank):
+    # sharing a spectrum leaves the arithmetic unchanged, so results are equal
+    g = GridSpec(n, N, 8.0)
+    diagonal, _ = gaussian_metric(g, c=1.0, rank=rank)
+    for h in (diagonal, random_matrix_metric(g, rank, rng)):
+        assert np.array_equal(chern_connection(h), ref.chern_connection(h))
+        assert np.array_equal(curvature(h).theta, ref.curvature(h))
+    for p in range(n + 1):
+        for q in range(n + 1):
+            a = random_form(g, rank, p, q, rng)
+            pairs = []
+            if q < n:
+                pairs.append((dbar(a), ref.dbar(a)))
+            if p < n:
+                pairs.append((dpartial(a), ref.dpartial(a)))
+            for fast, slow in pairs:
+                assert (fast.p, fast.q) == (slow.p, slow.q)
+                assert np.array_equal(fast.coeffs, slow.coeffs)

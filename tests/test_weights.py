@@ -1,0 +1,39 @@
+import numpy as np
+import pytest
+import spectral_reference as ref
+
+from dbarlab.errors import ValidationError
+from dbarlab.grid import GridSpec
+from dbarlab.weights import gaussian_metric, random_band_limited, saturating_square_profile
+
+
+@pytest.mark.parametrize("n, N, kmax_frac, real", [
+    (1, 16, 0.25, False),
+    (1, 8, 2.0, True),
+    (2, 16, 0.25, False),
+    (2, 8, 0.1, True),
+])
+def test_separable_band_limited_matches_full_grid_reference(n, N, kmax_frac, real):
+    g = GridSpec(n, N, 8.0)
+    rng_fast = np.random.default_rng(5)
+    rng_slow = np.random.default_rng(5)
+    fast = random_band_limited(g, rng_fast, kmax_frac, real).values
+    slow = ref.random_band_limited(g, rng_slow, kmax_frac, real).values
+    assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
+    assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
+
+
+def test_profile_too_wide_for_box_rejected():
+    # r0 = 3.5 at L = 8 saturates past L/2 and would break periodicity
+    with pytest.raises(ValidationError):
+        saturating_square_profile(64, 8.0, 3.5, 0.22)
+    with pytest.raises(ValidationError):
+        gaussian_metric(GridSpec(1, 16, 8.0), c=1.0, r0=3.5)
+    with pytest.raises(ValidationError):
+        saturating_square_profile(64, 8.0, 0.0, 0.22)
+
+
+def test_profile_at_half_box_accepted():
+    # the shipped configs saturate exactly at L/2: 1.0 + (4.5 + 5.5) * 0.30
+    _, vals = saturating_square_profile(64, 8.0, 1.0, 0.30)
+    assert np.isfinite(vals).all()
