@@ -40,6 +40,7 @@ from .grid import interior_mask, seam_leakage
 from .hermitian import (
     CurvatureField,
     MetricField,
+    adjoint_from_dprime,
     curvature,
     curvature_wedge,
     dbar,
@@ -91,14 +92,10 @@ def _require_np_form(alpha: EForm):
         )
 
 
-def _bk_terms(
-    alpha: EForm, h: MetricField, theta: CurvatureField | None, pointwise: bool
-) -> dict:
+def _bk_terms(alpha: EForm, h: MetricField, theta: CurvatureField | None) -> dict:
     """Every density of the identity against dV, each computed once.
 
     The adjoint term reuses D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.
-    The left side and the two cross terms only enter the pointwise identity
-    (their integrals vanish), so pointwise=False skips them.
     """
     n = alpha.grid.n
     p = alpha.q
@@ -113,17 +110,16 @@ def _bk_terms(
         "curvature": ic * _density(
             wedge(pairing(curvature_wedge(theta, gamma), gamma, h), om_p1)
         ),
-        "adjoint_sq": norm_sq(wedge(1j * dpg, om_p1), h).values.real,
+        "adjoint_sq": norm_sq(adjoint_from_dprime(dpg, om_p1), h).values.real,
         "dbar_gamma_sq": norm_sq(dbar(gamma), h).values.real,
         "dbar_alpha_sq": (
             np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h).values.real
         ),
     }
-    if pointwise:
-        terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
-        dbar_dpg = dbar(dpg)
-        terms["cross_minus"] = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
-        terms["cross_plus"] = ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
+    terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
+    dbar_dpg = dbar(dpg)
+    terms["cross_minus"] = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
+    terms["cross_plus"] = ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
     return terms
 
 
@@ -189,7 +185,7 @@ def bk_reports(
     bk_integrated(alpha, h, theta) at a single evaluation of each term.
     """
     _require_np_form(alpha)
-    t = _bk_terms(alpha, h, theta, pointwise=True)
+    t = _bk_terms(alpha, h, theta)
     return _pointwise_report(alpha, t, margin), _integrated_report(alpha, t, 0.0)
 
 
@@ -201,7 +197,7 @@ def bk_pointwise(
 ) -> IdentityReport:
     """Max pointwise residual of the del-dbar identity over the interior region."""
     _require_np_form(alpha)
-    return _pointwise_report(alpha, _bk_terms(alpha, h, theta, pointwise=True), margin)
+    return _pointwise_report(alpha, _bk_terms(alpha, h, theta), margin)
 
 
 def bk_integrated(
@@ -219,7 +215,7 @@ def bk_integrated(
     """
     _require_np_form(alpha)
     leak = check_support(alpha, h, margin, support_tol) if mode == "stein" else 0.0
-    return _integrated_report(alpha, _bk_terms(alpha, h, theta, pointwise=False), leak)
+    return _integrated_report(alpha, _bk_terms(alpha, h, theta), leak)
 
 
 def integrate_density(density: np.ndarray, grid) -> float:
@@ -247,7 +243,7 @@ def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
     c_plus = integrate_density(
         ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1)), alpha.grid
     )
-    adj = integrate_density(norm_sq(wedge(1j * dpg, om_p1), h).values.real, alpha.grid)
+    adj = integrate_density(norm_sq(adjoint_from_dprime(dpg, om_p1), h).values.real, alpha.grid)
     return c_minus, c_plus, -adj
 
 

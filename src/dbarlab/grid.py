@@ -164,12 +164,10 @@ def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -
     Leading axes must be the grid axes; any trailing axes are treated as
     components and differentiated entrywise.
     """
-    if not 0 <= j < grid.n:
-        raise FormError(f"complex axis {j} out of range for n={grid.n}")
     dims = 2 * grid.n
     if arr.shape[:dims] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
-    return from_spectrum(grid, to_spectrum(grid, arr), _dz_multiplier(grid, j, conjugate))
+    return from_spectrum(grid, to_spectrum(grid, arr), j, conjugate)
 
 
 def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
@@ -177,15 +175,20 @@ def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     return np.fft.fftn(arr, axes=tuple(range(2 * grid.n)))
 
 
-def from_spectrum(grid: GridSpec, spec: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """Inverse FFT over the grid axes of mult * spec.
+def from_spectrum(
+    grid: GridSpec, spec: np.ndarray, j: int, conjugate: bool = False
+) -> np.ndarray:
+    """d/dz_j (or d/dzbar_j) of the array whose spectrum is spec.
 
-    mult broadcasts against the grid axes; trailing component axes of spec
-    are multiplied entrywise.  Callers that need several derivatives of one
-    array transform it once with ``to_spectrum`` and apply each multiplier
-    here.
+    Applies the multiplier of the derivative and inverse-transforms over the
+    grid axes; trailing component axes of spec are differentiated entrywise.
+    Callers that need several derivatives of one array transform it once
+    with ``to_spectrum`` and take each derivative here.
     """
+    if not 0 <= j < grid.n:
+        raise FormError(f"complex axis {j} out of range for n={grid.n}")
     dims = 2 * grid.n
+    mult = _dz_multiplier(grid, j, conjugate)
     mult = mult.reshape(mult.shape + (1,) * (spec.ndim - dims))
     return np.fft.ifftn(mult * spec, axes=tuple(range(dims)))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormError
-from .grid import GridSpec, _dz_multiplier, from_spectrum, to_spectrum
+from .grid import GridSpec, from_spectrum, to_spectrum
 from .metric import MetricField, dual_metric, matrix_apply
 from .exterior import (
     EForm,
@@ -47,6 +47,7 @@ __all__ = [
     "dpartial",
     "dprime",
     "dbar_star_formal",
+    "adjoint_from_dprime",
 ]
 
 
@@ -101,12 +102,12 @@ def chern_connection(h: MetricField) -> np.ndarray:
         for a, phi in enumerate(h.diag_log_weights):
             spec = to_spectrum(h.grid, phi.astype(np.complex128))
             for j in range(n):
-                out[..., j, a, a] = -from_spectrum(h.grid, spec, _dz_multiplier(h.grid, j, False))
+                out[..., j, a, a] = -from_spectrum(h.grid, spec, j)
         return out
     hinv = h.inverse_mat()
     spec = to_spectrum(h.grid, h.mat)
     for j in range(n):
-        out[..., j, :, :] = hinv @ from_spectrum(h.grid, spec, _dz_multiplier(h.grid, j, False))
+        out[..., j, :, :] = hinv @ from_spectrum(h.grid, spec, j)
     return out
 
 
@@ -124,18 +125,16 @@ def curvature(h: MetricField) -> CurvatureField:
         for a, phi in enumerate(h.diag_log_weights):
             spec = to_spectrum(h.grid, phi.astype(np.complex128))
             for j in range(n):
-                dphi = from_spectrum(h.grid, spec, _dz_multiplier(h.grid, j, False))
+                dphi = from_spectrum(h.grid, spec, j)
                 dspec = to_spectrum(h.grid, dphi)
                 for k in range(n):
-                    out[..., j, k, a, a] = from_spectrum(
-                        h.grid, dspec, _dz_multiplier(h.grid, k, True)
-                    )
+                    out[..., j, k, a, a] = from_spectrum(h.grid, dspec, k, True)
         return CurvatureField(h.grid, h.rank, out)
     theta_conn = chern_connection(h)
     for j in range(n):
         spec = to_spectrum(h.grid, theta_conn[..., j, :, :])
         for k in range(n):
-            out[..., j, k, :, :] = -from_spectrum(h.grid, spec, _dz_multiplier(h.grid, k, True))
+            out[..., j, k, :, :] = -from_spectrum(h.grid, spec, k, True)
     return CurvatureField(h.grid, h.rank, out)
 
 
@@ -162,7 +161,7 @@ def _differential(a: EForm, conjugate: bool) -> EForm:
                 target = pos[tuple(sorted(grown + (k,)))]
                 slot = (Ipos, target) if conjugate else (target, Jpos)
                 out.coeffs[..., slot[0], slot[1], :] += s * from_spectrum(
-                    a.grid, spec, _dz_multiplier(a.grid, k, conjugate)
+                    a.grid, spec, k, conjugate
                 )
     return out
 
@@ -255,7 +254,13 @@ def dbar_star_formal(beta: EForm, h: MetricField) -> EForm:
     p = beta.q
     if p < 1:
         raise FormError("dbar* requires p >= 1")
-    gamma = hodge_star(beta)
-    dga = dprime(gamma, h)
-    gamma_star = 1j * dga
-    return wedge(gamma_star, omega_power(beta.grid, p - 1))
+    return adjoint_from_dprime(dprime(hodge_star(beta), h), omega_power(beta.grid, p - 1))
+
+
+def adjoint_from_dprime(dpg: EForm, om_p1: EForm) -> EForm:
+    """dbar*_h beta = i D'gamma ^ om_p1 from D'gamma, gamma = *beta.
+
+    om_p1 is omega^(p-1)/(p-1)!; callers that already hold D'gamma and
+    om_p1 for other terms reuse both here.
+    """
+    return wedge(1j * dpg, om_p1)
