@@ -7,6 +7,10 @@ by signed wavenumbers 2*pi*k/L with the Nyquist mode zeroed, inverse FFT.
 Zeroing the Nyquist mode keeps every derivative operator exactly
 skew-adjoint on the lattice, which is what makes the discrete
 integration-by-parts identities hold to roundoff.
+
+This module owns the package's FFTs: ``to_spectrum`` and ``to_lattice`` are
+the forward and inverse transforms over the grid axes, on scipy.fft with its
+default single worker, and every other spectral step goes through them.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import FormError, ValidationError
 
@@ -172,7 +177,12 @@ def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -
 
 def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     """Forward FFT over the grid axes; trailing component axes ride along."""
-    return np.fft.fftn(arr, axes=tuple(range(2 * grid.n)))
+    return scipy.fft.fftn(arr, axes=tuple(range(2 * grid.n)))
+
+
+def to_lattice(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
+    """Inverse FFT over the grid axes; trailing component axes ride along."""
+    return scipy.fft.ifftn(spec, axes=tuple(range(2 * grid.n)))
 
 
 def from_spectrum(
@@ -190,7 +200,7 @@ def from_spectrum(
     dims = 2 * grid.n
     mult = _dz_multiplier(grid, j, conjugate)
     mult = mult.reshape(mult.shape + (1,) * (spec.ndim - dims))
-    return np.fft.ifftn(mult * spec, axes=tuple(range(dims)))
+    return to_lattice(grid, mult * spec)
 
 
 def partial_z(f: ScalarField, j: int, conjugate: bool = False) -> ScalarField:
@@ -215,8 +225,8 @@ def convolve(f: ScalarField, kernel: ScalarField) -> ScalarField:
     mass = kr.sum() * f.grid.cell_volume
     if abs(mass - 1.0) > 1e-10:
         raise ValidationError(f"convolution kernel mass is {mass!r}, expected 1")
-    spec = np.fft.fftn(f.values) * np.fft.fftn(kr)
-    out = np.fft.ifftn(spec) * f.grid.cell_volume
+    spec = to_spectrum(f.grid, f.values) * to_spectrum(f.grid, kr)
+    out = to_lattice(f.grid, spec) * f.grid.cell_volume
     if np.abs(f.values.imag).max() == 0.0:
         out = out.real.astype(np.complex128)
     return ScalarField(f.grid, out)

@@ -72,10 +72,12 @@ class CurvatureField:
 
     @classmethod
     def constant(cls, grid: GridSpec, rank: int, blocks: np.ndarray) -> "CurvatureField":
-        """Curvature with the same (n, n, r, r) coefficient blocks at every point."""
-        blocks = np.asarray(blocks, dtype=np.complex128)
-        theta = np.broadcast_to(blocks, grid.shape + blocks.shape).copy()
-        return cls(grid, rank, theta)
+        """Curvature with the same (n, n, r, r) coefficient blocks at every point.
+
+        theta is a read-only broadcast view of one copy of the blocks.
+        """
+        blocks = np.array(blocks, dtype=np.complex128)
+        return cls(grid, rank, np.broadcast_to(blocks, grid.shape + blocks.shape))
 
     def hermitian_defect(self, h: MetricField) -> float:
         """Max relative violation of h Theta_jk = (h Theta_kj)^H off the mask."""

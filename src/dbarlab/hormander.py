@@ -18,8 +18,11 @@ regardless of how accurately the iteration converged.
 CG keeps z, r and p as Fourier spectra.  With D the per-mode dbar symbol,
 A acts as D F[h^{-1} F^{-1}[D^H p]], the preconditioner is the cached
 per-mode pseudoinverse of D D^H, and the stopping norm needs r on the
-lattice: three transforms per iteration.  The final u and its true residual
-go through the real-space dbar^T and dbar.
+lattice: three transforms per iteration, all through grid's scipy.fft
+transform pair.  The stopping norm is taken in place, as one h-weighted sum
+over the inverse transform of r, and the per-mode products and h^{-1} are
+broadcast multiply-adds over the small contracted index.  The final u and
+its true residual go through the real-space dbar^T and dbar.
 """
 
 from __future__ import annotations
@@ -31,8 +34,29 @@ import numpy as np
 
 from .errors import FormError, PreconditionError, SolverError
 from .exterior import EForm, index_slot, index_tuples, inner_product, insertion_sign, norm_sq
-from .grid import GridSpec, _dz_multiplier, dz_array, integrate, seam_leakage
+from .grid import (
+    GridSpec,
+    _dz_multiplier,
+    dz_array,
+    integrate,
+    seam_leakage,
+    to_lattice,
+    to_spectrum,
+)
 from .hermitian import MetricField, dbar
+
+
+def _gram(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Pointwise mat @ c on the bundle index ("...ab,...ijb->...ija").
+
+    mat is grid + (r, r); coeffs is grid + (..., r) with any number of form
+    slot axes in between.  Written as multiply-adds over the small index b.
+    """
+    m = mat.reshape(mat.shape[:-2] + (1,) * (coeffs.ndim - mat.ndim + 1) + mat.shape[-2:])
+    out = m[..., 0] * coeffs[..., :1]
+    for b in range(1, mat.shape[-1]):
+        out += m[..., b] * coeffs[..., b : b + 1]
+    return out
 
 
 @dataclass
@@ -53,13 +77,12 @@ class HilbertStructure:
 
     def gram_apply(self, a: EForm) -> EForm:
         out = a.copy()
-        out.coeffs = np.einsum("...ab,...ijb->...ija", self.metric.mat, a.coeffs)
+        out.coeffs = _gram(self.metric.mat, a.coeffs)
         return out
 
     def gram_solve(self, a: EForm) -> EForm:
         out = a.copy()
-        hinv = self.metric.inverse_mat()
-        out.coeffs = np.einsum("...ab,...ijb->...ija", hinv, a.coeffs)
+        out.coeffs = _gram(self.metric.inverse_mat(), a.coeffs)
         return out
 
 
@@ -186,14 +209,15 @@ def _flat_pinv(grid: GridSpec, p: int) -> np.ndarray:
     return np.einsum("...jm,...m,...km->...jk", vecs, inv_vals, np.conj(vecs))
 
 
-def _mode_transform(grid: GridSpec, coeffs: np.ndarray, forward: bool) -> np.ndarray:
-    axes = tuple(range(2 * grid.n))
-    return np.fft.fftn(coeffs, axes=axes) if forward else np.fft.ifftn(coeffs, axes=axes)
-
-
 def _per_mode(mat: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    """Per-mode matrix product: mat (grid + (a, b)) times spec (grid + (b, r))."""
-    return np.einsum("...ab,...br->...ar", mat, spec)
+    """Per-mode matrix product: mat (grid + (a, b)) times spec (grid + (b, r)).
+
+    Written as multiply-adds over the small index b.
+    """
+    out = mat[..., :, :1] * spec[..., :1, :]
+    for b in range(1, mat.shape[-1]):
+        out += mat[..., :, b : b + 1] * spec[..., b : b + 1, :]
+    return out
 
 
 def _range_component(grid: GridSpec, p: int, spec: np.ndarray) -> np.ndarray:
@@ -205,7 +229,7 @@ def _range_component(grid: GridSpec, p: int, spec: np.ndarray) -> np.ndarray:
 
 def range_projection_defect(f: EForm) -> float:
     """Relative l2 mass of f outside the exact discrete range of dbar."""
-    spec = _mode_transform(f.grid, f.coeffs, True)
+    spec = to_spectrum(f.grid, f.coeffs)
     kept = _range_component(f.grid, f.q, spec[..., 0, :, :])
     total = np.linalg.norm(spec)
     lost = np.linalg.norm(spec[..., 0, :, :] - kept)
@@ -215,11 +239,21 @@ def range_projection_defect(f: EForm) -> float:
 def project_to_range(f: EForm) -> EForm:
     """Remove the (measure-zero) cokernel bins: zero/Nyquist modes and
     directions transverse to the dbar multiplier."""
-    spec = _mode_transform(f.grid, f.coeffs, True)
+    spec = to_spectrum(f.grid, f.coeffs)
     spec[..., 0, :, :] = _range_component(f.grid, f.q, spec[..., 0, :, :])
     out = f.copy()
-    out.coeffs = _mode_transform(f.grid, spec, False)
+    out.coeffs = to_lattice(f.grid, spec)
     return out
+
+
+def _spectral_norm2(grid: GridSpec, hmat: np.ndarray, spec: np.ndarray) -> float:
+    """h-weighted squared L2 norm of the (n,p)-form whose dzbar spectrum is spec.
+
+    spec is grid + (C(n,p), r), the dz slot dropped; equals HilbertStructure's
+    norm2 of that form, taken as one weighted sum on the lattice.
+    """
+    v = to_lattice(grid, spec)
+    return float(np.vdot(v, _gram(hmat, v)).real) * grid.cell_volume
 
 
 def closedness_defect(f: EForm, h: MetricField) -> float:
@@ -284,6 +318,7 @@ def solve_min_norm(
             measured=range_defect,
         )
 
+    hmat = h.mat
     hinv = h.inverse_mat()
     D = _flat_symbol(grid, p)
     DH = np.conj(np.swapaxes(D, -1, -2))
@@ -292,15 +327,14 @@ def solve_min_norm(
     # CG runs on spectra of shape grid + (C(n,p), r); the dz slot of an
     # (n,p)-form is the single index (0..n-1) and is dropped
     def to_form(spec: np.ndarray) -> EForm:
-        return EForm(grid, f.rank, n, p, _mode_transform(grid, spec, False)[..., None, :, :])
+        return EForm(grid, f.rank, n, p, to_lattice(grid, spec)[..., None, :, :])
 
     def apply_A(spec: np.ndarray) -> np.ndarray:
-        w = _mode_transform(grid, _per_mode(DH, spec), False)
-        w = np.einsum("...ab,...jb->...ja", hinv, w)
-        return _per_mode(D, _mode_transform(grid, w, True))
+        w = _gram(hinv, to_lattice(grid, _per_mode(DH, spec)))
+        return _per_mode(D, to_spectrum(grid, w))
 
     def h2_norm(spec: np.ndarray) -> float:
-        return np.sqrt(max(H2.norm2(to_form(spec)), 0.0))
+        return np.sqrt(max(_spectral_norm2(grid, hmat, spec), 0.0))
 
     dim = f.coeffs.size
     maxiter = int(maxiter_factor * np.ceil(np.sqrt(dim)))
@@ -308,7 +342,7 @@ def solve_min_norm(
 
     # Parseval scales rho and pAp by the same factor, so alpha and beta are
     # those of the real-space iteration
-    f_hat = _mode_transform(grid, f.coeffs[..., 0, :, :], True)
+    f_hat = to_spectrum(grid, f.coeffs[..., 0, :, :])
     z = np.zeros_like(f_hat)
     r = f_hat.copy()
     Mr = _per_mode(P, r)
@@ -371,7 +405,7 @@ def solve_min_norm(
     # the solution and its true residual go through the real-space operators,
     # which checks the spectral iteration on every solve
     u = dbar_transpose(to_form(best_z if best_resid < resid else z))
-    u.coeffs = np.einsum("...ab,...ijb->...ija", hinv, u.coeffs)
+    u.coeffs = _gram(hinv, u.coeffs)
 
     true_resid_form = dbar(u)
     true_resid_form.coeffs -= f.coeffs
@@ -447,12 +481,12 @@ def dense_min_norm(f: EForm, h: MetricField) -> EForm:
         basis[:] = 0.0
         basis[i] = 1.0
         u = EForm(grid, f.rank, n, p - 1, basis.reshape(shape1).copy())
-        u.coeffs = np.einsum("...ab,...ijb->...ija", inv_sqrt, u.coeffs)
+        u.coeffs = _gram(inv_sqrt, u.coeffs)
         Tu = dbar(u)
-        Tu.coeffs = np.einsum("...ab,...ijb->...ija", sqrt_h.mat, Tu.coeffs)
+        Tu.coeffs = _gram(sqrt_h.mat, Tu.coeffs)
         cols[:, i] = Tu.coeffs.ravel()
-    f_white = np.einsum("...ab,...ijb->...ija", sqrt_h.mat, f.coeffs).ravel()
+    f_white = _gram(sqrt_h.mat, f.coeffs).ravel()
     u_white, *_ = np.linalg.lstsq(cols, f_white, rcond=1e-12)
     u = EForm(grid, f.rank, n, p - 1, u_white.reshape(shape1).copy())
-    u.coeffs = np.einsum("...ab,...ijb->...ija", inv_sqrt, u.coeffs)
+    u.coeffs = _gram(inv_sqrt, u.coeffs)
     return u

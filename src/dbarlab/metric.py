@@ -17,6 +17,10 @@ from .grid import GridSpec
 
 HERMITIAN_TOL = 1e-12
 
+# eigh's backward error is a few eps times the largest eigenvalue at a point;
+# a negative eigenvalue beyond this multiple of eps is not roundoff
+EIGH_ROUNDOFF = 1e3 * np.finfo(np.float64).eps
+
 # mask threshold: det h below this multiple of the median determinant
 DEFAULT_MASK_REL = 1e-12
 
@@ -129,10 +133,18 @@ class MetricField:
             raise MetricError("metric is singular at some grid point") from exc
 
     def sqrt_mat(self) -> np.ndarray:
-        """Pointwise hermitian positive square root."""
+        """Pointwise hermitian positive square root.
+
+        Eigenvalues within eigh's roundoff below zero are set to zero; one
+        further below raises, since the metric is then not positive there.
+        """
         vals, vecs = np.linalg.eigh(self.mat)
-        if vals.min() < 0:
-            vals = np.clip(vals, 0.0, None)
+        rel = vals[..., 0] / np.maximum(np.abs(vals).max(axis=-1), 1e-300)
+        if rel.min() < -EIGH_ROUNDOFF:
+            raise MetricError(
+                f"metric is not positive: eigenvalue {rel.min():.3e} times its point's scale"
+            )
+        vals = np.clip(vals, 0.0, None)
         return np.einsum("...ab,...b,...cb->...ac", vecs, np.sqrt(vals), np.conj(vecs))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureSymmetryError, PreconditionError
+from .errors import CurvatureSymmetryError, MetricError, PreconditionError
 from .grid import GridSpec
 from .hermitian import CurvatureField, MetricField
 
@@ -75,9 +75,20 @@ def _check_block_symmetry(M: np.ndarray, tol: float):
         )
 
 
+def _cholesky(hm: np.ndarray) -> np.ndarray:
+    """Stacked Cholesky factors of the gathered (unmasked) metric matrices."""
+    try:
+        return np.linalg.cholesky(hm)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric is not positive definite at some unmasked point") from exc
+
+
 def _whiten(M: np.ndarray, chol: np.ndarray) -> np.ndarray:
     """C^{-1} M C^{-H} for stacked Cholesky factors C."""
-    Cinv = np.linalg.inv(chol)
+    try:
+        Cinv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric Cholesky factor is singular at some unmasked point") from exc
     return Cinv @ M @ np.conj(np.swapaxes(Cinv, -1, -2))
 
 
@@ -96,7 +107,7 @@ def nakano_report(
     M = _nakano_matrices(hm, th, n, r)
     _check_block_symmetry(M, symmetry_tol)
     M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-    chol = np.linalg.cholesky(hm)
+    chol = _cholesky(hm)
     big_chol = np.zeros((hm.shape[0], n * r, n * r), dtype=np.complex128)
     for j in range(n):
         big_chol[:, j * r : (j + 1) * r, j * r : (j + 1) * r] = chol
@@ -146,7 +157,7 @@ def griffiths_report(
     n, r = grid.n, h.rank
     keep = _region_indices(grid, h, region)
     hm, th = _gathered(h, theta, keep)
-    chol = np.linalg.cholesky(hm)
+    chol = _cholesky(hm)
     sign = 1.0 if mode == "lower" else -1.0
 
     def extreme_for(xi):

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CurvatureFloorError, PreconditionError, ValidationError
 from .exterior import EForm, norm_sq
-from .grid import GridSpec, ScalarField, convolve, integrate
+from .grid import GridSpec, ScalarField, convolve, integrate, to_lattice, to_spectrum
 from .hermitian import MetricField, curvature, dual_metric
 from .hormander import solve_min_norm
 from .positivity import nakano_delta
@@ -83,7 +83,7 @@ def _kernel_cached(grid: GridSpec, eps: float) -> tuple:
     if mass <= 0:
         raise PreconditionError("mollifier kernel has no interior samples")
     vals /= mass
-    return vals, np.fft.fftn(vals)
+    return vals, to_spectrum(grid, vals)
 
 
 def mollifier_kernel(grid: GridSpec, eps: float) -> ScalarField:
@@ -99,12 +99,8 @@ def mollify(h: MetricField, eps: float) -> MetricField:
     nonnegative weights stays in the psd cone); the result is unmasked.
     """
     _, spec_k = _kernel_cached(h.grid, eps)
-    out = np.empty_like(h.mat)
-    axes = tuple(range(2 * h.grid.n))
-    for a in range(h.rank):
-        for b in range(h.rank):
-            conv = np.fft.ifftn(np.fft.fftn(h.mat[..., a, b], axes=axes) * spec_k, axes=axes)
-            out[..., a, b] = conv * h.grid.cell_volume
+    spec = to_spectrum(h.grid, h.mat) * spec_k[..., None, None]
+    out = to_lattice(h.grid, spec) * h.grid.cell_volume
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     return MetricField(h.grid, h.rank, out)
 
@@ -138,14 +134,14 @@ def periodic_log_pole(grid: GridSpec, z0: complex) -> np.ndarray:
         sx += np.exp(1j * w * (t - z0.real))
         sy += np.exp(1j * w * (t - z0.imag))
     src = np.outer(sx.real, sy.real) / grid.L ** 2
-    spec = np.fft.fftn(src)
+    spec = to_spectrum(grid, src)
     kx = k.reshape(-1, 1)
     ky = k.reshape(1, -1)
     k2 = kx * kx + ky * ky
     k2[0, 0] = 1.0
     lam_spec = -2.0 * np.pi * spec / k2
     lam_spec[0, 0] = 0.0
-    lam = np.fft.ifftn(lam_spec).real
+    lam = to_lattice(grid, lam_spec).real
     return lam
 
 

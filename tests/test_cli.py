@@ -146,6 +146,27 @@ def test_cli_rejects_crashing_operation_field(tmp_path, capsys, op, field, value
     assert f"{field!r}" in err and "Traceback" not in err
 
 
+def test_cli_metric_not_positive_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    import dbarlab.cli as cli
+    from dbarlab.metric import MetricField
+
+    real_metric_for = cli._metric_for
+
+    def indefinite_metric_for(cfg, grid, c=None):
+        cat = real_metric_for(cfg, grid, c)
+        mat = cat.metric.mat.copy()
+        mat[(grid.N // 2,) * 2] *= -1.0
+        cat.metric = MetricField(grid, cat.metric.rank, mat)
+        return cat
+
+    monkeypatch.setattr(cli, "_metric_for", indefinite_metric_for)
+    text = BASE.replace("name = identities\ncount = 5", "name = positivity")
+    cfg = write_config(tmp_path, text)
+    assert main(["positivity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "not positive" in err and "Traceback" not in err
+
+
 def test_report_convergence_slope_and_rules():
     fit = report_convergence([(16, 1e-1), (32, 1e-3), (64, 1e-5)])
     assert fit["slope"] == pytest.approx(np.log(1e-5 / 1e-1) / np.log(4.0), rel=1e-6)

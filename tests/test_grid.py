@@ -10,6 +10,8 @@ from dbarlab.grid import (
     interior_mask,
     partial_z,
     seam_leakage,
+    to_lattice,
+    to_spectrum,
 )
 from dbarlab.weights import random_band_limited
 
@@ -193,3 +195,20 @@ def test_interior_mask_and_leakage():
     assert seam_leakage(density, g, 0.25) == pytest.approx(0.75)
     inner = np.where(mask, 1.0, 0.0)
     assert seam_leakage(inner, g, 0.25) == 0.0
+
+
+@pytest.mark.parametrize("n, N, slots, rank", [(1, 32, 1, 1), (2, 8, 2, 2), (2, 16, 1, 2)])
+def test_transform_pair_matches_numpy_fft(n, N, slots, rank):
+    # grid + (C(n,p), r): the component axes ride along the grid transforms
+    g = GridSpec(n, N, 8.0)
+    rng = np.random.default_rng(5)
+    shape = g.shape + (slots, rank)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    axes = tuple(range(2 * n))
+    spec = to_spectrum(g, arr)
+    ref = np.fft.fftn(arr, axes=axes)
+    assert np.abs(spec - ref).max() <= 1e-13 * np.abs(ref).max()
+    back = to_lattice(g, spec)
+    ref_back = np.fft.ifftn(spec, axes=axes)
+    assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
+    assert np.abs(back - arr).max() <= 1e-13 * np.abs(arr).max()

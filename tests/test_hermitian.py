@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import spectral_reference as ref
 
-from dbarlab.errors import FormError
+from dbarlab.errors import FormError, MetricError
 from dbarlab.exterior import (
     EForm,
     inner_product,
@@ -297,3 +297,18 @@ def test_transform_once_operators_match_per_direction_reference(rng, n, N, rank)
             for fast, slow in pairs:
                 assert (fast.p, fast.q) == (slow.p, slow.q)
                 assert np.array_equal(fast.coeffs, slow.coeffs)
+
+
+def test_sqrt_mat_clips_roundoff_and_rejects_negative_eigenvalue(rng):
+    g = GridSpec(1, 8, 8.0)
+    h = random_matrix_metric(g, 2, rng)
+    root = h.sqrt_mat()
+    assert np.abs(root @ root - h.mat).max() < 1e-13 * np.abs(h.mat).max()
+    # an eigenvalue a few eps below zero is roundoff of a singular point
+    mat = h.mat.copy()
+    mat[2, 5] = np.diag([1.0, -1e-17])
+    root = MetricField(g, 2, mat).sqrt_mat()
+    assert np.abs(root[2, 5] - np.diag([1.0, 0.0])).max() == 0.0
+    mat[2, 5] = np.diag([1.0, -1e-3])
+    with pytest.raises(MetricError):
+        MetricField(g, 2, mat).sqrt_mat()

@@ -8,6 +8,10 @@ from dbarlab.grid import GridSpec, integrate
 from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal
 from dbarlab.hormander import (
     HilbertStructure,
+    _flat_pinv,
+    _flat_symbol,
+    _per_mode,
+    _spectral_norm2,
     _symbol_eig,
     apply_T,
     apply_Tstar,
@@ -406,3 +410,33 @@ def test_spectral_cg_matches_real_space_reference(make_source, rng):
     diff = H1.norm2(EForm(g, 1, g.n, f.q - 1, u.coeffs - u_ref.coeffs))
     assert np.sqrt(diff / H1.norm2(u_ref)) < 1e-8
     assert abs(rep.iterations - iterations_ref) <= 0.02 * iterations_ref
+
+
+def nondiagonal_rank2_metric(grid, rng):
+    """A smooth positive rank-2 metric with nonzero off-diagonal entries."""
+    mat = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
+    for a in range(2):
+        for b in range(2):
+            mat[..., a, b] = 0.3 * random_band_limited(grid, rng, 0.15).values
+    mat = mat @ np.conj(np.swapaxes(mat, -1, -2))
+    mat[..., 0, 0] += 1.0
+    mat[..., 1, 1] += 0.5
+    return MetricField(grid, 2, mat)
+
+
+@pytest.mark.parametrize("n, N, p", [(1, 32, 1), (2, 8, 1), (2, 16, 2)])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_stopping_norm_matches_hilbert_norm(n, N, p, rank, rng):
+    g = GridSpec(n, N, 8.0)
+    h = random_weight_metric(g, rng) if rank == 1 else nondiagonal_rank2_metric(g, rng)
+    f = random_form(g, rank, n, p, rng, kmax_frac=0.3)
+    spec = np.fft.fftn(f.coeffs[..., 0, :, :], axes=tuple(range(2 * n)))
+    expected = HilbertStructure(g, rank, n, p, h).norm2(f)
+    assert abs(_spectral_norm2(g, h.mat, spec) - expected) <= 1e-13 * expected
+    # the CG's per-mode products D, D^H and P, with blocks larger than 1 x 1 at n = 2
+    D = _flat_symbol(g, p)
+    for mat in (D, np.conj(np.swapaxes(D, -1, -2)), _flat_pinv(g, p)):
+        shape = g.shape + (mat.shape[-1], rank)
+        cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = np.einsum("...ab,...br->...ar", mat, cols)
+        assert np.abs(_per_mode(mat, cols) - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from dbarlab.errors import CurvatureSymmetryError, PreconditionError
+from dbarlab.errors import CurvatureSymmetryError, MetricError, PreconditionError
 from dbarlab.grid import GridSpec
 from dbarlab.hermitian import CurvatureField, MetricField, curvature
 from dbarlab.metric import dual_metric
 from dbarlab.positivity import (
+    _whiten,
     check_basic_inequality,
     check_nakano_pointwise_identity,
     griffiths_delta,
     griffiths_report,
     nakano_delta,
+    nakano_report,
     positivity_report,
 )
 from dbarlab.weights import gaussian_metric, random_band_limited, random_form
@@ -219,6 +221,29 @@ def test_symmetry_violation_raises():
     th = CurvatureField.constant(g, 2, blocks)
     with pytest.raises(CurvatureSymmetryError):
         nakano_delta(h, th)
+
+
+def test_metric_not_positive_at_unmasked_point_raises_metric_error():
+    g = GridSpec(2, 8, 8.0)
+    mat = MetricField.identity(g, 2).mat.copy()
+    bad = (3, 4, 3, 4)
+    mat[bad] = np.diag([1.0, -1.0])
+    h = MetricField(g, 2, mat)
+    th = identity_curvature(g, 2)
+    with pytest.raises(MetricError):
+        nakano_report(h, th)
+    with pytest.raises(MetricError):
+        griffiths_report(h, th)
+    # the same point under the singular mask is outside every claim
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[bad] = True
+    assert nakano_delta(MetricField(g, 2, mat, mask), th) == pytest.approx(1.0)
+
+
+def test_whiten_singular_factor_raises_metric_error():
+    chol = np.zeros((3, 2, 2), dtype=np.complex128)
+    with pytest.raises(MetricError):
+        _whiten(np.eye(2) + chol, chol)
 
 
 def test_empty_region_raises():
