@@ -40,7 +40,6 @@ from .exterior import (
     omega_power,
     pairing,
     scale_by_field,
-    volume_form,
     wedge,
 )
 from .metric import MetricField, dual_metric

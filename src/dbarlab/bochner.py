@@ -66,10 +66,6 @@ class IdentityReport:
     slope: float | None = None
 
 
-def _interior(grid, margin):
-    return interior_mask(grid, margin) if margin > 0 else np.ones(grid.shape, bool)
-
-
 def _density(form: EForm) -> np.ndarray:
     return dv_density(form).values
 
@@ -129,7 +125,7 @@ def _pointwise_report(alpha: EForm, t: dict, margin: float) -> IdentityReport:
         t["curvature"] + t["cross_minus"] + t["cross_plus"]
         + t["adjoint_sq"] + t["dbar_gamma_sq"] - t["dbar_alpha_sq"]
     )
-    region = _interior(alpha.grid, margin)
+    region = interior_mask(alpha.grid, margin)
     resid = np.abs(lhs - rhs)[region].max()
     scale = max(
         float(np.abs(lhs)[region].max()),
@@ -228,23 +224,14 @@ def integrate_density(density: np.ndarray, grid) -> float:
 def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
     """The two Stokes cross-term integrals; each should equal -||dbar*_h alpha||^2.
 
-    Returns (cross_minus, cross_plus, minus_adjoint_sq).
+    Returns (cross_minus, cross_plus, minus_adjoint_sq), read off the term pass.
     """
-    n = alpha.grid.n
-    p = alpha.q
-    gamma = hodge_star(alpha)
-    om_p1 = omega_power(alpha.grid, p - 1)
-    ic = 1j * c_const(n - p)
-    dpg = dprime(gamma, h)
-    dbar_dpg = dbar(dpg)
-    c_minus = integrate_density(
-        -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1)), alpha.grid
+    t = _bk_terms(alpha, h, None)
+    return (
+        integrate_density(t["cross_minus"], alpha.grid),
+        integrate_density(t["cross_plus"], alpha.grid),
+        -integrate_density(t["adjoint_sq"], alpha.grid),
     )
-    c_plus = integrate_density(
-        ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1)), alpha.grid
-    )
-    adj = integrate_density(norm_sq(adjoint_from_dprime(dpg, om_p1), h).values.real, alpha.grid)
-    return c_minus, c_plus, -adj
 
 
 def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:

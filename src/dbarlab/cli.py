@@ -103,16 +103,20 @@ def parse_config(path) -> ExperimentConfig:
     sections = _parse_sections(text)
     domain = sections.get("domain", {})
     op = sections.get("operation", {})
+    random = sections.get("random", {})
+    tolerances = sections.get("tolerances", {})
     cfg = ExperimentConfig(
         n=_require(domain, "n", int, "domain"),
         N=_require(domain, "N", int, "domain"),
         L=_require(domain, "L", float, "domain"),
-        seam_margin=float(domain.get("seam_margin", 0.125)),
+        seam_margin=(
+            _require(domain, "seam_margin", float, "domain") if "seam_margin" in domain else 0.125
+        ),
         operation=_require(op, "name", str, "operation"),
-        seed=int(sections.get("random", {}).get("seed", 20260808)),
+        seed=_require(random, "seed", int, "random") if "seed" in random else 20260808,
         metric=dict(sections.get("metric", {})),
         op_params=dict(op),
-        tolerances={k: float(v) for k, v in sections.get("tolerances", {}).items()},
+        tolerances={k: _require(tolerances, k, float, "tolerances") for k in tolerances},
     )
     if cfg.operation not in OPERATIONS:
         raise ValidationError(
@@ -121,8 +125,13 @@ def parse_config(path) -> ExperimentConfig:
     for name, value in (("n", cfg.n), ("N", cfg.N)):
         if value <= 0:
             raise ValidationError(f"domain field {name!r} must be positive")
-    if any(t <= 0 for t in cfg.tolerances.values()):
-        raise ValidationError("all tolerances must be positive")
+    if not 0 <= cfg.seam_margin < 0.5:
+        raise ValidationError(
+            f"field 'seam_margin' in [domain] must lie in [0, 0.5), got {cfg.seam_margin}"
+        )
+    for name, t in cfg.tolerances.items():
+        if not t > 0:
+            raise ValidationError(f"field {name!r} in [tolerances] must be positive, got {t}")
     return cfg
 
 

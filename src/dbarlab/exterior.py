@@ -6,16 +6,20 @@ explicit sign computation.  The ambient Kahler form is always the flat
 omega = i * sum_j dz_j wedge dzbar_j, so this frame is orthonormal at every
 point and the volume form is omega^n / n!.
 
-Sign bookkeeping is concentrated in two primitives:
+Sign bookkeeping is concentrated in three primitives:
 
 * ``merge_sign(a, b)``: the permutation sign for sorting the concatenation of
   two increasing index tuples (0 if they collide);
 * ``wedge_basis``: the sign and target slot for the product of two frame
   elements, including the (-1)^(q1*p2) crossing of dzbar factors past dz
-  factors.
+  factors;
+* ``grow_table(n, k)``: every way dz_j (or dzbar_j) grows an increasing
+  k-index, as (source slot, j, target slot, sign) rows built from
+  ``merge_sign``.  dbar, del, D', Theta wedge, the dbar transpose, the flat
+  dbar symbol and the hat-dz_j frame all read their signs from it.
 
-Everything else (Hodge star epsilon constants, dbar/del insertion signs,
-pairing expansion) is derived from these, never from closed-form tables.
+Everything else (Hodge star epsilon constants, pairing expansion) is derived
+from these, never from closed-form tables.
 """
 
 from __future__ import annotations
@@ -67,6 +71,24 @@ def insertion_sign(k: int, idx: tuple) -> int:
     """Sign of dz_k wedge dz_idx -> dz_(idx + {k}); idx must not contain k."""
     sign, _ = merge_sign((k,), idx)
     return sign
+
+
+@lru_cache(maxsize=64)
+def grow_table(n: int, k: int) -> tuple:
+    """Rows (src, j, dst, sign) with dz_j ^ dz_idx = sign * dz_grown.
+
+    idx runs over the increasing k-tuples and j over the n - k directions
+    outside idx; src and dst are the slots of idx and grown among the k- and
+    (k+1)-tuples.  Rows are ordered by idx, then j.
+    """
+    pos = index_slot(n, k + 1)
+    rows = []
+    for src, idx in enumerate(index_tuples(n, k)):
+        for j in range(n):
+            sign, grown = merge_sign((j,), idx)
+            if sign:
+                rows.append((src, j, pos[grown], sign))
+    return tuple(rows)
 
 
 def wedge_basis(I1: tuple, J1: tuple, I2: tuple, J2: tuple):
@@ -243,10 +265,6 @@ def omega_power(grid: GridSpec, p: int) -> EForm:
     for K, value in _omega_p_table(n, p):
         out.coeffs[..., index_slot(n, p)[K], index_slot(n, p)[K], 0] = value
     return out
-
-
-def volume_form(grid: GridSpec) -> EForm:
-    return omega_power(grid, grid.n)
 
 
 def dv_density(a: EForm) -> ScalarField:

@@ -74,14 +74,20 @@ class GridSpec:
         """1D lattice coordinates 0, L/N, ..., L - L/N."""
         return np.arange(self.N) * self.spacing
 
+    def along_axes(self, values) -> tuple:
+        """The length-N array values, shaped to vary along each real axis in turn."""
+        dims = 2 * self.n
+        return tuple(
+            np.reshape(values, (1,) * axis + (self.N,) + (1,) * (dims - 1 - axis))
+            for axis in range(dims)
+        )
+
     def coordinate(self, axis: int) -> np.ndarray:
         """Full-shape array of the coordinate along one real axis (0-based)."""
         if not 0 <= axis < 2 * self.n:
             raise FormError(f"real axis {axis} out of range for n={self.n}")
-        t = self.axis_coordinates()
-        shape = [1] * (2 * self.n)
-        shape[axis] = self.N
-        return np.broadcast_to(t.reshape(shape), self.shape).copy()
+        t = self.along_axes(self.axis_coordinates())[axis]
+        return np.broadcast_to(t, self.shape).copy()
 
     def z(self, j: int, centered: bool = True) -> np.ndarray:
         """Complex coordinate z_j = x_j + i*y_j, optionally centered at L/2."""
@@ -151,14 +157,7 @@ def _dz_multiplier(grid: GridSpec, j: int, conjugate: bool) -> np.ndarray:
     d/dz_j    -> (i*kx + ky)/2
     d/dzbar_j -> (i*kx - ky)/2
     """
-    w = grid.wavenumbers()
-    dims = 2 * grid.n
-    sx = [1] * dims
-    sx[2 * j] = grid.N
-    sy = [1] * dims
-    sy[2 * j + 1] = grid.N
-    kx = w.reshape(sx)
-    ky = w.reshape(sy)
+    kx, ky = grid.along_axes(grid.wavenumbers())[2 * j : 2 * j + 2]
     sign = -1.0 if conjugate else 1.0
     return 0.5 * (1j * kx + sign * ky)
 
@@ -239,13 +238,14 @@ def interior_mask(grid: GridSpec, margin_frac: float = 0.125) -> np.ndarray:
     t = grid.axis_coordinates()
     lo = margin_frac * grid.L
     hi = (1.0 - margin_frac) * grid.L
-    axis_ok = (t >= lo) & (t < hi)
+    return box_mask(grid, (t >= lo) & (t < hi))
+
+
+def box_mask(grid: GridSpec, axis_ok: np.ndarray) -> np.ndarray:
+    """Separable box: the points whose every real coordinate passes axis_ok (length N)."""
     mask = np.ones(grid.shape, dtype=bool)
-    dims = 2 * grid.n
-    for axis in range(dims):
-        shape = [1] * dims
-        shape[axis] = grid.N
-        mask &= axis_ok.reshape(shape)
+    for ok in grid.along_axes(axis_ok):
+        mask &= ok
     return mask
 
 

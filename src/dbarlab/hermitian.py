@@ -15,7 +15,8 @@ transformed once: dbar and del transform each coefficient once and apply
 the multiplier of every direction k to that one spectrum, the connection
 transforms each exponent (or the matrix field) once, and the curvature
 transforms each exponent and each first derivative once for all second
-directions.
+directions.  dbar, del, D' and Theta wedge take their insertion signs and
+target slots from one table, ``exterior.grow_table``.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ import numpy as np
 from .errors import FormError
 from .grid import GridSpec, from_spectrum, to_spectrum
 from .metric import MetricField, dual_metric, matrix_apply
-from .exterior import (
-    EForm,
-    hodge_star,
-    index_slot,
-    insertion_sign,
-    omega_power,
-    wedge,
-)
+from .exterior import EForm, grow_table, hodge_star, omega_power, wedge
 
 __all__ = [
     "MetricField",
@@ -145,26 +139,24 @@ def _differential(a: EForm, conjugate: bool) -> EForm:
 
     The coefficient a_IJ contributes s * d_k a_IJ to the slot of the index set
     grown by k, for every k outside it: the dzbar set J for dbar, with the
-    (-1)^p crossing of dzbar_k past dz_I, and the dz set I for del.
+    (-1)^p crossing of dzbar_k past dz_I, and the dz set I for del.  The signs
+    and slots are the rows of grow_table.
     """
-    n = a.grid.n
     out = EForm.zeros(a.grid, a.rank, a.p + (not conjugate), a.q + conjugate)
     crossing = (-1) ** a.p if conjugate else 1
-    pos = index_slot(n, (a.q if conjugate else a.p) + 1)
-    for Ipos, I in enumerate(a.dz_slots()):
-        for Jpos, J in enumerate(a.dzbar_slots()):
-            grown = J if conjugate else I
-            free = [k for k in range(n) if k not in grown]
-            if not free:
-                continue
-            spec = to_spectrum(a.grid, a.coeffs[..., Ipos, Jpos, :])
-            for k in free:
-                s = crossing * insertion_sign(k, grown)
-                target = pos[tuple(sorted(grown + (k,)))]
-                slot = (Ipos, target) if conjugate else (target, Jpos)
-                out.coeffs[..., slot[0], slot[1], :] += s * from_spectrum(
-                    a.grid, spec, k, conjugate
-                )
+    # views with the grown index set on the second slot axis
+    a_c, out_c = a.coeffs, out.coeffs
+    if not conjugate:
+        a_c, out_c = a_c.swapaxes(-3, -2), out_c.swapaxes(-3, -2)
+    table = grow_table(a.grid.n, a.q if conjugate else a.p)
+    for other in range(a_c.shape[-3]):
+        spec_src = None
+        for src, k, dst, sign in table:
+            if src != spec_src:
+                spec, spec_src = to_spectrum(a.grid, a_c[..., other, src, :]), src
+            out_c[..., other, dst, :] += crossing * sign * from_spectrum(
+                a.grid, spec, k, conjugate
+            )
     return out
 
 
@@ -200,20 +192,12 @@ def dprime(a: EForm, h: MetricField) -> EForm:
         )
     if h.grid != a.grid or h.rank != a.rank:
         raise FormError("metric does not match the form")
-    n = a.grid.n
     out = dpartial(a)
     theta_conn = chern_connection(h)
-    pos_I = index_slot(n, a.p + 1)
-    for Ipos, I in enumerate(a.dz_slots()):
-        c = a.coeffs[..., Ipos, 0, :]
-        for j in range(n):
-            if j in I:
-                continue
-            s = insertion_sign(j, I)
-            target = tuple(sorted(I + (j,)))
-            out.coeffs[..., pos_I[target], 0, :] += s * matrix_apply(
-                theta_conn[..., j, :, :], c
-            )
+    for src, j, dst, sign in grow_table(a.grid.n, a.p):
+        out.coeffs[..., dst, 0, :] += sign * matrix_apply(
+            theta_conn[..., j, :, :], a.coeffs[..., src, 0, :]
+        )
     return out
 
 
@@ -227,20 +211,12 @@ def curvature_wedge(theta: CurvatureField, a: EForm) -> EForm:
     if a.p + 1 > n:
         raise FormError("curvature wedge target degree exceeds n")
     out = EForm.zeros(a.grid, a.rank, a.p + 1, 1)
-    pos_I = index_slot(n, a.p + 1)
-    pos_J = index_slot(n, 1)
     sign_q = (-1) ** a.p  # dzbar_k crossing dz_I
-    for Ipos, I in enumerate(a.dz_slots()):
-        c = a.coeffs[..., Ipos, 0, :]
-        for j in range(n):
-            if j in I:
-                continue
-            s = sign_q * insertion_sign(j, I)
-            target = tuple(sorted(I + (j,)))
-            for k in range(n):
-                out.coeffs[..., pos_I[target], pos_J[(k,)], :] += s * matrix_apply(
-                    theta.theta[..., j, k, :, :], c
-                )
+    for src, j, dst, sign in grow_table(n, a.p):
+        s = sign_q * sign
+        c = a.coeffs[..., src, 0, :]
+        for k in range(n):
+            out.coeffs[..., dst, k, :] += s * matrix_apply(theta.theta[..., j, k, :, :], c)
     return out
 
 

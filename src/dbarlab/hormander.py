@@ -3,8 +3,10 @@
 T is the spectral dbar from (n,p-1)-forms to (n,p)-forms.  Because the bundle
 is trivialized, T is a fixed Fourier-multiplier structure and the metric only
 enters through the Gram weights, so the Hilbert-space adjoint is computed
-exactly as T* = h^{-1} dbar^T (h .), with dbar^T the unweighted transpose
-built from conjugated multipliers and the same insertion signs.
+exactly as T* = h^{-1} dbar^T (h .), with dbar^T the unweighted transpose:
+it reads the rows of ``exterior.grow_table`` that build dbar backwards and
+transforms each coefficient once.  The per-mode symbol D of dbar is built
+from the same rows.
 
 The minimal-norm solve uses the normal equations T T* y = f.  Substituting
 z = h y turns them into A z = f with A = dbar (h^{-1} dbar^T z), which is
@@ -33,11 +35,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormError, PreconditionError, SolverError
-from .exterior import EForm, index_slot, index_tuples, inner_product, insertion_sign, norm_sq
+from .exterior import EForm, grow_table, index_tuples, inner_product, norm_sq
 from .grid import (
     GridSpec,
     _dz_multiplier,
-    dz_array,
+    from_spectrum,
     integrate,
     seam_leakage,
     to_lattice,
@@ -129,21 +131,15 @@ def dbar_transpose(v: EForm) -> EForm:
     (dbar^T v)_{I,J} = sum_{k not in J} (-1)^p ins(k,J) (-d_k) v_{I, J+k};
     exact because the Nyquist-zeroed multipliers make each d_k skew-adjoint.
     """
-    n = v.grid.n
     if v.q == 0:
         raise FormError("transpose of dbar maps q = 0 forms to nothing")
     out = EForm.zeros(v.grid, v.rank, v.p, v.q - 1)
-    pos_J = index_slot(n, v.q - 1)
     sign_p = (-1) ** v.p
-    for Ipos, _I in enumerate(index_tuples(n, v.p)):
-        for Jpos, J in enumerate(index_tuples(n, v.q)):
-            c = v.coeffs[..., Ipos, Jpos, :]
-            for k in J:
-                Jm = tuple(i for i in J if i != k)
-                s = sign_p * insertion_sign(k, Jm)
-                out.coeffs[..., Ipos, pos_J[Jm], :] += s * (
-                    -dz_array(v.grid, c, k, conjugate=False)
-                )
+    for Ipos in range(v.coeffs.shape[-3]):
+        specs = [to_spectrum(v.grid, v.coeffs[..., Ipos, J, :]) for J in range(v.coeffs.shape[-2])]
+        # row (Jm, k, J): dz_k ^ dz_Jm = sign dz_J, so v_J feeds out_Jm
+        for src, k, dst, sign in grow_table(v.grid.n, v.q - 1):
+            out.coeffs[..., Ipos, src, :] += sign_p * sign * -from_spectrum(v.grid, specs[dst], k)
     return out
 
 
@@ -160,18 +156,11 @@ def apply_Tstar(v: EForm, h1: HilbertStructure, h2: HilbertStructure) -> EForm:
 def _flat_symbol(grid: GridSpec, p: int) -> np.ndarray:
     """Stacked multiplier matrices D[J', J](mode) of dbar: (n,p-1) -> (n,p)."""
     n = grid.n
-    rows = index_tuples(n, p)
-    cols = index_tuples(n, p - 1)
-    D = np.zeros(grid.shape + (len(rows), len(cols)), dtype=np.complex128)
+    shape = grid.shape + (len(index_tuples(n, p)), len(index_tuples(n, p - 1)))
+    D = np.zeros(shape, dtype=np.complex128)
     sign_p = (-1) ** n
-    for cpos, J in enumerate(cols):
-        for k in range(n):
-            if k in J:
-                continue
-            target = tuple(sorted(J + (k,)))
-            rpos = index_slot(n, p)[target]
-            mu = np.broadcast_to(_dz_multiplier(grid, k, True), grid.shape)
-            D[..., rpos, cpos] += sign_p * insertion_sign(k, J) * mu
+    for src, k, dst, sign in grow_table(n, p - 1):
+        D[..., dst, src] += sign_p * sign * _dz_multiplier(grid, k, True)
     return D
 
 

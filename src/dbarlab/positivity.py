@@ -232,7 +232,7 @@ def check_nakano_pointwise_identity(
     for an (n-1,0)-form gamma, where gamma^j are the coefficients in the
     hat-dz_j frame ordered so that dz_j ^ hat-dz_j is the full dz wedge.
     """
-    from .exterior import c_const, dv_density, index_slot, insertion_sign, pairing
+    from .exterior import c_const, dv_density, grow_table, pairing
     from .hermitian import curvature_wedge
     from .metric import vector_inner
 
@@ -241,12 +241,8 @@ def check_nakano_pointwise_identity(
         raise PreconditionError(f"identity requires an (n-1,0)-form, got ({gamma.p},{gamma.q})")
     lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h)).values
 
-    full = tuple(range(n))
-    hatted = []
-    pos = index_slot(n, n - 1)
-    for j in range(n):
-        rest = tuple(sorted(set(full) - {j}))
-        hatted.append(insertion_sign(j, rest) * gamma.coeffs[..., pos[rest], 0, :])
+    # dz_j ^ dz_rest = sign dz_full for the one j outside each (n-1)-set rest
+    hatted = {j: sign * gamma.coeffs[..., src, 0, :] for src, j, _, sign in grow_table(n, n - 1)}
     rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
     for j in range(n):
         for k in range(n):

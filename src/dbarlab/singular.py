@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CurvatureFloorError, PreconditionError, ValidationError
 from .exterior import EForm, norm_sq
-from .grid import GridSpec, ScalarField, convolve, integrate, to_lattice, to_spectrum
+from .grid import GridSpec, ScalarField, box_mask, convolve, integrate, to_lattice, to_spectrum
 from .hermitian import MetricField, curvature, dual_metric
 from .hormander import solve_min_norm
 from .positivity import nakano_delta
@@ -69,12 +69,8 @@ def _kernel_cached(grid: GridSpec, eps: float) -> tuple:
         raise ValidationError("mollifier radius must be smaller than half the box")
     rho2 = np.zeros(grid.shape, dtype=np.float64)
     t = grid.axis_coordinates()
-    d_axis = np.minimum(t, grid.L - t)
-    dims = 2 * grid.n
-    for axis in range(dims):
-        shape = [1] * dims
-        shape[axis] = grid.N
-        rho2 = rho2 + (d_axis.reshape(shape)) ** 2
+    for d in grid.along_axes(np.minimum(t, grid.L - t)):
+        rho2 = rho2 + d ** 2
     u = rho2 / (eps * eps)
     vals = np.zeros(grid.shape)
     inside = u < 1.0
@@ -280,26 +276,22 @@ def _psh_zone_halfwidth(cat: CatalogMetric) -> float:
     return cat.plateau_radius + 4.0 * cat.smoothing
 
 
+def _box_off_poles(grid: GridSpec, halfwidth: float, poles: tuple, clear: float) -> np.ndarray:
+    """Centered box |t - L/2| <= halfwidth on every axis, minus radius-clear pole discs."""
+    region = box_mask(grid, np.abs(grid.axis_coordinates() - grid.center) <= halfwidth)
+    x = grid.coordinate(0)
+    y = grid.coordinate(1)
+    for z0 in poles:
+        region &= (x - z0.real) ** 2 + (y - z0.imag) ** 2 > clear * clear
+    return region
+
+
 def monotone_region(
     grid: GridSpec, cat: CatalogMetric, eps: float, pole_clear: float | None = None
 ) -> np.ndarray:
     """Points whose eps-ball stays in the dual's psh zone and off the pole cells."""
-    half = _psh_zone_halfwidth(cat) - eps
-    t = grid.axis_coordinates() - grid.center
-    ok_axis = np.abs(t) <= half
-    region = np.ones(grid.shape, dtype=bool)
-    dims = 2 * grid.n
-    for axis in range(dims):
-        shape = [1] * dims
-        shape[axis] = grid.N
-        region &= ok_axis.reshape(shape)
     clear = (pole_clear if pole_clear is not None else eps) + 3.0 * grid.spacing
-    x = grid.coordinate(0)
-    y = grid.coordinate(1)
-    for z0 in cat.poles:
-        d2 = (x - z0.real) ** 2 + (y - z0.imag) ** 2
-        region &= d2 > clear * clear
-    return region
+    return _box_off_poles(grid, _psh_zone_halfwidth(cat) - eps, cat.poles, clear)
 
 
 def check_monotone(
@@ -398,13 +390,6 @@ def regularized_solve(
         # the coarsest kernel's averaging ball must stay inside the certified
         # zone, which at desk scale leaves about half the plateau radius
         interior_halfwidth = 0.5 * cat.plateau_radius
-    t = grid.axis_coordinates() - grid.center
-    ok_axis = np.abs(t) <= interior_halfwidth
-    region = np.ones(grid.shape, dtype=bool)
-    for axis in range(2):
-        shape = [1, 1]
-        shape[axis] = grid.N
-        region &= ok_axis.reshape(shape)
 
     for nu, eps in enumerate(radii, start=1):
         h_nu = dual_metric(mollify(g, eps))
@@ -414,12 +399,7 @@ def regularized_solve(
             w = h_nu.mat[..., 0, 0].real
             h_nu = MetricField.from_weight(grid, w, 1, log_weight=-np.log(w))
         metrics.append(h_nu)
-        x = grid.coordinate(0)
-        y = grid.coordinate(1)
-        reg_nu = region.copy()
-        for z0 in cat.poles:
-            clear = eps + 3.0 * grid.spacing
-            reg_nu &= (x - z0.real) ** 2 + (y - z0.imag) ** 2 > clear * clear
+        reg_nu = _box_off_poles(grid, interior_halfwidth, cat.poles, eps + 3.0 * grid.spacing)
         # mollified spikes carry ~1e-4 discretization asymmetry; immaterial at
         # the 0.1-level floor tolerance of this pipeline
         delta_nu = nakano_delta(h_nu, curvature(h_nu), region=reg_nu, symmetry_tol=1e-2)

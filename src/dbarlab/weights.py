@@ -54,6 +54,24 @@ def _ramp_down(t: np.ndarray, tm: float, s: float) -> np.ndarray:
     return 0.5 * erfc((np.asarray(t, dtype=np.float64) - tm) / s)
 
 
+def _reach(r0: float, s: float) -> tuple:
+    """(tm, r1): the ramp's center and the radius by which the profile saturates."""
+    tm = r0 + CORE_REACH * s
+    return tm, tm + RAMP_REACH * s
+
+
+def _profile_value(r0: float, upper: float, s: float) -> float:
+    """r0^2 plus the 128-panel Gauss-Legendre integral of m'(t) = 2 t ramp(t) on [r0, upper]."""
+    tm, _ = _reach(r0, s)
+    nodes, gl_weights = np.polynomial.legendre.leggauss(10)
+    edges = np.linspace(r0, upper, 129)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * nodes[None, :]
+    integrand = 2.0 * x * _ramp_down(x, tm, s)
+    return r0 * r0 + float(np.sum(half[:, None] * gl_weights[None, :] * integrand))
+
+
 @lru_cache(maxsize=64)
 def saturating_square_profile(N: int, L: float, r0: float, s: float) -> tuple:
     """Sampled profile m(|t|) at the N centered axis offsets; m = t^2 on [0, r0].
@@ -62,34 +80,18 @@ def saturating_square_profile(N: int, L: float, r0: float, s: float) -> tuple:
     m'(t) = 2 t * ramp(t), saturating by r0 + (CORE_REACH + RAMP_REACH) * s.
     Returned as tuples to stay hashable.
     """
-    tm = r0 + CORE_REACH * s
-    r1 = tm + RAMP_REACH * s
+    _, r1 = _reach(r0, s)
     if not (0 < r0 and r1 <= 0.5 * L):
         raise ValidationError(
             f"profile does not fit the box: r0={r0}, s={s}, saturation {r1} vs L/2={L / 2}"
         )
     t_axis = np.arange(N) * (L / N) - 0.5 * L
     a = np.abs(t_axis)
-
-    def mprime(u):
-        return 2.0 * u * _ramp_down(u, tm, s)
-
     vals = np.empty_like(a)
     core = a <= r0
     vals[core] = a[core] ** 2
-    tail_points = np.unique(a[~core])
-    if tail_points.size:
-        nodes, gl_weights = np.polynomial.legendre.leggauss(10)
-        tails = {}
-        for tp in tail_points:
-            edges = np.linspace(r0, min(tp, r1), 129)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            x = mid[:, None] + half[:, None] * nodes[None, :]
-            tails[tp] = r0 * r0 + float(
-                np.sum(half[:, None] * gl_weights[None, :] * mprime(x))
-            )
-        vals[~core] = np.array([tails[tp] for tp in a[~core]])
+    tails = {tp: _profile_value(r0, min(tp, r1), s) for tp in np.unique(a[~core])}
+    vals[~core] = [tails[tp] for tp in a[~core]]
     return tuple(t_axis), tuple(vals)
 
 
@@ -105,15 +107,7 @@ def _axis_profile(grid: GridSpec, r0: float, s: float, center: float) -> np.ndar
 
 def _saturation_value(r0: float, s: float) -> float:
     """Limit value of the saturating profile: r0^2 plus the ramp's mass."""
-    tm = r0 + CORE_REACH * s
-    r1 = tm + RAMP_REACH * s
-    nodes, gl_weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(r0, r1, 129)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    integrand = 2.0 * x * _ramp_down(x, tm, s)
-    return r0 * r0 + float(np.sum(half[:, None] * gl_weights[None, :] * integrand))
+    return _profile_value(r0, _reach(r0, s)[1], s)
 
 
 def default_smoothing_scale(grid: GridSpec, c: float = 1.0) -> float:
@@ -168,12 +162,8 @@ def apodized_quadratic_weight(
     if r0 is None:
         r0 = default_plateau_radius(grid, c)
     phi = np.zeros(grid.shape, dtype=np.float64)
-    dims = 2 * grid.n
-    prof = _axis_profile(grid, r0, s, grid.center)
-    for axis in range(dims):
-        shape = [1] * dims
-        shape[axis] = grid.N
-        phi = phi + prof.reshape(shape)
+    for prof in grid.along_axes(_axis_profile(grid, r0, s, grid.center)):
+        phi = phi + prof
     return ScalarField(grid, c * phi)
 
 
@@ -207,8 +197,8 @@ def _tapered_linear_profile(N: int, L: float, r0: float, s: float) -> tuple:
     w(t) = t * ramp(|t|): odd, continuous across the seam (both sides vanish),
     linear exactly on the core where the erfc ramp is still 1.
     """
-    tm = r0 + CORE_REACH * s
-    if tm + RAMP_REACH * s > 0.5 * L:
+    tm, r1 = _reach(r0, s)
+    if r1 > 0.5 * L:
         raise ValidationError(
             f"tapered coordinate does not fit the box: r0={r0}, s={s}, L={L}"
         )
@@ -227,15 +217,8 @@ def plateau_coordinate(grid: GridSpec, j: int, r0: float, s: float | None = None
     if s is None:
         s = default_smoothing_scale(grid)
     _, vals = _tapered_linear_profile(grid.N, grid.L, r0, s)
-    vals = np.asarray(vals)
-    dims = 2 * grid.n
-    sx = [1] * dims
-    sx[2 * j] = grid.N
-    sy = [1] * dims
-    sy[2 * j + 1] = grid.N
-    return np.broadcast_to(vals.reshape(sx), grid.shape) + 1j * np.broadcast_to(
-        vals.reshape(sy), grid.shape
-    )
+    x, y = grid.along_axes(np.asarray(vals))[2 * j : 2 * j + 2]
+    return np.broadcast_to(x, grid.shape) + 1j * np.broadcast_to(y, grid.shape)
 
 
 def plateau_bump(
@@ -286,8 +269,8 @@ def smooth_source_bump(
 
 def _radial_distance(grid: GridSpec, center: tuple) -> np.ndarray:
     rho2 = np.zeros(grid.shape, dtype=np.float64)
-    for axis in range(2 * grid.n):
-        rho2 = rho2 + (grid.coordinate(axis) - center[axis]) ** 2
+    for t, c in zip(grid.along_axes(grid.axis_coordinates()), center):
+        rho2 = rho2 + (t - c) ** 2
     return np.sqrt(rho2)
 
 

@@ -2,8 +2,8 @@
 
 Each derivative here goes through ``dz_array``, which transforms its input
 forward and back for every single direction: the connection and curvature
-differentiate twice in sequence, dbar and del transform a coefficient again
-for each k, and the band-limited field is an inverse FFT of the full,
+differentiate twice in sequence, dbar, del and the dbar transpose transform
+a coefficient again for each k, and the band-limited field is an inverse FFT of the full,
 mostly empty spectrum.  Agreement with ``dbarlab.hermitian`` and
 ``dbarlab.weights`` checks the shared spectra, the product multipliers and
 the separable synthesis, including the order of the random draws.
@@ -82,6 +82,23 @@ def dpartial(a):
                 target = tuple(sorted(I + (k,)))
                 out.coeffs[..., pos_I[target], Jpos, :] += s * dz_array(
                     a.grid, c, k, conjugate=False
+                )
+    return out
+
+
+def dbar_transpose(v):
+    n = v.grid.n
+    out = EForm.zeros(v.grid, v.rank, v.p, v.q - 1)
+    pos_J = index_slot(n, v.q - 1)
+    sign_p = (-1) ** v.p
+    for Ipos, _I in enumerate(v.dz_slots()):
+        for Jpos, J in enumerate(v.dzbar_slots()):
+            c = v.coeffs[..., Ipos, Jpos, :]
+            for k in J:
+                Jm = tuple(i for i in J if i != k)
+                s = sign_p * insertion_sign(k, Jm)
+                out.coeffs[..., Ipos, pos_J[Jm], :] += s * (
+                    -dz_array(v.grid, c, k, conjugate=False)
                 )
     return out
 

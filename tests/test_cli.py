@@ -146,6 +146,23 @@ def test_cli_rejects_crashing_operation_field(tmp_path, capsys, op, field, value
     assert f"{field!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("domain", "seam_margin", "-0.2"),
+    ("domain", "seam_margin", "0.6"),
+    ("domain", "seam_margin", "nan"),
+    ("domain", "seam_margin", "wide"),
+    ("tolerances", "identity", "nan"),
+])
+def test_cli_rejects_bad_margin_or_tolerance(tmp_path, capsys, section, field, value):
+    text = BASE.replace(f"[{section}]\n", f"[{section}]\n{field} = {value}\n", 1)
+    if section == "tolerances":
+        text = text.replace("identity = 1.0\n", "")
+    cfg = write_config(tmp_path, text)
+    assert main(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{field!r}" in err and "Traceback" not in err
+
+
 def test_cli_metric_not_positive_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
     import dbarlab.cli as cli
     from dbarlab.metric import MetricField

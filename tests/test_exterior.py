@@ -7,8 +7,10 @@ from dbarlab.exterior import (
     c_const,
     conjugate_form,
     dv_density,
+    grow_table,
     hodge_star,
     hodge_star_table,
+    index_slot,
     index_tuples,
     inner_product,
     norm_sq,
@@ -261,3 +263,20 @@ def test_pairing_rank_mismatch(rng):
     b = random_form(g, 2, 1, 0, rng)
     with pytest.raises(FormError):
         pairing(a, b, h)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grow_table_matches_wedge_basis(n):
+    for k in range(n + 1):
+        rows = grow_table(n, k)
+        expected = []
+        for src, idx in enumerate(index_tuples(n, k)):
+            for j in range(n):
+                if j in idx:
+                    continue
+                sign, grown, _ = wedge_basis((j,), (), idx, ())
+                expected.append((src, j, index_slot(n, k + 1)[grown], sign))
+        # one row per (idx, j not in idx), in idx-then-j order
+        assert rows == tuple(expected)
+        assert len({(src, j) for src, j, _, _ in rows}) == len(rows)
+        assert len(rows) == len(index_tuples(n, k)) * (n - k)

@@ -20,6 +20,7 @@ from dbarlab.hermitian import (
     dpartial,
     dprime,
 )
+from dbarlab.hormander import dbar_transpose
 from dbarlab.metric import dual_metric
 from dbarlab.weights import (
     gaussian_metric,
@@ -294,6 +295,8 @@ def test_transform_once_operators_match_per_direction_reference(rng, n, N, rank)
                 pairs.append((dbar(a), ref.dbar(a)))
             if p < n:
                 pairs.append((dpartial(a), ref.dpartial(a)))
+            if q > 0:
+                pairs.append((dbar_transpose(a), ref.dbar_transpose(a)))
             for fast, slow in pairs:
                 assert (fast.p, fast.q) == (slow.p, slow.q)
                 assert np.array_equal(fast.coeffs, slow.coeffs)
