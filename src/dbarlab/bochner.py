@@ -16,6 +16,13 @@ Both forms of the identity are read off one term pass that builds every
 density once.  The pass computes the connection term D'gamma once and reuses
 it for the adjoint, since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports
 returns the pointwise and integrated reports of a single pass.
+
+Memory: the pass keeps a full-grid field only until its last use.  The
+curvature density comes first, so a curvature field the pass computes itself
+is gone before the connection terms; D'gamma goes once dbar D'gamma exists.
+omega_{p-1} is a read-only broadcast of one constant block (omega_power), so
+it costs no full-grid array.  Only gamma and the finished densities live for
+the whole pass.
 """
 
 from __future__ import annotations
@@ -92,28 +99,28 @@ def _bk_terms(alpha: EForm, h: MetricField, theta: CurvatureField | None) -> dic
     """Every density of the identity against dV, each computed once.
 
     The adjoint term reuses D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.
+    Each full-grid intermediate is dropped after its last use; a curvature
+    field computed here lives only until Theta^gamma is formed.
     """
     n = alpha.grid.n
     p = alpha.q
-    if theta is None:
-        theta = curvature(h)
     gamma = hodge_star(alpha)
     om_p1 = omega_power(alpha.grid, p - 1)
     ic = 1j * c_const(n - p)
 
-    dpg = dprime(gamma, h)
-    terms = {
-        "curvature": ic * _density(
-            wedge(pairing(curvature_wedge(theta, gamma), gamma, h), om_p1)
-        ),
-        "adjoint_sq": norm_sq(adjoint_from_dprime(dpg, om_p1), h).values.real,
-        "dbar_gamma_sq": norm_sq(dbar(gamma), h).values.real,
-        "dbar_alpha_sq": (
-            np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h).values.real
-        ),
-    }
+    theta_gamma = curvature_wedge(curvature(h) if theta is None else theta, gamma)
+    terms = {"curvature": ic * _density(wedge(pairing(theta_gamma, gamma, h), om_p1))}
+    del theta_gamma
     terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
+    terms["dbar_gamma_sq"] = norm_sq(dbar(gamma), h).values.real
+    terms["dbar_alpha_sq"] = (
+        np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h).values.real
+    )
+
+    dpg = dprime(gamma, h)
+    terms["adjoint_sq"] = norm_sq(adjoint_from_dprime(dpg, om_p1), h).values.real
     dbar_dpg = dbar(dpg)
+    del dpg
     terms["cross_minus"] = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
     terms["cross_plus"] = ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
     return terms

@@ -13,6 +13,7 @@ Exit codes: 0 all configured checks passed, 2 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,6 +99,19 @@ def _require(section: dict, name: str, caster, section_name: str):
         raise ValidationError(f"field {name!r} in [{section_name}]: {exc}") from exc
 
 
+def _optional(section: dict, name: str, caster, section_name: str, default):
+    """_require for a field that may be absent; an absent field reads as default."""
+    return _require(section, name, caster, section_name) if name in section else default
+
+
+def _finite(text: str) -> float:
+    """float() that also rejects nan and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def parse_config(path) -> ExperimentConfig:
     text = Path(path).read_text(encoding="utf-8")
     sections = _parse_sections(text)
@@ -109,11 +123,9 @@ def parse_config(path) -> ExperimentConfig:
         n=_require(domain, "n", int, "domain"),
         N=_require(domain, "N", int, "domain"),
         L=_require(domain, "L", float, "domain"),
-        seam_margin=(
-            _require(domain, "seam_margin", float, "domain") if "seam_margin" in domain else 0.125
-        ),
+        seam_margin=_optional(domain, "seam_margin", float, "domain", 0.125),
         operation=_require(op, "name", str, "operation"),
-        seed=_require(random, "seed", int, "random") if "seed" in random else 20260808,
+        seed=_optional(random, "seed", int, "random", 20260808),
         metric=dict(sections.get("metric", {})),
         op_params=dict(op),
         tolerances={k: _require(tolerances, k, float, "tolerances") for k in tolerances},
@@ -137,10 +149,7 @@ def parse_config(path) -> ExperimentConfig:
 
 def _op_int(cfg: ExperimentConfig, name: str, default: int, minimum: int, why: str) -> int:
     """Integer [operation] field, rejected by name if unparsable or below minimum."""
-    try:
-        value = int(cfg.op_params.get(name, default))
-    except ValueError as exc:
-        raise ValidationError(f"field {name!r} in [operation]: {exc}") from exc
+    value = _optional(cfg.op_params, name, int, "operation", default)
     if value < minimum:
         raise ValidationError(
             f"field {name!r} in [operation] must be at least {minimum} ({why}), got {value}"
@@ -148,31 +157,51 @@ def _op_int(cfg: ExperimentConfig, name: str, default: int, minimum: int, why: s
     return value
 
 
+def _op_positive(cfg: ExperimentConfig, name: str, default: float) -> float:
+    """Finite positive [operation] field, rejected by name otherwise."""
+    value = _optional(cfg.op_params, name, _finite, "operation", default)
+    if not value > 0:
+        raise ValidationError(f"field {name!r} in [operation] must be positive, got {value}")
+    return value
+
+
+def _metric_rank(cfg: ExperimentConfig) -> int:
+    """The [metric] rank, at least 1."""
+    rank = _optional(cfg.metric, "rank", int, "metric", 1)
+    if rank < 1:
+        raise ValidationError(f"field 'rank' in [metric] must be at least 1, got {rank}")
+    return rank
+
+
 def _grid(cfg: ExperimentConfig) -> GridSpec:
     return GridSpec(cfg.n, cfg.N, cfg.L)
 
 
 def _metric_for(cfg: ExperimentConfig, grid: GridSpec, c: float | None = None):
-    """Metric from the config's [metric] block; returns (MetricField, info)."""
-    name = cfg.metric.get("catalog", "gaussian")
-    rank = int(cfg.metric.get("rank", 1))
-    cval = float(c if c is not None else cfg.metric.get("c", 1.0))
+    """CatalogMetric from the config's [metric] block; c, if given, overrides its c.
+
+    Every number is parsed by name and must be finite.
+    """
+    block = cfg.metric
+    name = block.get("catalog", "gaussian")
+    rank = _metric_rank(cfg)
+    cval = float(c) if c is not None else _optional(block, "c", _finite, "metric", 1.0)
     kwargs = {"c": cval}
     for key in ("budget", "r0", "s", "a", "a1", "a2"):
-        if key in cfg.metric:
-            kwargs[key] = float(cfg.metric[key])
-    if "offset_re" in cfg.metric or "offset_im" in cfg.metric:
+        if key in block:
+            kwargs[key] = _require(block, key, _finite, "metric")
+    if "offset_re" in block or "offset_im" in block:
         kwargs["offset"] = complex(
-            float(cfg.metric.get("offset_re", 0.55)),
-            float(cfg.metric.get("offset_im", 0.35)),
+            _optional(block, "offset_re", _finite, "metric", 0.55),
+            _optional(block, "offset_im", _finite, "metric", 0.35),
         )
     if name == "gaussian" and rank != 1:
-        h, r0 = gaussian_metric(grid, cval, rank=rank,
-                                r0=kwargs.get("r0"), s=kwargs.get("s"))
+        s = kwargs.get("s")
+        h, r0 = gaussian_metric(grid, cval, rank=rank, r0=kwargs.get("r0"), s=s)
         from .singular import CatalogMetric
 
         return CatalogMetric("gaussian", h, (), cval, r0,
-                             kwargs.get("s") or default_smoothing_scale(grid, cval))
+                             default_smoothing_scale(grid, cval) if s is None else s)
     return singular_catalog(name, grid, **kwargs)
 
 
@@ -205,51 +234,69 @@ def run_identities(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
     rows.append(_row("constants-lemma", "unimodular-normalizer-relations", n, 0, grid.N,
                      0.0 if exact else 1.0, 0.0, exact))
 
-    cases = [(1, 1)] if n == 1 else [(n, 1), (n, n)]
-    rank = int(cfg.metric.get("rank", 1))
-    h = MetricField.identity(grid, rank)
-    for (nn, p) in cases:
-        worst_rec = worst_norm = worst_nak = worst_xi = 0.0
-        for _ in range(count):
-            alpha = random_form(grid, rank, n, p, rng)
-            gam = hodge_star(alpha)
-            rec = wedge(gam, omega_power(grid, p))
-            scale = max(np.abs(alpha.coeffs).max(), 1e-300)
-            worst_rec = max(worst_rec, np.abs(rec.coeffs - alpha.coeffs).max() / scale)
-            nsq_a = norm_sq(alpha, h).values.real
-            nsq_g = norm_sq(gam, h).values.real
-            worst_norm = max(
-                worst_norm,
-                np.abs(nsq_a - nsq_g).max() / max(nsq_a.max(), 1e-300),
-            )
-            gamma1 = random_form(grid, rank, n - 1, 0, rng)
-            theta = _random_symmetric_curvature(grid, rank, rng)
-            worst_nak = max(worst_nak, check_nakano_pointwise_identity(theta, gamma1, h))
-            xi = random_form(grid, rank, n - 1, 1, rng)
-            worst_xi = max(worst_xi, xi_omega_identity(xi, h))
-        rows.append(_row("hodge-star-reconstruction", "star-wedge-identity", n, p, grid.N,
-                         float(worst_rec), tol_alg, worst_rec <= tol_alg))
-        rows.append(_row("norm-preservation", "star-preserves-pointwise-norm", n, p, grid.N,
-                         float(worst_norm), tol_alg, worst_norm <= tol_alg))
-        rows.append(_row("curvature-contraction", "pointwise-nakano-identity", n, p, grid.N,
-                         float(worst_nak), tol_alg, worst_nak <= tol_alg))
-        rows.append(_row("wedge-omega-norm", "antisymmetric-part-identity", n, p, grid.N,
-                         float(worst_xi), tol_alg, worst_xi <= tol_alg))
+    rows += _algebraic_rows(grid, _metric_rank(cfg), count, tol_alg, rng)
+    rows += _bk_rows(cfg, grid, tol_diff)
+    return rows
 
-    # differential identities on the Gaussian family
+
+_ALGEBRAIC_CHECKS = (
+    ("hodge-star-reconstruction", "star-wedge-identity"),
+    ("norm-preservation", "star-preserves-pointwise-norm"),
+    ("curvature-contraction", "pointwise-nakano-identity"),
+    ("wedge-omega-norm", "antisymmetric-part-identity"),
+)
+
+
+def _algebraic_rows(grid: GridSpec, rank: int, count: int, tol: float, rng) -> list:
+    """Worst residual of each pointwise algebraic identity over count samples per case."""
+    n = grid.n
+    h = MetricField.identity(grid, rank)
+    rows = []
+    for p in [1] if n == 1 else [1, n]:
+        worst = [0.0] * 4
+        for _ in range(count):
+            worst = [max(w, r) for w, r in zip(worst, _algebraic_sample(grid, h, p, rng))]
+        for (check, verifies), value in zip(_ALGEBRAIC_CHECKS, worst):
+            rows.append(_row(check, verifies, n, p, grid.N, float(value), tol, value <= tol))
+    return rows
+
+
+def _algebraic_sample(grid: GridSpec, h: MetricField, p: int, rng) -> tuple:
+    """Residuals of one random sample, in _ALGEBRAIC_CHECKS order; its fields die on return."""
+    n, rank = grid.n, h.rank
+    alpha = random_form(grid, rank, n, p, rng)
+    gam = hodge_star(alpha)
+    scale = max(np.abs(alpha.coeffs).max(), 1e-300)
+    rec_err = np.abs(wedge(gam, omega_power(grid, p)).coeffs - alpha.coeffs).max() / scale
+    nsq_a = norm_sq(alpha, h).values.real
+    del alpha
+    norm_err = np.abs(nsq_a - norm_sq(gam, h).values.real).max() / max(nsq_a.max(), 1e-300)
+    del gam, nsq_a
+    gamma1 = random_form(grid, rank, n - 1, 0, rng)
+    nak_err = check_nakano_pointwise_identity(
+        _random_symmetric_curvature(grid, rank, rng), gamma1, h
+    )
+    del gamma1
+    xi = random_form(grid, rank, n - 1, 1, rng)
+    return rec_err, norm_err, nak_err, xi_omega_identity(xi, h)
+
+
+def _bk_rows(cfg: ExperimentConfig, grid: GridSpec, tol: float) -> list:
+    """The pointwise and integrated Bochner-Kodaira rows on the configured metric."""
+    n = grid.n
     cat = _metric_for(cfg, grid)
     alpha = EForm.zeros(grid, cat.metric.rank, n, 1)
-    bump = smooth_source_bump(
+    alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
         grid, tuple(grid.center + 0.3 * (-1) ** k for k in range(2 * n)), 0.05 * grid.L
-    )
-    alpha.coeffs[..., 0, 0, 0] = bump.values
+    ).values
     rep_p, rep_i = bk_reports(alpha, cat.metric, margin=cfg.seam_margin)
-    rows.append(_row("bk-pointwise", "del-dbar-identity", n, 1, grid.N,
-                     rep_p.relative_residual, tol_diff, rep_p.relative_residual <= tol_diff))
-    rows.append(_row("bk-integrated", "integral-identity-balance", n, 1, grid.N,
-                     rep_i.relative_residual, cfg.tol("integrated", 1e-8),
-                     rep_i.relative_residual <= cfg.tol("integrated", 1e-8)))
-    return rows
+    tol_int = cfg.tol("integrated", 1e-8)
+    return [
+        _row("bk-pointwise", "del-dbar-identity", n, 1, grid.N,
+             rep_p.relative_residual, tol, rep_p.relative_residual <= tol),
+        _row("bk-integrated", "integral-identity-balance", n, 1, grid.N,
+             rep_i.relative_residual, tol_int, rep_i.relative_residual <= tol_int),
+    ]
 
 
 def _random_symmetric_curvature(grid, rank, rng):
@@ -316,8 +363,8 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
         raise ValidationError("the solve pipeline is configured for n = 1")
     count = _op_int(cfg, "count", 20, 1, "each sweep step averages over its sources")
     sweep = [float(v) for v in str(cfg.op_params.get("sweep", "1,2,4")).split(",")]
-    sigma = float(cfg.op_params.get("sigma", 0.3))
-    spread = float(cfg.op_params.get("spread", 0.25))
+    sigma = _op_positive(cfg, "sigma", 0.3)
+    spread = _optional(cfg.op_params, "spread", _finite, "operation", 0.25)
     tol_h = cfg.tol("hormander", 0.05)
     tol_res = cfg.tol("solve_residual", 1e-9)
     rows = []
@@ -380,8 +427,8 @@ def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
                      "the weak-limit check compares the last two Cauchy defects")
     grid = _grid(cfg)
     cat = _metric_for(cfg, grid)
-    eps0 = float(cfg.op_params.get("eps0", 16.0 * grid.spacing))
-    sigma = float(cfg.op_params.get("sigma", 0.2))
+    eps0 = _optional(cfg.op_params, "eps0", _finite, "operation", 16.0 * grid.spacing)
+    sigma = _op_positive(cfg, "sigma", 0.2)
     schedule = MollifierSchedule(eps0, nu_max)
     bump = smooth_source_bump(
         grid, (grid.center - 0.7, grid.center - 0.5), sigma

@@ -257,14 +257,20 @@ def omega(grid: GridSpec) -> EForm:
 
 
 def omega_power(grid: GridSpec, p: int) -> EForm:
-    """omega^p / p! as a rank-1 (p,p)-form with constant coefficients."""
+    """omega^p / p! as a rank-1 (p,p)-form with constant coefficients.
+
+    The coefficients are a read-only broadcast view of one (C(n,p), C(n,p), 1)
+    block, so the form holds no full-grid array; wedge and pairing read it as
+    they would a materialized field.  Copy the coefficients before writing.
+    """
     n = grid.n
     if not 0 <= p <= n:
         raise FormError(f"omega power {p} out of range for n={n}")
-    out = EForm.zeros(grid, 1, p, p)
+    size = len(index_tuples(n, p))
+    block = np.zeros((size, size, 1), dtype=np.complex128)
     for K, value in _omega_p_table(n, p):
-        out.coeffs[..., index_slot(n, p)[K], index_slot(n, p)[K], 0] = value
-    return out
+        block[index_slot(n, p)[K], index_slot(n, p)[K], 0] = value
+    return EForm(grid, 1, p, p, np.broadcast_to(block, grid.shape + block.shape))
 
 
 def dv_density(a: EForm) -> ScalarField:

@@ -171,8 +171,12 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     budget = float(params.get("budget", 7.0))
     # c = 0 is the flat degenerate member; size its (inactive) plateau as c = 1
     c_geom = c if c > 0 else 1.0
-    r0 = params.get("r0") or default_plateau_radius(grid, c_geom, budget=budget)
-    s = params.get("s") or default_smoothing_scale(grid, c_geom)
+    r0 = params.get("r0")
+    if r0 is None:
+        r0 = default_plateau_radius(grid, c_geom, budget=budget)
+    s = params.get("s")
+    if s is None:
+        s = default_smoothing_scale(grid, c_geom)
     phi = apodized_quadratic_weight(grid, c, r0=r0, s=s).values.real
 
     if name == "gaussian":

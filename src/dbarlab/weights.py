@@ -81,9 +81,10 @@ def saturating_square_profile(N: int, L: float, r0: float, s: float) -> tuple:
     Returned as tuples to stay hashable.
     """
     _, r1 = _reach(r0, s)
-    if not (0 < r0 and r1 <= 0.5 * L):
+    if not (0 < r0 and 0 < s and r1 <= 0.5 * L):
         raise ValidationError(
-            f"profile does not fit the box: r0={r0}, s={s}, saturation {r1} vs L/2={L / 2}"
+            f"profile needs r0 > 0, s > 0 and to saturate inside the box: "
+            f"r0={r0}, s={s}, saturation {r1} vs L/2={L / 2}"
         )
     t_axis = np.arange(N) * (L / N) - 0.5 * L
     a = np.abs(t_axis)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,28 @@ def test_bk_reports_matches_separate_calls(rng, n, p):
     # the pass reuses D'gamma for the adjoint term; the formal adjoint recomputes it
     adjoint = integrate_density(norm_sq(dbar_star_formal(alpha, h), h).values, g)
     assert abs(rep_i.terms["adjoint_integral"] - adjoint) <= 1e-13 * scale
+
+
+def test_bk_reports_traced_peak_stays_within_field_budget():
+    # n = 2, N = 16, rank 1, curvature computed inside the pass.  The pass
+    # holds gamma, Theta^gamma or dbar D'gamma and the finished densities, but
+    # no curvature field past Theta^gamma and no materialized omega power:
+    # 14.0 full-grid complex fields of traced peak, against 21.0 when the
+    # curvature field and omega^0 lived for the whole pass.
+    g = GridSpec(2, 16, 8.0)
+    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    alpha = EForm.zeros(g, 1, 2, 1)
+    alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
+        g, tuple(g.center + 0.3 * (-1) ** k for k in range(4)), 0.05 * g.L
+    ).values
+    field_bytes = np.dtype(np.complex128).itemsize * np.prod(g.shape)
+    expected = bk_reports(alpha, h)  # also fills the lazy caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep_p, rep_i = bk_reports(alpha, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / field_bytes <= 17.0
+    assert rep_p.terms == expected[0].terms and rep_i.terms == expected[1].terms

@@ -137,6 +137,10 @@ def test_cli_seed_override_changes_report(tmp_path):
     ("identities", "count", "0"),
     ("solve", "count", "0"),
     ("solve", "count", "many"),
+    ("solve", "sigma", "0"),
+    ("solve", "sigma", "-0.3"),
+    ("regularize", "sigma", "0"),
+    ("regularize", "sigma", "nan"),
 ])
 def test_cli_rejects_crashing_operation_field(tmp_path, capsys, op, field, value):
     text = BASE.replace("name = identities\ncount = 5", f"name = {op}\n{field} = {value}")
@@ -194,3 +198,26 @@ def test_report_convergence_slope_and_rules():
     assert saturated["saturated"]
     with pytest.raises(ValidationError):
         report_convergence([(16, 0.1), (32, 0.01)])
+
+
+@pytest.mark.parametrize("op, field, value", [
+    ("identities", "c", "one"),
+    ("identities", "rank", "2.5"),
+    ("positivity", "c", "nan"),
+    ("positivity", "c", "inf"),
+    ("positivity", "rank", "0"),
+    ("positivity", "r0", "0"),
+    ("positivity", "s", "-1"),
+])
+def test_cli_rejects_bad_metric_number(tmp_path, capsys, op, field, value):
+    # c = nan used to report nan floors as passed, r0 = 0 silently took the
+    # default radius and s = -1 gave a Nakano floor of -85.7.  The inserted
+    # key follows c = 1.0 and overrides it when it is c.
+    text = BASE.replace("name = identities\ncount = 5", f"name = {op}").replace(
+        "c = 1.0\n", f"c = 1.0\n{field} = {value}\n"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main([op, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{field!r}" in err or f"{field}=" in err

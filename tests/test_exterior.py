@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -280,3 +282,50 @@ def test_grow_table_matches_wedge_basis(n):
         assert rows == tuple(expected)
         assert len({(src, j) for src, j, _, _ in rows}) == len(rows)
         assert len(rows) == len(index_tuples(n, k)) * (n - k)
+
+
+@dataclass(frozen=True)
+class AlgebraGrid:
+    """Stand-in for GridSpec at any n: the form algebra reads only n and shape."""
+
+    n: int
+    N: int = 2
+
+    @property
+    def shape(self) -> tuple:
+        return (self.N,) * (2 * self.n)
+
+
+def random_coeff_form(g, rank, p, q, rng):
+    shape = g.shape + (len(index_tuples(g.n, p)), len(index_tuples(g.n, q)), rank)
+    return EForm(g, rank, p, q, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_omega_power_is_a_read_only_constant_block(n):
+    g = AlgebraGrid(n)
+    for p in range(n + 1):
+        om = omega_power(g, p)
+        size = len(index_tuples(n, p))
+        assert om.coeffs.shape == g.shape + (size, size, 1)
+        # every grid axis is a zero-stride broadcast of one small block
+        assert om.coeffs.strides[: 2 * n] == (0,) * (2 * n)
+        assert not om.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            om.coeffs[(0,) * (2 * n) + (0, 0, 0)] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wedge_with_omega_power_equals_materialized_omega(rng, n):
+    g = AlgebraGrid(n)
+    for p in range(n + 1):
+        materialized = EForm.zeros(g, 1, p, p)
+        for K in index_tuples(n, p):
+            slot = index_slot(n, p)[K]
+            materialized.coeffs[..., slot, slot, 0] = c_const(p)
+        om = omega_power(g, p)
+        for pa in range(n - p + 1):
+            for qa in range(n - p + 1):
+                a = random_coeff_form(g, 2, pa, qa, rng)
+                assert np.array_equal(wedge(a, om).coeffs, wedge(a, materialized).coeffs)
+                assert np.array_equal(wedge(om, a).coeffs, wedge(materialized, a).coeffs)
