@@ -41,6 +41,7 @@ from .positivity import (
 )
 from .singular import MollifierSchedule, regularized_solve, singular_catalog
 from .weights import (
+    BUMP_SUPPORT_RADIUS,
     default_smoothing_scale,
     gaussian_metric,
     random_form,
@@ -110,6 +111,15 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _list_of(caster):
+    """Caster for a non-empty comma-separated list of caster values."""
+    def cast(text: str) -> list:
+        if not text.strip():
+            raise ValueError("must list at least one value")
+        return [caster(item) for item in text.split(",")]
+    return cast
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -362,9 +372,16 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
     if grid.n != 1:
         raise ValidationError("the solve pipeline is configured for n = 1")
     count = _op_int(cfg, "count", 20, 1, "each sweep step averages over its sources")
-    sweep = [float(v) for v in str(cfg.op_params.get("sweep", "1,2,4")).split(",")]
+    sweep = _optional(cfg.op_params, "sweep", _list_of(_finite), "operation", [1.0, 2.0, 4.0])
     sigma = _op_positive(cfg, "sigma", 0.3)
     spread = _optional(cfg.op_params, "spread", _finite, "operation", 0.25)
+    if abs(spread) + BUMP_SUPPORT_RADIUS * sigma > 0.5 * grid.L:
+        # a source centre may sit spread off the box centre on each axis
+        raise ValidationError(
+            f"field 'spread' in [operation] plus the source support radius "
+            f"{BUMP_SUPPORT_RADIUS:g}*sigma must fit in L/2 = {0.5 * grid.L:g}, "
+            f"got spread = {spread:g}, sigma = {sigma:g}"
+        )
     tol_h = cfg.tol("hormander", 0.05)
     tol_res = cfg.tol("solve_residual", 1e-9)
     rows = []
@@ -474,8 +491,8 @@ def report_convergence(results: list) -> dict:
 
 
 def run_convergence(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple:
-    grid_ns = [int(v) for v in str(cfg.op_params.get("resolutions", "16,32,64")).split(",")]
-    slope_tol = float(cfg.op_params.get("slope", -4.0))
+    grid_ns = _optional(cfg.op_params, "resolutions", _list_of(int), "operation", [16, 32, 64])
+    slope_tol = _optional(cfg.op_params, "slope", _finite, "operation", -4.0)
     results = []
     for N in grid_ns:
         sub = ExperimentConfig(cfg.n, N, cfg.L, cfg.seam_margin, cfg.operation,

@@ -2,11 +2,14 @@
 
 At each grid point the Nakano quadratic form on n-tuples of sections is the
 nr x nr hermitian matrix with (k,j) block h Theta_jk, measured against the
-Gram I_n (x) h; its smallest generalized eigenvalue (via Cholesky whitening)
-is the pointwise Nakano floor.  The Griffiths floor restricts to decomposable
-tuples s_j = xi_j s: for n = 1 both notions coincide exactly, for n = 2 the
-direction xi is scanned over a net on the complex projective line with local
-refinement around the minimizer.
+Gram I_n (x) h.  Both floors read one whitened stack
+W_kj = C^{-1} sym(h Theta)_jk C^{-H}, with C the Cholesky factor of h: the
+Nakano floor is the smallest eigenvalue of the nr x nr matrix of blocks W_kj,
+and the Griffiths floor, which restricts to decomposable tuples s_j = xi_j s,
+is the smallest eigenvalue of sum_jk conj(xi_k) xi_j W_kj over the
+directions xi.  When every tuple is decomposable (n = 1 or rank 1) the two
+coincide exactly; otherwise xi is scanned over a net on the complex
+projective line with local refinement around the minimizer.
 """
 
 from __future__ import annotations
@@ -16,15 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureSymmetryError, MetricError, PreconditionError
-from .grid import GridSpec
 from .hermitian import CurvatureField, MetricField
 
 SYMMETRY_TOL = 1e-6
+NET_SIDE = 16        # the direction net is NET_SIDE x NET_SIDE points (t, phi) on CP^1
+REFINE_PASSES = 2    # each pass rescans 7 x 7 points at a fifth of the previous spacing
 
 
 @dataclass
 class PositivityReport:
-    """Extracted curvature floors (or caps, for mode='upper')."""
+    """Extracted curvature floors (or caps, for mode='upper').
+
+    net_error is the change of the Griffiths extremum over the last
+    refinement pass of the direction net: a heuristic spread, not a bound.
+    It is 0 where the Griffiths floor is exact (n = 1 or rank 1).
+    """
 
     delta_griffiths: float
     delta_nakano: float
@@ -43,29 +52,6 @@ class PositivityReport:
             )
 
 
-def _region_indices(grid: GridSpec, h: MetricField, region):
-    keep = h.unmasked()
-    if region is not None:
-        keep = keep & region
-    if not keep.any():
-        raise PreconditionError("no unmasked points in the requested region")
-    return keep
-
-
-def _gathered(h: MetricField, theta: CurvatureField, keep):
-    hm = h.mat[keep]
-    th = theta.theta[keep]
-    return hm, th
-
-
-def _nakano_matrices(hm: np.ndarray, th: np.ndarray, n: int, r: int) -> np.ndarray:
-    """Stacked nr x nr matrices M[(k,a),(j,b)] = (h Theta_jk)_{ab}."""
-    hT = np.einsum("...ac,...jkcb->...jkab", hm, th)
-    # order blocks as (k, a) rows, (j, b) columns
-    M = np.transpose(hT, (0, 2, 3, 1, 4)).reshape(hm.shape[0], n * r, n * r)
-    return M
-
-
 def _check_block_symmetry(M: np.ndarray, tol: float):
     defect = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max()
     scale = max(np.abs(M).max(), 1e-300)
@@ -73,14 +59,6 @@ def _check_block_symmetry(M: np.ndarray, tol: float):
         raise CurvatureSymmetryError(
             f"curvature violates hermitian block symmetry: {defect:.3e} vs scale {scale:.3e}"
         )
-
-
-def _cholesky(hm: np.ndarray) -> np.ndarray:
-    """Stacked Cholesky factors of the gathered (unmasked) metric matrices."""
-    try:
-        return np.linalg.cholesky(hm)
-    except np.linalg.LinAlgError as exc:
-        raise MetricError("metric is not positive definite at some unmasked point") from exc
 
 
 def _whiten(M: np.ndarray, chol: np.ndarray) -> np.ndarray:
@@ -92,6 +70,37 @@ def _whiten(M: np.ndarray, chol: np.ndarray) -> np.ndarray:
     return Cinv @ M @ np.conj(np.swapaxes(Cinv, -1, -2))
 
 
+def _whitened_blocks(h: MetricField, theta: CurvatureField, region, symmetry_tol: float):
+    """(keep, W) with W[k, j, p] = C^{-1} sym(h Theta)_jk C^{-H} at the p-th kept point.
+
+    keep is the unmasked part of region.  sym takes the hermitian part of the
+    nr x nr Nakano matrix M[(k,a),(j,b)] = (h Theta_jk)_ab, after checking
+    that M is hermitian to symmetry_tol of its scale.
+    """
+    n, r = h.grid.n, h.rank
+    keep = h.unmasked()
+    if region is not None:
+        keep = keep & region
+    if not keep.any():
+        raise PreconditionError("no unmasked points in the requested region")
+    hm = h.mat[keep]
+    hT = np.einsum("...ac,...jkcb->...jkab", hm, theta.theta[keep])
+    M = np.transpose(hT, (0, 2, 3, 1, 4)).reshape(hm.shape[0], n * r, n * r)
+    del hT  # M is a reordered copy
+    _check_block_symmetry(M, symmetry_tol)
+    M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
+    try:
+        chol = np.linalg.cholesky(hm)
+    except np.linalg.LinAlgError as exc:
+        raise MetricError("metric is not positive definite at some unmasked point") from exc
+    blocks = M.reshape(hm.shape[0], n, r, n, r).transpose(1, 3, 0, 2, 4)
+    return keep, _whiten(blocks, chol)
+
+
+def _coords(keep, flat: int) -> tuple:
+    return tuple(int(c) for c in np.argwhere(keep)[flat])
+
+
 def nakano_report(
     h: MetricField,
     theta: CurvatureField,
@@ -100,19 +109,9 @@ def nakano_report(
     symmetry_tol: float = SYMMETRY_TOL,
 ) -> tuple:
     """(delta, argmin point, whitened eigenvector) of the Nakano quadratic form."""
-    grid = h.grid
-    n, r = grid.n, h.rank
-    keep = _region_indices(grid, h, region)
-    hm, th = _gathered(h, theta, keep)
-    M = _nakano_matrices(hm, th, n, r)
-    _check_block_symmetry(M, symmetry_tol)
-    M = 0.5 * (M + np.conj(np.swapaxes(M, -1, -2)))
-    chol = _cholesky(hm)
-    big_chol = np.zeros((hm.shape[0], n * r, n * r), dtype=np.complex128)
-    for j in range(n):
-        big_chol[:, j * r : (j + 1) * r, j * r : (j + 1) * r] = chol
-    white = _whiten(M, big_chol)
-    vals, vecs = np.linalg.eigh(white)
+    keep, W = _whitened_blocks(h, theta, region, symmetry_tol)
+    n, points, r = W.shape[0], W.shape[2], W.shape[-1]
+    vals, vecs = np.linalg.eigh(W.transpose(2, 0, 3, 1, 4).reshape(points, n * r, n * r))
     if mode == "lower":
         pick = vals[:, 0]
         flat = int(np.argmin(pick))
@@ -121,9 +120,7 @@ def nakano_report(
         pick = vals[:, -1]
         flat = int(np.argmax(pick))
         vec = vecs[flat, :, -1]
-    delta = float(pick[flat])
-    coords = np.argwhere(keep)[flat]
-    return delta, tuple(int(c) for c in coords), vec
+    return float(pick[flat]), _coords(keep, flat), vec
 
 
 def nakano_delta(
@@ -133,10 +130,20 @@ def nakano_delta(
     return nakano_report(h, theta, region, symmetry_tol=symmetry_tol)[0]
 
 
-def _griffiths_matrices(hm, th, xi):
-    """A(xi) = sum_jk xi_j conj(xi_k) h Theta_jk, stacked over points."""
-    hT = np.einsum("...ac,...jkcb->...jkab", hm, th)
-    return np.einsum("j,k,...jkab->...ab", xi, np.conj(xi), hT)
+def _decomposable_report(nakano: tuple, rank: int) -> tuple:
+    """The Griffiths report from the Nakano one when every tuple is decomposable.
+
+    At n = 1 the direction is the single coordinate; at rank 1 the Nakano
+    eigenvector is the tuple xi_j s itself, which whitening scales by one
+    common factor, so its normalization is the direction.
+    """
+    delta, coords, vec = nakano
+    xi = vec / np.linalg.norm(vec) if rank == 1 else np.ones(1, dtype=np.complex128)
+    return delta, coords, xi, 0.0
+
+
+def _direction(t: float, phi: float) -> np.ndarray:
+    return np.array([np.cos(t), np.sin(t) * np.exp(1j * phi)])
 
 
 def griffiths_report(
@@ -144,67 +151,48 @@ def griffiths_report(
     theta: CurvatureField,
     region=None,
     mode: str = "lower",
-    net_size: int = 256,
-    refine_passes: int = 2,
     symmetry_tol: float = SYMMETRY_TOL,
 ) -> tuple:
     """(delta, argmin point, xi, net_error) for the Griffiths quadratic form.
 
-    n = 1 reduces to the Nakano eigenproblem of the single block; n = 2 scans
-    a direction net of ~net_size points on CP^1, then refines locally.
+    At n = 1 or rank 1 every tuple is decomposable, so this is the Nakano
+    extraction and net_error is 0.  Otherwise (n = 2) it scans a
+    NET_SIDE x NET_SIDE direction net on CP^1, then refines REFINE_PASSES
+    times around the best direction.  net_error is the change of the
+    extremum over the last refinement pass: a heuristic spread between
+    passes, not a bound on the distance to the true floor.
     """
-    grid = h.grid
-    n, r = grid.n, h.rank
-    keep = _region_indices(grid, h, region)
-    hm, th = _gathered(h, theta, keep)
-    chol = _cholesky(hm)
+    n, r = h.grid.n, h.rank
+    if n == 1 or r == 1:
+        return _decomposable_report(nakano_report(h, theta, region, mode, symmetry_tol), r)
+    keep, W = _whitened_blocks(h, theta, region, symmetry_tol)
+    rows = W.reshape(n * n, -1)
+    # the extremum of the caps is minus the floor of -A, so one minimum serves both modes
     sign = 1.0 if mode == "lower" else -1.0
-
-    def extreme_for(xi):
-        A = _griffiths_matrices(hm, th, xi)
-        A = 0.5 * (A + np.conj(np.swapaxes(A, -1, -2)))
-        white = _whiten(sign * A, chol)
-        vals = np.linalg.eigvalsh(white)
-        pick = vals[:, 0]
-        flat = int(np.argmin(pick))
-        return sign * float(pick[flat]), flat
-
-    if n == 1:
-        # Griffiths and Nakano coincide in dimension one: same extraction path
-        delta, coords, _vec = nakano_report(h, theta, region, mode, symmetry_tol)
-        return delta, coords, np.array([1.0 + 0j]), 0.0
-
-    kt = max(4, int(np.sqrt(net_size)))
-    kphi = max(4, net_size // kt)
-    ts = np.linspace(0.0, 0.5 * np.pi, kt)
-    phis = np.linspace(0.0, 2.0 * np.pi, kphi, endpoint=False)
-
-    def scan(t_values, phi_values):
-        nonlocal best
-        for t in t_values:
-            for phi in phi_values:
-                xi = np.array([np.cos(t), np.sin(t) * np.exp(1j * phi)])
-                val, flat = extreme_for(xi)
-                if (mode == "lower" and val < best[0]) or (
-                    mode == "upper" and val > best[0]
-                ):
-                    best = (val, flat, t, phi)
-
-    best = (np.inf if mode == "lower" else -np.inf, None, None, None)
-    scan(ts, phis)
-    dt = ts[1] - ts[0]
-    dphi = phis[1] - phis[0]
-    last_spread = abs(dt) + abs(dphi)
-    for _ in range(refine_passes):
-        t0, phi0 = best[2], best[3]
+    ts = np.linspace(0.0, 0.5 * np.pi, NET_SIDE)
+    phis = np.linspace(0.0, 2.0 * np.pi, NET_SIDE, endpoint=False)
+    dt, dphi = ts[1] - ts[0], phis[1] - phis[0]
+    best = (np.inf, None, None, None)
+    for refinement in range(REFINE_PASSES + 1):
+        if refinement:
+            dt *= 0.2
+            dphi *= 0.2
+            ts = best[2] + dt * np.arange(-3, 4)
+            phis = best[3] + dphi * np.arange(-3, 4)
         prev = best[0]
-        dt *= 0.2
-        dphi *= 0.2
-        scan(t0 + dt * np.arange(-3, 4), phi0 + dphi * np.arange(-3, 4))
-        last_spread = abs(best[0] - prev)
-    coords = np.argwhere(keep)[best[1]]
-    xi = np.array([np.cos(best[2]), np.sin(best[2]) * np.exp(1j * best[3])])
-    return best[0], tuple(int(c) for c in coords), xi, float(last_spread)
+        for t in ts:
+            for phi in phis:
+                xi = _direction(t, phi)
+                # A(xi) = sum_kj conj(xi_k) xi_j W_kj at every kept point, as one
+                # (1 x n*n) @ (n*n x points*r*r) product; a 1-D left operand
+                # would take the far slower matrix-vector route
+                weights = (sign * np.outer(np.conj(xi), xi)).reshape(1, n * n)
+                pick = np.linalg.eigvalsh((weights @ rows).reshape(-1, r, r))[:, 0]
+                flat = int(np.argmin(pick))
+                if pick[flat] < best[0]:
+                    best = (pick[flat], flat, t, phi)
+    xi = _direction(best[2], best[3])
+    return sign * float(best[0]), _coords(keep, best[1]), xi, float(abs(best[0] - prev))
 
 
 def griffiths_delta(h: MetricField, theta: CurvatureField, region=None) -> float:
@@ -215,8 +203,12 @@ def positivity_report(
     h: MetricField, theta: CurvatureField, region=None, mode: str = "lower"
 ) -> PositivityReport:
     """Joint Griffiths/Nakano extraction with the ordering invariant enforced."""
-    dg, arg_g, xi, net_err = griffiths_report(h, theta, region, mode)
-    dn, arg_n, vec = nakano_report(h, theta, region, mode)
+    nakano = nakano_report(h, theta, region, mode)
+    if h.grid.n == 1 or h.rank == 1:
+        dg, arg_g, xi, net_err = _decomposable_report(nakano, h.rank)
+    else:
+        dg, arg_g, xi, net_err = griffiths_report(h, theta, region, mode)
+    dn, arg_n, vec = nakano
     if mode == "upper":
         # for caps the ordering flips: max over tuples >= max over decomposables
         return PositivityReport(dg, max(dn, dg), arg_g, arg_n, xi, vec, mode, net_err)

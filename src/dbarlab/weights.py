@@ -248,12 +248,15 @@ def plateau_bump(
     return ScalarField(grid, vals)
 
 
+BUMP_SUPPORT_RADIUS = 6.5  # smooth_source_bump's default cut_end, in units of sigma
+
+
 def smooth_source_bump(
     grid: GridSpec,
     center: tuple,
     sigma: float,
     cut_start: float = 5.0,
-    cut_end: float = 6.5,
+    cut_end: float = BUMP_SUPPORT_RADIUS,
 ) -> ScalarField:
     """Gaussian profile with an exactly-supported smooth cutoff.
 

@@ -141,6 +141,12 @@ def test_cli_seed_override_changes_report(tmp_path):
     ("solve", "sigma", "-0.3"),
     ("regularize", "sigma", "0"),
     ("regularize", "sigma", "nan"),
+    ("solve", "sweep", "1,x"),
+    ("solve", "sweep", ""),
+    ("solve", "spread", "9"),
+    ("convergence", "resolutions", "16,x"),
+    ("convergence", "resolutions", ""),
+    ("convergence", "slope", "nan"),
 ])
 def test_cli_rejects_crashing_operation_field(tmp_path, capsys, op, field, value):
     text = BASE.replace("name = identities\ncount = 5", f"name = {op}\n{field} = {value}")

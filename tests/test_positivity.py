@@ -96,6 +96,38 @@ def test_dimension_one_exact_equality(rng):
     assert griffiths_delta(h, th) == nakano_delta(h, th)
 
 
+def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):
+    # at rank one every tuple s_j = xi_j s is decomposable, so the floors
+    # coincide exactly and no direction net runs
+    g = GridSpec(2, 8, 8.0)
+    phi = 0.4 * random_band_limited(g, rng, 0.2, real=True).values.real
+    h = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
+    th = curvature(h)
+    dg, point, xi, net_err = griffiths_report(h, th)
+    assert dg == nakano_delta(h, th)
+    assert net_err == 0.0
+    # the reported direction attains the floor at the reported point
+    form = np.einsum("j,k,jk->", xi, np.conj(xi), th.theta[point][..., 0, 0]).real
+    assert form == pytest.approx(dg, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, rank", [(1, 2), (2, 1)])
+def test_positivity_report_runs_nakano_once(monkeypatch, rng, n, rank):
+    import dbarlab.positivity as positivity
+
+    calls = []
+    real = positivity.nakano_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(positivity, "nakano_report", counting)
+    g = GridSpec(n, 8, 8.0)
+    positivity_report(MetricField.identity(g, rank), nakano_positive_curvature(g, rank, rng))
+    assert len(calls) == 1
+
+
 def test_frozen_witness_griffiths_positive_nakano_negative():
     g = GridSpec(2, 8, 8.0)
     h = MetricField.identity(g, 2)
@@ -139,6 +171,29 @@ def test_griffiths_definition_oracle_by_sampling(rng):
     )
     at_minimizer = float(np.linalg.eigvalsh(0.5 * (A_star + A_star.conj().T))[0])
     assert at_minimizer == pytest.approx(dg, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["lower", "upper"])
+@pytest.mark.parametrize("case", ["criterion7-0", "criterion7-1", "witness"])
+def test_griffiths_matches_per_direction_reference(case, mode):
+    from positivity_reference import griffiths_report as reference_report
+    from test_acceptance import random_pointwise_curvature, random_pointwise_metric
+
+    g = GridSpec(2, 8, 8.0)
+    if case == "witness":
+        h = MetricField.identity(g, 2)
+        th = CurvatureField.constant(g, 2, WITNESS_BLOCKS)
+    else:
+        # criterion 7's metrics, drawn in its order from its seed
+        rng = np.random.default_rng(77)
+        for _ in range(int(case[-1]) + 1):
+            h = random_pointwise_metric(g, 2, rng)
+            th = random_pointwise_curvature(g, 2, rng, h=h)
+    delta, point, _xi, net_err = griffiths_report(h, th, mode=mode)
+    ref_delta, ref_point, _ref_xi, ref_net_err = reference_report(h, th, mode=mode)
+    assert abs(delta - ref_delta) <= 1e-12 * abs(ref_delta)
+    assert point == ref_point
+    assert abs(net_err - ref_net_err) <= 1e-12
 
 
 def test_nakano_at_most_griffiths(rng):
@@ -221,6 +276,8 @@ def test_symmetry_violation_raises():
     th = CurvatureField.constant(g, 2, blocks)
     with pytest.raises(CurvatureSymmetryError):
         nakano_delta(h, th)
+    with pytest.raises(CurvatureSymmetryError):
+        griffiths_report(h, th)
 
 
 def test_metric_not_positive_at_unmasked_point_raises_metric_error():
