@@ -1,10 +1,10 @@
 """Experiment runner: reproducible pipelines with machine-readable reports.
 
-Configs are flat key = value text with [section] headers (no structured-format
-dependency); '#' starts a comment.  Every pipeline writes one RFC 4180 CSV
-whose rows carry the check slug, measured value, threshold, and pass flag, so
-a report is self-describing.  Identical config and seed produce byte-identical
-reports.
+Configs are flat key = value text with [section] headers; '#' starts a
+comment, and every field is one row of FIELDS.  Every pipeline writes one
+RFC 4180 CSV whose rows carry the check slug, measured value, threshold, and
+pass flag, so a report is self-describing.  Identical config and seed produce
+byte-identical reports.
 
 Exit codes: 0 all configured checks passed, 2 at least one check failed,
 1 usage or configuration error.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,23 +30,17 @@ from .exterior import (
     omega_power,
     wedge,
 )
-from .grid import GridSpec, interior_mask
-from .hermitian import MetricField, curvature, dual_metric
+from .grid import GridSpec, _is_power_of_two, interior_mask
+from .hermitian import CurvatureField, MetricField, curvature, dual_metric
 from .hormander import project_to_range, solve_min_norm, verify_hormander
-from .io import write_csv, write_svg_plot
+from .io import write_csv, write_field, write_svg_plot
 from .positivity import (
     check_nakano_pointwise_identity,
     griffiths_report,
     nakano_report,
 )
 from .singular import MollifierSchedule, regularized_solve, singular_catalog
-from .weights import (
-    BUMP_SUPPORT_RADIUS,
-    default_smoothing_scale,
-    gaussian_metric,
-    random_form,
-    smooth_source_bump,
-)
+from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump
 
 OPERATIONS = ("identities", "positivity", "solve", "regularize", "convergence")
 
@@ -55,54 +49,29 @@ OPERATIONS = ("identities", "positivity", "solve", "regularize", "convergence")
 # configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExperimentConfig:
-    n: int
-    N: int
-    L: float
-    seam_margin: float
-    operation: str
-    seed: int
-    metric: dict = field(default_factory=dict)
-    op_params: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
+@dataclass(frozen=True)
+class Field:
+    """One config field: where it lives, how its text is read, what it admits and why."""
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    section: str
+    name: str
+    cast: object       # text -> value; raises ValueError on text it cannot read
+    admissible: str    # a set {a, b} or an interval such as [0, 0.5); a list's every entry
+    default: object    # ... if required, a value, {operation: value} or f(earlier fields)
+    why: str
 
+    @property
+    def attr(self) -> str:
+        """Its ExperimentConfig attribute: the field name, cfg.operation for [operation] name."""
+        return "operation" if self.name == "name" else self.name
 
-def _parse_sections(text: str) -> dict:
-    sections = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ValidationError(f"line {lineno}: expected key = value, got {raw!r}")
-        if current is None:
-            raise ValidationError(f"line {lineno}: key outside any [section]")
-        key, value = (part.strip() for part in line.split("=", 1))
-        sections[current][key] = value
-    return sections
-
-
-def _require(section: dict, name: str, caster, section_name: str):
-    if name not in section:
-        raise ValidationError(f"missing field {name!r} in [{section_name}]")
-    try:
-        return caster(section[name])
-    except ValueError as exc:
-        raise ValidationError(f"field {name!r} in [{section_name}]: {exc}") from exc
-
-
-def _optional(section: dict, name: str, caster, section_name: str, default):
-    """_require for a field that may be absent; an absent field reads as default."""
-    return _require(section, name, caster, section_name) if name in section else default
+    def admits(self, value) -> bool:
+        inner = [part.strip() for part in self.admissible[1:-1].split(",")]
+        if self.admissible[0] == "{":
+            return value in inner
+        lo, hi = (float(part) for part in inner)
+        above = lo < value if self.admissible[0] == "(" else lo <= value
+        return above and (value < hi if self.admissible[-1] == ")" else value <= hi)
 
 
 def _finite(text: str) -> float:
@@ -113,106 +82,175 @@ def _finite(text: str) -> float:
     return value
 
 
-def _list_of(caster):
-    """Caster for a non-empty comma-separated list of caster values."""
-    def cast(text: str) -> list:
-        if not text.strip():
-            raise ValueError("must list at least one value")
-        return [caster(item) for item in text.split(",")]
+def _power_of_two(text: str) -> int:
+    value = int(text)
+    if not _is_power_of_two(value):
+        raise ValueError(f"must be a power of two, got {value}")
+    return value
+
+
+def _list_of(caster, at_least: int = 1):
+    """Caster for a comma-separated tuple of at least at_least caster values."""
+    def cast(text: str) -> tuple:
+        items = tuple(caster(item) for item in text.split(",")) if text.strip() else ()
+        if len(items) < at_least:
+            raise ValueError(f"must list at least {at_least} value(s), got {len(items)}")
+        return items
     return cast
 
 
-def parse_config(path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    sections = _parse_sections(text)
-    domain = sections.get("domain", {})
-    op = sections.get("operation", {})
-    random = sections.get("random", {})
-    tolerances = sections.get("tolerances", {})
-    cfg = ExperimentConfig(
-        n=_require(domain, "n", int, "domain"),
-        N=_require(domain, "N", int, "domain"),
-        L=_require(domain, "L", float, "domain"),
-        seam_margin=_optional(domain, "seam_margin", float, "domain", 0.125),
-        operation=_require(op, "name", str, "operation"),
-        seed=_optional(random, "seed", int, "random", 20260808),
-        metric=dict(sections.get("metric", {})),
-        op_params=dict(op),
-        tolerances={k: _require(tolerances, k, float, "tolerances") for k in tolerances},
+ANY = "(-inf, inf)"
+POSITIVE = "(0, inf)"
+
+# Every config field, in reading order: [operation] name first, since the
+# per-operation defaults key on it, and [domain] before the grid-dependent
+# default of eps0.  A known field that the operation does not read is ignored.
+# ExperimentConfig has one typed attribute per row.
+FIELDS = (
+    Field("operation", "name", str, "{" + ", ".join(OPERATIONS) + "}", ..., "the five pipelines"),
+    Field("domain", "n", int, "[1, 2]", ..., "the grids are of complex dimension 1 or 2"),
+    Field("domain", "N", _power_of_two, "[8, inf)", ...,
+          "spectral derivatives need a power-of-two lattice of at least 8 points"),
+    Field("domain", "L", _finite, POSITIVE, ..., "a box side is a positive length"),
+    Field("domain", "seam_margin", _finite, "[0, 0.5)", 0.125,
+          "the seam band on each side is a fraction of the box side"),
+    Field("random", "seed", int, "[0, inf)", 20260808, "PCG64 takes a non-negative seed"),
+    Field("metric", "catalog", str, "{gaussian, log_pole, log_pole_pair, matrix_psh_dual}",
+          "gaussian", "the metrics singular_catalog builds"),
+    Field("metric", "rank", int, "[1, inf)", 1, "rank of the gaussian bundle and algebraic rows"),
+    Field("metric", "c", _finite, ANY, 1.0, "any weight strength; 0 is the flat member"),
+    Field("metric", "budget", _finite, POSITIVE, 7.0, "exponent range; sets r0 when r0 is unset"),
+    Field("metric", "r0", _finite, POSITIVE, None, "a plateau radius is a positive length"),
+    Field("metric", "s", _finite, POSITIVE, None, "the ramp's smoothing scale is a length"),
+    Field("metric", "a", _finite, "[0, 1)", 0.5,
+          "log-pole exponent: |z - z0|^(2a) vanishes at the pole and is integrable"),
+    Field("metric", "a1", _finite, "[0, 1)", 0.5, "the first log-pole exponent of the pair"),
+    Field("metric", "a2", _finite, "[0, 1)", 0.3, "the second log-pole exponent of the pair"),
+    Field("metric", "offset_re", _finite, ANY, 0.55, "any pole offset from the box centre"),
+    Field("metric", "offset_im", _finite, ANY, 0.35, "any pole offset from the box centre"),
+    Field("operation", "count", int, "[1, inf)", {"identities": 100, "solve": 20},
+          "a row reports the worst or mean over its samples"),
+    Field("operation", "sweep", _list_of(_finite), ANY, (1.0, 2.0, 4.0), "any weight strengths c"),
+    Field("operation", "sigma", _finite, POSITIVE, {"solve": 0.3, "regularize": 0.2},
+          "a source bump needs a positive width"),
+    Field("operation", "spread", _finite, "[0, inf)", 0.25, "a centre offset on each axis"),
+    Field("operation", "nu_max", int, "[3, inf)", 8,
+          "the weak-limit check compares the last two Cauchy defects"),
+    Field("operation", "eps0", _finite, POSITIVE, lambda v: 16.0 * (v["L"] / v["N"]),
+          "the coarsest mollifier radius, 16 grid spacings by default"),
+    Field("operation", "resolutions", _list_of(_power_of_two, at_least=3), "[8, inf)",
+          (16, 32, 64), "the grids of the slope fit, which needs three"),
+    Field("operation", "slope", _finite, ANY, -4.0, "any decay rate for the fit to reach"),
+) + tuple(
+    Field("tolerances", name, _finite, POSITIVE, default, "a tolerance is a positive bound")
+    for name, default in (
+        ("algebraic", 1e-12), ("identity", 1e-6), ("integrated", 1e-8),  # identities
+        ("symmetry", 1e-6), ("net", 1e-4), ("duality", 1e-6),  # positivity
+        ("hormander", 0.05), ("solve_residual", 1e-9), ("cg", 1e-10),  # solve, regularize
+        ("floor_eps", 0.1), ("monotone", 1e-10),  # regularize
     )
-    if cfg.operation not in OPERATIONS:
-        raise ValidationError(
-            f"unknown operation {cfg.operation!r}; pick one of {', '.join(OPERATIONS)}"
-        )
-    for name, value in (("n", cfg.n), ("N", cfg.N)):
-        if value <= 0:
-            raise ValidationError(f"domain field {name!r} must be positive")
-    if not 0 <= cfg.seam_margin < 0.5:
-        raise ValidationError(
-            f"field 'seam_margin' in [domain] must lie in [0, 0.5), got {cfg.seam_margin}"
-        )
-    for name, t in cfg.tolerances.items():
-        if not t > 0:
-            raise ValidationError(f"field {name!r} in [tolerances] must be positive, got {t}")
-    return cfg
+)
+
+ExperimentConfig = make_dataclass("ExperimentConfig", [spec.attr for spec in FIELDS])
 
 
-def _op_int(cfg: ExperimentConfig, name: str, default: int, minimum: int, why: str) -> int:
-    """Integer [operation] field, rejected by name if unparsable or below minimum."""
-    value = _optional(cfg.op_params, name, int, "operation", default)
-    if value < minimum:
-        raise ValidationError(
-            f"field {name!r} in [operation] must be at least {minimum} ({why}), got {value}"
-        )
+def _parse_sections(text: str) -> dict:
+    """{section: {key: text}}; a section or key that FIELDS does not list is rejected."""
+    known = {(spec.section, spec.name) for spec in FIELDS}
+    sections = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            if current not in {section for section, _ in known}:
+                raise ValidationError(f"line {lineno}: unknown section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ValidationError(f"line {lineno}: expected key = value, got {raw!r}")
+        if current is None:
+            raise ValidationError(f"line {lineno}: key outside any [section]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if (current, key) not in known:
+            raise ValidationError(f"line {lineno}: unknown field {key!r} in [{current}]")
+        sections[current][key] = value
+    return sections
+
+
+def _read(spec: Field, section: dict, values: dict):
+    """One field's typed value, cast and range-checked by name, or its default."""
+    where = f"field {spec.name!r} in [{spec.section}]"
+    if spec.name not in section:
+        if spec.default is ...:
+            raise ValidationError(f"missing {where}")
+        if isinstance(spec.default, dict):
+            return spec.default.get(values["operation"])
+        return spec.default(values) if callable(spec.default) else spec.default
+    try:
+        value = spec.cast(section[spec.name])
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    for entry in value if isinstance(value, tuple) else (value,):
+        if not spec.admits(entry):
+            raise ValidationError(
+                f"{where} must lie in {spec.admissible} ({spec.why}), got {entry!r}"
+            )
     return value
 
 
-def _op_positive(cfg: ExperimentConfig, name: str, default: float) -> float:
-    """Finite positive [operation] field, rejected by name otherwise."""
-    value = _optional(cfg.op_params, name, _finite, "operation", default)
-    if not value > 0:
-        raise ValidationError(f"field {name!r} in [operation] must be positive, got {value}")
-    return value
+def _check_relations(cfg: ExperimentConfig) -> None:
+    """Constraints tying fields together, checked as run starts; each names the fields."""
+    if cfg.operation in ("solve", "regularize") and cfg.n != 1:
+        raise ValidationError(
+            f"field 'n' in [domain] must be 1 for the {cfg.operation} pipeline, got {cfg.n}"
+        )
+    reach = cfg.spread + BUMP_SUPPORT_RADIUS * cfg.sigma if cfg.operation == "solve" else 0
+    if reach > 0.5 * cfg.L:
+        raise ValidationError(
+            f"field 'spread' in [operation] plus the source support radius "
+            f"{BUMP_SUPPORT_RADIUS:g}*sigma must fit in half the box side, "
+            f"got spread={cfg.spread:g}, sigma={cfg.sigma:g}, L={cfg.L:g}"
+        )
+    if cfg.operation == "regularize" and not cfg.eps0 < 0.5 * cfg.L:
+        raise ValidationError(
+            f"field 'eps0' in [operation] must be below half the box side (a kernel "
+            f"ball must fit in the box), got eps0={cfg.eps0:g}, L={cfg.L:g}"
+        )
 
 
-def _metric_rank(cfg: ExperimentConfig) -> int:
-    """The [metric] rank, at least 1."""
-    rank = _optional(cfg.metric, "rank", int, "metric", 1)
-    if rank < 1:
-        raise ValidationError(f"field 'rank' in [metric] must be at least 1, got {rank}")
-    return rank
+def parse_config(path) -> ExperimentConfig:
+    """Read a config file into an ExperimentConfig, every field through FIELDS.
 
-
-def _grid(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(cfg.n, cfg.N, cfg.L)
+    Unknown sections and fields are rejected by name, so a misspelling
+    cannot silently fall back to a default.
+    """
+    sections = _parse_sections(Path(path).read_text(encoding="utf-8"))
+    values = {}
+    for spec in FIELDS:
+        values[spec.attr] = _read(spec, sections.get(spec.section, {}), values)
+    return ExperimentConfig(**values)
 
 
 def _metric_for(cfg: ExperimentConfig, grid: GridSpec, c: float | None = None):
-    """CatalogMetric from the config's [metric] block; c, if given, overrides its c.
+    """CatalogMetric from the config's [metric] fields; c, a sweep entry, overrides its c.
 
-    Every number is parsed by name and must be finite.
+    The catalog checks its geometry in terms of r0, s and the grid; a rejection
+    is re-raised naming the fields those follow from.
     """
-    block = cfg.metric
-    name = block.get("catalog", "gaussian")
-    rank = _metric_rank(cfg)
-    cval = float(c) if c is not None else _optional(block, "c", _finite, "metric", 1.0)
-    kwargs = {"c": cval}
-    for key in ("budget", "r0", "s", "a", "a1", "a2"):
-        if key in block:
-            kwargs[key] = _require(block, key, _finite, "metric")
-    if "offset_re" in block or "offset_im" in block:
-        kwargs["offset"] = complex(
-            _optional(block, "offset_re", _finite, "metric", 0.55),
-            _optional(block, "offset_im", _finite, "metric", 0.35),
+    label, cval = ("c", cfg.c) if c is None else ("sweep", c)
+    try:
+        return singular_catalog(
+            cfg.catalog, grid, rank=cfg.rank, c=cval, budget=cfg.budget, r0=cfg.r0, s=cfg.s,
+            a=cfg.a, a1=cfg.a1, a2=cfg.a2, offset=complex(cfg.offset_re, cfg.offset_im),
         )
-    if name == "gaussian" and rank != 1:
-        s = kwargs.get("s")
-        h, r0 = gaussian_metric(grid, cval, rank=rank, r0=kwargs.get("r0"), s=s)
-        from .singular import CatalogMetric
-
-        return CatalogMetric("gaussian", h, (), cval, r0,
-                             default_smoothing_scale(grid, cval) if s is None else s)
-    return singular_catalog(name, grid, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"metric catalog={cfg.catalog} with {label}={cval:g}, budget={cfg.budget:g}, "
+            f"r0={cfg.r0}, s={cfg.s}, n={grid.n}, L={grid.L:g}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +265,8 @@ def _row(check, verifies, n, p, N, value, threshold, passed):
 
 
 def run_identities(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
-    grid = _grid(cfg)
+    grid = GridSpec(cfg.n, cfg.N, cfg.L)
     n = grid.n
-    tol_alg = cfg.tol("algebraic", 1e-12)
-    tol_diff = cfg.tol("identity", 1e-6)
-    count = _op_int(cfg, "count", 100, 1, "every algebraic row reports the worst of its samples")
-    rows = []
 
     # constant lemma, exact
     exact = True
@@ -241,11 +275,10 @@ def run_identities(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
             lhs1 = c_const(nn - p) * c_const(p - 1) * (-1) ** ((nn - p) * (p - 1))
             lhs2 = 1j * c_const(nn - p) * (-1) ** (nn - p)
             exact &= lhs1 == c_const(nn - 1) and lhs2 == c_const(nn - p + 1)
-    rows.append(_row("constants-lemma", "unimodular-normalizer-relations", n, 0, grid.N,
-                     0.0 if exact else 1.0, 0.0, exact))
-
-    rows += _algebraic_rows(grid, _metric_rank(cfg), count, tol_alg, rng)
-    rows += _bk_rows(cfg, grid, tol_diff)
+    rows = [_row("constants-lemma", "unimodular-normalizer-relations", n, 0, grid.N,
+                 0.0 if exact else 1.0, 0.0, exact)]
+    rows += _algebraic_rows(grid, cfg.rank, cfg.count, cfg.algebraic, rng)
+    rows += _bk_rows(cfg, grid)
     return rows
 
 
@@ -291,16 +324,22 @@ def _algebraic_sample(grid: GridSpec, h: MetricField, p: int, rng) -> tuple:
     return rec_err, norm_err, nak_err, xi_omega_identity(xi, h)
 
 
-def _bk_rows(cfg: ExperimentConfig, grid: GridSpec, tol: float) -> list:
+def _bk_source(grid: GridSpec, rank: int) -> EForm:
+    """The (n,1)-form the Bochner-Kodaira checks run on: one bump off the box centre."""
+    alpha = EForm.zeros(grid, rank, grid.n, 1)
+    alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
+        grid, tuple(grid.center + 0.3 * (-1) ** k for k in range(2 * grid.n)), 0.05 * grid.L
+    ).values
+    return alpha
+
+
+def _bk_rows(cfg: ExperimentConfig, grid: GridSpec) -> list:
     """The pointwise and integrated Bochner-Kodaira rows on the configured metric."""
     n = grid.n
     cat = _metric_for(cfg, grid)
-    alpha = EForm.zeros(grid, cat.metric.rank, n, 1)
-    alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
-        grid, tuple(grid.center + 0.3 * (-1) ** k for k in range(2 * n)), 0.05 * grid.L
-    ).values
-    rep_p, rep_i = bk_reports(alpha, cat.metric, margin=cfg.seam_margin)
-    tol_int = cfg.tol("integrated", 1e-8)
+    rep_p, rep_i = bk_reports(_bk_source(grid, cat.metric.rank), cat.metric,
+                              margin=cfg.seam_margin)
+    tol, tol_int = cfg.identity, cfg.integrated
     return [
         _row("bk-pointwise", "del-dbar-identity", n, 1, grid.N,
              rep_p.relative_residual, tol, rep_p.relative_residual <= tol),
@@ -311,28 +350,31 @@ def _bk_rows(cfg: ExperimentConfig, grid: GridSpec, tol: float) -> list:
 
 def _random_symmetric_curvature(grid, rank, rng):
     """Random curvature blocks with the hermitian h-symmetry (h = identity)."""
-    from .hermitian import CurvatureField
-
     n = grid.n
-    blocks = rng.standard_normal((n, n, rank, rank)) + 1j * rng.standard_normal(
-        (n, n, rank, rank)
-    )
+    shape = (n, n, rank, rank)
+    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for j in range(n):
         for k in range(j, n):
             blocks[k, j] = np.conj(blocks[j, k].T)
     return CurvatureField.constant(grid, rank, blocks)
 
 
-def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
-    grid = _grid(cfg)
-    cat = _metric_for(cfg, grid)
+def _certified_region(cfg: ExperimentConfig, grid: GridSpec, cat) -> np.ndarray:
+    """Points off the seam band and inside the metric's plateau box: where floors hold."""
     margin = max(cfg.seam_margin, 0.5 - cat.plateau_radius / grid.L)
-    region = interior_mask(grid, margin)
+    if not margin < 0.5:
+        raise ValidationError(f"plateau radius r0={cat.plateau_radius:g} vanishes at L={grid.L:g}")
+    return interior_mask(grid, margin)
+
+
+def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
+    grid = GridSpec(cfg.n, cfg.N, cfg.L)
+    cat = _metric_for(cfg, grid)
+    region = _certified_region(cfg, grid, cat)
     theta = curvature(cat.metric)
-    sym_tol = cfg.tol("symmetry", 1e-6)
-    dn, argn, _vec = nakano_report(cat.metric, theta, region, symmetry_tol=sym_tol)
+    dn, argn, _vec = nakano_report(cat.metric, theta, region, symmetry_tol=cfg.symmetry)
     dg, argg, _xi, net_err = griffiths_report(cat.metric, theta, region,
-                                              symmetry_tol=sym_tol)
+                                              symmetry_tol=cfg.symmetry)
     rows = [
         _row("nakano-floor", "tuple-quadratic-form-minimum", grid.n, 0, grid.N,
              dn, "", True),
@@ -341,7 +383,7 @@ def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
         _row("floor-ordering", "nakano-bounded-by-griffiths", grid.n, 0, grid.N,
              dn - dg, 1e-9 + net_err, dn <= dg + 1e-9 + net_err),
         _row("net-refinement", "direction-net-error-bound", grid.n, 0, grid.N,
-             net_err, cfg.tol("net", 1e-4), net_err <= cfg.tol("net", 1e-4)),
+             net_err, cfg.net, net_err <= cfg.net),
     ]
     if grid.n == 1:
         rows.append(_row("dimension-one-equality", "griffiths-equals-nakano", grid.n, 0,
@@ -350,50 +392,33 @@ def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
         # floor of the dual equals minus the cap of the metric, exactly at rank one
         dual = dual_metric(cat.metric)
         dual_floor = griffiths_report(dual, curvature(dual), region,
-                                      symmetry_tol=sym_tol)[0]
+                                      symmetry_tol=cfg.symmetry)[0]
         cap = griffiths_report(cat.metric, theta, region, mode="upper",
-                               symmetry_tol=sym_tol)[0]
+                               symmetry_tol=cfg.symmetry)[0]
         rows.append(_row("duality-flip", "dual-curvature-sign-reversal", grid.n, 0, grid.N,
-                         abs(dual_floor + cap), cfg.tol("duality", 1e-6),
-                         abs(dual_floor + cap) <= cfg.tol("duality", 1e-6)))
+                         abs(dual_floor + cap), cfg.duality,
+                         abs(dual_floor + cap) <= cfg.duality))
     return rows
 
 
-def _bump_family(grid, rng, count, spread, sigma):
-    centers = []
-    for _ in range(count):
-        off = rng.uniform(-spread, spread, size=2 * grid.n)
-        centers.append(tuple(grid.center + o for o in off))
-    return [smooth_source_bump(grid, cen, sigma) for cen in centers]
+def _bump_family(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    """count source bumps, each centred up to spread off the box centre on every axis."""
+    centers = [grid.center + rng.uniform(-cfg.spread, cfg.spread, size=2 * grid.n)
+               for _ in range(cfg.count)]
+    return [smooth_source_bump(grid, tuple(cen), cfg.sigma) for cen in centers]
 
 
 def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> list:
-    grid = _grid(cfg)
-    if grid.n != 1:
-        raise ValidationError("the solve pipeline is configured for n = 1")
-    count = _op_int(cfg, "count", 20, 1, "each sweep step averages over its sources")
-    sweep = _optional(cfg.op_params, "sweep", _list_of(_finite), "operation", [1.0, 2.0, 4.0])
-    sigma = _op_positive(cfg, "sigma", 0.3)
-    spread = _optional(cfg.op_params, "spread", _finite, "operation", 0.25)
-    if abs(spread) + BUMP_SUPPORT_RADIUS * sigma > 0.5 * grid.L:
-        # a source centre may sit spread off the box centre on each axis
-        raise ValidationError(
-            f"field 'spread' in [operation] plus the source support radius "
-            f"{BUMP_SUPPORT_RADIUS:g}*sigma must fit in L/2 = {0.5 * grid.L:g}, "
-            f"got spread = {spread:g}, sigma = {sigma:g}"
-        )
-    tol_h = cfg.tol("hormander", 0.05)
-    tol_res = cfg.tol("solve_residual", 1e-9)
+    grid = GridSpec(cfg.n, cfg.N, cfg.L)
     rows = []
     mean_ratios = []
     report_rows = []
     last_solution = None
-    for c in sweep:
+    for c in cfg.sweep:
         cat = _metric_for(cfg, grid, c=c)
         h = cat.metric
         theta = curvature(h)
-        margin = max(cfg.seam_margin, 0.5 - cat.plateau_radius / grid.L)
-        region = interior_mask(grid, margin)
+        region = _certified_region(cfg, grid, cat)
         delta = nakano_report(h, theta, region)[0]
         delta_global = nakano_report(h, theta, None)[0]
         rows.append(_row(f"certified-floor-c{c:g}", "interior-curvature-floor", 1, 1,
@@ -401,59 +426,46 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
         rows.append(_row(f"global-floor-c{c:g}", "uncertified-global-floor", 1, 1,
                          grid.N, delta_global, "", True))
         ratios = []
-        for idx, bump in enumerate(_bump_family(grid, rng, count, spread, sigma)):
+        for idx, bump in enumerate(_bump_family(cfg, grid, rng)):
             f = EForm.zeros(grid, 1, 1, 1)
             f.coeffs[..., 0, 0, 0] = bump.values
             f = project_to_range(f)
-            u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.tol("cg", 1e-10))
-            check = verify_hormander(rep, delta, 1, tol=tol_h)
+            u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.cg, margin=cfg.seam_margin)
+            check = verify_hormander(rep, delta, 1, tol=cfg.hormander)
             # an unclaimable bound (no positive certified floor) is a failure
             # of the configured check, not a silent skip
-            ok = bool(check["passed"]) and rep.residual <= tol_res
+            ok = bool(check["passed"]) and rep.residual <= cfg.solve_residual
             ratios.append(rep.ratio)
             value = rep.ratio if check["normalized_ratio"] is None else check["normalized_ratio"]
             rows.append(_row(f"hormander-bound-c{c:g}-{idx:02d}",
                              "weighted-minimal-solution-bound", 1, 1, grid.N,
-                             value, 1.0 + tol_h, ok))
-            rep_row = rep.row()
-            rep_row["c"] = c
-            rep_row["source"] = idx
-            report_rows.append(rep_row)
+                             value, 1.0 + cfg.hormander, ok))
+            report_rows.append({"c": c, "source": idx, **rep.row()})
             last_solution = u
         mean_ratios.append(sum(ratios) / len(ratios))
-    non_increasing = all(
-        mean_ratios[i + 1] <= mean_ratios[i] * (1 + 1e-9) for i in range(len(mean_ratios) - 1)
-    )
+    steps = list(zip(mean_ratios, mean_ratios[1:]))
     rows.append(_row("sweep-monotonicity", "bound-ratio-monotone-in-floor", 1, 1, grid.N,
-                     max(mean_ratios[i + 1] / mean_ratios[i] for i in range(len(mean_ratios) - 1))
-                     if len(mean_ratios) > 1 else 0.0,
-                     1.0, non_increasing))
+                     max((b / a for a, b in steps), default=0.0), 1.0,
+                     all(b <= a * (1 + 1e-9) for a, b in steps)))
     if out_dir is not None and report_rows:
-        keys = ["c", "source"] + [k for k in report_rows[0] if k not in ("c", "source")]
+        keys = list(report_rows[0])
         write_csv(Path(out_dir) / "solve_reports.csv", keys,
                   [[row[k] for k in keys] for row in report_rows])
-        if last_solution is not None:
-            from .io import write_field
-
-            write_field(Path(out_dir) / "solution.hdbl", last_solution)
+        write_field(Path(out_dir) / "solution.hdbl", last_solution)
     return rows
 
 
 def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
-    nu_max = _op_int(cfg, "nu_max", 8, 3,
-                     "the weak-limit check compares the last two Cauchy defects")
-    grid = _grid(cfg)
+    grid = GridSpec(cfg.n, cfg.N, cfg.L)
     cat = _metric_for(cfg, grid)
-    eps0 = _optional(cfg.op_params, "eps0", _finite, "operation", 16.0 * grid.spacing)
-    sigma = _op_positive(cfg, "sigma", 0.2)
-    schedule = MollifierSchedule(eps0, nu_max)
+    schedule = MollifierSchedule(cfg.eps0, cfg.nu_max)
     bump = smooth_source_bump(
-        grid, (grid.center - 0.7, grid.center - 0.5), sigma
+        grid, (grid.center - 0.7, grid.center - 0.5), cfg.sigma
     )
     f = EForm.zeros(grid, cat.metric.rank, 1, 1)
     f.coeffs[..., 0, 0, 0] = bump.values
     f = project_to_range(f)
-    eps_req = cfg.tol("floor_eps", 0.1)
+    eps_req = cfg.floor_eps
     u, rep = regularized_solve(f, cat, schedule, eps_required=eps_req, strict=False)
     rows = []
     for nu, (eps, delta) in enumerate(zip(rep.eps_values, rep.delta_values), start=1):
@@ -461,8 +473,8 @@ def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
                          delta, cat.delta_target - eps_req,
                          delta >= cat.delta_target - eps_req))
     rows.append(_row("monotone-ordering", "dual-mollification-ordering", 1, 1, grid.N,
-                     rep.monotone.max_defect, cfg.tol("monotone", 1e-10),
-                     rep.monotone.max_defect <= cfg.tol("monotone", 1e-10)))
+                     rep.monotone.max_defect, cfg.monotone,
+                     rep.monotone.max_defect <= cfg.monotone))
     rows.append(_row("unchecked-pairs", "kernel-radius-exceeds-certified-zone", 1, 1,
                      grid.N, len(rep.monotone.unchecked_pairs), "", True))
     limit = rep.f_norm_h / max(cat.delta_target - rep.eps_floor, 1e-12)
@@ -473,8 +485,8 @@ def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
     rows.append(_row("weak-limit-stability", "cauchy-defect-decreasing", 1, 1, grid.N,
                      rep.cauchy_defects[-1], rep.cauchy_defects[-2], dec))
     rows.append(_row("final-ratio", "singular-weight-solution-bound", 1, 1, grid.N,
-                     rep.final_ratio, 1.0 + cfg.tol("hormander", 0.05),
-                     rep.final_ratio <= 1.0 + cfg.tol("hormander", 0.05)))
+                     rep.final_ratio, 1.0 + cfg.hormander,
+                     rep.final_ratio <= 1.0 + cfg.hormander))
     return rows
 
 
@@ -491,26 +503,16 @@ def report_convergence(results: list) -> dict:
 
 
 def run_convergence(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple:
-    grid_ns = _optional(cfg.op_params, "resolutions", _list_of(int), "operation", [16, 32, 64])
-    slope_tol = _optional(cfg.op_params, "slope", _finite, "operation", -4.0)
+    grid_ns, slope_tol = cfg.resolutions, cfg.slope
     results = []
     for N in grid_ns:
-        sub = ExperimentConfig(cfg.n, N, cfg.L, cfg.seam_margin, cfg.operation,
-                               cfg.seed, cfg.metric, cfg.op_params, cfg.tolerances)
         grid = GridSpec(cfg.n, N, cfg.L)
-        cat = _metric_for(sub, grid)
-        alpha = EForm.zeros(grid, cat.metric.rank, grid.n, 1)
-        bump = smooth_source_bump(
-            grid, tuple(grid.center + 0.3 * (-1) ** k for k in range(2 * grid.n)),
-            0.05 * grid.L,
-        )
-        alpha.coeffs[..., 0, 0, 0] = bump.values
-        rep = bk_pointwise(alpha, cat.metric, margin=cfg.seam_margin)
+        cat = _metric_for(cfg, grid)
+        rep = bk_pointwise(_bk_source(grid, cat.metric.rank), cat.metric, margin=cfg.seam_margin)
         results.append((N, rep.relative_residual))
     fit = report_convergence(results)
-    rows = []
-    for N, r in results:
-        rows.append(_row(f"bk-residual-N{N}", "del-dbar-identity", cfg.n, 1, N, r, "", True))
+    rows = [_row(f"bk-residual-N{N}", "del-dbar-identity", cfg.n, 1, N, r, "", True)
+            for N, r in results]
     ok = fit["saturated"] or fit["slope"] <= slope_tol
     rows.append(_row("spectral-slope", "residual-decay-rate", cfg.n, 1, max(grid_ns),
                      fit["slope"], slope_tol, ok))
@@ -524,26 +526,20 @@ def run_convergence(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple:
 # ---------------------------------------------------------------------------
 
 def run(cfg: ExperimentConfig, out_dir) -> int:
+    _check_relations(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
-    plot_points = None
-    if cfg.operation == "identities":
-        rows = run_identities(cfg, rng)
-    elif cfg.operation == "positivity":
-        rows = run_positivity(cfg, rng)
-    elif cfg.operation == "solve":
+    if cfg.operation == "solve":
         rows = run_solve(cfg, rng, out_dir=out)
-    elif cfg.operation == "regularize":
-        rows = run_regularize(cfg, rng)
     elif cfg.operation == "convergence":
         rows, plot_points = run_convergence(cfg, rng)
-    else:  # pragma: no cover - parse_config already screens this
-        raise ValidationError(f"unknown operation {cfg.operation!r}")
-    write_csv(out / f"{cfg.operation}.csv", HEADER, rows)
-    if plot_points is not None:
         write_svg_plot(out / "convergence.svg", plot_points,
                        "identity residual vs resolution", "N", "residual")
+    else:
+        rows = {"identities": run_identities, "positivity": run_positivity,
+                "regularize": run_regularize}[cfg.operation](cfg, rng)
+    write_csv(out / f"{cfg.operation}.csv", HEADER, rows)
     failed = [row for row in rows if not row[-1]]
     for row in failed:
         print(f"FAIL {row[0]}: value {row[5]!r} vs threshold {row[6]!r}", file=sys.stderr)
@@ -569,7 +565,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if cfg.operation != args.command:
             raise ValidationError(
-                f"config operation {cfg.operation!r} does not match subcommand {args.command!r}"
+                f"field 'name' in [operation] is {cfg.operation!r}, not the subcommand "
+                f"{args.command!r}"
             )
         if args.seed is not None:
             cfg.seed = int(args.seed)

@@ -442,7 +442,8 @@ def verify_hormander(report: SolveReport, delta: float, p: int, tol: float = 0.0
         "passed": bool(report.u_norm2 <= limit),
         "slack": float(slack),
         "bound": bound,
-        "normalized_ratio": report.u_norm2 / (bound * report.f_norm2),
+        # a zero source has the zero solution, which meets the bound with no ratio
+        "normalized_ratio": report.u_norm2 / (bound * report.f_norm2) if report.f_norm2 else None,
     }
 
 

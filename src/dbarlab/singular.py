@@ -151,7 +151,6 @@ class CatalogMetric:
     delta_target: float = 1.0
     plateau_radius: float = 0.0
     smoothing: float = 0.0
-    notes: str = ""
 
 
 def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
@@ -165,7 +164,8 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     * "matrix_psh_dual" (r=2): dual of the Griffiths-negative F^H F + e^phi I
       built from holomorphic-section norms; smooth, positively curved, empty
       mask.
-    * "gaussian" (r=1): the a = 0 degenerate member (smooth, no mask).
+    * "gaussian" (r = param rank, default 1): the a = 0 degenerate member,
+      exp(-phi) times the r x r identity (smooth, no mask).
     """
     c = float(params.get("c", 1.0))
     budget = float(params.get("budget", 7.0))
@@ -180,8 +180,9 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     phi = apodized_quadratic_weight(grid, c, r0=r0, s=s).values.real
 
     if name == "gaussian":
-        h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
-        return CatalogMetric(name, h, (), c, r0, s, "smooth degenerate member, empty mask")
+        h = MetricField.from_weight(grid, np.exp(-phi), int(params.get("rank", 1)),
+                                    log_weight=phi)
+        return CatalogMetric(name, h, (), c, r0, s)
 
     if name == "log_pole":
         a = float(params.get("a", 0.5))
@@ -191,15 +192,12 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
         z0 = complex(grid.center + offset.real, grid.center + offset.imag)
         if a == 0.0:
             h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
-            return CatalogMetric(name, h, (), c, r0, s, "a = 0: smooth Gaussian weight")
+            return CatalogMetric(name, h, (), c, r0, s)
         lam = periodic_log_pole(grid, z0)
         w = np.exp(2.0 * a * lam - phi)
         h = MetricField.from_weight(grid, w, 1)
         h = _mask_nearest(h, (z0,))
-        return CatalogMetric(
-            name, h, (z0,), c, r0, s,
-            f"log-pole exponent a={a}: positively curved off the pole, det -> 0 at it",
-        )
+        return CatalogMetric(name, h, (z0,), c, r0, s)
 
     if name == "log_pole_pair":
         a1 = float(params.get("a1", 0.5))
@@ -214,10 +212,7 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
         w2 = np.exp(2.0 * a2 * lam2 - phi)
         h = MetricField.from_diagonal(grid, [w1, w2])
         h = _mask_nearest(h, (z1, z2))
-        return CatalogMetric(
-            name, h, (z1, z2), c, r0, s,
-            "diagonal pair of log-pole weights; det vanishes at both poles",
-        )
+        return CatalogMetric(name, h, (z1, z2), c, r0, s)
 
     if name == "matrix_psh_dual":
         # Griffiths-negative g = F^H F + e^phi I with F = [[1, w],[0, 1]] and w
@@ -233,10 +228,7 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
         g[..., 1, 1] = np.abs(w_entry) ** 2 + 1.0 + np.exp(phi)
         gm = MetricField(grid, 2, g)
         h = dual_metric(gm)
-        return CatalogMetric(
-            name, h, (), 0.0, r0, s,
-            "dual of a Griffiths-negative matrix metric with psh section norms; empty mask",
-        )
+        return CatalogMetric(name, h, (), 0.0, r0, s)
 
     raise ValidationError(f"unknown catalog metric {name!r}")
 
@@ -290,11 +282,9 @@ def _box_off_poles(grid: GridSpec, halfwidth: float, poles: tuple, clear: float)
     return region
 
 
-def monotone_region(
-    grid: GridSpec, cat: CatalogMetric, eps: float, pole_clear: float | None = None
-) -> np.ndarray:
+def monotone_region(grid: GridSpec, cat: CatalogMetric, eps: float) -> np.ndarray:
     """Points whose eps-ball stays in the dual's psh zone and off the pole cells."""
-    clear = (pole_clear if pole_clear is not None else eps) + 3.0 * grid.spacing
+    clear = eps + 3.0 * grid.spacing
     return _box_off_poles(grid, _psh_zone_halfwidth(cat) - eps, cat.poles, clear)
 
 
@@ -361,8 +351,6 @@ def regularized_solve(
     cat: CatalogMetric,
     schedule: MollifierSchedule,
     eps_required: float = 0.1,
-    interior_halfwidth: float | None = None,
-    solve_kwargs: dict | None = None,
     check_monotonicity: bool = True,
     strict: bool = True,
 ) -> tuple:
@@ -379,10 +367,6 @@ def regularized_solve(
     grid = h.grid
     if grid.n != 1:
         raise ValidationError("the regularized pipeline is a Riemann-surface (n=1) run")
-    solve_kwargs = dict(solve_kwargs or {})
-    # the pipeline's inequalities live at the few-percent level; a 1e-9
-    # relative solve keeps the deepest mollified weights inside the cap
-    solve_kwargs.setdefault("tol", 1e-9)
     f_norm_h = masked_norm2(f, h)
     if not np.isfinite(f_norm_h) or f_norm_h == 0.0:
         raise PreconditionError("source must have finite nonzero h-weighted norm")
@@ -390,10 +374,9 @@ def regularized_solve(
     g = dual_metric(h)
     radii = schedule.radii
     metrics, deltas, solves, us = [], [], [], []
-    if interior_halfwidth is None:
-        # the coarsest kernel's averaging ball must stay inside the certified
-        # zone, which at desk scale leaves about half the plateau radius
-        interior_halfwidth = 0.5 * cat.plateau_radius
+    # the coarsest kernel's averaging ball must stay inside the certified
+    # zone, which at desk scale leaves about half the plateau radius
+    interior_halfwidth = 0.5 * cat.plateau_radius
 
     for nu, eps in enumerate(radii, start=1):
         h_nu = dual_metric(mollify(g, eps))
@@ -414,7 +397,9 @@ def regularized_solve(
                 f"{delta_nu:.4f} < {cat.delta_target - eps_required:.4f}",
                 measured=float(delta_nu),
             )
-        u_nu, rep = solve_min_norm(f, h_nu, delta=float(delta_nu), **solve_kwargs)
+        # the pipeline's inequalities live at the few-percent level; a 1e-9
+        # relative solve keeps the deepest mollified weights inside the cap
+        u_nu, rep = solve_min_norm(f, h_nu, delta=float(delta_nu), tol=1e-9)
         us.append(u_nu)
         solves.append(rep)
 

@@ -227,3 +227,97 @@ def test_cli_rejects_bad_metric_number(tmp_path, capsys, op, field, value):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert f"{field!r}" in err or f"{field}=" in err
+
+
+@pytest.mark.parametrize("op, line, replacement, field", [
+    ("identities", "n = 1", "n = 3", "n"),
+    ("identities", "N = 16", "N = 12", "N"),
+    ("identities", "L = 8.0", "L = -1", "L"),
+    ("identities", "L = 8.0", "L = nan", "L"),
+    ("identities", "catalog = gaussian", "catalog = mystery", "catalog"),
+    ("convergence", "count = 5", "resolutions = 12,16,32", "resolutions"),
+])
+def test_cli_names_rejected_domain_or_list_value(tmp_path, capsys, op, line, replacement, field):
+    # each of these used to exit 1 with the grid's or the catalog's own
+    # message, which names no config field (resolutions named N)
+    text = BASE.replace("name = identities", f"name = {op}").replace(line, replacement)
+    cfg = write_config(tmp_path, text)
+    assert main([op, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{field!r}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("op, text, named", [
+    ("solve", BASE.replace("name = identities\ncount = 5", "name = solve\ncount = 1\nsweep = 1")
+     .replace("integrated = 1.0", "hormandr = 1e-7"), "'hormandr'"),
+    ("identities", BASE.replace("count = 5", "cuont = 0"), "'cuont'"),
+    ("identities", BASE.replace("integrated = 1.0", "algebriac = 1e-30"), "'algebriac'"),
+    ("identities", BASE.replace("[tolerances]", "[tolerance]"), "[tolerance]"),
+], ids=["hormandr", "cuont", "algebriac", "tolerance-section"])
+def test_cli_rejects_unknown_field_or_section(tmp_path, capsys, op, text, named):
+    # a misspelled key or section used to be ignored, so its default ran
+    cfg = write_config(tmp_path, text)
+    assert main([op, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_parse_config_accepts_a_known_field_the_operation_does_not_read(tmp_path):
+    text = BASE.replace("name = identities", "name = positivity\nsweep = 1,2")
+    cfg = parse_config(write_config(tmp_path, text))
+    assert (cfg.operation, cfg.count, cfg.sweep) == ("positivity", 5, (1.0, 2.0))
+
+
+def test_metric_gaussian_rank_two_honours_budget(tmp_path):
+    # the rank-2 gaussian used to ignore budget: r0 = 0.874 against 0.225
+    import dbarlab.cli as cli
+    from dbarlab.grid import GridSpec
+    from dbarlab.singular import singular_catalog
+
+    text = BASE.replace("c = 1.0\n", "c = 1.0\nrank = 2\nbudget = 3\n")
+    grid = GridSpec(1, 16, 8.0)
+    cat = cli._metric_for(parse_config(write_config(tmp_path, text)), grid)
+    rank_one = singular_catalog("gaussian", grid, c=1.0, budget=3.0)
+    assert cat.metric.rank == 2
+    assert cat.plateau_radius == rank_one.plateau_radius
+    assert np.array_equal(cat.metric.mat[..., 1, 1], rank_one.metric.mat[..., 0, 0])
+
+
+def test_cli_flat_gaussian_rank_two_runs(tmp_path):
+    # c = 0 at rank 2 used to exit 1 on a profile sized for c = 0; rank 1 ran
+    # the flat member, and so does rank 2 now
+    import dbarlab.cli as cli
+    from dbarlab.grid import GridSpec
+
+    text = BASE.replace("c = 1.0\n", "c = 0\nrank = 2\n")
+    cfg = write_config(tmp_path, text)
+    cat = cli._metric_for(parse_config(cfg), GridSpec(1, 16, 8.0))
+    assert np.array_equal(cat.metric.mat, np.broadcast_to(np.eye(2), cat.metric.mat.shape))
+    assert main(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_solve_seam_leakage_uses_seam_margin(tmp_path):
+    # seam_leakage used to be measured on the solver's default band of 0.125
+    # whatever the config said; the certified floors do not move with it here
+    text = BASE.replace("name = identities\ncount = 5", "name = solve\ncount = 1\nsweep = 1")
+    leaks, reports = [], []
+    for margin in ("0.125", "0.25"):
+        cfg = write_config(tmp_path, text.replace("L = 8.0", f"L = 8.0\nseam_margin = {margin}"))
+        out = tmp_path / f"o{margin}"
+        main(["solve", "--config", str(cfg), "--out", str(out)])
+        header, row = (out / "solve_reports.csv").read_text().splitlines()
+        leaks.append(float(row.split(",")[header.split(",").index("seam_leakage")]))
+        reports.append((out / "solve.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert leaks[1] > leaks[0]
+
+
+def test_cli_solve_zero_sampled_source_exits_without_traceback(tmp_path, capsys):
+    # a bump narrower than the grid spacing can sample to zero; the bound
+    # check used to divide by its zero norm
+    text = BASE.replace("name = identities\ncount = 5",
+                        "name = solve\ncount = 1\nsweep = 1\nsigma = 0.03125").replace(
+        "seed = 99", "seed = 7")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
