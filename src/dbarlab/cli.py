@@ -432,9 +432,10 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.cg, margin=cfg.seam_margin)
             check = verify_hormander(rep, delta, 1, tol=cfg.hormander)
-            # an unclaimable bound (no positive certified floor) is a failure
-            # of the configured check, not a silent skip
-            ok = bool(check["passed"]) and rep.residual <= cfg.solve_residual
+            # an unclaimable bound (no positive certified floor) or a source
+            # that samples to zero is a failure of the configured check, not a
+            # silent skip
+            ok = bool(check["passed"]) and rep.residual <= cfg.solve_residual and rep.f_norm2 > 0
             ratios.append(rep.ratio)
             value = rep.ratio if check["normalized_ratio"] is None else check["normalized_ratio"]
             rows.append(_row(f"hormander-bound-c{c:g}-{idx:02d}",
@@ -443,10 +444,11 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
             report_rows.append({"c": c, "source": idx, **rep.row()})
             last_solution = u
         mean_ratios.append(sum(ratios) / len(ratios))
+    # a zero mean ratio (every source of that entry sampled to zero) checks no step
     steps = list(zip(mean_ratios, mean_ratios[1:]))
     rows.append(_row("sweep-monotonicity", "bound-ratio-monotone-in-floor", 1, 1, grid.N,
-                     max((b / a for a, b in steps), default=0.0), 1.0,
-                     all(b <= a * (1 + 1e-9) for a, b in steps)))
+                     max((b / a if a > 0 else np.inf for a, b in steps), default=0.0), 1.0,
+                     all(a > 0 and b <= a * (1 + 1e-9) for a, b in steps)))
     if out_dir is not None and report_rows:
         keys = list(report_rows[0])
         write_csv(Path(out_dir) / "solve_reports.csv", keys,

@@ -12,19 +12,23 @@ The minimal-norm solve uses the normal equations T T* y = f.  Substituting
 z = h y turns them into A z = f with A = dbar (h^{-1} dbar^T z), which is
 symmetric positive semidefinite in the plain l2 inner product and, crucially,
 has its range inside the dbar-multiplier range: residuals never leave the
-solvable subspace, so conjugate gradients with a flat-symbol preconditioner
-converges without touching the cokernel.  The returned u = h^{-1} dbar^T z
-lies in Range(T*), hence is Gram-orthogonal to Ker(T) to machine precision
-regardless of how accurately the iteration converged.
+solvable subspace, so preconditioned conjugate gradients converges without
+touching the cokernel.  The returned u = h^{-1} dbar^T z lies in Range(T*),
+hence is Gram-orthogonal to Ker(T) to machine precision regardless of how
+accurately the iteration converged.
 
-CG keeps z, r and p as Fourier spectra.  With D the per-mode dbar symbol,
-A acts as D F[h^{-1} F^{-1}[D^H p]], the preconditioner is the cached
-per-mode pseudoinverse of D D^H, and the stopping norm needs r on the
-lattice: three transforms per iteration, all through grid's scipy.fft
-transform pair.  The stopping norm is taken in place, as one h-weighted sum
-over the inverse transform of r, and the per-mode products and h^{-1} are
-broadcast multiply-adds over the small contracted index.  The final u and
-its true residual go through the real-space dbar^T and dbar.
+CG keeps z, r and p as Fourier spectra.  With D the per-mode dbar symbol and
+D^+ = D^H (D D^H)^+ its cached per-mode pseudoinverse, A acts as
+D F[h^{-1} F^{-1}[D^H p]] and the preconditioner as D^+H F[h F^{-1}[D^+ r]]:
+the weight sits between the two pseudoinverses.  At n = 1 the symbol is a
+nonzero scalar off the four modes where it vanishes (zero and Nyquist), so
+the preconditioned operator is the identity up to a term of rank at most
+four per bundle component; at n = 2 it is a close approximation.  The stopping
+norm needs r on the lattice: five transforms per iteration, all through
+grid's scipy.fft transform pair.  The stopping norm is taken in place, as one
+h-weighted sum over the inverse transform of r, and the per-mode products,
+h and h^{-1} are broadcast multiply-adds over the small contracted index.
+The final u and its true residual go through the real-space dbar^T and dbar.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ def apply_Tstar(v: EForm, h1: HilbertStructure, h2: HilbertStructure) -> EForm:
 
 
 # ---------------------------------------------------------------------------
-# flat symbol machinery: range projection and preconditioner
+# symbol machinery: range projection and the preconditioner's pseudoinverse
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=16)
@@ -186,16 +190,17 @@ def _symbol_eig(grid: GridSpec, p: int) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _flat_pinv(grid: GridSpec, p: int) -> np.ndarray:
-    """Per-mode pseudoinverse P = V diag(1/lambda) V^H of B = D D^H.
+def _symbol_pinv(grid: GridSpec, p: int) -> np.ndarray:
+    """Per-mode pseudoinverse D^+ = D^H (D D^H)^+ of the dbar symbol.
 
-    Exact inverse of the constant-weight normal operator on its range; the
-    cokernel directions are projected out, which is safe because residuals of
-    the substituted system never leave the range.
+    (D D^H)^+ = V diag(1/lambda) V^H over the kept eigenvalues, so the
+    cokernel directions are dropped; that is safe because residuals of the
+    substituted system never leave the range.
     """
     vals, vecs, keep = _symbol_eig(grid, p)
     inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    return np.einsum("...jm,...m,...km->...jk", vecs, inv_vals, np.conj(vecs))
+    B_pinv = np.einsum("...jm,...m,...km->...jk", vecs, inv_vals, np.conj(vecs))
+    return np.conj(np.swapaxes(_flat_symbol(grid, p), -1, -2)) @ B_pinv
 
 
 def _per_mode(mat: np.ndarray, spec: np.ndarray) -> np.ndarray:
@@ -311,7 +316,8 @@ def solve_min_norm(
     hinv = h.inverse_mat()
     D = _flat_symbol(grid, p)
     DH = np.conj(np.swapaxes(D, -1, -2))
-    P = _flat_pinv(grid, p)
+    Dp = _symbol_pinv(grid, p)
+    DpH = np.conj(np.swapaxes(Dp, -1, -2))
 
     # CG runs on spectra of shape grid + (C(n,p), r); the dz slot of an
     # (n,p)-form is the single index (0..n-1) and is dropped
@@ -321,6 +327,12 @@ def solve_min_norm(
     def apply_A(spec: np.ndarray) -> np.ndarray:
         w = _gram(hinv, to_lattice(grid, _per_mode(DH, spec)))
         return _per_mode(D, to_spectrum(grid, w))
+
+    def precondition(spec: np.ndarray) -> np.ndarray:
+        # M = D^+H F[h F^-1[D^+ r]]: the weight sits between the two
+        # pseudoinverses; at n = 1 M is A^+ up to the four modes where D vanishes
+        w = _gram(hmat, to_lattice(grid, _per_mode(Dp, spec)))
+        return _per_mode(DpH, to_spectrum(grid, w))
 
     def h2_norm(spec: np.ndarray) -> float:
         return np.sqrt(max(_spectral_norm2(grid, hmat, spec), 0.0))
@@ -334,7 +346,7 @@ def solve_min_norm(
     f_hat = to_spectrum(grid, f.coeffs[..., 0, :, :])
     z = np.zeros_like(f_hat)
     r = f_hat.copy()
-    Mr = _per_mode(P, r)
+    Mr = precondition(r)
     rho = np.vdot(r, Mr).real
     pdir = Mr
     iterations = 0
@@ -363,7 +375,7 @@ def solve_min_norm(
         alpha = rho / pAp
         z += alpha * pdir
         r -= alpha * Ap
-        Mr = _per_mode(P, r)
+        Mr = precondition(r)
         rho_new = np.vdot(r, Mr).real
         beta = rho_new / rho
         rho = rho_new
@@ -386,7 +398,7 @@ def solve_min_norm(
             restarts += 1
             z = best_z.copy()
             r = f_hat - apply_A(z)
-            Mr = _per_mode(P, r)
+            Mr = precondition(r)
             rho = np.vdot(r, Mr).real
             pdir = Mr
             resid = h2_norm(r) / f_norm

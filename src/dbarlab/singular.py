@@ -371,12 +371,24 @@ def regularized_solve(
     if not np.isfinite(f_norm_h) or f_norm_h == 0.0:
         raise PreconditionError("source must have finite nonzero h-weighted norm")
 
-    g = dual_metric(h)
     radii = schedule.radii
-    metrics, deltas, solves, us = [], [], [], []
     # the coarsest kernel's averaging ball must stay inside the certified
-    # zone, which at desk scale leaves about half the plateau radius
+    # zone, which at desk scale leaves about half the plateau radius; the
+    # region only grows as the radius shrinks, so the first one decides
     interior_halfwidth = 0.5 * cat.plateau_radius
+    clear = schedule.eps0 + 3.0 * grid.spacing
+    if not _box_off_poles(grid, interior_halfwidth, cat.poles, clear).any():
+        offsets = ", ".join(f"({z.real - grid.center:g}, {z.imag - grid.center:g})"
+                            for z in cat.poles)
+        raise ValidationError(
+            f"no certified floor region: no grid point within r0/2 = {interior_halfwidth:g} "
+            f"of the box centre on each axis (r0={cat.plateau_radius:g}) lies farther than "
+            f"eps0 + 3 spacings = {clear:g} (eps0={schedule.eps0:g}) from a pole at "
+            f"offset_re, offset_im = {offsets}"
+        )
+
+    g = dual_metric(h)
+    metrics, deltas, solves, us = [], [], [], []
 
     for nu, eps in enumerate(radii, start=1):
         h_nu = dual_metric(mollify(g, eps))

@@ -2,11 +2,16 @@
 for the Fourier-space loop in ``dbarlab.hormander.solve_min_norm``.
 
 Every vector (z, r, p) lives on the lattice and every operator goes through
-the package's real-space ``dbar`` and ``dbar_transpose``; the flat-symbol
-preconditioner transforms forward and back on each application.  It runs no
-preconditions and no seam or bound bookkeeping: it is the bare iteration, so
-that agreement with the fast path checks the spectral operators, the cached
-per-mode preconditioner and the rescaled inner products.
+the package's real-space ``dbar`` and ``dbar_transpose``.  The weighted
+preconditioner M = D^+H h D^+ is built the same way: D^+ = dbar^T B^+ and
+D^+H = B^+ dbar, with B^+ the flat-symbol pseudoinverse of B = D D^H applied
+through its own forward and back transform.  It runs no preconditions and no
+seam or bound bookkeeping: it is the bare iteration, so that agreement with
+the fast path checks the spectral operators, the cached per-mode
+pseudoinverse and the rescaled inner products.
+
+``flat_reference_min_norm`` runs the same iteration preconditioned by B^+
+alone, the yardstick for the weighted preconditioner's iteration counts.
 """
 
 from __future__ import annotations
@@ -36,7 +41,26 @@ def flat_pinv_apply(grid, p, coeffs):
 
 
 def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
-    """Minimal-norm u with dbar u = f by real-space CG; returns (u, iterations)."""
+    """Minimal-norm u with dbar u = f by real-space CG preconditioned with
+    D^+H h D^+; returns (u, iterations)."""
+    grid = f.grid
+    n = grid.n
+    p = f.q
+
+    def weighted_pinv_apply(r):
+        w = dbar_transpose(EForm(grid, f.rank, n, p, flat_pinv_apply(grid, p, r)))
+        w.coeffs = np.einsum("...ab,...ijb->...ija", h.mat, w.coeffs)
+        return flat_pinv_apply(grid, p, dbar(w).coeffs)
+
+    return _reference_cg(f, h, weighted_pinv_apply, tol, maxiter_factor)
+
+
+def flat_reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
+    """The same real-space CG preconditioned with the flat B^+ alone."""
+    return _reference_cg(f, h, lambda r: flat_pinv_apply(f.grid, f.q, r), tol, maxiter_factor)
+
+
+def _reference_cg(f, h, precondition, tol, maxiter_factor):
     grid = f.grid
     n = grid.n
     p = f.q
@@ -56,7 +80,7 @@ def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
 
     z = np.zeros_like(f.coeffs)
     r = f.coeffs.copy()
-    Mr = flat_pinv_apply(grid, p, r)
+    Mr = precondition(r)
     rho = np.vdot(r, Mr).real
     pdir = Mr.copy()
     iterations = 0
@@ -74,7 +98,7 @@ def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
         alpha = rho / pAp
         z += alpha * pdir
         r -= alpha * Ap
-        Mr = flat_pinv_apply(grid, p, r)
+        Mr = precondition(r)
         rho_new = np.vdot(r, Mr).real
         beta = rho_new / rho
         rho = rho_new
@@ -90,7 +114,7 @@ def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
             restarts += 1
             z = best_z.copy()
             r = f.coeffs - apply_A(z)
-            Mr = flat_pinv_apply(grid, p, r)
+            Mr = precondition(r)
             rho = np.vdot(r, Mr).real
             pdir = Mr.copy()
             resid = h2_norm(r) / f_norm

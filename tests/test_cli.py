@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -321,3 +324,33 @@ def test_cli_solve_zero_sampled_source_exits_without_traceback(tmp_path, capsys)
     cfg = write_config(tmp_path, text)
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) in (0, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["1", "1,2"])
+def test_cli_solve_zero_sampled_source_fails_its_bound_row(tmp_path, capsys, sweep):
+    # the zero source meets its bound vacuously; the row must fail, not pass
+    # with value 0, and a sweep whose mean ratio is 0 must not divide by it
+    text = BASE.replace("name = identities\ncount = 5",
+                        f"name = solve\ncount = 1\nsweep = {sweep}\nsigma = 0.03125").replace(
+        "seed = 99", "seed = 7")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "o" / "solve.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["check"]: row for row in csv.DictReader(fh)}
+    assert float(rows["hormander-bound-c1-00"]["value"]) == 0.0
+    assert rows["hormander-bound-c1-00"]["passed"] == "0"
+
+
+def test_cli_regularize_without_certified_region_names_the_fields(tmp_path, capsys):
+    # at N = 32 every point of the half-r0 box lies within eps0 + 3 spacings
+    # of the pole, so no curvature floor can be certified at the first radius
+    shipped = Path(__file__).resolve().parent.parent / "perfbench" / "configs"
+    text = (shipped / "regularize-n1.cfg").read_text(encoding="utf-8")
+    text = text.replace("N = 64", "N = 32").replace("nu_max = 8", "nu_max = 3")
+    cfg = write_config(tmp_path, text)
+    assert main(["regularize", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for field in ("eps0", "offset_re", "offset_im", "r0"):
+        assert field in err
