@@ -79,7 +79,7 @@ def _density(form: EForm) -> np.ndarray:
 
 def check_support(alpha: EForm, h: MetricField, margin: float, tol: float = SUPPORT_TOL):
     """Compact-support proxy: h-mass fraction of alpha in the seam margin."""
-    leak = seam_leakage(norm_sq(alpha, h).values.real, alpha.grid, margin)
+    leak = seam_leakage(norm_sq(alpha, h), alpha.grid, margin)
     if leak > tol:
         raise SupportError(
             f"form carries {leak:.3e} of its mass in the seam margin (budget {tol:.1e})",
@@ -112,13 +112,11 @@ def _bk_terms(alpha: EForm, h: MetricField, theta: CurvatureField | None) -> dic
     terms = {"curvature": ic * _density(wedge(pairing(theta_gamma, gamma, h), om_p1))}
     del theta_gamma
     terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
-    terms["dbar_gamma_sq"] = norm_sq(dbar(gamma), h).values.real
-    terms["dbar_alpha_sq"] = (
-        np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h).values.real
-    )
+    terms["dbar_gamma_sq"] = norm_sq(dbar(gamma), h)
+    terms["dbar_alpha_sq"] = np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
 
     dpg = dprime(gamma, h)
-    terms["adjoint_sq"] = norm_sq(adjoint_from_dprime(dpg, om_p1), h).values.real
+    terms["adjoint_sq"] = norm_sq(adjoint_from_dprime(dpg, om_p1), h)
     dbar_dpg = dbar(dpg)
     del dpg
     terms["cross_minus"] = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
@@ -253,9 +251,9 @@ def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:
     if h is None:
         h = MetricField.identity(xi.grid, xi.rank)
     lhs = 1j * c_const(n - 1) * (-1) ** n * _density(pairing(xi, xi, h))
-    rhs = norm_sq(xi, h).values.real.copy()
+    rhs = norm_sq(xi, h)
     if n >= 2:
-        rhs -= norm_sq(wedge(xi, omega(xi.grid)), h).values.real
+        rhs -= norm_sq(wedge(xi, omega(xi.grid)), h)
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
 
@@ -280,10 +278,10 @@ def basic_estimate(
         raise FormError(f"estimate requires an (n,p)-form with p >= 1, got ({alpha.p},{alpha.q})")
     if enforce_support:
         check_support(alpha, h, margin, support_tol)
-    lhs = integrate_density(norm_sq(alpha, h).values.real, alpha.grid)
-    rhs = integrate_density(norm_sq(dbar_star_formal(alpha, h), h).values.real, alpha.grid)
+    lhs = integrate_density(norm_sq(alpha, h), alpha.grid)
+    rhs = integrate_density(norm_sq(dbar_star_formal(alpha, h), h), alpha.grid)
     if p < n:
-        rhs += integrate_density(norm_sq(dbar(alpha), h).values.real, alpha.grid)
+        rhs += integrate_density(norm_sq(dbar(alpha), h), alpha.grid)
     return {
         "lhs": lhs,
         "rhs": rhs,

@@ -39,7 +39,7 @@ from .positivity import (
     griffiths_report,
     nakano_report,
 )
-from .singular import MollifierSchedule, regularized_solve, singular_catalog
+from .singular import FIXED_RANK, MollifierSchedule, regularized_solve, singular_catalog
 from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump
 
 OPERATIONS = ("identities", "positivity", "solve", "regularize", "convergence")
@@ -117,7 +117,8 @@ FIELDS = (
     Field("random", "seed", int, "[0, inf)", 20260808, "PCG64 takes a non-negative seed"),
     Field("metric", "catalog", str, "{gaussian, log_pole, log_pole_pair, matrix_psh_dual}",
           "gaussian", "the metrics singular_catalog builds"),
-    Field("metric", "rank", int, "[1, inf)", 1, "rank of the gaussian bundle and algebraic rows"),
+    Field("metric", "rank", int, "[1, inf)", lambda v: FIXED_RANK.get(v["catalog"], 1),
+          "rank of the bundle and the algebraic rows; the catalog fixes all but the gaussian's"),
     Field("metric", "c", _finite, ANY, 1.0, "any weight strength; 0 is the flat member"),
     Field("metric", "budget", _finite, POSITIVE, 7.0, "exponent range; sets r0 when r0 is unset"),
     Field("metric", "r0", _finite, POSITIVE, None, "a plateau radius is a positive length"),
@@ -214,6 +215,9 @@ def _check_relations(cfg: ExperimentConfig) -> None:
             f"{BUMP_SUPPORT_RADIUS:g}*sigma must fit in half the box side, "
             f"got spread={cfg.spread:g}, sigma={cfg.sigma:g}, L={cfg.L:g}"
         )
+    if FIXED_RANK.get(cfg.catalog, cfg.rank) != cfg.rank:
+        raise ValidationError(f"field 'rank' in [metric] must be {FIXED_RANK[cfg.catalog]} "
+                              f"for catalog={cfg.catalog}, got rank={cfg.rank}")
     if cfg.operation == "regularize" and not cfg.eps0 < 0.5 * cfg.L:
         raise ValidationError(
             f"field 'eps0' in [operation] must be below half the box side (a kernel "
@@ -261,6 +265,8 @@ HEADER = ["check", "verifies", "n", "p", "N", "value", "threshold", "passed"]
 
 
 def _row(check, verifies, n, p, N, value, threshold, passed):
+    # a row with no threshold reports its value, and fails only on a non-finite one
+    passed = passed and (threshold != "" or math.isfinite(value))
     return [check, verifies, n, p, N, value, threshold, int(bool(passed))]
 
 
@@ -311,9 +317,9 @@ def _algebraic_sample(grid: GridSpec, h: MetricField, p: int, rng) -> tuple:
     gam = hodge_star(alpha)
     scale = max(np.abs(alpha.coeffs).max(), 1e-300)
     rec_err = np.abs(wedge(gam, omega_power(grid, p)).coeffs - alpha.coeffs).max() / scale
-    nsq_a = norm_sq(alpha, h).values.real
+    nsq_a = norm_sq(alpha, h)
     del alpha
-    norm_err = np.abs(nsq_a - norm_sq(gam, h).values.real).max() / max(nsq_a.max(), 1e-300)
+    norm_err = np.abs(nsq_a - norm_sq(gam, h)).max() / max(nsq_a.max(), 1e-300)
     del gam, nsq_a
     gamma1 = random_form(grid, rank, n - 1, 0, rng)
     nak_err = check_nakano_pointwise_identity(

@@ -321,8 +321,8 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
     return out
 
 
-def norm_sq(a: EForm, h: MetricField) -> ScalarField:
-    """Pointwise squared norm sum_IJ ||a_IJ||_h^2 in the orthonormal frame."""
+def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
+    """Pointwise squared norm sum_IJ ||a_IJ||_h^2 in the orthonormal frame, a real density."""
     if h.grid != a.grid or h.rank != a.rank:
         raise FormError("metric does not match the form")
     total = np.zeros(a.grid.shape, dtype=np.float64)
@@ -330,7 +330,7 @@ def norm_sq(a: EForm, h: MetricField) -> ScalarField:
         for J in a.dzbar_slots():
             c = a.slot(I, J)
             total += vector_inner(h.mat, c, c).real
-    return ScalarField(a.grid, total)
+    return total
 
 
 def inner_product(a: EForm, b: EForm, h: MetricField) -> ScalarField:

@@ -79,7 +79,7 @@ class HilbertStructure:
         return integrate(inner_product(a, b, self.metric))
 
     def norm2(self, a: EForm) -> float:
-        return float(integrate(norm_sq(a, self.metric)).real)
+        return float(norm_sq(a, self.metric).sum() * self.grid.cell_volume)
 
     def gram_apply(self, a: EForm) -> EForm:
         out = a.copy()
@@ -221,13 +221,15 @@ def _range_component(grid: GridSpec, p: int, spec: np.ndarray) -> np.ndarray:
     return _per_mode(vecs, np.where(keep[..., None], comp, 0.0))
 
 
+def _range_defect(grid: GridSpec, p: int, spec: np.ndarray) -> float:
+    """Relative l2 mass outside the range of dbar of an (n,p) spectrum, grid + (C(n,p), r)."""
+    lost = np.linalg.norm(spec - _range_component(grid, p, spec))
+    return float(lost / max(np.linalg.norm(spec), 1e-300))
+
+
 def range_projection_defect(f: EForm) -> float:
-    """Relative l2 mass of f outside the exact discrete range of dbar."""
-    spec = to_spectrum(f.grid, f.coeffs)
-    kept = _range_component(f.grid, f.q, spec[..., 0, :, :])
-    total = np.linalg.norm(spec)
-    lost = np.linalg.norm(spec[..., 0, :, :] - kept)
-    return float(lost / max(total, 1e-300))
+    """Relative l2 mass of the (n,p)-form f outside the exact discrete range of dbar."""
+    return _range_defect(f.grid, f.q, to_spectrum(f.grid, f.coeffs)[..., 0, :, :])
 
 
 def project_to_range(f: EForm) -> EForm:
@@ -258,8 +260,8 @@ def closedness_defect(f: EForm, h: MetricField) -> float:
     """
     if f.q == f.grid.n:
         return 0.0
-    num = integrate(norm_sq(dbar(f), h)).real
-    den = integrate(norm_sq(f, h)).real
+    num = norm_sq(dbar(f), h).sum()
+    den = norm_sq(f, h).sum()
     return float(np.sqrt(num / max(den, 1e-300))) * f.grid.L / (2 * np.pi)
 
 
@@ -304,7 +306,10 @@ def solve_min_norm(
         raise PreconditionError(
             f"source is not dbar-closed: relative defect {closed:.3e}", measured=closed
         )
-    range_defect = range_projection_defect(f)
+    # CG runs on spectra of shape grid + (C(n,p), r); the dz slot of an
+    # (n,p)-form is the single index (0..n-1) and is dropped
+    f_hat = to_spectrum(grid, f.coeffs[..., 0, :, :])
+    range_defect = _range_defect(grid, p, f_hat)
     if range_defect > range_tol:
         raise PreconditionError(
             f"source lies outside the discrete range of dbar by {range_defect:.3e} "
@@ -319,8 +324,6 @@ def solve_min_norm(
     Dp = _symbol_pinv(grid, p)
     DpH = np.conj(np.swapaxes(Dp, -1, -2))
 
-    # CG runs on spectra of shape grid + (C(n,p), r); the dz slot of an
-    # (n,p)-form is the single index (0..n-1) and is dropped
     def to_form(spec: np.ndarray) -> EForm:
         return EForm(grid, f.rank, n, p, to_lattice(grid, spec)[..., None, :, :])
 
@@ -343,7 +346,6 @@ def solve_min_norm(
 
     # Parseval scales rho and pAp by the same factor, so alpha and beta are
     # those of the real-space iteration
-    f_hat = to_spectrum(grid, f.coeffs[..., 0, :, :])
     z = np.zeros_like(f_hat)
     r = f_hat.copy()
     Mr = precondition(r)
@@ -412,7 +414,7 @@ def solve_min_norm(
     true_resid_form.coeffs -= f.coeffs
     residual = np.sqrt(max(H2.norm2(true_resid_form), 0.0)) / f_norm
     u_norm2 = H1.norm2(u)
-    leak = seam_leakage(norm_sq(u, h).values.real, grid, margin)
+    leak = seam_leakage(norm_sq(u, h), grid, margin)
     bound = _bound(delta, p)
     report = SolveReport(
         u_norm2=u_norm2,

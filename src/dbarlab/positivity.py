@@ -263,7 +263,7 @@ def check_basic_inequality(
         raise PreconditionError(f"inequality requires an (n-p,0)-form, got ({gamma.p},{gamma.q})")
     top = wedge(pairing(curvature_wedge(theta, gamma), gamma, h), omega_power(gamma.grid, p - 1))
     lhs = (1j * c_const(n - p) * dv_density(top).values).real
-    rhs = delta * p * norm_sq(gamma, h).values.real
+    rhs = delta * p * norm_sq(gamma, h)
     slack = lhs - rhs
     return {
         "min_slack": float(slack.min()),

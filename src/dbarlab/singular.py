@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CurvatureFloorError, PreconditionError, ValidationError
 from .exterior import EForm, norm_sq
-from .grid import GridSpec, ScalarField, box_mask, convolve, integrate, to_lattice, to_spectrum
+from .grid import GridSpec, ScalarField, box_mask, convolve, to_lattice, to_spectrum
 from .hermitian import MetricField, curvature, dual_metric
 from .hormander import solve_min_norm
 from .positivity import nakano_delta
@@ -153,6 +153,10 @@ class CatalogMetric:
     smoothing: float = 0.0
 
 
+# the rank each catalog entry fixes; the gaussian takes its rank as a parameter
+FIXED_RANK = {"log_pole": 1, "log_pole_pair": 2, "matrix_psh_dual": 2}
+
+
 def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     """Built-in singular metrics, each documented with singular set and sign.
 
@@ -246,7 +250,7 @@ def _mask_nearest(h: MetricField, poles: tuple) -> MetricField:
 
 def masked_norm2(f: EForm, h: MetricField) -> float:
     """h-weighted squared norm with masked cells excluded from the quadrature."""
-    dens = norm_sq(f, h).values.real
+    dens = norm_sq(f, h)
     if h.mask is not None:
         dens = np.where(h.mask, 0.0, dens)
     return float(dens.sum() * f.grid.cell_volume)
@@ -305,10 +309,14 @@ def check_monotone(
     if side not in ("dual", "primal"):
         raise ValidationError("side must be 'dual' or 'primal'")
     g = dual_metric(cat.metric) if side == "dual" else cat.metric
-    grid = g.grid
-    report = MonotoneReport(side=side)
     radii = schedule.radii
-    mollified = [mollify(g, eps) for eps in radii]
+    return _monotone_report(cat, radii, [mollify(g, eps) for eps in radii], side)
+
+
+def _monotone_report(cat: CatalogMetric, radii: tuple, mollified: list, side: str):
+    """check_monotone's pairwise ordering over an already mollified family, one per radius."""
+    grid = cat.metric.grid
+    report = MonotoneReport(side=side)
     for idx in range(len(radii) - 1):
         eps_coarse = radii[idx]
         region = monotone_region(grid, cat, eps_coarse)
@@ -388,10 +396,11 @@ def regularized_solve(
         )
 
     g = dual_metric(h)
-    metrics, deltas, solves, us = [], [], [], []
+    mollified, metrics, deltas, solves, us = [], [], [], [], []
 
     for nu, eps in enumerate(radii, start=1):
-        h_nu = dual_metric(mollify(g, eps))
+        mollified.append(mollify(g, eps))
+        h_nu = dual_metric(mollified[-1])
         if h.rank == 1:
             # rank one: curvature through the exponent -log h_nu, which tames
             # the mollified spike's dynamic range in the spectral derivatives
@@ -423,7 +432,7 @@ def regularized_solve(
     for nu0 in range(1, len(radii) + 1):
         h0 = metrics[nu0 - 1]
         for nu in range(nu0, len(radii) + 1):
-            val = float(integrate(norm_sq(us[nu - 1], h0)).real)
+            val = masked_norm2(us[nu - 1], h0)
             bound_matrix[(nu0, nu)] = val
             ok = val <= bound_limit * (1.0 + 1e-9)
             if not ok and (worst is None or val > bound_matrix.get(worst, -np.inf)):
@@ -435,10 +444,11 @@ def regularized_solve(
     for nu in range(2, len(radii) + 1):
         diff = us[nu - 1].coeffs - us[nu - 2].coeffs
         dform = EForm(grid, f.rank, f.p, f.q - 1, diff)
-        cauchy.append(float(np.sqrt(integrate(norm_sq(dform, h_coarsest)).real)))
+        cauchy.append(float(np.sqrt(masked_norm2(dform, h_coarsest))))
 
     final_ratio = masked_norm2(us[-1], h) / f_norm_h
-    monotone = check_monotone(cat, schedule, "dual") if check_monotonicity else None
+    # the dual family the solves ran on is the one check_monotone would build
+    monotone = _monotone_report(cat, radii, mollified, "dual") if check_monotonicity else None
     report = RegularizationReport(
         eps_values=radii,
         delta_values=deltas,

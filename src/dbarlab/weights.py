@@ -17,6 +17,10 @@ Inside the box where every axis offset satisfies |t| <= r0 the weight is
 exactly exp(-c|z - z_c|^2); all curvature claims are made on that region.
 The saturation keeps the weight's dynamic range bounded, with the exponent
 budget split evenly across the 2n real axes.
+
+The tail is a 128-panel Gauss-Legendre integral on a rule built once.  With
+t = r0 + u its saturation value is exactly r0^2 + 2 A r0 + B, A and B fixed
+integrals of the ramp (_saturation_law), so the default r0 is a closed-form root.
 """
 
 from __future__ import annotations
@@ -60,16 +64,26 @@ def _reach(r0: float, s: float) -> tuple:
     return tm, tm + RAMP_REACH * s
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple:
+    """The 10-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(10)
+
+
+def _panels(lo: float, hi: float) -> tuple:
+    """(x, w): nodes and weights of the 128-panel Gauss-Legendre rule on [lo, hi]."""
+    nodes, gl_weights = _gauss_legendre()
+    edges = np.linspace(lo, hi, 129)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * nodes[None, :], half[:, None] * gl_weights[None, :]
+
+
 def _profile_value(r0: float, upper: float, s: float) -> float:
     """r0^2 plus the 128-panel Gauss-Legendre integral of m'(t) = 2 t ramp(t) on [r0, upper]."""
     tm, _ = _reach(r0, s)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(10)
-    edges = np.linspace(r0, upper, 129)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    integrand = 2.0 * x * _ramp_down(x, tm, s)
-    return r0 * r0 + float(np.sum(half[:, None] * gl_weights[None, :] * integrand))
+    x, w = _panels(r0, upper)
+    return r0 * r0 + float(np.sum(w * (2.0 * x * _ramp_down(x, tm, s))))
 
 
 @lru_cache(maxsize=64)
@@ -106,9 +120,11 @@ def _axis_profile(grid: GridSpec, r0: float, s: float, center: float) -> np.ndar
     return vals[idx]
 
 
-def _saturation_value(r0: float, s: float) -> float:
-    """Limit value of the saturating profile: r0^2 plus the ramp's mass."""
-    return _profile_value(r0, _reach(r0, s)[1], s)
+def _saturation_law(s: float) -> tuple:
+    """(A, B), the integrals of ramp(u) and 2 u ramp(u) on [0, r1 - r0], the same for all r0."""
+    u, w = _panels(0.0, (CORE_REACH + RAMP_REACH) * s)
+    mass = w * _ramp_down(u, CORE_REACH * s, s)
+    return float(np.sum(mass)), float(np.sum(2.0 * u * mass))
 
 
 def default_smoothing_scale(grid: GridSpec, c: float = 1.0) -> float:
@@ -120,31 +136,28 @@ def default_plateau_radius(grid: GridSpec, c: float = 1.0, budget: float = 7.0) 
     """Quadratic-zone radius r0 keeping the weight's exponent range near budget.
 
     The separable exponent is c * sum over 2n axes of m(t); each axis
-    saturates at _saturation_value(r0, s), so r0 is solved by bisection.
-    Larger c gets a smaller exactly-quadratic zone instead of a deeper well.
+    saturates at r0^2 + 2 A r0 + B (_saturation_law), so r0 is that
+    quadratic's positive root.  Larger c gets a smaller exactly-quadratic
+    zone instead of a deeper well.
     """
     if c <= 0:
         # a flat weight has no well to budget; any plateau radius works
         return 0.25 * grid.L
     s = default_smoothing_scale(grid, c)
     target = budget / (2.0 * grid.n * c)
+    A, B = _saturation_law(s)
     lo = 1e-3
-    if _saturation_value(lo, s) > target:
+    if lo * lo + 2.0 * A * lo + B > target:
         raise ValidationError(
             f"weight too deep for the box: budget {budget} unreachable at c={c}, L={grid.L}"
         )
     hi = 0.5 * grid.L - (CORE_REACH + RAMP_REACH) * s - 1e-9
     if hi <= lo:
         raise ValidationError(f"box too small for the apodization ramp: L={grid.L}")
-    if _saturation_value(hi, s) < target:
+    if hi * hi + 2.0 * A * hi + B < target:
         return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _saturation_value(mid, s) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # target > B here, and this form of the root does not cancel
+    return (target - B) / (A + (A * A - B + target) ** 0.5)
 
 
 def apodized_quadratic_weight(

@@ -354,3 +354,41 @@ def test_cli_regularize_without_certified_region_names_the_fields(tmp_path, caps
     assert "Traceback" not in err
     for field in ("eps0", "offset_re", "offset_im", "r0"):
         assert field in err
+
+
+def test_cli_rank_that_the_catalog_does_not_fix_exits_one(tmp_path, capsys):
+    # log_pole is rank 1; rank = 3 used to run the algebraic rows at rank 3
+    # and the Bochner-Kodaira rows at rank 1 without a word
+    text = BASE.replace("catalog = gaussian\n", "catalog = log_pole\nrank = 3\n")
+    cfg = write_config(tmp_path, text)
+    assert main(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'rank'" in err and "catalog=log_pole" in err and "Traceback" not in err
+
+
+def test_rank_defaults_to_the_catalog_rank(tmp_path):
+    text = BASE.replace("catalog = gaussian\n", "catalog = log_pole_pair\n")
+    assert parse_config(write_config(tmp_path, text)).rank == 2
+    assert parse_config(write_config(tmp_path, BASE, "gaussian.cfg")).rank == 1
+
+
+def test_cli_nan_in_an_informational_row_fails_it(tmp_path, capsys, monkeypatch):
+    # nakano-floor has no threshold; a NaN floor used to read as a pass
+    import dbarlab.cli as cli
+
+    real_nakano_report = cli.nakano_report
+
+    def nan_floor(*args, **kwargs):
+        _floor, *rest = real_nakano_report(*args, **kwargs)
+        return (float("nan"), *rest)
+
+    monkeypatch.setattr(cli, "nakano_report", nan_floor)
+    text = BASE.replace("name = identities\ncount = 5", "name = positivity")
+    cfg = write_config(tmp_path, text)
+    assert main(["positivity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "FAIL nakano-floor" in err and "Traceback" not in err
+    with open(tmp_path / "o" / "positivity.csv", newline="") as handle:
+        rows = {row["check"]: row for row in csv.DictReader(handle)}
+    assert rows["nakano-floor"]["threshold"] == "" and rows["nakano-floor"]["passed"] == "0"
+    assert rows["griffiths-floor"]["passed"] == "1"

@@ -268,9 +268,8 @@ def test_masked_norm_excludes_cells():
     cat = singular_catalog("log_pole", g, a=0.5)
     f = EForm.zeros(g, 1, 1, 1)
     f.coeffs[..., 0, 0, 0] = 1.0
-    full = integrate(
-        __import__("dbarlab.exterior", fromlist=["norm_sq"]).norm_sq(f, cat.metric)
-    ).real
+    dens = __import__("dbarlab.exterior", fromlist=["norm_sq"]).norm_sq(f, cat.metric)
+    full = dens.sum() * g.cell_volume
     masked = masked_norm2(f, cat.metric)
     assert masked < full
 
@@ -357,3 +356,42 @@ def test_shipped_regularize_config_takes_few_iterations_per_radius(tmp_path, mon
     (rep,) = reports
     assert len(rep.solve_reports) == len(rep.eps_values) == 8
     assert max(solve.iterations for solve in rep.solve_reports) <= 10
+
+
+def test_shipped_regularize_config_builds_each_piece_once(tmp_path, monkeypatch):
+    # the quadrature rule is built once per process (the plateau radius used
+    # to bisect through 62 rebuilds of it), and the monotone check reads the
+    # family the solves ran on instead of mollifying every radius again
+    from dbarlab import singular, weights
+
+    calls = {"leggauss": 0, "mollify": 0, "dual_metric": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    runs = []
+
+    def recording(*args, **kwargs):
+        u, rep = regularized_solve(*args, **kwargs)
+        runs.append((args, rep))
+        return u, rep
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        counted("leggauss", np.polynomial.legendre.leggauss))
+    monkeypatch.setattr(singular, "mollify", counted("mollify", mollify))
+    monkeypatch.setattr(singular, "dual_metric", counted("dual_metric", dual_metric))
+    monkeypatch.setattr(cli, "regularized_solve", recording)
+    weights._gauss_legendre.cache_clear()
+    weights.saturating_square_profile.cache_clear()
+    config = Path(__file__).resolve().parent.parent / "configs" / "regularize.cfg"
+    assert cli.main(["regularize", "--config", str(config), "--out", str(tmp_path)]) == 0
+    (((_f, cat, schedule), rep),) = runs
+    assert schedule.nu_max == 8
+    assert calls["leggauss"] == 1
+    assert calls["mollify"] == schedule.nu_max
+    assert calls["dual_metric"] <= 1 + schedule.nu_max
+    assert check_monotone(cat, schedule, "dual") == rep.monotone
+    assert rep.monotone.pair_defects

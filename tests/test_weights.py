@@ -1,10 +1,18 @@
+import itertools
+
 import numpy as np
+import plateau_reference
 import pytest
 import spectral_reference as ref
 
 from dbarlab.errors import ValidationError
 from dbarlab.grid import GridSpec
-from dbarlab.weights import gaussian_metric, random_band_limited, saturating_square_profile
+from dbarlab.weights import (
+    default_plateau_radius,
+    gaussian_metric,
+    random_band_limited,
+    saturating_square_profile,
+)
 
 
 @pytest.mark.parametrize("n, N, kmax_frac, real", [
@@ -37,3 +45,35 @@ def test_profile_at_half_box_accepted():
     # the shipped configs saturate exactly at L/2: 1.0 + (4.5 + 5.5) * 0.30
     _, vals = saturating_square_profile(64, 8.0, 1.0, 0.30)
     assert np.isfinite(vals).all()
+
+
+def _radius_or_error(fn, grid, c, budget):
+    try:
+        return fn(grid, c, budget)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_closed_form_plateau_radius_matches_bisection():
+    # the saturation value is a quadratic in r0, so its root replaces the
+    # 60-step bisection; the sweep covers the cap at hi and both rejections
+    # (c = 64 at L = 4 is too deep, c = 0.05 leaves no room for the ramp)
+    solved = capped = 0
+    raised = set()
+    for n, N, L, c, budget in itertools.product(
+        (1, 2), (16, 64), (4.0, 8.0, 12.5), (0.05, 0.25, 1.0, 2.0, 8.0, 64.0), (1.0, 7.0, 40.0)
+    ):
+        grid = GridSpec(n, N, L)
+        fast = _radius_or_error(default_plateau_radius, grid, c, budget)
+        slow = _radius_or_error(plateau_reference.plateau_radius, grid, c, budget)
+        if isinstance(slow, str):
+            assert fast == slow, (n, N, L, c, budget)
+            raised.add(slow.split(":")[0].split(" for ")[0])
+            continue
+        assert isinstance(fast, float), (n, N, L, c, budget, fast)
+        assert abs(fast - slow) <= 1e-13 * slow, (n, N, L, c, budget, fast, slow)
+        hi = 0.5 * L - 10.0 * (0.0275 * L / c ** 0.25) - 1e-9
+        capped += fast == hi
+        solved += fast != hi
+    assert solved > 50 and capped > 0
+    assert raised == {"weight too deep", "box too small"}
