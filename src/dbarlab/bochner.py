@@ -15,11 +15,13 @@ dV; the residual is the max pointwise mismatch over the requested region.
 Both forms of the identity are read off one term pass that builds every
 density once.  The pass computes the connection term D'gamma once and reuses
 it for the adjoint, since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports
-returns the pointwise and integrated reports of a single pass.
+returns the pointwise and integrated reports of a single pass.  The curvature
+is always that of h, and the compact-support proxy of the "stein" mode
+(check_support) holds the seam-margin mass to SUPPORT_TOL.
 
 Memory: the pass keeps a full-grid field only until its last use.  The
-curvature density comes first, so a curvature field the pass computes itself
-is gone before the connection terms; D'gamma goes once dbar D'gamma exists.
+curvature density comes first, so the curvature field the pass computes is
+gone before the connection terms; D'gamma goes once dbar D'gamma exists.
 omega_{p-1} is a read-only broadcast of one constant block (omega_power), so
 it costs no full-grid array.  Only gamma and the finished densities live for
 the whole pass.
@@ -45,7 +47,6 @@ from .exterior import (
 )
 from .grid import interior_mask, seam_leakage
 from .hermitian import (
-    CurvatureField,
     MetricField,
     adjoint_from_dprime,
     curvature,
@@ -77,12 +78,12 @@ def _density(form: EForm) -> np.ndarray:
     return dv_density(form).values
 
 
-def check_support(alpha: EForm, h: MetricField, margin: float, tol: float = SUPPORT_TOL):
-    """Compact-support proxy: h-mass fraction of alpha in the seam margin."""
+def check_support(alpha: EForm, h: MetricField, margin: float):
+    """Compact-support proxy: h-mass fraction of alpha in the seam margin, at most SUPPORT_TOL."""
     leak = seam_leakage(norm_sq(alpha, h), alpha.grid, margin)
-    if leak > tol:
+    if leak > SUPPORT_TOL:
         raise SupportError(
-            f"form carries {leak:.3e} of its mass in the seam margin (budget {tol:.1e})",
+            f"form carries {leak:.3e} of its mass in the seam margin (budget {SUPPORT_TOL:.1e})",
             measured=leak,
         )
     return leak
@@ -95,12 +96,12 @@ def _require_np_form(alpha: EForm):
         )
 
 
-def _bk_terms(alpha: EForm, h: MetricField, theta: CurvatureField | None) -> dict:
+def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     """Every density of the identity against dV, each computed once.
 
     The adjoint term reuses D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.
-    Each full-grid intermediate is dropped after its last use; a curvature
-    field computed here lives only until Theta^gamma is formed.
+    Each full-grid intermediate is dropped after its last use; the curvature
+    field lives only until Theta^gamma is formed.
     """
     n = alpha.grid.n
     p = alpha.q
@@ -108,7 +109,7 @@ def _bk_terms(alpha: EForm, h: MetricField, theta: CurvatureField | None) -> dic
     om_p1 = omega_power(alpha.grid, p - 1)
     ic = 1j * c_const(n - p)
 
-    theta_gamma = curvature_wedge(curvature(h) if theta is None else theta, gamma)
+    theta_gamma = curvature_wedge(curvature(h), gamma)
     terms = {"curvature": ic * _density(wedge(pairing(theta_gamma, gamma, h), om_p1))}
     del theta_gamma
     terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
@@ -174,40 +175,25 @@ def _integrated_report(alpha: EForm, t: dict, leak: float) -> IdentityReport:
     return report
 
 
-def bk_reports(
-    alpha: EForm,
-    h: MetricField,
-    theta: CurvatureField | None = None,
-    margin: float = 0.125,
-) -> tuple:
+def bk_reports(alpha: EForm, h: MetricField, margin: float = 0.125) -> tuple:
     """(pointwise, periodic integrated) reports from one pass over the terms.
 
-    Equal to bk_pointwise(alpha, h, theta, margin) and
-    bk_integrated(alpha, h, theta) at a single evaluation of each term.
+    Equal to bk_pointwise(alpha, h, margin) and bk_integrated(alpha, h) at a
+    single evaluation of each term.
     """
     _require_np_form(alpha)
-    t = _bk_terms(alpha, h, theta)
+    t = _bk_terms(alpha, h)
     return _pointwise_report(alpha, t, margin), _integrated_report(alpha, t, 0.0)
 
 
-def bk_pointwise(
-    alpha: EForm,
-    h: MetricField,
-    theta: CurvatureField | None = None,
-    margin: float = 0.125,
-) -> IdentityReport:
+def bk_pointwise(alpha: EForm, h: MetricField, margin: float = 0.125) -> IdentityReport:
     """Max pointwise residual of the del-dbar identity over the interior region."""
     _require_np_form(alpha)
-    return _pointwise_report(alpha, _bk_terms(alpha, h, theta), margin)
+    return _pointwise_report(alpha, _bk_terms(alpha, h), margin)
 
 
 def bk_integrated(
-    alpha: EForm,
-    h: MetricField,
-    theta: CurvatureField | None = None,
-    mode: str = "periodic",
-    margin: float = 0.125,
-    support_tol: float = SUPPORT_TOL,
+    alpha: EForm, h: MetricField, mode: str = "periodic", margin: float = 0.125
 ) -> IdentityReport:
     """The four-integral balance; exact derivatives integrate to zero spectrally.
 
@@ -215,8 +201,8 @@ def bk_integrated(
     the measured seam leakage.
     """
     _require_np_form(alpha)
-    leak = check_support(alpha, h, margin, support_tol) if mode == "stein" else 0.0
-    return _integrated_report(alpha, _bk_terms(alpha, h, theta), leak)
+    leak = check_support(alpha, h, margin) if mode == "stein" else 0.0
+    return _integrated_report(alpha, _bk_terms(alpha, h), leak)
 
 
 def integrate_density(density: np.ndarray, grid) -> float:
@@ -231,7 +217,7 @@ def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
 
     Returns (cross_minus, cross_plus, minus_adjoint_sq), read off the term pass.
     """
-    t = _bk_terms(alpha, h, None)
+    t = _bk_terms(alpha, h)
     return (
         integrate_density(t["cross_minus"], alpha.grid),
         integrate_density(t["cross_plus"], alpha.grid),
@@ -263,7 +249,6 @@ def basic_estimate(
     h: MetricField,
     delta: float,
     margin: float = 0.125,
-    support_tol: float = SUPPORT_TOL,
     enforce_support: bool = True,
 ) -> dict:
     """Slack of p*delta*||alpha||^2 <= ||dbar*_h alpha||^2 + ||dbar alpha||^2.
@@ -277,7 +262,7 @@ def basic_estimate(
     if alpha.p != n or p < 1:
         raise FormError(f"estimate requires an (n,p)-form with p >= 1, got ({alpha.p},{alpha.q})")
     if enforce_support:
-        check_support(alpha, h, margin, support_tol)
+        check_support(alpha, h, margin)
     lhs = integrate_density(norm_sq(alpha, h), alpha.grid)
     rhs = integrate_density(norm_sq(dbar_star_formal(alpha, h), h), alpha.grid)
     if p < n:

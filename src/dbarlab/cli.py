@@ -39,7 +39,7 @@ from .positivity import (
     griffiths_report,
     nakano_report,
 )
-from .singular import FIXED_RANK, MollifierSchedule, regularized_solve, singular_catalog
+from .singular import DEFAULTS, FIXED_RANK, MollifierSchedule, regularized_solve, singular_catalog
 from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump
 
 OPERATIONS = ("identities", "positivity", "solve", "regularize", "convergence")
@@ -119,16 +119,21 @@ FIELDS = (
           "gaussian", "the metrics singular_catalog builds"),
     Field("metric", "rank", int, "[1, inf)", lambda v: FIXED_RANK.get(v["catalog"], 1),
           "rank of the bundle and the algebraic rows; the catalog fixes all but the gaussian's"),
-    Field("metric", "c", _finite, ANY, 1.0, "any weight strength; 0 is the flat member"),
-    Field("metric", "budget", _finite, POSITIVE, 7.0, "exponent range; sets r0 when r0 is unset"),
+    Field("metric", "c", _finite, ANY, DEFAULTS["c"], "any weight strength; 0 is the flat member"),
+    Field("metric", "budget", _finite, POSITIVE, DEFAULTS["budget"],
+          "exponent range; sets r0 when r0 is unset"),
     Field("metric", "r0", _finite, POSITIVE, None, "a plateau radius is a positive length"),
     Field("metric", "s", _finite, POSITIVE, None, "the ramp's smoothing scale is a length"),
-    Field("metric", "a", _finite, "[0, 1)", 0.5,
+    Field("metric", "a", _finite, "[0, 1)", DEFAULTS["a"],
           "log-pole exponent: |z - z0|^(2a) vanishes at the pole and is integrable"),
-    Field("metric", "a1", _finite, "[0, 1)", 0.5, "the first log-pole exponent of the pair"),
-    Field("metric", "a2", _finite, "[0, 1)", 0.3, "the second log-pole exponent of the pair"),
-    Field("metric", "offset_re", _finite, ANY, 0.55, "any pole offset from the box centre"),
-    Field("metric", "offset_im", _finite, ANY, 0.35, "any pole offset from the box centre"),
+    Field("metric", "a1", _finite, "[0, 1)", DEFAULTS["a1"],
+          "the first log-pole exponent of the pair"),
+    Field("metric", "a2", _finite, "[0, 1)", DEFAULTS["a2"],
+          "the second log-pole exponent of the pair"),
+    Field("metric", "offset_re", _finite, ANY, DEFAULTS["offset"].real,
+          "any pole offset from the box centre"),
+    Field("metric", "offset_im", _finite, ANY, DEFAULTS["offset"].imag,
+          "any pole offset from the box centre"),
     Field("operation", "count", int, "[1, inf)", {"identities": 100, "solve": 20},
           "a row reports the worst or mean over its samples"),
     Field("operation", "sweep", _list_of(_finite), ANY, (1.0, 2.0, 4.0), "any weight strengths c"),
@@ -231,7 +236,11 @@ def parse_config(path) -> ExperimentConfig:
     Unknown sections and fields are rejected by name, so a misspelling
     cannot silently fall back to a default.
     """
-    sections = _parse_sections(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"config {path} is not UTF-8 text: {exc}") from exc
+    sections = _parse_sections(text)
     values = {}
     for spec in FIELDS:
         values[spec.attr] = _read(spec, sections.get(spec.section, {}), values)
@@ -474,7 +483,7 @@ def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
     f.coeffs[..., 0, 0, 0] = bump.values
     f = project_to_range(f)
     eps_req = cfg.floor_eps
-    u, rep = regularized_solve(f, cat, schedule, eps_required=eps_req, strict=False)
+    u, rep = regularized_solve(f, cat, schedule)
     rows = []
     for nu, (eps, delta) in enumerate(zip(rep.eps_values, rep.delta_values), start=1):
         rows.append(_row(f"floor-nu{nu}", "mollified-curvature-floor", 1, 1, grid.N,
@@ -564,7 +573,7 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", required=True, help="experiment config path")
         cmd.add_argument("--out", default="out", help="report output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        cmd.add_argument("--seed", default=None, help="seed override, read as the seed field")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -577,7 +586,8 @@ def main(argv=None) -> int:
                 f"{args.command!r}"
             )
         if args.seed is not None:
-            cfg.seed = int(args.seed)
+            seed_row = next(spec for spec in FIELDS if spec.name == "seed")
+            cfg.seed = _read(seed_row, {"seed": args.seed}, {})
         return run(cfg, args.out)
     except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

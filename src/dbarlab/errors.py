@@ -36,10 +36,6 @@ class SupportError(PreconditionError):
     """Field mass in the seam margin exceeds the compact-support budget."""
 
 
-class CurvatureFloorError(PreconditionError):
-    """A mollified metric misses the required curvature lower bound."""
-
-
 class SolverError(DbarLabError):
     """Iterative solve failed: breakdown or iteration cap hit.
 

@@ -1,12 +1,13 @@
-"""Weighted Hilbert spaces, the exact discrete adjoint, and minimal-norm solves.
+"""Weighted L2 norms, the exact discrete adjoint, and minimal-norm solves.
 
 T is the spectral dbar from (n,p-1)-forms to (n,p)-forms.  Because the bundle
 is trivialized, T is a fixed Fourier-multiplier structure and the metric only
-enters through the Gram weights, so the Hilbert-space adjoint is computed
-exactly as T* = h^{-1} dbar^T (h .), with dbar^T the unweighted transpose:
-it reads the rows of ``exterior.grow_table`` that build dbar backwards and
-transforms each coefficient once.  The per-mode symbol D of dbar is built
-from the same rows.
+enters through the pointwise Gram weight h of both spaces: norm2(a, h) is the
+h-weighted lattice quadrature, and the Hilbert-space adjoint is computed
+exactly as apply_Tstar(v, h) = h^{-1} dbar^T (h v), with dbar^T the
+unweighted transpose: it reads the rows of ``exterior.grow_table`` that
+build dbar backwards and transforms each coefficient once.  The per-mode
+symbol D of dbar is built from the same rows.
 
 The minimal-norm solve uses the normal equations T T* y = f.  Substituting
 z = h y turns them into A z = f with A = dbar (h^{-1} dbar^T z), which is
@@ -39,12 +40,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormError, PreconditionError, SolverError
-from .exterior import EForm, grow_table, index_tuples, inner_product, norm_sq
+from .exterior import EForm, grow_table, index_tuples, norm_sq
 from .grid import (
     GridSpec,
     _dz_multiplier,
     from_spectrum,
-    integrate,
     seam_leakage,
     to_lattice,
     to_spectrum,
@@ -65,31 +65,9 @@ def _gram(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class HilbertStructure:
-    """Weighted L2 structure on (p,q)-forms: pointwise Gram h, lattice quadrature."""
-
-    grid: GridSpec
-    rank: int
-    p: int
-    q: int
-    metric: MetricField
-
-    def inner(self, a: EForm, b: EForm) -> complex:
-        return integrate(inner_product(a, b, self.metric))
-
-    def norm2(self, a: EForm) -> float:
-        return float(norm_sq(a, self.metric).sum() * self.grid.cell_volume)
-
-    def gram_apply(self, a: EForm) -> EForm:
-        out = a.copy()
-        out.coeffs = _gram(self.metric.mat, a.coeffs)
-        return out
-
-    def gram_solve(self, a: EForm) -> EForm:
-        out = a.copy()
-        out.coeffs = _gram(self.metric.inverse_mat(), a.coeffs)
-        return out
+def norm2(a: EForm, h: MetricField) -> float:
+    """h-weighted squared L2 norm of a form: pointwise Gram h, lattice quadrature."""
+    return float(norm_sq(a, h).sum() * a.grid.cell_volume)
 
 
 @dataclass
@@ -124,11 +102,6 @@ class SolveReport:
         }
 
 
-def apply_T(u: EForm) -> EForm:
-    """The closed densely defined operator: spectral dbar."""
-    return dbar(u)
-
-
 def dbar_transpose(v: EForm) -> EForm:
     """Unweighted l2 transpose of the dbar coefficient map.
 
@@ -147,9 +120,14 @@ def dbar_transpose(v: EForm) -> EForm:
     return out
 
 
-def apply_Tstar(v: EForm, h1: HilbertStructure, h2: HilbertStructure) -> EForm:
-    """Exact discrete adjoint: <T u, v>_H2 = <u, T* v>_H1 to roundoff."""
-    return h1.gram_solve(dbar_transpose(h2.gram_apply(v)))
+def apply_Tstar(v: EForm, h: MetricField) -> EForm:
+    """Exact discrete adjoint of dbar in the h-weighted L2 norms: h^{-1} dbar^T (h v).
+
+    <dbar u, v> = <u, T* v> to roundoff, both sides integrated with h.
+    """
+    u = dbar_transpose(EForm(v.grid, v.rank, v.p, v.q, _gram(h.mat, v.coeffs)))
+    u.coeffs = _gram(h.inverse_mat(), u.coeffs)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +223,8 @@ def project_to_range(f: EForm) -> EForm:
 def _spectral_norm2(grid: GridSpec, hmat: np.ndarray, spec: np.ndarray) -> float:
     """h-weighted squared L2 norm of the (n,p)-form whose dzbar spectrum is spec.
 
-    spec is grid + (C(n,p), r), the dz slot dropped; equals HilbertStructure's
-    norm2 of that form, taken as one weighted sum on the lattice.
+    spec is grid + (C(n,p), r), the dz slot dropped; equals norm2 of that
+    form, taken as one weighted sum on the lattice.
     """
     v = to_lattice(grid, spec)
     return float(np.vdot(v, _gram(hmat, v)).real) * grid.cell_volume
@@ -276,13 +254,13 @@ def solve_min_norm(
     tol: float = 1e-10,
     maxiter_factor: int = 10,
     range_tol: float = 1e-8,
-    closed_tol: float = 1e-8,
     margin: float = 0.125,
 ) -> tuple:
     """Minimal-norm u with dbar u = f, plus a SolveReport.
 
-    f must be an (n,p)-form, dbar-closed and inside the discrete range (up to
-    range_tol); curvature hypotheses enter only through the reported delta.
+    f must be an (n,p)-form, dbar-closed (closedness_defect at most 1e-8) and
+    inside the discrete range (up to range_tol); curvature hypotheses enter
+    only through the reported delta.
     """
     grid = f.grid
     n = grid.n
@@ -292,17 +270,14 @@ def solve_min_norm(
     if h.grid != grid or h.rank != f.rank:
         raise FormError("metric does not match the source")
 
-    H1 = HilbertStructure(grid, f.rank, n, p - 1, h)
-    H2 = HilbertStructure(grid, f.rank, n, p, h)
-    f_norm2 = H2.norm2(f)
+    bound = _bound(delta, p)
+    f_norm2 = norm2(f, h)
     if f_norm2 == 0.0:
-        u = EForm.zeros(grid, f.rank, n, p - 1)
-        report = SolveReport(0.0, 0.0, p, delta, _bound(delta, p), 0.0, 0.0, 0, 0.0, True,
-                             _bound(delta, p) is not None)
-        return u, report
+        zero = SolveReport(0.0, 0.0, p, delta, bound, 0.0, 0.0, 0, 0.0, True, bound is not None)
+        return EForm.zeros(grid, f.rank, n, p - 1), zero
 
     closed = closedness_defect(f, h)
-    if closed > closed_tol:
+    if closed > 1e-8:
         raise PreconditionError(
             f"source is not dbar-closed: relative defect {closed:.3e}", measured=closed
         )
@@ -412,10 +387,9 @@ def solve_min_norm(
 
     true_resid_form = dbar(u)
     true_resid_form.coeffs -= f.coeffs
-    residual = np.sqrt(max(H2.norm2(true_resid_form), 0.0)) / f_norm
-    u_norm2 = H1.norm2(u)
+    residual = np.sqrt(max(norm2(true_resid_form, h), 0.0)) / f_norm
+    u_norm2 = norm2(u, h)
     leak = seam_leakage(norm_sq(u, h), grid, margin)
-    bound = _bound(delta, p)
     report = SolveReport(
         u_norm2=u_norm2,
         f_norm2=f_norm2,
@@ -433,22 +407,18 @@ def solve_min_norm(
 
 
 def _bound(delta, p):
-    if delta is None or delta <= 0.0:
+    """The Hormander bound 1/(p delta), or None unless delta is a positive finite floor."""
+    if delta is None or not 0.0 < delta < np.inf:
         return None
     return 1.0 / (delta * p)
 
 
 def verify_hormander(report: SolveReport, delta: float, p: int, tol: float = 0.05) -> dict:
     """Check u_norm2 <= (1 + tol)/(p delta) * f_norm2 against a certified floor."""
-    if delta is None or delta <= 0.0 or not np.isfinite(delta):
-        return {
-            "claimed": False,
-            "passed": None,
-            "slack": None,
-            "bound": None,
-            "normalized_ratio": None,
-        }
-    bound = 1.0 / (delta * p)
+    bound = _bound(delta, p)
+    if bound is None:
+        return {"claimed": False, "passed": None, "slack": None, "bound": None,
+                "normalized_ratio": None}
     limit = bound * (1.0 + tol) * report.f_norm2
     slack = limit - report.u_norm2
     return {

@@ -21,9 +21,6 @@ HERMITIAN_TOL = 1e-12
 # a negative eigenvalue beyond this multiple of eps is not roundoff
 EIGH_ROUNDOFF = 1e3 * np.finfo(np.float64).eps
 
-# mask threshold: det h below this multiple of the median determinant
-DEFAULT_MASK_REL = 1e-12
-
 
 def matrix_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Pointwise h @ v for stacked matrices (..., r, r) and vectors (..., r)."""
@@ -104,21 +101,6 @@ class MetricField:
             mat[..., a, a] = np.asarray(w)
         payload = None if log_weights is None else tuple(log_weights)
         return cls(grid, rank, mat, diag_log_weights=payload)
-
-    def det(self) -> np.ndarray:
-        return np.linalg.det(self.mat).real
-
-    def with_default_mask(self, rel_threshold: float = DEFAULT_MASK_REL) -> "MetricField":
-        """Mask points whose determinant sits below rel_threshold * median det."""
-        det = self.det()
-        mask = det < rel_threshold * np.median(det)
-        return MetricField(
-            self.grid,
-            self.rank,
-            self.mat,
-            mask if mask.any() else None,
-            diag_log_weights=self.diag_log_weights,
-        )
 
     def unmasked(self) -> np.ndarray:
         if self.mask is None:

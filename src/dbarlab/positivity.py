@@ -195,10 +195,6 @@ def griffiths_report(
     return sign * float(best[0]), _coords(keep, best[1]), xi, float(abs(best[0] - prev))
 
 
-def griffiths_delta(h: MetricField, theta: CurvatureField, region=None) -> float:
-    return griffiths_report(h, theta, region)[0]
-
-
 def positivity_report(
     h: MetricField, theta: CurvatureField, region=None, mode: str = "lower"
 ) -> PositivityReport:

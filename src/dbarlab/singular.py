@@ -12,7 +12,9 @@ Delta lambda = 2 pi (delta_z0 - 1/L^2) scales so exp(2 a lambda) behaves like |z
 pole, is exactly periodic, and costs only a uniform curvature background
 a*pi/L^2 spread over the box.  The pole is placed off-lattice; the grid point
 nearest each pole is masked as the computable stand-in for the det h = 0 set,
-and h-weighted quadrature excludes masked cells.
+and h-weighted quadrature excludes masked cells.  Pole distances are periodic
+everywhere, so offsets that differ by a box side build the same metric, mask
+and regions.  DEFAULTS holds every catalog parameter's default once.
 
 All quantitative monotonicity claims are made on the region where the
 averaging argument actually applies: points whose kernel ball stays inside
@@ -28,13 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CurvatureFloorError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .exterior import EForm, norm_sq
 from .grid import GridSpec, ScalarField, box_mask, convolve, to_lattice, to_spectrum
 from .hermitian import MetricField, curvature, dual_metric
 from .hormander import solve_min_norm
 from .positivity import nakano_delta
-from .weights import apodized_quadratic_weight, default_plateau_radius, default_smoothing_scale
+from .weights import BUDGET, apodized_quadratic_weight, plateau_coordinate, plateau_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -156,44 +158,42 @@ class CatalogMetric:
 # the rank each catalog entry fixes; the gaussian takes its rank as a parameter
 FIXED_RANK = {"log_pole": 1, "log_pole_pair": 2, "matrix_psh_dual": 2}
 
+# every catalog parameter with its default; unset r0 and s follow plateau_geometry
+DEFAULTS = {"rank": 1, "c": 1.0, "budget": BUDGET, "r0": None, "s": None, "a": 0.5,
+            "a1": 0.5, "a2": 0.3, "offset": 0.55 + 0.35j, "offset2": -0.62 - 0.41j}
+
 
 def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     """Built-in singular metrics, each documented with singular set and sign.
 
+    params are keys of DEFAULTS; c is the weight strength, and budget, r0 and
+    s set the plateau geometry (weights.plateau_geometry).
+
     * "log_pole" (r=1): |z - z0|^(2a)-type factor times the apodized Gaussian
       weight; positively curved off the pole with floor ~ delta = c, vanishing
-      determinant at the pole.  Params: a (default 0.5), c (1.0), offset.
+      determinant at the pole z0 = centre + offset.
     * "log_pole_pair" (r=2): diagonal of two such weights with distinct poles
-      and exponents.
+      (offset, offset2) and exponents (a1, a2).
     * "matrix_psh_dual" (r=2): dual of the Griffiths-negative F^H F + e^phi I
       built from holomorphic-section norms; smooth, positively curved, empty
       mask.
-    * "gaussian" (r = param rank, default 1): the a = 0 degenerate member,
-      exp(-phi) times the r x r identity (smooth, no mask).
+    * "gaussian" (r = rank): the a = 0 degenerate member, exp(-phi) times the
+      r x r identity (smooth, no mask).
     """
-    c = float(params.get("c", 1.0))
-    budget = float(params.get("budget", 7.0))
-    # c = 0 is the flat degenerate member; size its (inactive) plateau as c = 1
-    c_geom = c if c > 0 else 1.0
-    r0 = params.get("r0")
-    if r0 is None:
-        r0 = default_plateau_radius(grid, c_geom, budget=budget)
-    s = params.get("s")
-    if s is None:
-        s = default_smoothing_scale(grid, c_geom)
-    phi = apodized_quadratic_weight(grid, c, r0=r0, s=s).values.real
+    p = {**DEFAULTS, **params}
+    c = float(p["c"])
+    r0, s = plateau_geometry(grid, c, float(p["budget"]), p["r0"], p["s"])
+    phi = apodized_quadratic_weight(grid, c, r0, s).values.real
 
     if name == "gaussian":
-        h = MetricField.from_weight(grid, np.exp(-phi), int(params.get("rank", 1)),
-                                    log_weight=phi)
+        h = MetricField.from_weight(grid, np.exp(-phi), int(p["rank"]), log_weight=phi)
         return CatalogMetric(name, h, (), c, r0, s)
 
     if name == "log_pole":
-        a = float(params.get("a", 0.5))
+        a = float(p["a"])
         if not 0.0 <= a < 1.0:
             raise ValidationError(f"log-pole exponent must lie in [0,1), got {a}")
-        offset = params.get("offset", 0.55 + 0.35j)
-        z0 = complex(grid.center + offset.real, grid.center + offset.imag)
+        z0 = complex(grid.center + p["offset"].real, grid.center + p["offset"].imag)
         if a == 0.0:
             h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
             return CatalogMetric(name, h, (), c, r0, s)
@@ -204,16 +204,10 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
         return CatalogMetric(name, h, (z0,), c, r0, s)
 
     if name == "log_pole_pair":
-        a1 = float(params.get("a1", 0.5))
-        a2 = float(params.get("a2", 0.3))
-        off1 = params.get("offset", 0.55 + 0.35j)
-        off2 = params.get("offset2", -0.62 - 0.41j)
-        z1 = complex(grid.center + off1.real, grid.center + off1.imag)
-        z2 = complex(grid.center + off2.real, grid.center + off2.imag)
-        lam1 = periodic_log_pole(grid, z1)
-        lam2 = periodic_log_pole(grid, z2)
-        w1 = np.exp(2.0 * a1 * lam1 - phi)
-        w2 = np.exp(2.0 * a2 * lam2 - phi)
+        z1 = complex(grid.center + p["offset"].real, grid.center + p["offset"].imag)
+        z2 = complex(grid.center + p["offset2"].real, grid.center + p["offset2"].imag)
+        w1 = np.exp(2.0 * float(p["a1"]) * periodic_log_pole(grid, z1) - phi)
+        w2 = np.exp(2.0 * float(p["a2"]) * periodic_log_pole(grid, z2) - phi)
         h = MetricField.from_diagonal(grid, [w1, w2])
         h = _mask_nearest(h, (z1, z2))
         return CatalogMetric(name, h, (z1, z2), c, r0, s)
@@ -222,8 +216,6 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
         # Griffiths-negative g = F^H F + e^phi I with F = [[1, w],[0, 1]] and w
         # holomorphic on the plateau box; section norms |F u|^2 + e^phi |u|^2
         # are plurisubharmonic there, so the dual is positively curved on it.
-        from .weights import plateau_coordinate
-
         w_entry = plateau_coordinate(grid, 0, r0, s)
         g = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
         g[..., 0, 0] = 1.0 + np.exp(phi)
@@ -237,13 +229,18 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     raise ValidationError(f"unknown catalog metric {name!r}")
 
 
+def _wrapped(grid: GridSpec, d):
+    """Coordinate differences taken periodically, into [-L/2, L/2)."""
+    return (d + 0.5 * grid.L) % grid.L - 0.5 * grid.L
+
+
 def _mask_nearest(h: MetricField, poles: tuple) -> MetricField:
     """Mask the grid point nearest each pole: the det h = 0 stand-in."""
     mask = np.zeros(h.grid.shape, dtype=bool)
     t = h.grid.axis_coordinates()
     for z0 in poles:
-        ix = int(np.argmin(np.abs((t - z0.real + 0.5 * h.grid.L) % h.grid.L - 0.5 * h.grid.L)))
-        iy = int(np.argmin(np.abs((t - z0.imag + 0.5 * h.grid.L) % h.grid.L - 0.5 * h.grid.L)))
+        ix = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.real))))
+        iy = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.imag))))
         mask[ix, iy] = True
     return MetricField(h.grid, h.rank, h.mat, mask, h.diag_log_weights)
 
@@ -277,12 +274,16 @@ def _psh_zone_halfwidth(cat: CatalogMetric) -> float:
 
 
 def _box_off_poles(grid: GridSpec, halfwidth: float, poles: tuple, clear: float) -> np.ndarray:
-    """Centered box |t - L/2| <= halfwidth on every axis, minus radius-clear pole discs."""
+    """Centered box |t - L/2| <= halfwidth on every axis, minus radius-clear pole discs.
+
+    A pole's distance is periodic, as the pole and its mask are.
+    """
     region = box_mask(grid, np.abs(grid.axis_coordinates() - grid.center) <= halfwidth)
     x = grid.coordinate(0)
     y = grid.coordinate(1)
     for z0 in poles:
-        region &= (x - z0.real) ** 2 + (y - z0.imag) ** 2 > clear * clear
+        dist2 = _wrapped(grid, x - z0.real) ** 2 + _wrapped(grid, y - z0.imag) ** 2
+        region &= dist2 > clear * clear
     return region
 
 
@@ -344,7 +345,7 @@ class RegularizationReport:
     eps_values: tuple
     delta_values: list
     eps_floor: float                  # 1 - min delta_nu, clipped at 0
-    monotone: MonotoneReport | None
+    monotone: MonotoneReport
     f_norm_h: float
     bound_matrix: dict                # (nu0, nu) -> |u_nu|^2 in the h_nu0 norm
     uniform_bound_ok: bool
@@ -354,22 +355,16 @@ class RegularizationReport:
     solve_reports: list
 
 
-def regularized_solve(
-    f: EForm,
-    cat: CatalogMetric,
-    schedule: MollifierSchedule,
-    eps_required: float = 0.1,
-    check_monotonicity: bool = True,
-    strict: bool = True,
-) -> tuple:
+def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule) -> tuple:
     """Solve dbar u = f against the shrinking mollified family of a singular metric.
 
     For each kernel radius the dual is mollified and dualized back, the
     curvature floor delta_nu is extracted over the interior region, and the
     weighted minimal-norm solve runs with the smooth metric.  The returned u
-    is the finest-radius solution; the report carries the uniform-bound family
-    |u_nu|^2_(h_nu0) <= (1/(1-eps)) |f|^2_h, the cross-radius Cauchy defects,
-    and the final ratio |u|^2_h / |f|^2_h.
+    is the finest-radius solution; the report carries the floors, the
+    uniform-bound family |u_nu|^2_(h_nu0) <= (1/(1-eps)) |f|^2_h, the
+    cross-radius Cauchy defects, the final ratio |u|^2_h / |f|^2_h and the
+    dual family's monotone ordering.  The caller judges the floors.
     """
     h = cat.metric
     grid = h.grid
@@ -398,7 +393,7 @@ def regularized_solve(
     g = dual_metric(h)
     mollified, metrics, deltas, solves, us = [], [], [], [], []
 
-    for nu, eps in enumerate(radii, start=1):
+    for eps in radii:
         mollified.append(mollify(g, eps))
         h_nu = dual_metric(mollified[-1])
         if h.rank == 1:
@@ -412,12 +407,6 @@ def regularized_solve(
         # the 0.1-level floor tolerance of this pipeline
         delta_nu = nakano_delta(h_nu, curvature(h_nu), region=reg_nu, symmetry_tol=1e-2)
         deltas.append(float(delta_nu))
-        if strict and delta_nu < cat.delta_target - eps_required:
-            raise CurvatureFloorError(
-                f"mollified metric at radius {eps:.4f} (step {nu}) has floor "
-                f"{delta_nu:.4f} < {cat.delta_target - eps_required:.4f}",
-                measured=float(delta_nu),
-            )
         # the pipeline's inequalities live at the few-percent level; a 1e-9
         # relative solve keeps the deepest mollified weights inside the cap
         u_nu, rep = solve_min_norm(f, h_nu, delta=float(delta_nu), tol=1e-9)
@@ -448,7 +437,7 @@ def regularized_solve(
 
     final_ratio = masked_norm2(us[-1], h) / f_norm_h
     # the dual family the solves ran on is the one check_monotone would build
-    monotone = _monotone_report(cat, radii, mollified, "dual") if check_monotonicity else None
+    monotone = _monotone_report(cat, radii, mollified, "dual")
     report = RegularizationReport(
         eps_values=radii,
         delta_values=deltas,

@@ -36,6 +36,7 @@ from .metric import MetricField
 
 RAMP_REACH = 5.5   # erfc(5.5) ~ 7e-15: the ramp has saturated to 0 beyond this
 CORE_REACH = 4.5   # erfc(4.5)/2 ~ 1e-10: the ramp is still 1 to within 1e-10 here
+BUDGET = 7.0       # the weight's default exponent range, which sets r0
 
 
 def smooth_step(t: np.ndarray) -> np.ndarray:
@@ -127,22 +128,19 @@ def _saturation_law(s: float) -> tuple:
     return float(np.sum(mass)), float(np.sum(2.0 * u * mass))
 
 
-def default_smoothing_scale(grid: GridSpec, c: float = 1.0) -> float:
+def default_smoothing_scale(grid: GridSpec, c: float) -> float:
     """Ramp smoothing scale: a box fraction, mildly tightened for deeper weights."""
     return 0.0275 * grid.L / max(c, 1.0e-6) ** 0.25
 
 
-def default_plateau_radius(grid: GridSpec, c: float = 1.0, budget: float = 7.0) -> float:
-    """Quadratic-zone radius r0 keeping the weight's exponent range near budget.
+def default_plateau_radius(grid: GridSpec, c: float, budget: float) -> float:
+    """Quadratic-zone radius r0 keeping the weight's exponent range near budget, c > 0.
 
     The separable exponent is c * sum over 2n axes of m(t); each axis
     saturates at r0^2 + 2 A r0 + B (_saturation_law), so r0 is that
     quadratic's positive root.  Larger c gets a smaller exactly-quadratic
     zone instead of a deeper well.
     """
-    if c <= 0:
-        # a flat weight has no well to budget; any plateau radius works
-        return 0.25 * grid.L
     s = default_smoothing_scale(grid, c)
     target = budget / (2.0 * grid.n * c)
     A, B = _saturation_law(s)
@@ -160,21 +158,28 @@ def default_plateau_radius(grid: GridSpec, c: float = 1.0, budget: float = 7.0) 
     return (target - B) / (A + (A * A - B + target) ** 0.5)
 
 
-def apodized_quadratic_weight(
-    grid: GridSpec,
-    c: float = 1.0,
-    r0: float | None = None,
-    s: float | None = None,
-) -> ScalarField:
+def plateau_geometry(
+    grid: GridSpec, c: float, budget: float, r0: float | None, s: float | None
+) -> tuple:
+    """(r0, s) of the weight of strength c: a given r0 or s is kept, else derived.
+
+    s is default_smoothing_scale and r0 default_plateau_radius at the exponent
+    budget; c <= 0 is the flat member, whose inactive plateau is sized as at c = 1.
+    """
+    c_geom = c if c > 0 else 1.0
+    if s is None:
+        s = default_smoothing_scale(grid, c_geom)
+    if r0 is None:
+        r0 = default_plateau_radius(grid, c_geom, budget)
+    return r0, s
+
+
+def apodized_quadratic_weight(grid: GridSpec, c: float, r0: float, s: float) -> ScalarField:
     """Apodized weight exponent phi with phi = c|z - z_c|^2 on the plateau box.
 
     phi(z) = c * sum_axes m(t_axis - L/2), separable per real axis, constant
     near the seam to machine precision.
     """
-    if s is None:
-        s = default_smoothing_scale(grid, c)
-    if r0 is None:
-        r0 = default_plateau_radius(grid, c)
     phi = np.zeros(grid.shape, dtype=np.float64)
     for prof in grid.along_axes(_axis_profile(grid, r0, s, grid.center)):
         phi = phi + prof
@@ -191,12 +196,9 @@ def gaussian_metric(
     """Metric exp(-phi) * I with the apodized quadratic weight; returns (h, r0).
 
     On the plateau box this is exactly exp(-c|z - z_c|^2) I, with curvature
-    Theta_jk = c * delta_jk * I there.
+    Theta_jk = c * delta_jk * I there.  Unset r0 and s follow plateau_geometry.
     """
-    if s is None:
-        s = default_smoothing_scale(grid, c)
-    if r0 is None:
-        r0 = default_plateau_radius(grid, c)
+    r0, s = plateau_geometry(grid, c, BUDGET, r0, s)
     phi = apodized_quadratic_weight(grid, c, r0, s)
     h = MetricField.from_weight(
         grid, np.exp(-phi.values.real), rank, log_weight=phi.values.real
@@ -221,15 +223,13 @@ def _tapered_linear_profile(N: int, L: float, r0: float, s: float) -> tuple:
     return tuple(t_axis), tuple(vals)
 
 
-def plateau_coordinate(grid: GridSpec, j: int, r0: float, s: float | None = None) -> np.ndarray:
+def plateau_coordinate(grid: GridSpec, j: int, r0: float, s: float) -> np.ndarray:
     """Periodic complex field equal to z_j - z_c on the plateau box.
 
     Holomorphic exactly where both real-axis profiles are in their linear
     core; tapers smoothly back to zero near the seam so the field stays
     spectrally clean and periodic.
     """
-    if s is None:
-        s = default_smoothing_scale(grid)
     _, vals = _tapered_linear_profile(grid.N, grid.L, r0, s)
     x, y = grid.along_axes(np.asarray(vals))[2 * j : 2 * j + 2]
     return np.broadcast_to(x, grid.shape) + 1j * np.broadcast_to(y, grid.shape)
@@ -261,26 +261,20 @@ def plateau_bump(
     return ScalarField(grid, vals)
 
 
-BUMP_SUPPORT_RADIUS = 6.5  # smooth_source_bump's default cut_end, in units of sigma
+BUMP_SUPPORT_RADIUS = 6.5  # smooth_source_bump's support radius, in units of sigma
 
 
-def smooth_source_bump(
-    grid: GridSpec,
-    center: tuple,
-    sigma: float,
-    cut_start: float = 5.0,
-    cut_end: float = BUMP_SUPPORT_RADIUS,
-) -> ScalarField:
+def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> ScalarField:
     """Gaussian profile with an exactly-supported smooth cutoff.
 
-    The cutoff engages at cut_start*sigma, where the Gaussian has already
-    dropped to e^(-cut_start^2/2), so the bump keeps near-Gaussian spectral
-    decay while having exactly compact support of radius cut_end*sigma.
+    The cutoff engages at 5 sigma, where the Gaussian has already dropped to
+    e^(-25/2), so the bump keeps near-Gaussian spectral decay while having
+    exactly compact support of radius BUMP_SUPPORT_RADIUS * sigma.
     """
     rho = _radial_distance(grid, center)
     vals = np.exp(-rho * rho / (2.0 * sigma * sigma))
-    vals *= 1.0 - smooth_step((rho - cut_start * sigma) / ((cut_end - cut_start) * sigma))
-    vals[rho >= cut_end * sigma] = 0.0
+    vals *= 1.0 - smooth_step((rho - 5.0 * sigma) / ((BUMP_SUPPORT_RADIUS - 5.0) * sigma))
+    vals[rho >= BUMP_SUPPORT_RADIUS * sigma] = 0.0
     return ScalarField(grid, vals)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from dbarlab.errors import SolverError
 from dbarlab.exterior import EForm
 from dbarlab.hermitian import dbar
-from dbarlab.hormander import HilbertStructure, _symbol_eig, dbar_transpose
+from dbarlab.hormander import _symbol_eig, dbar_transpose, norm2
 
 
 def _mode_transform(grid, coeffs, forward):
@@ -64,7 +64,6 @@ def _reference_cg(f, h, precondition, tol, maxiter_factor):
     grid = f.grid
     n = grid.n
     p = f.q
-    H2 = HilbertStructure(grid, f.rank, n, p, h)
     hinv = h.inverse_mat()
 
     def apply_A(z):
@@ -73,10 +72,10 @@ def _reference_cg(f, h, precondition, tol, maxiter_factor):
         return dbar(w).coeffs
 
     def h2_norm(res):
-        return np.sqrt(max(H2.norm2(EForm(grid, f.rank, n, p, res)), 0.0))
+        return np.sqrt(max(norm2(EForm(grid, f.rank, n, p, res), h), 0.0))
 
     maxiter = int(maxiter_factor * np.ceil(np.sqrt(f.coeffs.size)))
-    f_norm = np.sqrt(H2.norm2(f))
+    f_norm = np.sqrt(norm2(f, h))
 
     z = np.zeros_like(f.coeffs)
     r = f.coeffs.copy()

@@ -392,3 +392,24 @@ def test_cli_nan_in_an_informational_row_fails_it(tmp_path, capsys, monkeypatch)
         rows = {row["check"]: row for row in csv.DictReader(handle)}
     assert rows["nakano-floor"]["threshold"] == "" and rows["nakano-floor"]["passed"] == "0"
     assert rows["griffiths-floor"]["passed"] == "1"
+
+
+@pytest.mark.parametrize("seed", ["-1", "many"])
+def test_cli_seed_override_is_read_through_the_seed_field(tmp_path, capsys, seed):
+    # --seed=-1 used to reach PCG64 and end in its ValueError traceback
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "positivity.cfg"
+    assert main(["positivity", "--config", str(shipped), "--out", str(tmp_path / "o"),
+                 f"--seed={seed}"]) == 1
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "Traceback" not in err
+
+
+def test_config_that_is_not_utf8_names_the_path(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe" + BASE.encode("utf-16-le"))
+    with pytest.raises(ValidationError) as err:
+        parse_config(cfg)
+    assert str(cfg) in str(err.value)
+    assert main(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Traceback" not in err

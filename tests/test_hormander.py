@@ -3,21 +3,20 @@ import pytest
 
 from cg_reference import flat_reference_min_norm, reference_min_norm
 from dbarlab.errors import FormError, PreconditionError, SolverError
-from dbarlab.exterior import EForm, norm_sq
-from dbarlab.grid import GridSpec
+from dbarlab.exterior import EForm, inner_product, norm_sq
+from dbarlab.grid import GridSpec, integrate
 from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal
 from dbarlab.hormander import (
-    HilbertStructure,
     _flat_symbol,
     _per_mode,
     _spectral_norm2,
     _symbol_eig,
     _symbol_pinv,
-    apply_T,
     apply_Tstar,
     closedness_defect,
     dbar_transpose,
     dense_min_norm,
+    norm2,
     project_to_range,
     range_projection_defect,
     solve_min_norm,
@@ -42,24 +41,16 @@ def random_weight_metric(grid, rng, amp=0.5):
     return MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
 
 
-def spaces(grid, rank, p, h):
-    return (
-        HilbertStructure(grid, rank, grid.n, p - 1, h),
-        HilbertStructure(grid, rank, grid.n, p, h),
-    )
-
-
 def test_adjoint_exactness_random_pairs(rng):
     g = GridSpec(1, 16, 8.0)
     h = random_weight_metric(g, rng)
-    H1, H2 = spaces(g, 1, 1, h)
     worst = 0.0
     for _ in range(200):
         u = random_form(g, 1, 1, 0, rng)
         v = random_form(g, 1, 1, 1, rng)
-        lhs = H2.inner(apply_T(u), v)
-        rhs = H1.inner(u, apply_Tstar(v, H1, H2))
-        scale = np.sqrt(H1.norm2(u) * H2.norm2(v))
+        lhs = integrate(inner_product(dbar(u), v, h))
+        rhs = integrate(inner_product(u, apply_Tstar(v, h), h))
+        scale = np.sqrt(norm2(u, h) * norm2(v, h))
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst < 1e-12
 
@@ -75,13 +66,12 @@ def test_adjoint_exactness_matrix_metric_n2(rng):
     mat[..., 1, 1] += 1.2
     h = MetricField(g, 2, mat)
     for p in (1, 2):
-        H1, H2 = spaces(g, 2, p, h)
         for _ in range(20):
             u = random_form(g, 2, 2, p - 1, rng)
             v = random_form(g, 2, 2, p, rng)
-            lhs = H2.inner(apply_T(u), v)
-            rhs = H1.inner(u, apply_Tstar(v, H1, H2))
-            scale = np.sqrt(H1.norm2(u) * H2.norm2(v))
+            lhs = integrate(inner_product(dbar(u), v, h))
+            rhs = integrate(inner_product(u, apply_Tstar(v, h), h))
+            scale = np.sqrt(norm2(u, h) * norm2(v, h))
             assert abs(lhs - rhs) / scale < 1e-12
 
 
@@ -89,14 +79,13 @@ def test_single_mode_flat_adjoint_is_conjugate_multiplier():
     # h = I: T* on one Fourier mode multiplies by the conjugated dbar symbol
     g = GridSpec(1, 16, 8.0)
     h = MetricField.identity(g, 1)
-    H1, H2 = spaces(g, 1, 1, h)
     kx, ky = 2, -3
     x = g.coordinate(0)
     y = g.coordinate(1)
     wave = np.exp(2j * np.pi * (kx * x + ky * y) / g.L)
     v = EForm.zeros(g, 1, 1, 1)
     v.coeffs[..., 0, 0, 0] = wave
-    out = apply_Tstar(v, H1, H2)
+    out = apply_Tstar(v, h)
     wx = 2 * np.pi * kx / g.L
     wy = 2 * np.pi * ky / g.L
     mu = 0.5 * (1j * wx - wy)  # dbar symbol
@@ -108,13 +97,12 @@ def test_single_mode_flat_adjoint_is_conjugate_multiplier():
 def test_formal_vs_discrete_adjoint_interior_data():
     g = GridSpec(1, 64, 8.0)
     h, _ = gaussian_metric(g, c=1.0, r0=1.0, s=0.30)
-    H1, H2 = spaces(g, 1, 1, h)
     v = EForm.zeros(g, 1, 1, 1)
     v.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.3, g.center), 0.35).values
-    a_disc = apply_Tstar(v, H1, H2)
+    a_disc = apply_Tstar(v, h)
     a_form = dbar_star_formal(v, h)
-    num = H1.norm2(EForm(g, 1, 1, 0, a_disc.coeffs - a_form.coeffs))
-    den = H1.norm2(a_form)
+    num = norm2(EForm(g, 1, 1, 0, a_disc.coeffs - a_form.coeffs), h)
+    den = norm2(a_form, h)
     assert np.sqrt(num / den) < 1e-6
 
 
@@ -163,7 +151,6 @@ def test_minimal_norm_kernel_orthogonality():
     f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3).values
     f = project_to_range(f)
     u, rep = solve_min_norm(f, h)
-    H1 = HilbertStructure(g, 1, 1, 0, h)
     # T-kernel elements on the (1,0) slot: the constant mode and the modes
     # where both axis multipliers are Nyquist-zeroed
     kernel_fields = [np.ones(g.shape, dtype=np.complex128)]
@@ -177,7 +164,7 @@ def test_minimal_norm_kernel_orthogonality():
         k = EForm.zeros(g, 1, 1, 0)
         k.coeffs[..., 0, 0, 0] = vals
         assert np.abs(dbar(k).coeffs).max() < 1e-12  # genuinely in Ker T
-        ip = abs(H1.inner(u, k)) / np.sqrt(H1.norm2(u) * H1.norm2(k))
+        ip = abs(integrate(inner_product(u, k, h))) / np.sqrt(norm2(u, h) * norm2(k, h))
         assert ip < 1e-8
 
 
@@ -189,8 +176,7 @@ def test_dense_oracle_agreement(rng):
     f = project_to_range(f)
     u_cg, rep = solve_min_norm(f, h)
     u_dn = dense_min_norm(f, h)
-    H1 = HilbertStructure(g, 1, 1, 0, h)
-    diff = H1.norm2(EForm(g, 1, 1, 0, u_cg.coeffs - u_dn.coeffs))
+    diff = norm2(EForm(g, 1, 1, 0, u_cg.coeffs - u_dn.coeffs), h)
     assert np.sqrt(diff / rep.u_norm2) < 1e-8
 
 
@@ -338,7 +324,6 @@ def test_dense_adjoint_matrix_oracle(rng):
     # and check T* = G1^{-1} T^H G2 literally, independent of the einsum paths
     g = GridSpec(1, 8, 4.0)
     h = random_weight_metric(g, rng, amp=0.4)
-    H1, H2 = spaces(g, 1, 1, h)
     dim = g.num_points
     T = np.zeros((dim, dim), dtype=complex)
     Tstar = np.zeros((dim, dim), dtype=complex)
@@ -348,9 +333,9 @@ def test_dense_adjoint_matrix_oracle(rng):
         basis[:] = 0
         basis[i] = 1.0
         u = EForm(g, 1, 1, 0, basis.reshape(shape1).copy())
-        T[:, i] = apply_T(u).coeffs.ravel()
+        T[:, i] = dbar(u).coeffs.ravel()
         v = EForm(g, 1, 1, 1, basis.reshape(shape1).copy())
-        Tstar[:, i] = apply_Tstar(v, H1, H2).coeffs.ravel()
+        Tstar[:, i] = apply_Tstar(v, h).coeffs.ravel()
     dA = g.cell_volume
     G1 = np.diag(h.mat[..., 0, 0].ravel()) * dA
     G2 = G1.copy()
@@ -404,9 +389,8 @@ def test_spectral_cg_matches_real_space_reference(make_source, rng):
     g, h, f = make_source(rng)
     u, rep = solve_min_norm(f, h, tol=1e-10)
     u_ref, iterations_ref = reference_min_norm(f, h, tol=1e-10)
-    H1 = HilbertStructure(g, 1, g.n, f.q - 1, h)
-    diff = H1.norm2(EForm(g, 1, g.n, f.q - 1, u.coeffs - u_ref.coeffs))
-    assert np.sqrt(diff / H1.norm2(u_ref)) < 1e-8
+    diff = norm2(EForm(g, 1, g.n, f.q - 1, u.coeffs - u_ref.coeffs), h)
+    assert np.sqrt(diff / norm2(u_ref, h)) < 1e-8
     assert abs(rep.iterations - iterations_ref) <= 0.02 * iterations_ref
 
 
@@ -457,7 +441,7 @@ def test_stopping_norm_matches_hilbert_norm(n, N, p, rank, rng):
     h = random_weight_metric(g, rng) if rank == 1 else nondiagonal_rank2_metric(g, rng)
     f = random_form(g, rank, n, p, rng, kmax_frac=0.3)
     spec = np.fft.fftn(f.coeffs[..., 0, :, :], axes=tuple(range(2 * n)))
-    expected = HilbertStructure(g, rank, n, p, h).norm2(f)
+    expected = norm2(f, h)
     assert abs(_spectral_norm2(g, h.mat, spec) - expected) <= 1e-13 * expected
     # the CG's per-mode products D, D^H, D^+ and D^+H, with blocks larger than
     # 1 x 1 at n = 2

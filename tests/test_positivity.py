@@ -9,7 +9,6 @@ from dbarlab.positivity import (
     _whiten,
     check_basic_inequality,
     check_nakano_pointwise_identity,
-    griffiths_delta,
     griffiths_report,
     nakano_delta,
     nakano_report,
@@ -76,7 +75,7 @@ def test_identity_curvature_floors():
     h = MetricField.identity(g, 2)
     th = identity_curvature(g, 2)
     assert nakano_delta(h, th) == pytest.approx(1.0, abs=1e-12)
-    assert griffiths_delta(h, th) == pytest.approx(1.0, abs=1e-9)
+    assert griffiths_report(h, th)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gaussian_interior_floor_is_weight_strength():
@@ -93,7 +92,7 @@ def test_dimension_one_exact_equality(rng):
     w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).values.real)
     h = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     th = curvature(h)
-    assert griffiths_delta(h, th) == nakano_delta(h, th)
+    assert griffiths_report(h, th)[0] == nakano_delta(h, th)
 
 
 def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):

@@ -116,20 +116,12 @@ def test_catalog_pair_det_dips_at_both_poles():
     g = GridSpec(1, 64, 8.0)
     cat = singular_catalog("log_pole_pair", g)
     assert int(cat.metric.mask.sum()) == 2
-    det = cat.metric.det()
+    det = np.linalg.det(cat.metric.mat).real
     masked_vals = det[cat.metric.mask]
     # the two masked cells are local minima of the determinant
     for (ix, iy), dval in zip(np.argwhere(cat.metric.mask), masked_vals):
         patch = det[max(ix - 2, 0) : ix + 3, max(iy - 2, 0) : iy + 3]
         assert dval == patch.min()
-
-
-def test_default_mask_threshold_rule():
-    g = GridSpec(1, 16, 8.0)
-    w = np.ones(g.shape)
-    w[3, 5] = 1e-15
-    h = MetricField.from_weight(g, w).with_default_mask()
-    assert h.mask is not None and h.mask.sum() == 1 and h.mask[3, 5]
 
 
 def test_periodic_log_pole_behaves_like_log():
@@ -283,7 +275,7 @@ def test_regularized_solve_smooth_limit_matches_direct():
     f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center - 0.5, g.center - 0.3), 0.2).values
     f = project_to_range(f)
     sched = MollifierSchedule(2.0, 8)
-    u_pipe, rep = regularized_solve(f, cat, sched, check_monotonicity=False)
+    u_pipe, rep = regularized_solve(f, cat, sched)
     z = g.z(0)
     box = (np.abs(z.real) <= 0.95 * cat.plateau_radius) & (
         np.abs(z.imag) <= 0.95 * cat.plateau_radius
@@ -325,7 +317,7 @@ def test_regularized_solve_rank_two_pair_catalog():
     f.coeffs[..., 0, 0, 0] = bump.values
     f.coeffs[..., 0, 0, 1] = 0.6j * bump.values
     f = project_to_range(f)
-    u, rep = regularized_solve(f, cat, MollifierSchedule(2.0, 8), strict=False)
+    u, rep = regularized_solve(f, cat, MollifierSchedule(2.0, 8))
     assert min(rep.delta_values) >= cat.delta_target - 0.1
     assert rep.uniform_bound_ok
     assert rep.final_ratio <= 1.05
@@ -395,3 +387,37 @@ def test_shipped_regularize_config_builds_each_piece_once(tmp_path, monkeypatch)
     assert calls["dual_metric"] <= 1 + schedule.nu_max
     assert check_monotone(cat, schedule, "dual") == rep.monotone
     assert rep.monotone.pair_defects
+
+
+def test_pole_offset_past_half_the_box_is_the_same_pole(tmp_path):
+    # (9.5, 9.5) is (1.5, 1.5) moved by the box side L = 8: the same point of
+    # the torus, so the same metric, certified regions and report rows
+    from dbarlab.singular import _box_off_poles, monotone_region
+
+    g = GridSpec(1, 64, 8.0)
+    near = singular_catalog("log_pole", g, a=0.5, offset=1.5 + 1.5j)
+    far = singular_catalog("log_pole", g, a=0.5, offset=9.5 + 9.5j)
+    assert np.array_equal(near.metric.mask, far.metric.mask)
+    for eps in MollifierSchedule(2.0, 8).radii:
+        clear = eps + 3.0 * g.spacing
+        assert np.array_equal(_box_off_poles(g, 0.5 * near.plateau_radius, near.poles, clear),
+                              _box_off_poles(g, 0.5 * far.plateau_radius, far.poles, clear))
+        assert np.array_equal(monotone_region(g, near, eps), monotone_region(g, far, eps))
+
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "regularize.cfg"
+    text = shipped.read_text(encoding="utf-8")
+    rows = {}
+    for name, offset in (("near", "1.5"), ("far", "9.5")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text.replace("offset_re = 1.5", f"offset_re = {offset}")
+                       .replace("offset_im = 1.5", f"offset_im = {offset}"), encoding="utf-8")
+        out = tmp_path / name
+        assert cli.main(["regularize", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "regularize.csv").read_text(encoding="utf-8").splitlines()
+        rows[name] = [line.split(",") for line in lines[1:]]
+    assert len(rows["near"]) == len(rows["far"])
+    for a, b in zip(rows["near"], rows["far"]):
+        # check, verifies, n, p, N and passed agree; value and threshold to 1e-9
+        assert a[:5] + a[7:] == b[:5] + b[7:]
+        for x, y in zip(a[5:7], b[5:7]):
+            assert (x == y == "") or float(x) == pytest.approx(float(y), rel=1e-9, abs=1e-9)
