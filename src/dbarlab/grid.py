@@ -10,7 +10,9 @@ integration-by-parts identities hold to roundoff.
 
 This module owns the package's FFTs: ``to_spectrum`` and ``to_lattice`` are
 the forward and inverse transforms over the grid axes, on scipy.fft with its
-default single worker, and every other spectral step goes through them.
+default single worker.  ``from_spectrum`` runs the inverse in place on its own
+multiplied spectrum; ``to_lattice`` copies, as its callers' spectra stay in
+use.  Every other spectral step goes through these.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def from_spectrum(
     dims = 2 * grid.n
     mult = _dz_multiplier(grid, j, conjugate)
     mult = mult.reshape(mult.shape + (1,) * (spec.ndim - dims))
-    return to_lattice(grid, mult * spec)
+    return scipy.fft.ifftn(mult * spec, axes=tuple(range(dims)), overwrite_x=True)
 
 
 def partial_z(f: ScalarField, j: int, conjugate: bool = False) -> ScalarField:

@@ -28,8 +28,9 @@ four per bundle component; at n = 2 it is a close approximation.  The stopping
 norm needs r on the lattice: five transforms per iteration, all through
 grid's scipy.fft transform pair.  The stopping norm is taken in place, as one
 h-weighted sum over the inverse transform of r, and the per-mode products,
-h and h^{-1} are broadcast multiply-adds over the small contracted index.
-The final u and its true residual go through the real-space dbar^T and dbar.
+h and h^{-1} (formed entrywise when h is diagonal) are broadcast multiply-adds
+over the small contracted index.  The final u and its true residual go through
+the real-space dbar^T and dbar; an unconverged solve raises SolverError.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class SolveReport:
     residual: float              # |T u - f|_H2 / |f|_H2
     iterations: int
     seam_leakage: float
-    converged: bool
     bound_claimed: bool
 
     def row(self) -> dict:
@@ -97,7 +97,6 @@ class SolveReport:
             "residual": self.residual,
             "iterations": self.iterations,
             "seam_leakage": self.seam_leakage,
-            "converged": int(self.converged),
             "bound_claimed": int(self.bound_claimed),
         }
 
@@ -273,7 +272,7 @@ def solve_min_norm(
     bound = _bound(delta, p)
     f_norm2 = norm2(f, h)
     if f_norm2 == 0.0:
-        zero = SolveReport(0.0, 0.0, p, delta, bound, 0.0, 0.0, 0, 0.0, True, bound is not None)
+        zero = SolveReport(0.0, 0.0, p, delta, bound, 0.0, 0.0, 0, 0.0, bound is not None)
         return EForm.zeros(grid, f.rank, n, p - 1), zero
 
     closed = closedness_defect(f, h)
@@ -400,7 +399,6 @@ def solve_min_norm(
         residual=float(residual),
         iterations=iterations,
         seam_leakage=float(leak),
-        converged=True,
         bound_claimed=bound is not None,
     )
     return u, report

@@ -108,7 +108,18 @@ class MetricField:
         return ~self.mask
 
     def inverse_mat(self) -> np.ndarray:
-        """Pointwise inverse; raises on an exactly singular unmasked point."""
+        """Pointwise inverse; raises on an exactly singular unmasked point.
+
+        A diagonal stack is inverted entrywise, which equals LAPACK's answer; any
+        other stack, or a reciprocal that is not finite, goes to np.linalg.inv.
+        """
+        diag = np.diagonal(self.mat, axis1=-2, axis2=-1)
+        if self.rank == 1 or np.count_nonzero(self.mat) == np.count_nonzero(diag):
+            inv = np.zeros_like(self.mat)
+            with np.errstate(all="ignore"):
+                recip = np.divide(1.0, diag, out=np.einsum("...aa->...a", inv))
+            if np.isfinite(recip).all():
+                return inv
         try:
             return np.linalg.inv(self.mat)
         except np.linalg.LinAlgError as exc:

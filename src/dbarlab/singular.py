@@ -279,8 +279,7 @@ def _box_off_poles(grid: GridSpec, halfwidth: float, poles: tuple, clear: float)
     A pole's distance is periodic, as the pole and its mask are.
     """
     region = box_mask(grid, np.abs(grid.axis_coordinates() - grid.center) <= halfwidth)
-    x = grid.coordinate(0)
-    y = grid.coordinate(1)
+    x, y = grid.along_axes(grid.axis_coordinates())[:2]
     for z0 in poles:
         dist2 = _wrapped(grid, x - z0.real) ** 2 + _wrapped(grid, y - z0.imag) ** 2
         region &= dist2 > clear * clear

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from dbarlab.errors import FormError, ValidationError
 from dbarlab.grid import (
     GridSpec,
     ScalarField,
+    _dz_multiplier,
     convolve,
+    from_spectrum,
     integrate,
     interior_mask,
     partial_z,
@@ -212,3 +215,20 @@ def test_transform_pair_matches_numpy_fft(n, N, slots, rank):
     ref_back = np.fft.ifftn(spec, axes=axes)
     assert np.abs(back - ref_back).max() <= 1e-13 * np.abs(ref_back).max()
     assert np.abs(back - arr).max() <= 1e-13 * np.abs(arr).max()
+
+
+@pytest.mark.parametrize("n, N, slots, rank", [(1, 32, 1, 1), (2, 8, 2, 2)])
+def test_from_spectrum_is_the_plain_inverse_and_leaves_spec_alone(n, N, slots, rank):
+    # callers such as curvature, chern_connection and _differential reuse one
+    # spectrum for several derivatives, so the in-place inverse must not touch it
+    g = GridSpec(n, N, 8.0)
+    rng = np.random.default_rng(9)
+    shape = g.shape + (slots, rank)
+    spec = to_spectrum(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    kept = spec.copy()
+    for j in range(n):
+        for conj in (False, True):
+            mult = _dz_multiplier(g, j, conj)[..., None, None]
+            expected = scipy.fft.ifftn(mult * spec, axes=tuple(range(2 * n)))
+            assert np.array_equal(from_spectrum(g, spec, j, conj), expected)
+            assert np.array_equal(spec, kept)
