@@ -159,6 +159,19 @@ FIELDS = (
 
 ExperimentConfig = make_dataclass("ExperimentConfig", [spec.attr for spec in FIELDS])
 
+# A run whose estimated working set passes this cap exits 1 before it allocates
+# anything: the lab is desk-scale, and a larger run would take a workstation's
+# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 320 MB.
+WORKING_SET_CAP_MB = 2048
+
+# Full-grid complex fields (16 bytes a point, times rank^2) a pipeline holds at
+# its peak, rounded up from traced peaks at n = 1, 2 and rank 1, 2.  solve
+# holds about one more per source bump and regularize five more per mollifier
+# radius; those are charged to count and nu_max.
+_PEAK_FIELDS = {"identities": 20, "positivity": 20, "solve": 32, "regularize": 32,
+                "convergence": 20}
+_FIELDS_PER_ITEM = {"solve": ("count", 2), "regularize": ("nu_max", 6)}
+
 
 def _parse_sections(text: str) -> dict:
     """{section: {key: text}}; a section or key that FIELDS does not list is rejected."""
@@ -207,6 +220,25 @@ def _read(spec: Field, section: dict, values: dict):
     return value
 
 
+def working_set_mb(cfg: ExperimentConfig) -> dict:
+    """Estimated peak memory of a run in MB, split by the field that drives each part.
+
+    The grid part is charged to N (to resolutions for convergence, whose
+    largest grid it is); solve's source bumps to count and regularize's
+    mollified metrics to nu_max.
+    """
+    if cfg.operation == "convergence":
+        N, grid_field = max(cfg.resolutions), "resolutions"
+    else:
+        N, grid_field = cfg.N, "N"
+    field_mb = 16 * N ** (2 * cfg.n) * cfg.rank ** 2 / 2**20
+    parts = {grid_field: _PEAK_FIELDS[cfg.operation] * field_mb}
+    if cfg.operation in _FIELDS_PER_ITEM:
+        name, fields = _FIELDS_PER_ITEM[cfg.operation]
+        parts[name] = getattr(cfg, name) * fields * field_mb
+    return parts
+
+
 def _check_relations(cfg: ExperimentConfig) -> None:
     """Constraints tying fields together, checked as run starts; each names the fields."""
     if cfg.operation in ("solve", "regularize") and cfg.n != 1:
@@ -227,6 +259,16 @@ def _check_relations(cfg: ExperimentConfig) -> None:
         raise ValidationError(
             f"field 'eps0' in [operation] must be below half the box side (a kernel "
             f"ball must fit in the box), got eps0={cfg.eps0:g}, L={cfg.L:g}"
+        )
+    parts = working_set_mb(cfg)
+    total = sum(parts.values())
+    if total > WORKING_SET_CAP_MB:
+        name = max(parts, key=parts.get)
+        section = next(spec.section for spec in FIELDS if spec.name == name)
+        raise ValidationError(
+            f"field {name!r} in [{section}] gives an estimated working set of "
+            f"{total:.0f} MB, over the {WORKING_SET_CAP_MB} MB cap of a desk-scale run "
+            f"(got {name}={getattr(cfg, name)}, n={cfg.n}, rank={cfg.rank})"
         )
 
 

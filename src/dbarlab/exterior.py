@@ -20,6 +20,17 @@ Sign bookkeeping is concentrated in three primitives:
 
 Everything else (Hodge star epsilon constants, pairing expansion) is derived
 from these, never from closed-form tables.
+
+The pointwise contractions move no memory they do not need:
+
+* a rank-1 metric contracts as a real weight w = h_00, so each slot pair of
+  ``pairing`` and ``inner_product`` is two elementwise products, and
+  ``norm_sq`` is w times one float64 dot per point over the whole coefficient
+  stack viewed as reals; rank > 1 runs the einsum t^H h s per slot pair;
+* a constant form (``omega_power``, a zero-stride broadcast) wedges as
+  scalars: each nonzero entry of its block multiplies the other operand's
+  field, and the zero entries are skipped;
+* a +-1 sign or factor picks an add or a subtract instead of a product.
 """
 
 from __future__ import annotations
@@ -216,8 +227,47 @@ def conjugate_form(a: EForm) -> EForm:
 # wedge and the flat Kahler form
 # ---------------------------------------------------------------------------
 
+def add_signed(dst: np.ndarray, sign: int, value) -> None:
+    """dst += sign * value for a unit sign, as one add or one subtract."""
+    if sign > 0:
+        dst += value
+    else:
+        dst -= value
+
+
+def _factors(a: EForm):
+    """Per slot (I, J, factor): the coefficient field, or a constant form's scalar entry.
+
+    A rank-1 form is constant when its coefficients broadcast one block over
+    the grid (zero grid strides, as omega_power's); its zero entries are left
+    out.
+    """
+    grid_axes = a.coeffs.ndim - 3
+    constant = a.rank == 1 and a.coeffs.strides[:grid_axes] == (0,) * grid_axes
+    for i, I in enumerate(a.dz_slots()):
+        for j, J in enumerate(a.dzbar_slots()):
+            if not constant:
+                yield I, J, a.coeffs[..., i, j, :]
+            elif (entry := a.coeffs[(0,) * grid_axes + (i, j, 0)]) != 0:
+                yield I, J, entry
+
+
+def _signed_product(sign: int, x, y) -> tuple:
+    """(s, product) with s * product = sign * x * y; a scalar +-1 factor folds into s."""
+    for unit, other in ((x, y), (y, x)):
+        if np.ndim(unit) == 0 and unit.imag == 0 and abs(unit.real) == 1:
+            return sign * int(unit.real), other
+    return sign, x * y
+
+
 def wedge(a: EForm, b: EForm) -> EForm:
-    """Graded wedge product; at most one operand may be bundle-valued (rank > 1)."""
+    """Graded wedge product; at most one operand may be bundle-valued (rank > 1).
+
+    A constant rank-1 operand (omega_power) enters entry by entry as a complex
+    scalar: its zero entries are skipped and a +-1 entry is folded into the
+    sign.  The result equals the one for the materialized constant field, up
+    to the sign of zeros.
+    """
     if a.grid != b.grid:
         raise FormError("forms live on different grids")
     if a.rank > 1 and b.rank > 1:
@@ -232,15 +282,13 @@ def wedge(a: EForm, b: EForm) -> EForm:
     out = EForm.zeros(a.grid, rank, p, q)
     pos_I = index_slot(n, p)
     pos_J = index_slot(n, q)
-    for Ia in a.dz_slots():
-        for Ja in a.dzbar_slots():
-            ca = a.slot(Ia, Ja)
-            for Ib in b.dz_slots():
-                for Jb in b.dzbar_slots():
-                    sign, I, J = wedge_basis(Ia, Ja, Ib, Jb)
-                    if sign == 0:
-                        continue
-                    out.coeffs[..., pos_I[I], pos_J[J], :] += sign * ca * b.slot(Ib, Jb)
+    b_factors = list(_factors(b))
+    for Ia, Ja, ca in _factors(a):
+        for Ib, Jb, cb in b_factors:
+            sign, I, J = wedge_basis(Ia, Ja, Ib, Jb)
+            if sign == 0:
+                continue
+            add_signed(out.coeffs[..., pos_I[I], pos_J[J], :], *_signed_product(sign, ca, cb))
     return out
 
 
@@ -316,20 +364,35 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
                     sign, I, J = wedge_basis(Ia, Ja, Jb, Ib)
                     if sign == 0:
                         continue
-                    scalar = vector_inner(h.mat, ca, b.slot(Ib, Jb))
-                    out.coeffs[..., pos_I[I], pos_J[J], 0] += conj_sign * sign * scalar
+                    add_signed(out.coeffs[..., pos_I[I], pos_J[J], 0], conj_sign * sign,
+                               vector_inner(h, ca, b.slot(Ib, Jb)))
     return out
 
 
 def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
-    """Pointwise squared norm sum_IJ ||a_IJ||_h^2 in the orthonormal frame, a real density."""
+    """Pointwise squared norm sum_IJ ||a_IJ||_h^2 in the orthonormal frame, a real density.
+
+    At rank 1 this is w * sum |c|^2 with the real weight w = h_00, one float64
+    dot per point over the whole coefficient stack viewed as reals.
+    """
     if h.grid != a.grid or h.rank != a.rank:
         raise FormError("metric does not match the form")
+    if h.rank == 1:
+        reals = np.ascontiguousarray(a.coeffs).view(np.float64)
+        reals = reals.reshape(a.grid.shape + (-1,))
+        if reals.shape[-1] == 2:
+            # one slot: two squares and an add, cheaper than einsum's per-point loop
+            total = np.square(reals[..., 0])
+            total += np.square(reals[..., 1])
+        else:
+            total = np.einsum("...i,...i->...", reals, reals)
+        total *= h.mat[..., 0, 0].real
+        return total
     total = np.zeros(a.grid.shape, dtype=np.float64)
     for I in a.dz_slots():
         for J in a.dzbar_slots():
             c = a.slot(I, J)
-            total += vector_inner(h.mat, c, c).real
+            total += vector_inner(h, c, c).real
     return total
 
 
@@ -341,7 +404,7 @@ def inner_product(a: EForm, b: EForm, h: MetricField) -> ScalarField:
     total = np.zeros(a.grid.shape, dtype=np.complex128)
     for I in a.dz_slots():
         for J in a.dzbar_slots():
-            total += vector_inner(h.mat, a.slot(I, J), b.slot(I, J))
+            total += vector_inner(h, a.slot(I, J), b.slot(I, J))
     return ScalarField(a.grid, total)
 
 

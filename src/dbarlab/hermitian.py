@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FormError
 from .grid import GridSpec, from_spectrum, to_spectrum
 from .metric import MetricField, dual_metric, matrix_apply
-from .exterior import EForm, grow_table, hodge_star, omega_power, wedge
+from .exterior import EForm, add_signed, grow_table, hodge_star, omega_power, wedge
 
 __all__ = [
     "MetricField",
@@ -154,9 +154,8 @@ def _differential(a: EForm, conjugate: bool) -> EForm:
         for src, k, dst, sign in table:
             if src != spec_src:
                 spec, spec_src = to_spectrum(a.grid, a_c[..., other, src, :]), src
-            out_c[..., other, dst, :] += crossing * sign * from_spectrum(
-                a.grid, spec, k, conjugate
-            )
+            add_signed(out_c[..., other, dst, :], crossing * sign,
+                       from_spectrum(a.grid, spec, k, conjugate))
     return out
 
 
@@ -195,9 +194,8 @@ def dprime(a: EForm, h: MetricField) -> EForm:
     out = dpartial(a)
     theta_conn = chern_connection(h)
     for src, j, dst, sign in grow_table(a.grid.n, a.p):
-        out.coeffs[..., dst, 0, :] += sign * matrix_apply(
-            theta_conn[..., j, :, :], a.coeffs[..., src, 0, :]
-        )
+        add_signed(out.coeffs[..., dst, 0, :], sign,
+                   matrix_apply(theta_conn[..., j, :, :], a.coeffs[..., src, 0, :]))
     return out
 
 
@@ -216,7 +214,8 @@ def curvature_wedge(theta: CurvatureField, a: EForm) -> EForm:
         s = sign_q * sign
         c = a.coeffs[..., src, 0, :]
         for k in range(n):
-            out.coeffs[..., dst, k, :] += s * matrix_apply(theta.theta[..., j, k, :, :], c)
+            add_signed(out.coeffs[..., dst, k, :], s,
+                       matrix_apply(theta.theta[..., j, k, :, :], c))
     return out
 
 

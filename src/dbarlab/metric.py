@@ -23,13 +23,29 @@ EIGH_ROUNDOFF = 1e3 * np.finfo(np.float64).eps
 
 
 def matrix_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Pointwise h @ v for stacked matrices (..., r, r) and vectors (..., r)."""
+    """Pointwise h @ v for stacked matrices (..., r, r) and vectors (..., r).
+
+    At r = 1 this is one elementwise product.
+    """
+    if mat.shape[-1] == 1:
+        return mat[..., 0] * vec
     return np.einsum("...ab,...b->...a", mat, vec)
 
 
-def vector_inner(mat: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Pointwise (s, t)_h = t^H h s; linear in s, conjugate-linear in t."""
-    return np.einsum("...a,...ab,...b->...", np.conj(t), mat, s)
+def vector_inner(h: MetricField, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Pointwise (s, t)_h = t^H h s; linear in s, conjugate-linear in t.
+
+    At rank 1 the metric is a real weight w = h_00: construction rejects
+    non-finite entries and symmetrizes the imaginary part to exactly 0, so
+    multiplying by the complex entry scales both parts by w with no other
+    rounding.  This is conj(t) w s, two elementwise products.
+    """
+    if h.rank == 1:
+        out = np.conj(t[..., 0])
+        out *= h.mat[..., 0, 0]
+        out *= s[..., 0]
+        return out
+    return np.einsum("...a,...ab,...b->...", np.conj(t), h.mat, s)
 
 
 @dataclass
@@ -54,6 +70,9 @@ class MetricField:
         if self.mat.shape != expected:
             raise FormError(f"metric shape {self.mat.shape} does not match {expected}")
         scale = np.abs(self.mat).max()
+        if not np.isfinite(scale):
+            # a nan entry makes the max nan, an inf (or overflowing modulus) makes it inf
+            raise MetricError("metric has a non-finite entry (nan or inf)")
         defect = np.abs(self.mat - np.conj(np.swapaxes(self.mat, -1, -2))).max()
         if scale > 0 and defect > HERMITIAN_TOL * scale * 10:
             raise MetricError(f"metric is not hermitian: defect {defect:.3e} vs scale {scale:.3e}")

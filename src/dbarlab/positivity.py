@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureSymmetryError, MetricError, PreconditionError
-from .hermitian import CurvatureField, MetricField
+from .exterior import c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge
+from .hermitian import CurvatureField, curvature_wedge
+from .metric import MetricField, matrix_apply, vector_inner
 
 SYMMETRY_TOL = 1e-6
 NET_SIDE = 16        # the direction net is NET_SIDE x NET_SIDE points (t, phi) on CP^1
@@ -220,10 +222,6 @@ def check_nakano_pointwise_identity(
     for an (n-1,0)-form gamma, where gamma^j are the coefficients in the
     hat-dz_j frame ordered so that dz_j ^ hat-dz_j is the full dz wedge.
     """
-    from .exterior import c_const, dv_density, grow_table, pairing
-    from .hermitian import curvature_wedge
-    from .metric import vector_inner
-
     n = gamma.grid.n
     if (gamma.p, gamma.q) != (n - 1, 0):
         raise PreconditionError(f"identity requires an (n-1,0)-form, got ({gamma.p},{gamma.q})")
@@ -234,10 +232,8 @@ def check_nakano_pointwise_identity(
     rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
     for j in range(n):
         for k in range(n):
-            rhs += vector_inner(
-                h.mat, np.einsum("...ab,...b->...a", theta.theta[..., j, k, :, :], hatted[j]),
-                hatted[k],
-            )
+            rhs += vector_inner(h, matrix_apply(theta.theta[..., j, k, :, :], hatted[j]),
+                                hatted[k])
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
 
@@ -251,9 +247,6 @@ def check_basic_inequality(
     the scale of the right-hand side.  Negative slack beyond roundoff means
     delta was not actually a Nakano floor.
     """
-    from .exterior import c_const, dv_density, norm_sq, omega_power, pairing, wedge
-    from .hermitian import curvature_wedge
-
     n = gamma.grid.n
     if (gamma.p, gamma.q) != (n - p, 0):
         raise PreconditionError(f"inequality requires an (n-p,0)-form, got ({gamma.p},{gamma.q})")

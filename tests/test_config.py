@@ -1,18 +1,30 @@
 """The config table: every shipped config parses, and corrupting any one field
 of a small valid config exits 0, 1 or 2 without a traceback, naming the field
-on exit 1."""
+on exit 1.  The working-set cap is tested on its estimate alone: no oversized
+run is started."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dbarlab.cli import FIELDS, main, parse_config
+from dbarlab.cli import (
+    FIELDS,
+    WORKING_SET_CAP_MB,
+    _check_relations,
+    main,
+    parse_config,
+    run,
+    working_set_mb,
+)
+from dbarlab.errors import ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.cfg")) + sorted(
@@ -126,3 +138,46 @@ def test_corrupted_field_exits_cleanly_and_names_it(case):
     assert "Traceback" not in text
     if code == 1:
         assert f"{name!r}" in text or f"{name}=" in text, text
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_config_is_well_under_the_working_set_cap(path):
+    assert sum(working_set_mb(parse_config(path)).values()) <= WORKING_SET_CAP_MB / 4
+
+
+# the shipped configs, with fewer samples where count only repeats work
+SMALLER = {"identities": {"count": 2}, "solve": {"count": 4, "sweep": (1.0,)}}
+
+
+@pytest.mark.parametrize("op", sorted(BASES))
+def test_working_set_estimate_bounds_the_traced_peak(op, tmp_path):
+    cfg = dataclasses.replace(parse_config(ROOT / "configs" / f"{op}.cfg"), **SMALLER.get(op, {}))
+    tracemalloc.start()
+    try:
+        assert run(cfg, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= sum(working_set_mb(cfg).values())
+
+
+def _base_config(op: str, tmp_path):
+    path = tmp_path / f"{op}.cfg"
+    path.write_text(_render(_sections(op)), encoding="utf-8")
+    return parse_config(path)
+
+
+@pytest.mark.parametrize("op, changes, name", [
+    ("identities", {"n": 2, "N": 1024}, "N"),
+    ("positivity", {"n": 2, "N": 128}, "N"),
+    ("solve", {"count": 10**6}, "count"),
+    ("regularize", {"N": 2**14}, "N"),
+    ("regularize", {"nu_max": 10**6}, "nu_max"),
+    ("convergence", {"n": 2, "resolutions": (8, 16, 128)}, "resolutions"),
+])
+def test_oversized_run_is_rejected_by_its_estimate(op, changes, name, tmp_path):
+    # only the relation check runs: it raises before anything is allocated
+    cfg = dataclasses.replace(_base_config(op, tmp_path), **changes)
+    assert sum(working_set_mb(cfg).values()) > WORKING_SET_CAP_MB
+    with pytest.raises(ValidationError, match=f"field '{name}'"):
+        _check_relations(cfg)

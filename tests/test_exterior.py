@@ -1,8 +1,10 @@
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dbarlab.cli import main, parse_config
 from dbarlab.errors import FormError
 from dbarlab.exterior import (
     EForm,
@@ -25,7 +27,9 @@ from dbarlab.grid import GridSpec
 from dbarlab.metric import MetricField
 from dbarlab.weights import random_form
 
+import exterior_reference
 from grassmann_oracle import as_canonical, basis_form, multiply
+from test_hormander import nondiagonal_rank2_metric
 
 
 @pytest.fixture
@@ -329,3 +333,95 @@ def test_wedge_with_omega_power_equals_materialized_omega(rng, n):
                 a = random_coeff_form(g, 2, pa, qa, rng)
                 assert np.array_equal(wedge(a, om).coeffs, wedge(a, materialized).coeffs)
                 assert np.array_equal(wedge(om, a).coeffs, wedge(materialized, a).coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wedge_with_constant_block_equals_materialized_block(rng, n):
+    # entries -1, 1, 0 and generic complex values, each taking its scalar path
+    g = AlgebraGrid(n)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            size = (len(index_tuples(n, p)), len(index_tuples(n, q)), 1)
+            block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            block.flat[: 3] = [-1.0, 1.0, 0.0][: block.size]
+            const = EForm(g, 1, p, q, np.broadcast_to(block, g.shape + size))
+            materialized = EForm(g, 1, p, q, np.broadcast_to(block, g.shape + size).copy())
+            for pa in range(n - p + 1):
+                for qa in range(n - q + 1):
+                    a = random_coeff_form(g, 2, pa, qa, rng)
+                    assert np.array_equal(wedge(a, const).coeffs, wedge(a, materialized).coeffs)
+                    assert np.array_equal(wedge(const, a).coeffs, wedge(materialized, a).coeffs)
+
+
+def reference_metrics(g, rank, rng):
+    """Metrics the contractions are checked on: two weights at rank 1, non-diagonal ones at 2."""
+    if rank == 1:
+        return [MetricField.from_weight(g, np.exp(rng.standard_normal(g.shape))),
+                MetricField.identity(g, 1)]
+    m = rng.standard_normal(g.shape + (2, 2)) + 1j * rng.standard_normal(g.shape + (2, 2))
+    metrics = [MetricField(g, 2, m @ np.conj(np.swapaxes(m, -1, -2)) + np.eye(2))]
+    if isinstance(g, GridSpec):
+        metrics.append(nondiagonal_rank2_metric(g, rng))
+    return metrics
+
+
+def assert_matches_reference(got, expected, rank, scale):
+    """Bitwise at rank > 1; at rank 1 within 8 ulps of the pointwise scale."""
+    if rank == 1:
+        assert np.all(np.abs(got - expected) <= 8 * np.finfo(np.float64).eps * scale)
+    else:
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_contractions_match_per_slot_einsum_reference(n, rank):
+    rng = np.random.default_rng(10 * n + rank)
+    g = GridSpec(n, 8, 8.0) if n < 3 else AlgebraGrid(n)
+    degrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for h in reference_metrics(g, rank, rng):
+        # the pointwise scale sums the moduli of the terms each contraction adds
+        w = np.abs(h.mat).max(axis=(-2, -1))
+        forms = {d: random_coeff_form(g, rank, *d, rng) for d in degrees}
+        moduli = {d: np.abs(a.coeffs).sum(axis=(-3, -2, -1)) for d, a in forms.items()}
+        for d, a in forms.items():
+            b = random_coeff_form(g, rank, *d, rng)
+            expected = exterior_reference.norm_sq(a, h)
+            assert_matches_reference(norm_sq(a, h), expected, rank, expected)
+            scale = w * (np.abs(a.coeffs) * np.abs(b.coeffs)).sum(axis=(-3, -2, -1))
+            assert_matches_reference(inner_product(a, b, h).values,
+                                     exterior_reference.inner_product(a, b, h), rank, scale)
+            for e, c in forms.items():
+                if d[0] + e[1] > n or d[1] + e[0] > n:
+                    continue
+                scale = (w * moduli[d] * moduli[e])[..., None, None, None]
+                assert_matches_reference(pairing(a, c, h).coeffs,
+                                         exterior_reference.pairing(a, c, h).coeffs, rank, scale)
+
+
+IDENTITIES_CFG = Path(__file__).resolve().parent.parent / "configs" / "identities.cfg"
+
+
+def test_identities_runs_no_three_operand_contraction_on_a_full_grid(tmp_path, monkeypatch):
+    # the shipped identities config runs at rank 1, where every contraction is
+    # elementwise or a two-operand dot
+    cfg = parse_config(IDENTITIES_CFG)
+    assert cfg.rank == 1
+    points = GridSpec(cfg.n, cfg.N, cfg.L).num_points
+    calls = []
+    plain_einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        calls.append((subscripts, [np.shape(op) for op in operands]))
+        return plain_einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    assert main(["identities", "--config", str(IDENTITIES_CFG), "--out", str(tmp_path)]) == 0
+    full_grid = [(subscripts, shapes) for subscripts, shapes in calls
+                 if len(shapes) == 3 and max(int(np.prod(s)) for s in shapes) >= points]
+    assert full_grid == []
+    # the counter sees the library's calls: a rank-2 norm still runs the einsum
+    g = small_grid(1)
+    del calls[:]
+    norm_sq(random_form(g, 2, 1, 0, np.random.default_rng(0)), MetricField.identity(g, 2))
+    assert [len(shapes) for _, shapes in calls] == [3]

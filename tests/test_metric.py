@@ -1,8 +1,9 @@
-"""MetricField.inverse_mat: the entrywise path for diagonal stacks against LAPACK.
+"""MetricField: construction rejects non-finite entries; inverse_mat against LAPACK.
 
 A diagonal stack is inverted entrywise; every other stack, and every stack
 with a reciprocal that is not finite, goes through np.linalg.inv.  Both paths
-must give what np.linalg.inv gives, exactly.
+must give what np.linalg.inv gives, exactly.  The non-finite stacks below are
+written after construction, which is what lets them reach inverse_mat.
 """
 
 import warnings
@@ -76,6 +77,24 @@ def test_non_diagonal_inverse_goes_through_lapack(name, inv_calls):
     inv = h.inverse_mat()
     assert inv_calls == [h.mat.shape]
     assert np.array_equal(inv, np.linalg.inv(h.mat))
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)],
+                         ids=["rank1", "rank2-diagonal", "rank2-off-diagonal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_metric_is_rejected_at_construction(entry, value):
+    rank = max(entry) + 1
+    g = GridSpec(1, 16, 8.0)
+    mat = np.zeros(g.shape + (rank, rank), dtype=np.complex128)
+    for a in range(rank):
+        mat[..., a, a] = 1.0
+    mat[(3, 5) + entry] = value
+    if entry[0] != entry[1]:
+        mat[(3, 5) + entry[::-1]] = np.conj(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MetricError, match="non-finite"):
+            MetricField(g, rank, mat)
 
 
 def diagonal_with_entry(rank: int, value) -> MetricField:
