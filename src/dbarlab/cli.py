@@ -458,11 +458,14 @@ def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
     return rows
 
 
-def _bump_family(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
-    """count source bumps, each centred up to spread off the box centre on every axis."""
-    centers = [grid.center + rng.uniform(-cfg.spread, cfg.spread, size=2 * grid.n)
-               for _ in range(cfg.count)]
-    return [smooth_source_bump(grid, tuple(cen), cfg.sigma) for cen in centers]
+def _bump_centers(cfg: ExperimentConfig, grid: GridSpec, rng) -> list:
+    """count source-bump centres, each up to spread off the box centre on every axis.
+
+    All are drawn before the first solve, which fixes the order of the draws;
+    each bump is built only when its solve starts.
+    """
+    return [tuple(grid.center + rng.uniform(-cfg.spread, cfg.spread, size=2 * grid.n))
+            for _ in range(cfg.count)]
 
 
 def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> list:
@@ -483,9 +486,9 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
         rows.append(_row(f"global-floor-c{c:g}", "uncertified-global-floor", 1, 1,
                          grid.N, delta_global, "", True))
         ratios = []
-        for idx, bump in enumerate(_bump_family(cfg, grid, rng)):
+        for idx, center in enumerate(_bump_centers(cfg, grid, rng)):
             f = EForm.zeros(grid, 1, 1, 1)
-            f.coeffs[..., 0, 0, 0] = bump.values
+            f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, cfg.sigma).values
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.cg, margin=cfg.seam_margin)
             check = verify_hormander(rep, delta, 1, tol=cfg.hormander)

@@ -21,16 +21,32 @@ Sign bookkeeping is concentrated in three primitives:
 Everything else (Hodge star epsilon constants, pairing expansion) is derived
 from these, never from closed-form tables.
 
+Storage is slot-major: ``EForm.zeros`` allocates one C-contiguous
+(C(n,p), C(n,q), rank) + grid block and exposes it, grid axes moved first,
+as ``coeffs`` of shape grid + (C(n,p), C(n,q), rank), so every coefficient
+field ``coeffs[..., i, j, a]`` is one contiguous grid block that transforms,
+adds and multiplies at full bandwidth.  A new form keeps this order by
+writing into ``EForm.zeros`` or by an order-"K" operation (ufuncs,
+``EForm.copy``); ``ndarray.copy()`` defaults to C order and would make the
+coefficients grid-major.  A reshape that merges grid axes with slot axes
+(``ravel``, ``reshape(-1)``) copies a slot-major form, and writes into the
+copy are lost; a writer fills slots through indexing.
+
 The pointwise contractions move no memory they do not need:
 
 * a rank-1 metric contracts as a real weight w = h_00, so each slot pair of
   ``pairing`` and ``inner_product`` is two elementwise products, and
-  ``norm_sq`` is w times one float64 dot per point over the whole coefficient
-  stack viewed as reals; rank > 1 runs the einsum t^H h s per slot pair;
+  ``norm_sq`` is w times one pass over the slot-major store viewed as reals;
+  rank > 1 runs the einsum t^H h s per slot pair;
 * a constant form (``omega_power``, a zero-stride broadcast) wedges as
   scalars: each nonzero entry of its block multiplies the other operand's
   field, and the zero entries are skipped;
-* a +-1 sign or factor picks an add or a subtract instead of a product.
+* a +-1 sign or factor picks an add or a subtract instead of a product, and
+  a unit constant in {1, -1, i, -i} (``dv_density``, ``hodge_star``) is one
+  product written straight into the result: no division and no temporary.
+  numpy runs a complex-scalar product at about copy speed, faster than its
+  complex negation or a swap of real and imaginary parts through strided
+  views.
 """
 
 from __future__ import annotations
@@ -126,7 +142,8 @@ class EForm:
     """A (p,q)-form with values in a rank-r trivialized bundle.
 
     coeffs has shape grid.shape + (C(n,p), C(n,q), rank); slot ordering is the
-    lexicographic one of ``index_tuples``.
+    lexicographic one of ``index_tuples``.  Forms built here are slot-major
+    (see the module docstring): each coeffs[..., i, j, a] is C-contiguous.
     """
 
     grid: GridSpec
@@ -154,9 +171,12 @@ class EForm:
 
     @classmethod
     def zeros(cls, grid: GridSpec, rank: int, p: int, q: int) -> "EForm":
+        """The zero form, on a slot-major store seen with the grid axes first."""
         n = grid.n
-        shape = grid.shape + (len(index_tuples(n, p)), len(index_tuples(n, q)), rank)
-        return cls(grid, rank, p, q, np.zeros(shape, dtype=np.complex128))
+        shape = (len(index_tuples(n, p)), len(index_tuples(n, q)), rank) + grid.shape
+        store = np.zeros(shape, dtype=np.complex128)
+        # np.moveaxis(store, (0, 1, 2), (-3, -2, -1)) without its argument checks
+        return cls(grid, rank, p, q, store.transpose(tuple(range(3, store.ndim)) + (0, 1, 2)))
 
     @property
     def bidegree(self) -> tuple:
@@ -174,7 +194,7 @@ class EForm:
         return self.coeffs[..., index_slot(n, self.p)[I], index_slot(n, self.q)[J], :]
 
     def copy(self) -> "EForm":
-        return EForm(self.grid, self.rank, self.p, self.q, self.coeffs.copy())
+        return EForm(self.grid, self.rank, self.p, self.q, self.coeffs.copy(order="K"))
 
     def __add__(self, other: "EForm") -> "EForm":
         _check_compatible(self, other)
@@ -328,7 +348,8 @@ def dv_density(a: EForm) -> ScalarField:
         raise FormError(f"density requires a top-degree form, got ({a.p},{a.q})")
     if a.rank != 1:
         raise FormError("density of a bundle-valued form is undefined")
-    return ScalarField(a.grid, a.coeffs[..., 0, 0, 0] / c_const(n))
+    # 1/c is a unit too, and a product by it is one vectorized pass
+    return ScalarField(a.grid, a.coeffs[..., 0, 0, 0] * (1 / c_const(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +393,28 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
 def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
     """Pointwise squared norm sum_IJ ||a_IJ||_h^2 in the orthonormal frame, a real density.
 
-    At rank 1 this is w * sum |c|^2 with the real weight w = h_00, one float64
-    dot per point over the whole coefficient stack viewed as reals.
+    At rank 1 this is w * sum |c|^2 with the real weight w = h_00.  One slot
+    is two squares and an add.  Several are read in one pass over the
+    slot-major store viewed as rows of interleaved real and imaginary parts:
+    the squares are summed over the slots, from the last to the first, then
+    each point's real and imaginary sums are added.  For the 2 or 4 slots of
+    n <= 2 this rounds exactly as numpy's per-point einsum dot over the
+    interleaved parts does.
     """
     if h.grid != a.grid or h.rank != a.rank:
         raise FormError("metric does not match the form")
     if h.rank == 1:
-        reals = np.ascontiguousarray(a.coeffs).view(np.float64)
-        reals = reals.reshape(a.grid.shape + (-1,))
-        if reals.shape[-1] == 2:
-            # one slot: two squares and an add, cheaper than einsum's per-point loop
-            total = np.square(reals[..., 0])
-            total += np.square(reals[..., 1])
+        if a.coeffs.shape[-3] * a.coeffs.shape[-2] == 1:
+            c = a.coeffs[..., 0, 0, 0]
+            total = np.square(c.real)
+            total += np.square(c.imag)
         else:
-            total = np.einsum("...i,...i->...", reals, reals)
+            grid_axes = a.coeffs.ndim - 3
+            slot_first = (grid_axes, grid_axes + 1, grid_axes + 2) + tuple(range(grid_axes))
+            store = np.ascontiguousarray(a.coeffs.transpose(slot_first))
+            reals = store.view(np.float64).reshape(store.shape[0] * store.shape[1], -1)[::-1]
+            sums = np.einsum("sk,sk->k", reals, reals)
+            total = (sums[0::2] + sums[1::2]).reshape(a.grid.shape)
         total *= h.mat[..., 0, 0].real
         return total
     total = np.zeros(a.grid.shape, dtype=np.float64)
@@ -439,5 +468,5 @@ def hodge_star(a: EForm) -> EForm:
     full = tuple(range(n))
     pos = index_slot(n, n - p)
     for J, Jc, eps in hodge_star_table(n, p):
-        out.coeffs[..., pos[Jc], 0, :] = eps * a.slot(full, J)
+        np.multiply(a.slot(full, J), eps, out=out.coeffs[..., pos[Jc], 0, :])
     return out

@@ -17,6 +17,13 @@ transforms each exponent (or the matrix field) once, and the curvature
 transforms each exponent and each first derivative once for all second
 directions.  dbar, del, D' and Theta wedge take their insertion signs and
 target slots from one table, ``exterior.grow_table``.
+
+An identically zero coefficient (say the empty slot of a source filled in
+one slot only) has derivative exactly 0: dbar and del test each source
+coefficient once, on its real and imaginary parts, and give a zero one no
+forward transform, no inverse and no add.  A NaN counts as nonzero.  The
+pointwise products (pairing, wedge, the connection term of D') make no such
+test, as it would cost as much as the product it saves.
 """
 
 from __future__ import annotations
@@ -140,7 +147,8 @@ def _differential(a: EForm, conjugate: bool) -> EForm:
     The coefficient a_IJ contributes s * d_k a_IJ to the slot of the index set
     grown by k, for every k outside it: the dzbar set J for dbar, with the
     (-1)^p crossing of dzbar_k past dz_I, and the dz set I for del.  The signs
-    and slots are the rows of grow_table.
+    and slots are the rows of grow_table.  A coefficient that is identically
+    zero is skipped: its rows would add exact zeros.
     """
     out = EForm.zeros(a.grid, a.rank, a.p + (not conjugate), a.q + conjugate)
     crossing = (-1) ** a.p if conjugate else 1
@@ -153,9 +161,12 @@ def _differential(a: EForm, conjugate: bool) -> EForm:
         spec_src = None
         for src, k, dst, sign in table:
             if src != spec_src:
-                spec, spec_src = to_spectrum(a.grid, a_c[..., other, src, :]), src
-            add_signed(out_c[..., other, dst, :], crossing * sign,
-                       from_spectrum(a.grid, spec, k, conjugate))
+                coeff, spec_src = a_c[..., other, src, :], src
+                nonzero = coeff.real.any() or coeff.imag.any()
+                spec = to_spectrum(a.grid, coeff) if nonzero else None
+            if spec is not None:
+                add_signed(out_c[..., other, dst, :], crossing * sign,
+                           from_spectrum(a.grid, spec, k, conjugate))
     return out
 
 

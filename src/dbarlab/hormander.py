@@ -57,10 +57,11 @@ def _gram(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Pointwise mat @ c on the bundle index ("...ab,...ijb->...ija").
 
     mat is grid + (r, r); coeffs is grid + (..., r) with any number of form
-    slot axes in between.  Written as multiply-adds over the small index b.
+    slot axes in between.  Written as multiply-adds over the small index b,
+    into an array laid out as coeffs is (slot-major for a form's coefficients).
     """
     m = mat.reshape(mat.shape[:-2] + (1,) * (coeffs.ndim - mat.ndim + 1) + mat.shape[-2:])
-    out = m[..., 0] * coeffs[..., :1]
+    out = np.multiply(m[..., 0], coeffs[..., :1], out=np.empty_like(coeffs))
     for b in range(1, mat.shape[-1]):
         out += m[..., b] * coeffs[..., b : b + 1]
     return out
@@ -214,8 +215,8 @@ def project_to_range(f: EForm) -> EForm:
     directions transverse to the dbar multiplier."""
     spec = to_spectrum(f.grid, f.coeffs)
     spec[..., 0, :, :] = _range_component(f.grid, f.q, spec[..., 0, :, :])
-    out = f.copy()
-    out.coeffs = to_lattice(f.grid, spec)
+    out = EForm.zeros(f.grid, f.rank, f.p, f.q)
+    out.coeffs[...] = to_lattice(f.grid, spec)
     return out
 
 
@@ -299,7 +300,9 @@ def solve_min_norm(
     DpH = np.conj(np.swapaxes(Dp, -1, -2))
 
     def to_form(spec: np.ndarray) -> EForm:
-        return EForm(grid, f.rank, n, p, to_lattice(grid, spec)[..., None, :, :])
+        form = EForm.zeros(grid, f.rank, n, p)
+        form.coeffs[..., 0, :, :] = to_lattice(grid, spec)
+        return form
 
     def apply_A(spec: np.ndarray) -> np.ndarray:
         w = _gram(hinv, to_lattice(grid, _per_mode(DH, spec)))
@@ -452,13 +455,15 @@ def dense_min_norm(f: EForm, h: MetricField) -> EForm:
     for i in range(dim1):
         basis[:] = 0.0
         basis[i] = 1.0
-        u = EForm(grid, f.rank, n, p - 1, basis.reshape(shape1).copy())
+        u = EForm.zeros(grid, f.rank, n, p - 1)
+        u.coeffs[...] = basis.reshape(shape1)
         u.coeffs = _gram(inv_sqrt, u.coeffs)
         Tu = dbar(u)
         Tu.coeffs = _gram(sqrt_h.mat, Tu.coeffs)
         cols[:, i] = Tu.coeffs.ravel()
     f_white = _gram(sqrt_h.mat, f.coeffs).ravel()
     u_white, *_ = np.linalg.lstsq(cols, f_white, rcond=1e-12)
-    u = EForm(grid, f.rank, n, p - 1, u_white.reshape(shape1).copy())
+    u = EForm.zeros(grid, f.rank, n, p - 1)
+    u.coeffs[...] = u_white.reshape(shape1)
     u.coeffs = _gram(inv_sqrt, u.coeffs)
     return u

@@ -71,14 +71,9 @@ def read_field(path):
     if kind == KIND_SCALAR:
         return ScalarField(grid, raw.reshape(grid.shape).copy())
     if kind == KIND_EFORM:
-        from .exterior import index_tuples
-
-        shape = grid.shape + (
-            len(index_tuples(grid.n, p)),
-            len(index_tuples(grid.n, q)),
-            rank,
-        )
-        return EForm(grid, rank, p, q, raw.reshape(shape).copy())
+        form = EForm.zeros(grid, rank, p, q)
+        form.coeffs[...] = raw.reshape(form.coeffs.shape)
+        return form
     if kind == KIND_METRIC:
         shape = grid.shape + (rank, rank)
         return MetricField(grid, rank, raw.reshape(shape).copy())

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureSymmetryError, MetricError, PreconditionError
-from .exterior import c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge
+from .exterior import (
+    add_signed, c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge,
+)
 from .hermitian import CurvatureField, curvature_wedge
 from .metric import MetricField, matrix_apply, vector_inner
 
@@ -227,13 +229,18 @@ def check_nakano_pointwise_identity(
         raise PreconditionError(f"identity requires an (n-1,0)-form, got ({gamma.p},{gamma.q})")
     lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h)).values
 
-    # dz_j ^ dz_rest = sign dz_full for the one j outside each (n-1)-set rest
-    hatted = {j: sign * gamma.coeffs[..., src, 0, :] for src, j, _, sign in grow_table(n, n - 1)}
+    # dz_j ^ dz_rest = sign dz_full for the one j outside each (n-1)-set rest;
+    # gamma^j is that sign times the rest's coefficient, and the two signs of
+    # each term fold into one add or subtract
+    hatted = {j: (sign, gamma.coeffs[..., src, 0, :]) for src, j, _, sign in grow_table(n, n - 1)}
     rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
     for j in range(n):
+        sign_j, coeff_j = hatted[j]
         for k in range(n):
-            rhs += vector_inner(h, matrix_apply(theta.theta[..., j, k, :, :], hatted[j]),
-                                hatted[k])
+            sign_k, coeff_k = hatted[k]
+            add_signed(rhs, sign_j * sign_k,
+                       vector_inner(h, matrix_apply(theta.theta[..., j, k, :, :], coeff_j),
+                                    coeff_k))
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
 

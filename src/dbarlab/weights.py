@@ -330,9 +330,11 @@ def random_form(
     from .exterior import EForm, scale_by_field
 
     form = EForm.zeros(grid, rank, p, q)
-    flat = form.coeffs.reshape(grid.shape + (-1,))
-    for comp in range(flat.shape[-1]):
-        flat[..., comp] = random_band_limited(grid, rng, kmax_frac).values
+    # one field per (dz slot, dzbar slot, component), drawn in that C order and
+    # written through indexing (a reshape of the slot-major coefficients that
+    # merges grid and slot axes would copy)
+    for index in np.ndindex(form.coeffs.shape[-3:]):
+        form.coeffs[(...,) + index] = random_band_limited(grid, rng, kmax_frac).values
     if interior:
         form = scale_by_field(form, plateau_bump(grid))
     return form

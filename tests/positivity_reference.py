@@ -7,12 +7,17 @@ whitens again, then takes the eigenvalues over all points.  The net, the two
 refinement passes and the spread between passes are those of the fast path,
 so agreement checks the shared whitened stack and its per-direction
 contraction.  It covers n = 2 at rank >= 2, the case that runs a net.
+
+It also keeps the curvature-contraction residual with its sign products.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from dbarlab.exterior import c_const, dv_density, grow_table, pairing
+from dbarlab.hermitian import curvature_wedge
+from dbarlab.metric import matrix_apply, vector_inner
 from dbarlab.positivity import _whiten
 
 
@@ -70,3 +75,21 @@ def griffiths_report(h, theta, region=None, mode="lower", net_size=256, refine_p
     coords = np.argwhere(keep)[best[1]]
     xi = np.array([np.cos(best[2]), np.sin(best[2]) * np.exp(1j * best[3])])
     return best[0], tuple(int(c) for c in coords), xi, float(last_spread)
+
+
+def nakano_pointwise_identity(theta, gamma, h):
+    """The curvature-contraction residual with each hat-dz_j coefficient multiplied by its sign.
+
+    The reference for ``check_nakano_pointwise_identity``, which folds the two
+    signs of each term into one add or subtract.
+    """
+    n = gamma.grid.n
+    lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h)).values
+    hatted = {j: sign * gamma.coeffs[..., src, 0, :] for src, j, _, sign in grow_table(n, n - 1)}
+    rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
+    for j in range(n):
+        for k in range(n):
+            rhs += vector_inner(h, matrix_apply(theta.theta[..., j, k, :, :], hatted[j]),
+                                hatted[k])
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
+    return float(np.abs(lhs - rhs).max() / scale)

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import spectral_reference as ref
 
+from dbarlab import hermitian
 from dbarlab.bochner import (
     basic_estimate,
     bk_integrated,
@@ -12,10 +14,11 @@ from dbarlab.bochner import (
     integrate_density,
     xi_omega_identity,
 )
+from dbarlab.cli import _bk_source
 from dbarlab.errors import FormError, SupportError
 from dbarlab.exterior import EForm, norm_sq, scale_by_field
 from dbarlab.grid import GridSpec
-from dbarlab.hermitian import MetricField, curvature, dbar_star_formal
+from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal, dpartial
 from dbarlab.positivity import nakano_delta
 from dbarlab.weights import (
     gaussian_metric,
@@ -277,3 +280,42 @@ def test_bk_reports_traced_peak_stays_within_field_budget():
         tracemalloc.stop()
     assert (peak - start) / field_bytes <= 17.0
     assert rep_p.terms == expected[0].terms and rep_i.terms == expected[1].terms
+
+
+def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
+    # the CLI's source fills one of the two slots of its (2,1)-form; the other
+    # slot and the zero slots it leaves in gamma and the pairings are never
+    # transformed: 26 transforms, where transforming every coefficient took 41
+    g = GridSpec(2, 8, 8.0)
+    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    inputs = []
+
+    def counting(transform):
+        def wrapped(grid, arr, *args):
+            inputs.append(arr.real.any() or arr.imag.any())
+            return transform(grid, arr, *args)
+        return wrapped
+
+    monkeypatch.setattr(hermitian, "to_spectrum", counting(hermitian.to_spectrum))
+    monkeypatch.setattr(hermitian, "from_spectrum", counting(hermitian.from_spectrum))
+    bk_reports(_bk_source(g, 1), h)
+    assert len(inputs) == 26
+    assert all(inputs)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_differentials_of_forms_with_zero_slots_match_reference(rng, rank):
+    g = GridSpec(2, 8, 8.0)
+    for p in range(3):
+        for q in range(3):
+            a = random_form(g, rank, p, q, rng)
+            # the coefficient fields cycle through zero, real, imaginary and
+            # complex, and one point of the first field is NaN, which is nonzero
+            for count, index in enumerate(np.ndindex(a.coeffs.shape[-3:])):
+                field = a.coeffs[(...,) + index]
+                field[...] = (0.0, field.real, 1j * field.imag, field)[count % 4]
+            a.coeffs[(0,) * 4 + (0, 0, 0)] = np.nan
+            if q < 2:
+                assert np.array_equal(dbar(a).coeffs, ref.dbar(a).coeffs, equal_nan=True)
+            if p < 2:
+                assert np.array_equal(dpartial(a).coeffs, ref.dpartial(a).coeffs, equal_nan=True)

@@ -20,12 +20,14 @@ from dbarlab.exterior import (
     norm_sq,
     omega_power,
     pairing,
+    scale_by_field,
     wedge,
     wedge_basis,
 )
 from dbarlab.grid import GridSpec
+from dbarlab.hermitian import dbar, dprime
 from dbarlab.metric import MetricField
-from dbarlab.weights import random_form
+from dbarlab.weights import gaussian_metric, random_band_limited, random_form
 
 import exterior_reference
 from grassmann_oracle import as_canonical, basis_form, multiply
@@ -425,3 +427,67 @@ def test_identities_runs_no_three_operand_contraction_on_a_full_grid(tmp_path, m
     del calls[:]
     norm_sq(random_form(g, 2, 1, 0, np.random.default_rng(0)), MetricField.identity(g, 2))
     assert [len(shapes) for _, shapes in calls] == [3]
+
+
+def assert_slot_major(form):
+    """Every coefficient field coeffs[..., i, j, a] is one C-contiguous grid block."""
+    for index in np.ndindex(form.coeffs.shape[-3:]):
+        assert form.coeffs[(...,) + index].flags.c_contiguous, index
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_forms_store_each_coefficient_as_one_contiguous_block(n, rank):
+    rng = np.random.default_rng(50 + 10 * n + rank)
+    g = GridSpec(n, 8, 8.0)
+    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.3, rank=rank)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            zero = EForm.zeros(g, rank, p, q)
+            assert_slot_major(zero)
+            a = random_form(g, rank, p, q, rng)
+            assert_slot_major(a.copy())
+            assert_slot_major(scale_by_field(a, np.ones(g.shape)))
+            if q < n:
+                assert_slot_major(dbar(a))
+            if p + q <= n:
+                assert_slot_major(pairing(a, random_form(g, rank, p, q, rng), h))
+            for pb in range(n - p + 1):
+                for qb in range(n - q + 1):
+                    assert_slot_major(wedge(a, random_form(g, 1, pb, qb, rng)))
+        alpha = random_form(g, rank, n, p, rng)
+        assert_slot_major(hodge_star(alpha))
+        if p < n:
+            assert_slot_major(dprime(random_form(g, rank, p, 0, rng), h))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_form_fills_every_slot_in_draw_order(n):
+    g = small_grid(n)
+    for rank in (1, 2):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                seed = 100 * rank + 10 * p + q
+                form = random_form(g, rank, p, q, np.random.default_rng(seed))
+                draws = np.random.default_rng(seed)
+                # one draw per (dz slot, dzbar slot, component), in C order
+                for index in np.ndindex(form.coeffs.shape[-3:]):
+                    field = form.coeffs[(...,) + index]
+                    assert np.any(field != 0)
+                    assert np.array_equal(field, random_band_limited(g, draws).values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_unit_constants_equal_their_products(rng, n):
+    g = small_grid(n)
+    full = tuple(range(n))
+    pos = {p: index_slot(n, n - p) for p in range(n + 1)}
+    for rank in (1, 2):
+        for p in range(n + 1):
+            alpha = random_form(g, rank, n, p, rng)
+            gamma = hodge_star(alpha)
+            for J, Jc, eps in hodge_star_table(n, p):
+                assert np.array_equal(gamma.coeffs[..., pos[p][Jc], 0, :],
+                                      eps * alpha.slot(full, J))
+    top = random_form(g, 1, n, n, rng)
+    assert np.array_equal(dv_density(top).values, top.coeffs[..., 0, 0, 0] / c_const(n))

@@ -452,3 +452,15 @@ def test_stopping_norm_matches_hilbert_norm(n, N, p, rank, rng):
         cols = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         ref = np.einsum("...ab,...br->...ar", mat, cols)
         assert np.abs(_per_mode(mat, cols) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_solver_forms_store_each_coefficient_as_one_contiguous_block(rng):
+    # at n = 2 and rank 2 a form has several slots and components, so a
+    # grid-major array would leave every coefficient field strided
+    g = GridSpec(2, 8, 8.0)
+    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.3, rank=2)
+    f = project_to_range(dbar(random_form(g, 2, 2, 0, rng)))
+    u, _ = solve_min_norm(f, h, tol=1e-8)
+    for form in (f, u, apply_Tstar(f, h), dbar_transpose(f)):
+        for index in np.ndindex(form.coeffs.shape[-3:]):
+            assert form.coeffs[(...,) + index].flags.c_contiguous, index

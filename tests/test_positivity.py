@@ -16,6 +16,8 @@ from dbarlab.positivity import (
 )
 from dbarlab.weights import gaussian_metric, random_band_limited, random_form
 
+import positivity_reference
+
 # Griffiths-positive / Nakano-negative curvature blocks, found by randomized
 # search (seed 2026, trial 5490) over hermitian-symmetric constant curvature
 # at n = r = 2, then frozen as a regression fixture.  Certified extrema:
@@ -175,7 +177,6 @@ def test_griffiths_definition_oracle_by_sampling(rng):
 @pytest.mark.parametrize("mode", ["lower", "upper"])
 @pytest.mark.parametrize("case", ["criterion7-0", "criterion7-1", "witness"])
 def test_griffiths_matches_per_direction_reference(case, mode):
-    from positivity_reference import griffiths_report as reference_report
     from test_acceptance import random_pointwise_curvature, random_pointwise_metric
 
     g = GridSpec(2, 8, 8.0)
@@ -189,7 +190,8 @@ def test_griffiths_matches_per_direction_reference(case, mode):
             h = random_pointwise_metric(g, 2, rng)
             th = random_pointwise_curvature(g, 2, rng, h=h)
     delta, point, _xi, net_err = griffiths_report(h, th, mode=mode)
-    ref_delta, ref_point, _ref_xi, ref_net_err = reference_report(h, th, mode=mode)
+    reference = positivity_reference.griffiths_report(h, th, mode=mode)
+    ref_delta, ref_point, _ref_xi, ref_net_err = reference
     assert abs(delta - ref_delta) <= 1e-12 * abs(ref_delta)
     assert point == ref_point
     assert abs(net_err - ref_net_err) <= 1e-12
@@ -338,6 +340,21 @@ def test_nakano_identity_with_nontrivial_metric(rng):
     th = CurvatureField.constant(g, 2, blocks)
     gamma = random_form(g, 2, 1, 0, rng)
     assert check_nakano_pointwise_identity(th, gamma, h) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_nakano_pointwise_identity_folds_hat_signs_exactly(n, rank):
+    # the residual is roundoff, so it reads the last bits of the right-hand
+    # side; random non-hermitian curvature exercises every (j, k) sign pair
+    rng = np.random.default_rng(30 + 10 * n + rank)
+    g = GridSpec(n, 8, 8.0)
+    h = MetricField.from_weight(g, np.exp(rng.standard_normal(g.shape)), rank)
+    shape = g.shape + (n, n, rank, rank)
+    th = CurvatureField(g, rank, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    gamma = random_form(g, rank, n - 1, 0, rng)
+    assert (check_nakano_pointwise_identity(th, gamma, h)
+            == positivity_reference.nakano_pointwise_identity(th, gamma, h))
 
 
 def test_basic_inequality_equality_case(rng):
