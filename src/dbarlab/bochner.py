@@ -45,7 +45,7 @@ from .exterior import (
     pairing,
     wedge,
 )
-from .grid import interior_mask, seam_leakage
+from .grid import integrate, interior_mask, seam_leakage
 from .hermitian import (
     MetricField,
     adjoint_from_dprime,
@@ -72,10 +72,6 @@ class IdentityReport:
     residual: float = 0.0
     relative_residual: float = 0.0
     slope: float | None = None
-
-
-def _density(form: EForm) -> np.ndarray:
-    return dv_density(form).values
 
 
 def check_support(alpha: EForm, h: MetricField, margin: float):
@@ -110,9 +106,9 @@ def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     ic = 1j * c_const(n - p)
 
     theta_gamma = curvature_wedge(curvature(h), gamma)
-    terms = {"curvature": ic * _density(wedge(pairing(theta_gamma, gamma, h), om_p1))}
+    terms = {"curvature": ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))}
     del theta_gamma
-    terms["lhs"] = ic * _density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
+    terms["lhs"] = ic * dv_density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
     terms["dbar_gamma_sq"] = norm_sq(dbar(gamma), h)
     terms["dbar_alpha_sq"] = np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
 
@@ -120,8 +116,8 @@ def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     terms["adjoint_sq"] = norm_sq(adjoint_from_dprime(dpg, om_p1), h)
     dbar_dpg = dbar(dpg)
     del dpg
-    terms["cross_minus"] = -ic * _density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
-    terms["cross_plus"] = ic * _density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
+    terms["cross_minus"] = -ic * dv_density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
+    terms["cross_plus"] = ic * dv_density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
     return terms
 
 
@@ -155,19 +151,19 @@ def _pointwise_report(alpha: EForm, t: dict, margin: float) -> IdentityReport:
 
 def _integrated_report(alpha: EForm, t: dict, leak: float) -> IdentityReport:
     grid = alpha.grid
-    I_curv = integrate_density(t["curvature"], grid)
-    I_dbar_gamma = integrate_density(t["dbar_gamma_sq"], grid)
-    I_tstar = integrate_density(t["adjoint_sq"], grid)
-    I_dbar_alpha = integrate_density(t["dbar_alpha_sq"], grid)  # zeros when p == n
+    I_curv = float(integrate(grid, t["curvature"].real))
+    I_dbar_gamma = float(integrate(grid, t["dbar_gamma_sq"]))
+    I_tstar = float(integrate(grid, t["adjoint_sq"]))
+    I_dbar_alpha = float(integrate(grid, t["dbar_alpha_sq"]))  # zeros when p == n
     residual = I_curv + I_dbar_gamma - I_tstar - I_dbar_alpha
     scale = max(abs(I_curv), I_dbar_gamma, I_tstar, abs(I_dbar_alpha), 1e-300)
 
     report = IdentityReport("bk-integrated", grid.n, alpha.q, grid.N)
     report.terms = {
-        "curvature_integral": float(np.real(I_curv)),
-        "dbar_gamma_integral": float(I_dbar_gamma),
-        "adjoint_integral": float(I_tstar),
-        "dbar_alpha_integral": float(I_dbar_alpha),
+        "curvature_integral": I_curv,
+        "dbar_gamma_integral": I_dbar_gamma,
+        "adjoint_integral": I_tstar,
+        "dbar_alpha_integral": I_dbar_alpha,
         "seam_leakage": float(leak),
     }
     report.residual = float(abs(residual))
@@ -205,13 +201,6 @@ def bk_integrated(
     return _integrated_report(alpha, _bk_terms(alpha, h), leak)
 
 
-def integrate_density(density: np.ndarray, grid) -> float:
-    vals = np.asarray(density)
-    if np.iscomplexobj(vals):
-        vals = vals.real
-    return float(vals.sum() * grid.cell_volume)
-
-
 def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
     """The two Stokes cross-term integrals; each should equal -||dbar*_h alpha||^2.
 
@@ -219,9 +208,9 @@ def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
     """
     t = _bk_terms(alpha, h)
     return (
-        integrate_density(t["cross_minus"], alpha.grid),
-        integrate_density(t["cross_plus"], alpha.grid),
-        -integrate_density(t["adjoint_sq"], alpha.grid),
+        float(integrate(alpha.grid, t["cross_minus"].real)),
+        float(integrate(alpha.grid, t["cross_plus"].real)),
+        -float(integrate(alpha.grid, t["adjoint_sq"])),
     )
 
 
@@ -236,7 +225,7 @@ def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:
         raise FormError(f"identity requires an (n-1,1)-form, got ({xi.p},{xi.q})")
     if h is None:
         h = MetricField.identity(xi.grid, xi.rank)
-    lhs = 1j * c_const(n - 1) * (-1) ** n * _density(pairing(xi, xi, h))
+    lhs = 1j * c_const(n - 1) * (-1) ** n * dv_density(pairing(xi, xi, h))
     rhs = norm_sq(xi, h)
     if n >= 2:
         rhs -= norm_sq(wedge(xi, omega(xi.grid)), h)
@@ -263,10 +252,10 @@ def basic_estimate(
         raise FormError(f"estimate requires an (n,p)-form with p >= 1, got ({alpha.p},{alpha.q})")
     if enforce_support:
         check_support(alpha, h, margin)
-    lhs = integrate_density(norm_sq(alpha, h), alpha.grid)
-    rhs = integrate_density(norm_sq(dbar_star_formal(alpha, h), h), alpha.grid)
+    lhs = float(integrate(alpha.grid, norm_sq(alpha, h)))
+    rhs = float(integrate(alpha.grid, norm_sq(dbar_star_formal(alpha, h), h)))
     if p < n:
-        rhs += integrate_density(norm_sq(dbar(alpha), h), alpha.grid)
+        rhs += float(integrate(alpha.grid, norm_sq(dbar(alpha), h)))
     return {
         "lhs": lhs,
         "rhs": rhs,

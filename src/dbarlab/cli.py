@@ -386,7 +386,7 @@ def _bk_source(grid: GridSpec, rank: int) -> EForm:
     alpha = EForm.zeros(grid, rank, grid.n, 1)
     alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
         grid, tuple(grid.center + 0.3 * (-1) ** k for k in range(2 * grid.n)), 0.05 * grid.L
-    ).values
+    )
     return alpha
 
 
@@ -488,7 +488,7 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
         ratios = []
         for idx, center in enumerate(_bump_centers(cfg, grid, rng)):
             f = EForm.zeros(grid, 1, 1, 1)
-            f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, cfg.sigma).values
+            f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, cfg.sigma)
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.cg, margin=cfg.seam_margin)
             check = verify_hormander(rep, delta, 1, tol=cfg.hormander)
@@ -525,7 +525,7 @@ def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
         grid, (grid.center - 0.7, grid.center - 0.5), cfg.sigma
     )
     f = EForm.zeros(grid, cat.metric.rank, 1, 1)
-    f.coeffs[..., 0, 0, 0] = bump.values
+    f.coeffs[..., 0, 0, 0] = bump
     f = project_to_range(f)
     eps_req = cfg.floor_eps
     u, rep = regularized_solve(f, cat, schedule)

@@ -58,7 +58,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FormError
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec
 from .metric import MetricField, vector_inner
 
 
@@ -222,12 +222,11 @@ def _check_compatible(a: EForm, b: EForm):
         )
 
 
-def scale_by_field(a: EForm, field) -> EForm:
+def scale_by_field(a: EForm, field: np.ndarray) -> EForm:
     """Multiply every coefficient by a scalar field (cutoffs, weights)."""
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field)
-    if values.shape != a.grid.shape:
+    if field.shape != a.grid.shape:
         raise FormError("scaling field shape does not match the grid")
-    return EForm(a.grid, a.rank, a.p, a.q, a.coeffs * values[..., None, None, None])
+    return EForm(a.grid, a.rank, a.p, a.q, a.coeffs * field[..., None, None, None])
 
 
 def conjugate_form(a: EForm) -> EForm:
@@ -341,7 +340,7 @@ def omega_power(grid: GridSpec, p: int) -> EForm:
     return EForm(grid, 1, p, p, np.broadcast_to(block, grid.shape + block.shape))
 
 
-def dv_density(a: EForm) -> ScalarField:
+def dv_density(a: EForm) -> np.ndarray:
     """Density of an (n,n)-form against the volume form omega^n/n!."""
     n = a.grid.n
     if (a.p, a.q) != (n, n):
@@ -349,7 +348,7 @@ def dv_density(a: EForm) -> ScalarField:
     if a.rank != 1:
         raise FormError("density of a bundle-valued form is undefined")
     # 1/c is a unit too, and a product by it is one vectorized pass
-    return ScalarField(a.grid, a.coeffs[..., 0, 0, 0] * (1 / c_const(n)))
+    return a.coeffs[..., 0, 0, 0] * (1 / c_const(n))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +424,7 @@ def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
     return total
 
 
-def inner_product(a: EForm, b: EForm, h: MetricField) -> ScalarField:
+def inner_product(a: EForm, b: EForm, h: MetricField) -> np.ndarray:
     """Pointwise hermitian inner product sum_IJ (a_IJ, b_IJ)_h."""
     _check_compatible(a, b)
     if h.grid != a.grid or h.rank != a.rank:
@@ -434,7 +433,7 @@ def inner_product(a: EForm, b: EForm, h: MetricField) -> ScalarField:
     for I in a.dz_slots():
         for J in a.dzbar_slots():
             total += vector_inner(h, a.slot(I, J), b.slot(I, J))
-    return ScalarField(a.grid, total)
+    return total
 
 
 @lru_cache(maxsize=32)

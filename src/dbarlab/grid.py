@@ -13,6 +13,10 @@ the forward and inverse transforms over the grid axes, on scipy.fft with its
 default single worker.  ``from_spectrum`` runs the inverse in place on its own
 multiplied spectrum; ``to_lattice`` copies, as its callers' spectra stay in
 use.  Every other spectral step goes through these.
+
+A scalar field on the lattice is a plain array of ``grid.shape``, float64 or
+complex128 as its producer computes it; ``integrate`` is the package's one
+lattice quadrature.
 """
 
 from __future__ import annotations
@@ -107,51 +111,6 @@ class GridSpec:
         return w
 
 
-@dataclass
-class ScalarField:
-    """Complex scalar samples on a GridSpec lattice."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
-            raise FormError(
-                f"field shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-
-    @classmethod
-    def constant(cls, grid: GridSpec, value: complex) -> "ScalarField":
-        return cls(grid, np.full(grid.shape, value, dtype=np.complex128))
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            _check_same_grid(self.grid, other.grid)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other_values = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values - other_values)
-
-    def __mul__(self, other):
-        other_values = other.values if isinstance(other, ScalarField) else other
-        return ScalarField(self.grid, self.values * other_values)
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(a: GridSpec, b: GridSpec):
-    if a != b:
-        raise FormError(f"grid mismatch: {a} vs {b}")
-
-
 @lru_cache(maxsize=32)
 def _dz_multiplier(grid: GridSpec, j: int, conjugate: bool) -> np.ndarray:
     """Fourier multiplier of d/dz_j (or d/dzbar_j), broadcastable to grid shape.
@@ -204,33 +163,25 @@ def from_spectrum(
     return scipy.fft.ifftn(mult * spec, axes=tuple(range(dims)), overwrite_x=True)
 
 
-def partial_z(f: ScalarField, j: int, conjugate: bool = False) -> ScalarField:
-    """df/dz_j (or df/dzbar_j when conjugate is set), exact on band-limited data."""
-    return ScalarField(f.grid, dz_array(f.grid, f.values, j, conjugate))
+def integrate(grid: GridSpec, values: np.ndarray):
+    """Lattice integral in the field's dtype: exact for periodic band-limited data."""
+    return values.sum() * grid.cell_volume
 
 
-def integrate(f: ScalarField) -> complex:
-    """Lattice integral: mean times box volume, exact for periodic band-limited data."""
-    return complex(f.values.sum() * f.grid.cell_volume)
+def convolve(grid: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Periodic convolution with a real, nonnegative, unit-mass kernel, computed spectrally.
 
-
-def convolve(f: ScalarField, kernel: ScalarField) -> ScalarField:
-    """Periodic convolution with a nonnegative unit-mass kernel, computed spectrally."""
-    _check_same_grid(f.grid, kernel.grid)
-    kv = kernel.values
-    if np.abs(kv.imag).max() > 1e-13 * max(np.abs(kv.real).max(), 1e-300):
+    A real field convolves to a real field.
+    """
+    if np.iscomplexobj(kernel):
         raise ValidationError("convolution kernel must be real")
-    kr = kv.real
-    if kr.min() < -1e-13 * max(kr.max(), 1e-300):
-        raise ValidationError(f"convolution kernel has negative entries (min {kr.min():.3e})")
-    mass = kr.sum() * f.grid.cell_volume
+    if kernel.min() < -1e-13 * max(kernel.max(), 1e-300):
+        raise ValidationError(f"convolution kernel has negative entries (min {kernel.min():.3e})")
+    mass = float(integrate(grid, kernel))
     if abs(mass - 1.0) > 1e-10:
         raise ValidationError(f"convolution kernel mass is {mass!r}, expected 1")
-    spec = to_spectrum(f.grid, f.values) * to_spectrum(f.grid, kr)
-    out = to_lattice(f.grid, spec) * f.grid.cell_volume
-    if np.abs(f.values.imag).max() == 0.0:
-        out = out.real.astype(np.complex128)
-    return ScalarField(f.grid, out)
+    out = to_lattice(grid, to_spectrum(grid, f) * to_spectrum(grid, kernel)) * grid.cell_volume
+    return out if np.iscomplexobj(f) else out.real
 
 
 def interior_mask(grid: GridSpec, margin_frac: float = 0.125) -> np.ndarray:

@@ -3,10 +3,10 @@
 T is the spectral dbar from (n,p-1)-forms to (n,p)-forms.  Because the bundle
 is trivialized, T is a fixed Fourier-multiplier structure and the metric only
 enters through the pointwise Gram weight h of both spaces: norm2(a, h) is the
-h-weighted lattice quadrature, and the Hilbert-space adjoint is computed
-exactly as apply_Tstar(v, h) = h^{-1} dbar^T (h v), with dbar^T the
-unweighted transpose: it reads the rows of ``exterior.grow_table`` that
-build dbar backwards and transforms each coefficient once.  The per-mode
+h-weighted lattice quadrature over h's unmasked cells, and the Hilbert-space
+adjoint is computed exactly as apply_Tstar(v, h) = h^{-1} dbar^T (h v), with
+dbar^T the unweighted transpose: it reads the rows of ``exterior.grow_table``
+that build dbar backwards and transforms each coefficient once.  The per-mode
 symbol D of dbar is built from the same rows.
 
 The minimal-norm solve uses the normal equations T T* y = f.  Substituting
@@ -41,11 +41,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormError, PreconditionError, SolverError
-from .exterior import EForm, grow_table, index_tuples, norm_sq
+from .exterior import EForm, add_signed, grow_table, index_tuples, norm_sq
 from .grid import (
     GridSpec,
     _dz_multiplier,
     from_spectrum,
+    integrate,
     seam_leakage,
     to_lattice,
     to_spectrum,
@@ -68,8 +69,14 @@ def _gram(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def norm2(a: EForm, h: MetricField) -> float:
-    """h-weighted squared L2 norm of a form: pointwise Gram h, lattice quadrature."""
-    return float(norm_sq(a, h).sum() * a.grid.cell_volume)
+    """h-weighted squared L2 norm of a form: pointwise Gram h, lattice quadrature.
+
+    Masked cells of h are left out of the quadrature.
+    """
+    dens = norm_sq(a, h)
+    if h.mask is not None:
+        dens[h.mask] = 0.0
+    return float(integrate(a.grid, dens))
 
 
 @dataclass
@@ -116,7 +123,8 @@ def dbar_transpose(v: EForm) -> EForm:
         specs = [to_spectrum(v.grid, v.coeffs[..., Ipos, J, :]) for J in range(v.coeffs.shape[-2])]
         # row (Jm, k, J): dz_k ^ dz_Jm = sign dz_J, so v_J feeds out_Jm
         for src, k, dst, sign in grow_table(v.grid.n, v.q - 1):
-            out.coeffs[..., Ipos, src, :] += sign_p * sign * -from_spectrum(v.grid, specs[dst], k)
+            add_signed(out.coeffs[..., Ipos, src, :], -sign_p * sign,
+                       from_spectrum(v.grid, specs[dst], k))
     return out
 
 
@@ -224,7 +232,7 @@ def _spectral_norm2(grid: GridSpec, hmat: np.ndarray, spec: np.ndarray) -> float
     """h-weighted squared L2 norm of the (n,p)-form whose dzbar spectrum is spec.
 
     spec is grid + (C(n,p), r), the dz slot dropped; equals norm2 of that
-    form, taken as one weighted sum on the lattice.
+    form on an unmasked metric, taken as one weighted sum on the lattice.
     """
     v = to_lattice(grid, spec)
     return float(np.vdot(v, _gram(hmat, v)).real) * grid.cell_volume

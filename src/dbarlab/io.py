@@ -1,6 +1,7 @@
 """Field file format, CSV reports, and standalone SVG plots.
 
-Field files are little-endian binary: magic "HDBL", a fixed header, then
+Field files hold one bundle-valued form (kind 1) or one hermitian metric
+(kind 2) and are little-endian binary: magic "HDBL", a fixed header, then
 row-major complex data stored as float64 (re, im) pairs, so round-trips are
 bit-exact.  CSV reports follow RFC 4180 (CRLF, header row, minimal quoting)
 and use shortest-roundtrip float formatting, which together with seeded
@@ -16,12 +17,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .exterior import EForm
-from .grid import GridSpec, ScalarField
+from .grid import GridSpec
 from .metric import MetricField
 
 MAGIC = b"HDBL"
 VERSION = 1
-KIND_SCALAR = 0
 KIND_EFORM = 1
 KIND_METRIC = 2
 
@@ -43,12 +43,8 @@ def _parse_header(blob: bytes):
 
 
 def write_field(path, obj) -> None:
-    """Serialize a ScalarField, EForm, or MetricField to the binary format."""
-    if isinstance(obj, ScalarField):
-        kind, rank, p, q = KIND_SCALAR, 1, 0, 0
-        data = obj.values
-        grid = obj.grid
-    elif isinstance(obj, EForm):
+    """Serialize an EForm or a MetricField to the binary format."""
+    if isinstance(obj, EForm):
         kind, rank, p, q = KIND_EFORM, obj.rank, obj.p, obj.q
         data = obj.coeffs
         grid = obj.grid
@@ -68,8 +64,6 @@ def read_field(path):
     with open(path, "rb") as fh:
         kind, grid, rank, p, q = _parse_header(fh.read(_HEADER2.size))
         raw = np.frombuffer(fh.read(), dtype="<c16")
-    if kind == KIND_SCALAR:
-        return ScalarField(grid, raw.reshape(grid.shape).copy())
     if kind == KIND_EFORM:
         form = EForm.zeros(grid, rank, p, q)
         form.coeffs[...] = raw.reshape(form.coeffs.shape)

@@ -227,7 +227,7 @@ def check_nakano_pointwise_identity(
     n = gamma.grid.n
     if (gamma.p, gamma.q) != (n - 1, 0):
         raise PreconditionError(f"identity requires an (n-1,0)-form, got ({gamma.p},{gamma.q})")
-    lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h)).values
+    lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h))
 
     # dz_j ^ dz_rest = sign dz_full for the one j outside each (n-1)-set rest;
     # gamma^j is that sign times the rest's coefficient, and the two signs of
@@ -258,7 +258,7 @@ def check_basic_inequality(
     if (gamma.p, gamma.q) != (n - p, 0):
         raise PreconditionError(f"inequality requires an (n-p,0)-form, got ({gamma.p},{gamma.q})")
     top = wedge(pairing(curvature_wedge(theta, gamma), gamma, h), omega_power(gamma.grid, p - 1))
-    lhs = (1j * c_const(n - p) * dv_density(top).values).real
+    lhs = (1j * c_const(n - p) * dv_density(top)).real
     rhs = delta * p * norm_sq(gamma, h)
     slack = lhs - rhs
     return {

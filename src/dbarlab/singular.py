@@ -31,10 +31,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .exterior import EForm, norm_sq
-from .grid import GridSpec, ScalarField, box_mask, convolve, to_lattice, to_spectrum
+from .exterior import EForm
+from .grid import GridSpec, box_mask, to_lattice, to_spectrum
 from .hermitian import MetricField, curvature, dual_metric
-from .hormander import solve_min_norm
+from .hormander import norm2, solve_min_norm
 from .positivity import nakano_delta
 from .weights import BUDGET, apodized_quadratic_weight, plateau_coordinate, plateau_geometry
 
@@ -84,10 +84,10 @@ def _kernel_cached(grid: GridSpec, eps: float) -> tuple:
     return vals, to_spectrum(grid, vals)
 
 
-def mollifier_kernel(grid: GridSpec, eps: float) -> ScalarField:
-    """Radial bump exp(-1/(1-(rho/eps)^2)) on rho < eps, unit discrete mass."""
+def mollifier_kernel(grid: GridSpec, eps: float) -> np.ndarray:
+    """Radial bump exp(-1/(1-(rho/eps)^2)) on rho < eps, unit discrete mass (a copy)."""
     vals, _ = _kernel_cached(grid, eps)
-    return ScalarField(grid, vals.astype(np.complex128))
+    return vals.copy()
 
 
 def mollify(h: MetricField, eps: float) -> MetricField:
@@ -101,10 +101,6 @@ def mollify(h: MetricField, eps: float) -> MetricField:
     out = to_lattice(h.grid, spec) * h.grid.cell_volume
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     return MetricField(h.grid, h.rank, out)
-
-
-def mollify_scalar(f: ScalarField, eps: float) -> ScalarField:
-    return convolve(f, mollifier_kernel(f.grid, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +179,7 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     p = {**DEFAULTS, **params}
     c = float(p["c"])
     r0, s = plateau_geometry(grid, c, float(p["budget"]), p["r0"], p["s"])
-    phi = apodized_quadratic_weight(grid, c, r0, s).values.real
+    phi = apodized_quadratic_weight(grid, c, r0, s)
 
     if name == "gaussian":
         h = MetricField.from_weight(grid, np.exp(-phi), int(p["rank"]), log_weight=phi)
@@ -243,14 +239,6 @@ def _mask_nearest(h: MetricField, poles: tuple) -> MetricField:
         iy = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.imag))))
         mask[ix, iy] = True
     return MetricField(h.grid, h.rank, h.mat, mask, h.diag_log_weights)
-
-
-def masked_norm2(f: EForm, h: MetricField) -> float:
-    """h-weighted squared norm with masked cells excluded from the quadrature."""
-    dens = norm_sq(f, h)
-    if h.mask is not None:
-        dens = np.where(h.mask, 0.0, dens)
-    return float(dens.sum() * f.grid.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +357,7 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
     grid = h.grid
     if grid.n != 1:
         raise ValidationError("the regularized pipeline is a Riemann-surface (n=1) run")
-    f_norm_h = masked_norm2(f, h)
+    f_norm_h = norm2(f, h)
     if not np.isfinite(f_norm_h) or f_norm_h == 0.0:
         raise PreconditionError("source must have finite nonzero h-weighted norm")
 
@@ -420,7 +408,7 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
     for nu0 in range(1, len(radii) + 1):
         h0 = metrics[nu0 - 1]
         for nu in range(nu0, len(radii) + 1):
-            val = masked_norm2(us[nu - 1], h0)
+            val = norm2(us[nu - 1], h0)
             bound_matrix[(nu0, nu)] = val
             ok = val <= bound_limit * (1.0 + 1e-9)
             if not ok and (worst is None or val > bound_matrix.get(worst, -np.inf)):
@@ -432,9 +420,9 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
     for nu in range(2, len(radii) + 1):
         diff = us[nu - 1].coeffs - us[nu - 2].coeffs
         dform = EForm(grid, f.rank, f.p, f.q - 1, diff)
-        cauchy.append(float(np.sqrt(masked_norm2(dform, h_coarsest))))
+        cauchy.append(float(np.sqrt(norm2(dform, h_coarsest))))
 
-    final_ratio = masked_norm2(us[-1], h) / f_norm_h
+    final_ratio = norm2(us[-1], h) / f_norm_h
     # the dual family the solves ran on is the one check_monotone would build
     monotone = _monotone_report(cat, radii, mollified, "dual")
     report = RegularizationReport(

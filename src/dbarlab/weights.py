@@ -31,8 +31,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .errors import ValidationError
-from .grid import GridSpec, ScalarField
-from .metric import MetricField
+from .grid import GridSpec
 
 RAMP_REACH = 5.5   # erfc(5.5) ~ 7e-15: the ramp has saturated to 0 beyond this
 CORE_REACH = 4.5   # erfc(4.5)/2 ~ 1e-10: the ramp is still 1 to within 1e-10 here
@@ -174,7 +173,7 @@ def plateau_geometry(
     return r0, s
 
 
-def apodized_quadratic_weight(grid: GridSpec, c: float, r0: float, s: float) -> ScalarField:
+def apodized_quadratic_weight(grid: GridSpec, c: float, r0: float, s: float) -> np.ndarray:
     """Apodized weight exponent phi with phi = c|z - z_c|^2 on the plateau box.
 
     phi(z) = c * sum_axes m(t_axis - L/2), separable per real axis, constant
@@ -183,27 +182,7 @@ def apodized_quadratic_weight(grid: GridSpec, c: float, r0: float, s: float) -> 
     phi = np.zeros(grid.shape, dtype=np.float64)
     for prof in grid.along_axes(_axis_profile(grid, r0, s, grid.center)):
         phi = phi + prof
-    return ScalarField(grid, c * phi)
-
-
-def gaussian_metric(
-    grid: GridSpec,
-    c: float = 1.0,
-    rank: int = 1,
-    r0: float | None = None,
-    s: float | None = None,
-):
-    """Metric exp(-phi) * I with the apodized quadratic weight; returns (h, r0).
-
-    On the plateau box this is exactly exp(-c|z - z_c|^2) I, with curvature
-    Theta_jk = c * delta_jk * I there.  Unset r0 and s follow plateau_geometry.
-    """
-    r0, s = plateau_geometry(grid, c, BUDGET, r0, s)
-    phi = apodized_quadratic_weight(grid, c, r0, s)
-    h = MetricField.from_weight(
-        grid, np.exp(-phi.values.real), rank, log_weight=phi.values.real
-    )
-    return h, r0
+    return c * phi
 
 
 @lru_cache(maxsize=64)
@@ -240,7 +219,7 @@ def plateau_bump(
     center: tuple | None = None,
     r_flat: float | None = None,
     r_zero: float | None = None,
-) -> ScalarField:
+) -> np.ndarray:
     """Radial C-infinity bump: 1 inside r_flat, 0 outside r_zero, exact support.
 
     Distances are Euclidean in the 2n real coordinates, measured from `center`
@@ -258,13 +237,13 @@ def plateau_bump(
     rho = _radial_distance(grid, center)
     vals = 1.0 - smooth_step((rho - r_flat) / (r_zero - r_flat))
     vals[rho >= r_zero] = 0.0
-    return ScalarField(grid, vals)
+    return vals
 
 
 BUMP_SUPPORT_RADIUS = 6.5  # smooth_source_bump's support radius, in units of sigma
 
 
-def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> ScalarField:
+def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> np.ndarray:
     """Gaussian profile with an exactly-supported smooth cutoff.
 
     The cutoff engages at 5 sigma, where the Gaussian has already dropped to
@@ -275,7 +254,7 @@ def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> ScalarFie
     vals = np.exp(-rho * rho / (2.0 * sigma * sigma))
     vals *= 1.0 - smooth_step((rho - 5.0 * sigma) / ((BUMP_SUPPORT_RADIUS - 5.0) * sigma))
     vals[rho >= BUMP_SUPPORT_RADIUS * sigma] = 0.0
-    return ScalarField(grid, vals)
+    return vals
 
 
 def _radial_distance(grid: GridSpec, center: tuple) -> np.ndarray:
@@ -290,7 +269,7 @@ def random_band_limited(
     rng: np.random.Generator,
     kmax_frac: float = 0.25,
     real: bool = False,
-) -> ScalarField:
+) -> np.ndarray:
     """Random field with spectrum supported on |k_axis| <= kmax_frac * N/2.
 
     The kept modes form a box of m^(2n) coefficients, drawn in C order of the
@@ -314,7 +293,7 @@ def random_band_limited(
         vals = np.tensordot(vals, synth, axes=([0], [1]))
     if real:
         vals = vals.real.astype(np.complex128)
-    return ScalarField(grid, vals)
+    return vals
 
 
 def random_form(
@@ -334,7 +313,7 @@ def random_form(
     # written through indexing (a reshape of the slot-major coefficients that
     # merges grid and slot axes would copy)
     for index in np.ndindex(form.coeffs.shape[-3:]):
-        form.coeffs[(...,) + index] = random_band_limited(grid, rng, kmax_frac).values
+        form.coeffs[(...,) + index] = random_band_limited(grid, rng, kmax_frac)
     if interior:
         form = scale_by_field(form, plateau_bump(grid))
     return form

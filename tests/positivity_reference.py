@@ -84,7 +84,7 @@ def nakano_pointwise_identity(theta, gamma, h):
     signs of each term into one add or subtract.
     """
     n = gamma.grid.n
-    lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h)).values
+    lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h))
     hatted = {j: sign * gamma.coeffs[..., src, 0, :] for src, j, _, sign in grow_table(n, n - 1)}
     rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
     for j in range(n):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from dbarlab.exterior import EForm, index_slot, insertion_sign
-from dbarlab.grid import ScalarField, dz_array
+from dbarlab.grid import dz_array
 
 
 def chern_connection(h):
@@ -120,4 +120,4 @@ def random_band_limited(grid, rng, kmax_frac=0.25, real=False):
     vals = np.fft.ifftn(spec) * grid.N ** grid.n
     if real:
         vals = vals.real.astype(np.complex128)
-    return ScalarField(grid, vals)
+    return vals

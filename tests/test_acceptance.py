@@ -37,7 +37,6 @@ from dbarlab.positivity import (
 )
 from dbarlab.singular import MollifierSchedule, regularized_solve, singular_catalog
 from dbarlab.weights import (
-    gaussian_metric,
     plateau_bump,
     random_band_limited,
     smooth_source_bump,
@@ -147,11 +146,11 @@ def test_criterion_3_differential_identity_suite():
         grid = GridSpec(1, N, 8.0)
         worst_pointwise = 0.0
         for c, r0 in ((1.0, 1.0), (2.0, 0.7), (4.0, 0.5)):
-            h, _ = gaussian_metric(grid, c=c, r0=r0, s=0.30)
+            h = singular_catalog("gaussian", grid, c=c, r0=r0, s=0.30).metric
             alpha = EForm.zeros(grid, 1, 1, 1)
             alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
                 grid, (grid.center + 0.3, grid.center - 0.2), 0.42
-            ).values
+            )
             rp = bk_pointwise(alpha, h)
             ri = bk_integrated(alpha, h, mode="periodic")
             worst_pointwise = max(worst_pointwise, rp.relative_residual)
@@ -177,20 +176,20 @@ def test_criterion_4_adjoint_exactness():
     t0 = time.time()
     grid = GridSpec(1, 16, 8.0)
     rng = np.random.default_rng(44)
-    phi = 0.5 * random_band_limited(grid, rng, 0.15, real=True).values.real
+    phi = 0.5 * random_band_limited(grid, rng, 0.15, real=True).real
     h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
     worst = 0.0
     for _ in range(1000):
         u = raw_form(grid, 1, 1, 0, rng)
         v = raw_form(grid, 1, 1, 1, rng)
-        lhs = integrate(inner_product(dbar(u), v, h))
-        rhs = integrate(inner_product(u, apply_Tstar(v, h), h))
+        lhs = integrate(grid, inner_product(dbar(u), v, h))
+        rhs = integrate(grid, inner_product(u, apply_Tstar(v, h), h))
         worst = max(worst, abs(lhs - rhs) / np.sqrt(norm2(u, h) * norm2(v, h)))
 
     g64 = GridSpec(1, 64, 8.0)
-    h64, _ = gaussian_metric(g64, c=1.0, r0=1.0, s=0.30)
+    h64 = singular_catalog("gaussian", g64, c=1.0, r0=1.0, s=0.30).metric
     v = EForm.zeros(g64, 1, 1, 1)
-    v.coeffs[..., 0, 0, 0] = smooth_source_bump(g64, (g64.center + 0.3, g64.center), 0.35).values
+    v.coeffs[..., 0, 0, 0] = smooth_source_bump(g64, (g64.center + 0.3, g64.center), 0.35)
     diff = apply_Tstar(v, h64).coeffs - dbar_star_formal(v, h64).coeffs
     formal_gap = np.sqrt(
         norm2(EForm(g64, 1, 1, 0, diff), h64) / norm2(dbar_star_formal(v, h64), h64)
@@ -210,7 +209,8 @@ def test_criterion_5_hormander_bound():
     all_ok = True
     detail_bits = []
     for c, count in ((1.0, 20), (2.0, 7), (4.0, 7)):
-        h, r0 = gaussian_metric(grid, c=c)
+        gauss = singular_catalog("gaussian", grid, c=c)
+        h, r0 = gauss.metric, gauss.plateau_radius
         z = grid.z(0)
         box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
         delta = nakano_delta(h, curvature(h), region=box)
@@ -218,7 +218,7 @@ def test_criterion_5_hormander_bound():
         for _ in range(count):
             center = tuple(grid.center + rng.uniform(-0.25, 0.25) for _ in range(2))
             f = EForm.zeros(grid, 1, 1, 1)
-            f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, 0.3).values
+            f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, 0.3)
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta)
             check = verify_hormander(rep, delta, 1, tol=0.05)
@@ -241,7 +241,8 @@ def test_criterion_6_basic_estimate():
     for n, p, N, count in ((1, 1, 64, 100), (2, 1, 16, 100), (2, 2, 16, 100)):
         grid = GridSpec(n, N, 8.0)
         cval = 1.0 if n == 1 else 0.5
-        h, r0 = gaussian_metric(grid, c=cval)
+        gauss = singular_catalog("gaussian", grid, c=cval)
+        h, r0 = gauss.metric, gauss.plateau_radius
         region = np.ones(grid.shape, dtype=bool)
         t_ax = grid.axis_coordinates() - grid.center
         for axis in range(2 * n):
@@ -256,7 +257,7 @@ def test_criterion_6_basic_estimate():
             if alpha is None:
                 alpha = EForm.zeros(grid, 1, 1, 1)
                 center = tuple(grid.center + rng.uniform(-0.3, 0.3) for _ in range(2))
-                alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, 0.3).values * (
+                alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, 0.3) * (
                     rng.standard_normal() + 1j * rng.standard_normal()
                 )
             else:
@@ -284,7 +285,7 @@ def test_criterion_7_positivity_extraction():
     equality_ok = True
     for _ in range(5):
         grid = GridSpec(1, 16, 8.0)
-        phi = 0.4 * random_band_limited(grid, rng, 0.1, real=True).values.real
+        phi = 0.4 * random_band_limited(grid, rng, 0.1, real=True).real
         h1 = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
         th = curvature(h1)
         equality_ok &= griffiths_report(h1, th)[0] == nakano_delta(h1, th)
@@ -308,7 +309,7 @@ def test_criterion_8_regularization_pipeline():
     f = EForm.zeros(grid, 1, 1, 1)
     f.coeffs[..., 0, 0, 0] = smooth_source_bump(
         grid, (grid.center - 0.7, grid.center - 0.5), 0.2
-    ).values
+    )
     f = project_to_range(f)
     schedule = MollifierSchedule(2.0, 8)
     u, rep = regularized_solve(f, cat, schedule)

@@ -11,21 +11,16 @@ from dbarlab.bochner import (
     bk_pointwise,
     bk_reports,
     cross_term_integrals,
-    integrate_density,
     xi_omega_identity,
 )
 from dbarlab.cli import _bk_source
 from dbarlab.errors import FormError, SupportError
 from dbarlab.exterior import EForm, norm_sq, scale_by_field
-from dbarlab.grid import GridSpec
+from dbarlab.grid import GridSpec, integrate
 from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal, dpartial
 from dbarlab.positivity import nakano_delta
-from dbarlab.weights import (
-    gaussian_metric,
-    plateau_bump,
-    random_form,
-    smooth_source_bump,
-)
+from dbarlab.singular import singular_catalog
+from dbarlab.weights import plateau_bump, random_form, smooth_source_bump
 
 
 @pytest.fixture
@@ -47,11 +42,11 @@ def test_flat_constant_everything_vanishes():
 
 def test_bk_pointwise_gaussian_bump_n1():
     g = GridSpec(1, 64, 8.0)
-    h, _ = gaussian_metric(g, c=1.0, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=1.0, r0=1.0, s=0.30).metric
     alpha = EForm.zeros(g, 1, 1, 1)
     alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
         g, (g.center + 0.3, g.center - 0.2), 0.42
-    ).values
+    )
     rep = bk_pointwise(alpha, h)
     assert rep.relative_residual < 1e-6
 
@@ -67,12 +62,12 @@ def test_bk_pointwise_resolution_decay_n2(rng):
     residuals = {}
     for N in (16, 32):
         g = GridSpec(2, N, 8.0)
-        h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+        h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
         alpha = EForm.zeros(g, 1, 2, 1)
         bump = smooth_source_bump(g, (g.center,) * 4, 0.45)
         rngl = np.random.default_rng(9)
         for slot in range(alpha.coeffs.shape[-2]):
-            alpha.coeffs[..., 0, slot, 0] = bump.values * (
+            alpha.coeffs[..., 0, slot, 0] = bump * (
                 1.0 + 0.3 * (-1) ** slot * 1j
             )
         residuals[N] = bk_pointwise(alpha, h).relative_residual
@@ -85,10 +80,10 @@ def test_bk_pointwise_n2_p2_decay(rng):
     residuals = {}
     for N in (16, 32):
         g = GridSpec(2, N, 8.0)
-        h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+        h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
         alpha = EForm.zeros(g, 1, 2, 2)
         bump = smooth_source_bump(g, (g.center,) * 4, 0.45)
-        alpha.coeffs[..., 0, 0, 0] = bump.values * (1.0 + 0.4j)
+        alpha.coeffs[..., 0, 0, 0] = bump * (1.0 + 0.4j)
         rep = bk_pointwise(alpha, h)
         residuals[N] = rep.relative_residual
         rep_i = bk_integrated(alpha, h, mode="periodic")
@@ -110,7 +105,7 @@ def test_bk_integrated_periodic_flat_balance(rng):
 def test_bk_integrated_top_degree_closed(rng):
     # at top degree alpha is automatically closed: curvature + dbar-gamma = adjoint
     g = GridSpec(1, 64, 8.0)
-    h, _ = gaussian_metric(g, c=1.0, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=1.0, r0=1.0, s=0.30).metric
     alpha = random_form(g, 1, 1, 1, rng, kmax_frac=0.2)
     rep = bk_integrated(alpha, h, mode="periodic")
     assert rep.terms["dbar_alpha_integral"] == 0.0
@@ -124,7 +119,7 @@ def test_bk_integrated_top_degree_closed(rng):
 
 def test_bk_integrated_n2_p1(rng):
     g = GridSpec(2, 16, 8.0)
-    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     alpha = random_form(g, 1, 2, 1, rng, kmax_frac=0.2)
     rep = bk_integrated(alpha, h, mode="periodic")
     assert rep.relative_residual < 1e-3  # N = 16 discretization floor
@@ -132,7 +127,7 @@ def test_bk_integrated_n2_p1(rng):
 
 def test_bk_integrated_support_enforcement(rng):
     g = GridSpec(1, 32, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     alpha = random_form(g, 1, 1, 1, rng)  # full-box support
     with pytest.raises(SupportError) as err:
         bk_integrated(alpha, h, mode="stein")
@@ -145,11 +140,11 @@ def test_bk_integrated_support_enforcement(rng):
 
 def test_cross_terms_equal_minus_adjoint_energy():
     g = GridSpec(1, 64, 8.0)
-    h, _ = gaussian_metric(g, c=1.0, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=1.0, r0=1.0, s=0.30).metric
     alpha = EForm.zeros(g, 1, 1, 1)
     alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
         g, (g.center - 0.2, g.center + 0.1), 0.42
-    ).values
+    )
     c_minus, c_plus, target = cross_term_integrals(alpha, h)
     assert c_minus == pytest.approx(target, rel=1e-6)
     assert c_plus == pytest.approx(target, rel=1e-6)
@@ -202,7 +197,8 @@ def test_basic_estimate_zero_form():
 
 def test_basic_estimate_random_bumps_n1():
     g = GridSpec(1, 64, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
     delta = nakano_delta(h, curvature(h), region=box)
@@ -210,7 +206,7 @@ def test_basic_estimate_random_bumps_n1():
     for _ in range(10):
         center = tuple(g.center + rngl.uniform(-0.3, 0.3) for _ in range(2))
         alpha = EForm.zeros(g, 1, 1, 1)
-        alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(g, center, 0.3).values * (
+        alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(g, center, 0.3) * (
             rngl.standard_normal() + 1j * rngl.standard_normal()
         )
         res = basic_estimate(alpha, h, delta)
@@ -219,7 +215,8 @@ def test_basic_estimate_random_bumps_n1():
 
 def test_basic_estimate_n2(rng):
     g = GridSpec(2, 16, 8.0)
-    h, r0 = gaussian_metric(g, c=0.5)
+    gauss = singular_catalog("gaussian", g, c=0.5)
+    h, r0 = gauss.metric, gauss.plateau_radius
     region = np.ones(g.shape, dtype=bool)
     for axis in range(4):
         t = g.axis_coordinates() - g.center
@@ -239,7 +236,7 @@ def test_basic_estimate_n2(rng):
 @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (2, 2)])
 def test_bk_reports_matches_separate_calls(rng, n, p):
     g = GridSpec(n, 32 if n == 1 else 16, 8.0)
-    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     alpha = random_form(g, 1, n, p, rng, kmax_frac=0.2, interior=True)
     rep_p, rep_i = bk_reports(alpha, h, margin=0.125)
     sep_p = bk_pointwise(alpha, h, margin=0.125)
@@ -253,7 +250,7 @@ def test_bk_reports_matches_separate_calls(rng, n, p):
     for name, value in sep_i.terms.items():
         assert abs(rep_i.terms[name] - value) <= 1e-13 * scale
     # the pass reuses D'gamma for the adjoint term; the formal adjoint recomputes it
-    adjoint = integrate_density(norm_sq(dbar_star_formal(alpha, h), h), g)
+    adjoint = integrate(g, norm_sq(dbar_star_formal(alpha, h), h))
     assert abs(rep_i.terms["adjoint_integral"] - adjoint) <= 1e-13 * scale
 
 
@@ -264,11 +261,11 @@ def test_bk_reports_traced_peak_stays_within_field_budget():
     # 14.0 full-grid complex fields of traced peak, against 21.0 when the
     # curvature field and omega^0 lived for the whole pass.
     g = GridSpec(2, 16, 8.0)
-    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     alpha = EForm.zeros(g, 1, 2, 1)
     alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
         g, tuple(g.center + 0.3 * (-1) ** k for k in range(4)), 0.05 * g.L
-    ).values
+    )
     field_bytes = np.dtype(np.complex128).itemsize * np.prod(g.shape)
     expected = bk_reports(alpha, h)  # also fills the lazy caches
     tracemalloc.start()
@@ -287,7 +284,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     # slot and the zero slots it leaves in gamma and the pairings are never
     # transformed: 26 transforms, where transforming every coefficient took 41
     g = GridSpec(2, 8, 8.0)
-    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     inputs = []
 
     def counting(transform):

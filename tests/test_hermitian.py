@@ -22,11 +22,8 @@ from dbarlab.hermitian import (
 )
 from dbarlab.hormander import dbar_transpose
 from dbarlab.metric import dual_metric
-from dbarlab.weights import (
-    gaussian_metric,
-    random_band_limited,
-    random_form,
-)
+from dbarlab.singular import singular_catalog
+from dbarlab.weights import random_band_limited, random_form
 
 
 @pytest.fixture
@@ -44,7 +41,7 @@ def random_matrix_metric(grid, rank, rng, amp=0.2, kmax_frac=0.1):
     mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
     for a in range(rank):
         for b in range(rank):
-            mat[..., a, b] = random_band_limited(grid, rng, kmax_frac).values * amp
+            mat[..., a, b] = random_band_limited(grid, rng, kmax_frac) * amp
     mat = mat @ np.conj(np.swapaxes(mat, -1, -2))
     for a in range(rank):
         mat[..., a, a] += 1.5
@@ -60,7 +57,8 @@ def test_connection_constant_metric(rng):
 
 def test_connection_gaussian_interior():
     g = GridSpec(1, 64, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    h, r0 = gauss.metric, gauss.plateau_radius
     theta = chern_connection(h)
     z = g.z(0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
@@ -82,7 +80,8 @@ def test_connection_finite_difference_oracle(rng):
 def test_curvature_gaussian_equals_weight_strength():
     g = GridSpec(1, 64, 8.0)
     for c in (1.0, 2.0):
-        h, r0 = gaussian_metric(g, c=c)
+        gauss = singular_catalog("gaussian", g, c=c)
+        h, r0 = gauss.metric, gauss.plateau_radius
         th = curvature(h)
         z = g.z(0)
         box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
@@ -91,8 +90,8 @@ def test_curvature_gaussian_equals_weight_strength():
 
 def test_curvature_diagonal_reduction(rng):
     g = GridSpec(1, 32, 8.0)
-    phi1 = random_band_limited(g, rng, 0.15, real=True).values.real * 0.3
-    phi2 = random_band_limited(g, rng, 0.15, real=True).values.real * 0.3
+    phi1 = random_band_limited(g, rng, 0.15, real=True).real * 0.3
+    phi2 = random_band_limited(g, rng, 0.15, real=True).real * 0.3
     h = MetricField.from_diagonal(g, [np.exp(-phi1), np.exp(-phi2)],
                                   log_weights=[phi1, phi2])
     th = curvature(h).theta
@@ -109,7 +108,7 @@ def test_curvature_diagonal_reduction(rng):
 def test_curvature_two_code_paths_agree(rng):
     # the generic h^{-1} dh route against the exponent route, rank one
     g = GridSpec(1, 32, 8.0)
-    phi = random_band_limited(g, rng, 0.1, real=True).values.real * 0.3
+    phi = random_band_limited(g, rng, 0.1, real=True).real * 0.3
     with_payload = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
     without = MetricField.from_weight(g, np.exp(-phi), 1)
     t1 = curvature(with_payload).theta
@@ -131,7 +130,8 @@ def test_dual_metric_involution_and_sign_flip(rng):
     again = dual_metric(dual_metric(h))
     assert np.abs(again.mat - h.mat).max() < 1e-12 * np.abs(h.mat).max()
 
-    hw, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    hw, r0 = gauss.metric, gauss.plateau_radius
     dw = dual_metric(hw)
     assert np.abs(dw.mat[..., 0, 0] * hw.mat[..., 0, 0] - 1.0).max() < 1e-12
     flip = curvature(dw).theta + curvature(hw).theta
@@ -157,7 +157,8 @@ def test_dprime_rejects_antiholomorphic_degree(rng):
 def test_dprime_gaussian_scalar_section():
     # D' of the unit section is theta = -zbar dz on the quadratic zone
     g = GridSpec(1, 64, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    h, r0 = gauss.metric, gauss.plateau_radius
     one = EForm.zeros(g, 1, 0, 0)
     one.coeffs[..., 0, 0, 0] = 1.0
     out = dprime(one, h)
@@ -246,8 +247,8 @@ def test_dbar_star_stokes_adjointness(rng):
         h = random_matrix_metric(g, 2, rngl, amp=0.2)
         eta = random_form(g, 2, n, p - 1, rngl, kmax_frac=0.15)
         beta = random_form(g, 2, n, p, rngl, kmax_frac=0.15)
-        lhs = integrate(inner_product(dbar(eta), beta, h))
-        rhs = integrate(inner_product(eta, dbar_star_formal(beta, h), h))
+        lhs = integrate(g, inner_product(dbar(eta), beta, h))
+        rhs = integrate(g, inner_product(eta, dbar_star_formal(beta, h), h))
         scale = np.sqrt(
             norm_sq(eta, h).sum() * norm_sq(beta, h).sum() * g.cell_volume ** 2
         )
@@ -264,7 +265,8 @@ def test_dbar_star_requires_p_at_least_one(rng):
 def test_motivational_subharmonicity_identity():
     # i del dbar |u|^2_h = -<i Theta u, u> + i <D'u, D'u> for holomorphic u
     g = GridSpec(1, 64, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0, r0=1.0, s=0.30)
+    gauss = singular_catalog("gaussian", g, c=1.0, r0=1.0, s=0.30)
+    h, r0 = gauss.metric, gauss.plateau_radius
     u = EForm.zeros(g, 1, 0, 0)
     u.coeffs[..., 0, 0, 0] = 1.0  # constant sections are holomorphic
     lhs = 1j * dpartial(dbar(pairing(u, u, h))).coeffs[..., 0, 0, 0]
@@ -283,7 +285,7 @@ def test_motivational_subharmonicity_identity():
 def test_transform_once_operators_match_per_direction_reference(rng, n, N, rank):
     # sharing a spectrum leaves the arithmetic unchanged, so results are equal
     g = GridSpec(n, N, 8.0)
-    diagonal, _ = gaussian_metric(g, c=1.0, rank=rank)
+    diagonal = singular_catalog("gaussian", g, c=1.0, rank=rank).metric
     for h in (diagonal, random_matrix_metric(g, rank, rng)):
         assert np.array_equal(chern_connection(h), ref.chern_connection(h))
         assert np.array_equal(curvature(h).theta, ref.curvature(h))

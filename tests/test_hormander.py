@@ -23,12 +23,8 @@ from dbarlab.hormander import (
     verify_hormander,
 )
 from dbarlab.positivity import nakano_delta
-from dbarlab.weights import (
-    gaussian_metric,
-    random_band_limited,
-    random_form,
-    smooth_source_bump,
-)
+from dbarlab.singular import singular_catalog
+from dbarlab.weights import random_band_limited, random_form, smooth_source_bump
 
 
 @pytest.fixture
@@ -37,7 +33,7 @@ def rng():
 
 
 def random_weight_metric(grid, rng, amp=0.5):
-    phi = amp * random_band_limited(grid, rng, 0.15, real=True).values.real
+    phi = amp * random_band_limited(grid, rng, 0.15, real=True).real
     return MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
 
 
@@ -48,8 +44,8 @@ def test_adjoint_exactness_random_pairs(rng):
     for _ in range(200):
         u = random_form(g, 1, 1, 0, rng)
         v = random_form(g, 1, 1, 1, rng)
-        lhs = integrate(inner_product(dbar(u), v, h))
-        rhs = integrate(inner_product(u, apply_Tstar(v, h), h))
+        lhs = integrate(g, inner_product(dbar(u), v, h))
+        rhs = integrate(g, inner_product(u, apply_Tstar(v, h), h))
         scale = np.sqrt(norm2(u, h) * norm2(v, h))
         worst = max(worst, abs(lhs - rhs) / scale)
     assert worst < 1e-12
@@ -60,7 +56,7 @@ def test_adjoint_exactness_matrix_metric_n2(rng):
     mat = np.zeros(g.shape + (2, 2), dtype=np.complex128)
     for a in range(2):
         for b in range(2):
-            mat[..., a, b] = 0.3 * random_band_limited(g, rng, 0.2).values
+            mat[..., a, b] = 0.3 * random_band_limited(g, rng, 0.2)
     mat = mat @ np.conj(np.swapaxes(mat, -1, -2))
     mat[..., 0, 0] += 1.2
     mat[..., 1, 1] += 1.2
@@ -69,8 +65,8 @@ def test_adjoint_exactness_matrix_metric_n2(rng):
         for _ in range(20):
             u = random_form(g, 2, 2, p - 1, rng)
             v = random_form(g, 2, 2, p, rng)
-            lhs = integrate(inner_product(dbar(u), v, h))
-            rhs = integrate(inner_product(u, apply_Tstar(v, h), h))
+            lhs = integrate(g, inner_product(dbar(u), v, h))
+            rhs = integrate(g, inner_product(u, apply_Tstar(v, h), h))
             scale = np.sqrt(norm2(u, h) * norm2(v, h))
             assert abs(lhs - rhs) / scale < 1e-12
 
@@ -96,9 +92,9 @@ def test_single_mode_flat_adjoint_is_conjugate_multiplier():
 
 def test_formal_vs_discrete_adjoint_interior_data():
     g = GridSpec(1, 64, 8.0)
-    h, _ = gaussian_metric(g, c=1.0, r0=1.0, s=0.30)
+    h = singular_catalog("gaussian", g, c=1.0, r0=1.0, s=0.30).metric
     v = EForm.zeros(g, 1, 1, 1)
-    v.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.3, g.center), 0.35).values
+    v.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.3, g.center), 0.35)
     a_disc = apply_Tstar(v, h)
     a_form = dbar_star_formal(v, h)
     num = norm2(EForm(g, 1, 1, 0, a_disc.coeffs - a_form.coeffs), h)
@@ -117,12 +113,13 @@ def test_solve_zero_source():
 
 def test_solve_gaussian_bump_bound():
     g = GridSpec(1, 64, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
     delta = nakano_delta(h, curvature(h), region=box)
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.2, g.center - 0.1), 0.3).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.2, g.center - 0.1), 0.3)
     f = project_to_range(f)
     u, rep = solve_min_norm(f, h, delta=delta)
     assert rep.residual <= 1e-9
@@ -146,9 +143,9 @@ def test_solve_flat_metric_returns_algebraic_solution(rng):
 
 def test_minimal_norm_kernel_orthogonality():
     g = GridSpec(1, 32, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3)
     f = project_to_range(f)
     u, rep = solve_min_norm(f, h)
     # T-kernel elements on the (1,0) slot: the constant mode and the modes
@@ -164,15 +161,15 @@ def test_minimal_norm_kernel_orthogonality():
         k = EForm.zeros(g, 1, 1, 0)
         k.coeffs[..., 0, 0, 0] = vals
         assert np.abs(dbar(k).coeffs).max() < 1e-12  # genuinely in Ker T
-        ip = abs(integrate(inner_product(u, k, h))) / np.sqrt(norm2(u, h) * norm2(k, h))
+        ip = abs(integrate(g, inner_product(u, k, h))) / np.sqrt(norm2(u, h) * norm2(k, h))
         assert ip < 1e-8
 
 
 def test_dense_oracle_agreement(rng):
     g = GridSpec(1, 16, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.3, g.center - 0.2), 0.4).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.3, g.center - 0.2), 0.4)
     f = project_to_range(f)
     u_cg, rep = solve_min_norm(f, h)
     u_dn = dense_min_norm(f, h)
@@ -182,9 +179,9 @@ def test_dense_oracle_agreement(rng):
 
 def test_ratio_scale_invariance():
     g = GridSpec(1, 32, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3)
     f = project_to_range(f)
     _, rep1 = solve_min_norm(f, h)
     _, rep2 = solve_min_norm(3.7j * f, h)
@@ -195,13 +192,14 @@ def test_weight_sweep_bound_halves():
     g = GridSpec(1, 64, 8.0)
     ratios = {}
     for c in (1.0, 2.0, 4.0):
-        h, r0 = gaussian_metric(g, c=c)
+        gauss = singular_catalog("gaussian", g, c=c)
+        h, r0 = gauss.metric, gauss.plateau_radius
         z = g.z(0)
         box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
         delta = nakano_delta(h, curvature(h), region=box)
         assert delta == pytest.approx(c, rel=2e-2)
         f = EForm.zeros(g, 1, 1, 1)
-        f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.15, g.center), 0.3).values
+        f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.15, g.center), 0.3)
         f = project_to_range(f)
         _, rep = solve_min_norm(f, h, delta=delta)
         assert verify_hormander(rep, delta, 1)["passed"]
@@ -222,7 +220,7 @@ def test_out_of_range_source_rejected():
     g = GridSpec(1, 32, 8.0)
     h = MetricField.identity(g, 1)
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.4).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.4)
     assert range_projection_defect(f) > 1e-3  # positive bump has mean content
     with pytest.raises(PreconditionError):
         solve_min_norm(f, h)
@@ -232,9 +230,9 @@ def test_out_of_range_source_rejected():
 
 def test_iteration_cap_surfaces_as_solver_error():
     g = GridSpec(1, 32, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center, g.center), 0.3)
     f = project_to_range(f)
     with pytest.raises(SolverError) as err:
         solve_min_norm(f, h, maxiter_factor=0)
@@ -265,7 +263,8 @@ def test_solve_n2_top_degree_bound():
     # (2,2)-source: automatic closedness, multi-slot transpose path, and the
     # bound against the measured interior floor (coarse at N=16, but certified)
     g = GridSpec(2, 16, 8.0)
-    h, r0 = gaussian_metric(g, c=0.5)
+    gauss = singular_catalog("gaussian", g, c=0.5)
+    h, r0 = gauss.metric, gauss.plateau_radius
     region = np.ones(g.shape, bool)
     t = g.axis_coordinates() - g.center
     for ax in range(4):
@@ -275,7 +274,7 @@ def test_solve_n2_top_degree_bound():
     delta = nakano_delta(h, curvature(h), region=region)
     assert delta > 0
     f = EForm.zeros(g, 1, 2, 2)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * 4, 0.35).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * 4, 0.35)
     f = project_to_range(f)
     u, rep = solve_min_norm(f, h, delta=delta, tol=1e-8)
     assert rep.residual <= 1e-7
@@ -286,16 +285,16 @@ def test_solve_n2_top_degree_bound():
 def closed_n2_source(rng):
     """A dbar-exact (2,1)-source on a coarse n = 2 grid, with its metric."""
     g = GridSpec(2, 8, 8.0)
-    h, _ = gaussian_metric(g, c=0.5)
+    h = singular_catalog("gaussian", g, c=0.5).metric
     return g, h, dbar(random_form(g, 1, 2, 0, rng, kmax_frac=0.2))
 
 
 def top_degree_n2_source(rng=None):
     """A range-projected (2,2) bump on an n = 2 grid, with its metric."""
     g = GridSpec(2, 16, 8.0)
-    h, _ = gaussian_metric(g, c=0.5)
+    h = singular_catalog("gaussian", g, c=0.5).metric
     f = EForm.zeros(g, 1, 2, 2)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * 4, 0.35).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * 4, 0.35)
     return g, h, project_to_range(f)
 
 
@@ -374,9 +373,9 @@ def test_solve_closed_n2_source_to_1e10(rng):
 def n1_bump_source(rng=None):
     """A range-projected (1,1) bump on an n = 1 grid, with its metric."""
     g = GridSpec(1, 32, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.2, g.center - 0.1), 0.3).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.2, g.center - 0.1), 0.3)
     return g, h, project_to_range(f)
 
 
@@ -399,7 +398,7 @@ def nondiagonal_rank2_metric(grid, rng):
     mat = np.zeros(grid.shape + (2, 2), dtype=np.complex128)
     for a in range(2):
         for b in range(2):
-            mat[..., a, b] = 0.3 * random_band_limited(grid, rng, 0.15).values
+            mat[..., a, b] = 0.3 * random_band_limited(grid, rng, 0.15)
     mat = mat @ np.conj(np.swapaxes(mat, -1, -2))
     mat[..., 0, 0] += 1.0
     mat[..., 1, 1] += 0.5
@@ -415,7 +414,7 @@ def rank2_top_degree_source(rng):
     gives it the same ~e^7 dynamic range as the scalar sources.
     """
     g = GridSpec(2, 16, 8.0)
-    weight, _ = gaussian_metric(g, c=0.5)
+    weight = singular_catalog("gaussian", g, c=0.5).metric
     h = MetricField(g, 2, nondiagonal_rank2_metric(g, rng).mat * weight.mat)
     return g, h, project_to_range(random_form(g, 2, 2, 2, rng, kmax_frac=0.3))
 
@@ -458,7 +457,7 @@ def test_solver_forms_store_each_coefficient_as_one_contiguous_block(rng):
     # at n = 2 and rank 2 a form has several slots and components, so a
     # grid-major array would leave every coefficient field strided
     g = GridSpec(2, 8, 8.0)
-    h, _ = gaussian_metric(g, c=0.5, r0=1.0, s=0.3, rank=2)
+    h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.3, rank=2).metric
     f = project_to_range(dbar(random_form(g, 2, 2, 0, rng)))
     u, _ = solve_min_norm(f, h, tol=1e-8)
     for form in (f, u, apply_Tstar(f, h), dbar_transpose(f)):

@@ -2,25 +2,16 @@ import numpy as np
 import pytest
 
 from dbarlab.errors import ValidationError
-from dbarlab.grid import GridSpec, ScalarField
+from dbarlab.grid import GridSpec
 from dbarlab.io import format_value, read_field, write_csv, write_field, write_svg_plot
 from dbarlab.metric import MetricField
-from dbarlab.weights import gaussian_metric, random_form
+from dbarlab.singular import singular_catalog
+from dbarlab.weights import random_form
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(909)
-
-
-def test_scalar_field_round_trip(tmp_path, rng):
-    g = GridSpec(1, 16, 8.0)
-    f = ScalarField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-    path = tmp_path / "field.hdbl"
-    write_field(path, f)
-    back = read_field(path)
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)  # bit-exact
 
 
 def test_eform_round_trip(tmp_path, rng):
@@ -35,7 +26,7 @@ def test_eform_round_trip(tmp_path, rng):
 
 def test_metric_round_trip(tmp_path):
     g = GridSpec(1, 16, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     path = tmp_path / "metric.hdbl"
     write_field(path, h)
     back = read_field(path)

@@ -17,7 +17,6 @@ from dbarlab.errors import MetricError
 from dbarlab.grid import GridSpec
 from dbarlab.metric import MetricField, dual_metric
 from dbarlab.singular import MollifierSchedule, mollify, singular_catalog
-from dbarlab.weights import gaussian_metric
 from test_hermitian import random_matrix_metric
 
 REGULARIZE_CFG = Path(__file__).resolve().parent.parent / "configs" / "regularize.cfg"
@@ -50,9 +49,10 @@ GRID2 = GridSpec(2, 8, 8.0)
 DIAGONAL = {
     "log_pole": lambda: [singular_catalog("log_pole", GRID).metric],
     "log_pole_pair": lambda: [singular_catalog("log_pole_pair", GRID).metric],
-    "gaussian-rank1": lambda: [gaussian_metric(GRID, c=1.0)[0], gaussian_metric(GRID2, c=0.5)[0]],
-    "gaussian-rank2": lambda: [gaussian_metric(GRID, c=1.0, rank=2)[0],
-                               gaussian_metric(GRID2, c=0.5, rank=2)[0]],
+    "gaussian-rank1": lambda: [singular_catalog("gaussian", GRID, c=1.0).metric,
+                               singular_catalog("gaussian", GRID2, c=0.5).metric],
+    "gaussian-rank2": lambda: [singular_catalog("gaussian", GRID, c=1.0, rank=2).metric,
+                               singular_catalog("gaussian", GRID2, c=0.5, rank=2).metric],
     "identity": lambda: [MetricField.identity(GRID, 1), MetricField.identity(GRID2, 3)],
     "regularize-mollified-duals": regularize_mollified_duals,
 }

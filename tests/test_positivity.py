@@ -14,7 +14,8 @@ from dbarlab.positivity import (
     nakano_report,
     positivity_report,
 )
-from dbarlab.weights import gaussian_metric, random_band_limited, random_form
+from dbarlab.singular import singular_catalog
+from dbarlab.weights import random_band_limited, random_form
 
 import positivity_reference
 
@@ -82,7 +83,8 @@ def test_identity_curvature_floors():
 
 def test_gaussian_interior_floor_is_weight_strength():
     g = GridSpec(1, 64, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     delta = nakano_delta(h, curvature(h), region=box)
@@ -91,7 +93,7 @@ def test_gaussian_interior_floor_is_weight_strength():
 
 def test_dimension_one_exact_equality(rng):
     g = GridSpec(1, 16, 8.0)
-    w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).values.real)
+    w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).real)
     h = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     th = curvature(h)
     assert griffiths_report(h, th)[0] == nakano_delta(h, th)
@@ -101,7 +103,7 @@ def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):
     # at rank one every tuple s_j = xi_j s is decomposable, so the floors
     # coincide exactly and no direction net runs
     g = GridSpec(2, 8, 8.0)
-    phi = 0.4 * random_band_limited(g, rng, 0.2, real=True).values.real
+    phi = 0.4 * random_band_limited(g, rng, 0.2, real=True).real
     h = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
     th = curvature(h)
     dg, point, xi, net_err = griffiths_report(h, th)
@@ -209,7 +211,7 @@ def test_nakano_at_most_griffiths(rng):
 def test_scaling_covariance(rng):
     # h -> c h leaves curvature and both floors unchanged
     g = GridSpec(1, 32, 8.0)
-    w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).values.real)
+    w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).real)
     h1 = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     h2 = MetricField.from_weight(g, 7.0 * w, 1, log_weight=-np.log(7.0 * w))
     t1, t2 = curvature(h1), curvature(h2)
@@ -219,7 +221,8 @@ def test_scaling_covariance(rng):
 
 def test_duality_flip_rank_one(rng):
     g = GridSpec(1, 32, 8.0)
-    h, r0 = gaussian_metric(g, c=1.0)
+    gauss = singular_catalog("gaussian", g, c=1.0)
+    h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     dual = dual_metric(h)
@@ -247,9 +250,9 @@ def test_duality_rank_two_twisted_metric(rng):
     from dbarlab.weights import apodized_quadratic_weight, random_band_limited
 
     g = GridSpec(1, 64, 8.0)
-    phi = apodized_quadratic_weight(g, 0.5, r0=1.0, s=0.30).values.real
-    pert = 0.15 * random_band_limited(g, rng, 0.08, real=True).values.real
-    pert2 = 0.15 * random_band_limited(g, rng, 0.08, real=True).values.real
+    phi = apodized_quadratic_weight(g, 0.5, r0=1.0, s=0.30).real
+    pert = 0.15 * random_band_limited(g, rng, 0.08, real=True).real
+    pert2 = 0.15 * random_band_limited(g, rng, 0.08, real=True).real
     mat = np.zeros(g.shape + (2, 2), dtype=complex)
     mat[..., 0, 0] = np.exp(-phi) * (1.0 + 0.3 * np.tanh(pert))
     mat[..., 1, 1] = np.exp(-phi) * (1.0 - 0.3 * np.tanh(pert))

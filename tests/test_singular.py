@@ -5,23 +5,21 @@ import pytest
 
 from dbarlab import cli
 from dbarlab.errors import PreconditionError, ValidationError
-from dbarlab.exterior import EForm
-from dbarlab.grid import GridSpec, ScalarField, dz_array, integrate
+from dbarlab.exterior import EForm, norm_sq
+from dbarlab.grid import GridSpec, convolve, dz_array, integrate
 from dbarlab.hermitian import MetricField, curvature, dual_metric
-from dbarlab.hormander import project_to_range, solve_min_norm
+from dbarlab.hormander import norm2, project_to_range, solve_min_norm
 from dbarlab.positivity import nakano_delta
 from dbarlab.singular import (
     MollifierSchedule,
     check_monotone,
-    masked_norm2,
     mollifier_kernel,
     mollify,
-    mollify_scalar,
     periodic_log_pole,
     regularized_solve,
     singular_catalog,
 )
-from dbarlab.weights import gaussian_metric, smooth_source_bump
+from dbarlab.weights import smooth_source_bump
 
 
 @pytest.fixture
@@ -40,8 +38,8 @@ def test_kernel_mass_support_positivity():
     g = GridSpec(1, 64, 8.0)
     for eps in (0.5, 1.0, 2.0):
         kern = mollifier_kernel(g, eps)
-        assert abs(integrate(kern).real - 1.0) < 1e-12
-        vals = kern.values.real
+        assert abs(integrate(g, kern) - 1.0) < 1e-12
+        vals = kern
         assert vals.min() >= 0.0
         t = g.axis_coordinates()
         d = np.minimum(t, g.L - t)
@@ -59,7 +57,7 @@ def test_mollify_smooth_limit_rate():
     # for a smooth metric the mollification error scales like eps^2; measured
     # away from the apodization transition, whose scale the widest kernel spans
     g = GridSpec(1, 64, 8.0)
-    h, _ = gaussian_metric(g, c=1.0)
+    h = singular_catalog("gaussian", g, c=1.0).metric
     z = g.z(0)
     inner = (np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0)
     errs = []
@@ -80,14 +78,14 @@ def test_mollify_preserves_hermitian_psd(rng):
     assert np.linalg.eigvalsh(out.mat).min() > -1e-14
 
 
-def test_mollify_scalar_psh_gains_constant():
+def test_mollified_psh_gains_constant():
     # convolution lifts a subharmonic weight by a positive constant where the
     # kernel sees only the quadratic core
     g = GridSpec(1, 64, 8.0)
     z = g.z(0)
-    phi = ScalarField(g, (np.abs(z) ** 2).astype(np.complex128))
-    out = mollify_scalar(phi, 0.8)
-    gain = (out.values - phi.values).real
+    phi = np.abs(z) ** 2
+    out = convolve(g, phi, mollifier_kernel(g, 0.8))
+    gain = out - phi
     inner = np.abs(z) < 0.5 * g.L - 0.8 - 2 * g.spacing
     assert gain[inner].min() > 0
 
@@ -230,14 +228,14 @@ def test_monotone_near_equality_for_pluriharmonic_exponent():
     from dbarlab.weights import plateau_coordinate
 
     w = plateau_coordinate(g, 0, r0=0.9, s=0.31)
-    psi = ScalarField(g, (w**2).real.astype(np.complex128))  # Re(z^2) on the core
-    a1 = mollify_scalar(psi, 0.7)
-    a2 = mollify_scalar(psi, 0.35)
+    psi = (w**2).real  # Re(z^2) on the core
+    a1 = convolve(g, psi, mollifier_kernel(g, 0.7))
+    a2 = convolve(g, psi, mollifier_kernel(g, 0.35))
     z = g.z(0)
     inner = (np.abs(z.real) <= 0.15) & (np.abs(z.imag) <= 0.15)
-    scale = max(np.abs(psi.values).max(), 1.0)
-    assert np.abs((a1.values - psi.values))[inner].max() < 1e-6 * scale
-    assert np.abs((a1.values - a2.values))[inner].max() < 1e-6 * scale
+    scale = max(np.abs(psi).max(), 1.0)
+    assert np.abs(a1 - psi)[inner].max() < 1e-6 * scale
+    assert np.abs(a1 - a2)[inner].max() < 1e-6 * scale
 
 
 def test_monotone_primal_side_of_negative_metric():
@@ -260,10 +258,22 @@ def test_masked_norm_excludes_cells():
     cat = singular_catalog("log_pole", g, a=0.5)
     f = EForm.zeros(g, 1, 1, 1)
     f.coeffs[..., 0, 0, 0] = 1.0
-    dens = __import__("dbarlab.exterior", fromlist=["norm_sq"]).norm_sq(f, cat.metric)
+    dens = norm_sq(f, cat.metric)
     full = dens.sum() * g.cell_volume
-    masked = masked_norm2(f, cat.metric)
+    masked = norm2(f, cat.metric)
     assert masked < full
+
+
+def test_norm2_quadrature_leaves_out_the_pole_cell():
+    # the solver's norm2 is the quadrature over the unmasked cells, so a solve
+    # on a masked metric does not count the pole cell
+    g = GridSpec(1, 32, 8.0)
+    h = singular_catalog("log_pole", g, a=0.5).metric
+    f = EForm.zeros(g, 1, 1, 1)
+    f.coeffs[..., 0, 0, 0] = 1.0
+    dens = norm_sq(f, h)
+    assert h.mask.sum() == 1 and dens[h.mask].min() > 0.0
+    assert norm2(f, h) == pytest.approx(dens[~h.mask].sum() * g.cell_volume, rel=1e-13)
 
 
 def test_regularized_solve_smooth_limit_matches_direct():
@@ -272,7 +282,7 @@ def test_regularized_solve_smooth_limit_matches_direct():
     g = GridSpec(1, 64, 8.0)
     cat = singular_catalog("gaussian", g)
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center - 0.5, g.center - 0.3), 0.2).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center - 0.5, g.center - 0.3), 0.2)
     f = project_to_range(f)
     sched = MollifierSchedule(2.0, 8)
     u_pipe, rep = regularized_solve(f, cat, sched)
@@ -293,7 +303,7 @@ def test_regularized_solve_full_pipeline():
     g = GridSpec(1, 64, 8.0)
     cat = singular_catalog("log_pole", g, a=0.5, offset=1.5 + 1.5j)
     f = EForm.zeros(g, 1, 1, 1)
-    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center - 0.7, g.center - 0.5), 0.2).values
+    f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center - 0.7, g.center - 0.5), 0.2)
     f = project_to_range(f)
     sched = MollifierSchedule(2.0, 8)
     u, rep = regularized_solve(f, cat, sched)
@@ -314,8 +324,8 @@ def test_regularized_solve_rank_two_pair_catalog():
     )
     f = EForm.zeros(g, 2, 1, 1)
     bump = smooth_source_bump(g, (g.center - 0.6, g.center), 0.2)
-    f.coeffs[..., 0, 0, 0] = bump.values
-    f.coeffs[..., 0, 0, 1] = 0.6j * bump.values
+    f.coeffs[..., 0, 0, 0] = bump
+    f.coeffs[..., 0, 0, 1] = 0.6j * bump
     f = project_to_range(f)
     u, rep = regularized_solve(f, cat, MollifierSchedule(2.0, 8))
     assert min(rep.delta_values) >= cat.delta_target - 0.1

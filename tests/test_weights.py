@@ -7,11 +7,12 @@ import spectral_reference as ref
 
 from dbarlab.errors import ValidationError
 from dbarlab.grid import GridSpec
+from dbarlab.singular import singular_catalog
 from dbarlab.weights import (
     default_plateau_radius,
-    gaussian_metric,
     random_band_limited,
     saturating_square_profile,
+    smooth_source_bump,
 )
 
 
@@ -25,8 +26,8 @@ def test_separable_band_limited_matches_full_grid_reference(n, N, kmax_frac, rea
     g = GridSpec(n, N, 8.0)
     rng_fast = np.random.default_rng(5)
     rng_slow = np.random.default_rng(5)
-    fast = random_band_limited(g, rng_fast, kmax_frac, real).values
-    slow = ref.random_band_limited(g, rng_slow, kmax_frac, real).values
+    fast = random_band_limited(g, rng_fast, kmax_frac, real)
+    slow = ref.random_band_limited(g, rng_slow, kmax_frac, real)
     assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
     assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
 
@@ -36,7 +37,7 @@ def test_profile_too_wide_for_box_rejected():
     with pytest.raises(ValidationError):
         saturating_square_profile(64, 8.0, 3.5, 0.22)
     with pytest.raises(ValidationError):
-        gaussian_metric(GridSpec(1, 16, 8.0), c=1.0, r0=3.5)
+        singular_catalog("gaussian", GridSpec(1, 16, 8.0), c=1.0, r0=3.5)
     with pytest.raises(ValidationError):
         saturating_square_profile(64, 8.0, 0.0, 0.22)
 
@@ -77,3 +78,19 @@ def test_closed_form_plateau_radius_matches_bisection():
         solved += fast != hi
     assert solved > 50 and capped > 0
     assert raised == {"weight too deep", "box too small"}
+
+
+def test_weight_fields_are_real_contiguous_arrays():
+    # the catalog metric keeps its log weight as its own float64 array, not a
+    # strided real view into a complex128 field
+    g = GridSpec(2, 8, 8.0)
+    h = singular_catalog("gaussian", g, c=0.5, rank=2, r0=1.0, s=0.3).metric
+    for w in h.diag_log_weights:
+        assert w.dtype == np.float64 and w.flags.c_contiguous
+        base = w
+        while base is not None:
+            assert base.dtype != np.complex128
+            base = base.base
+    bump = smooth_source_bump(g, (g.center,) * 4, 0.5)
+    assert isinstance(bump, np.ndarray)
+    assert bump.dtype == np.float64 and bump.shape == g.shape
