@@ -47,7 +47,6 @@ from .exterior import (
 )
 from .grid import integrate, interior_mask, seam_leakage
 from .hermitian import (
-    MetricField,
     adjoint_from_dprime,
     curvature,
     curvature_wedge,
@@ -56,6 +55,7 @@ from .hermitian import (
     dpartial,
     dprime,
 )
+from .metric import MetricField
 
 SUPPORT_TOL = 1e-10
 
@@ -199,19 +199,6 @@ def bk_integrated(
     _require_np_form(alpha)
     leak = check_support(alpha, h, margin) if mode == "stein" else 0.0
     return _integrated_report(alpha, _bk_terms(alpha, h), leak)
-
-
-def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
-    """The two Stokes cross-term integrals; each should equal -||dbar*_h alpha||^2.
-
-    Returns (cross_minus, cross_plus, minus_adjoint_sq), read off the term pass.
-    """
-    t = _bk_terms(alpha, h)
-    return (
-        float(integrate(alpha.grid, t["cross_minus"].real)),
-        float(integrate(alpha.grid, t["cross_plus"].real)),
-        -float(integrate(alpha.grid, t["adjoint_sq"])),
-    )
 
 
 def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:

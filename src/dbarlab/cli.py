@@ -31,13 +31,15 @@ from .exterior import (
     wedge,
 )
 from .grid import GridSpec, _is_power_of_two, interior_mask
-from .hermitian import CurvatureField, MetricField, curvature, dual_metric
+from .hermitian import CurvatureField, curvature
 from .hormander import project_to_range, solve_min_norm, verify_hormander
 from .io import write_csv, write_field, write_svg_plot
+from .metric import MetricField, dual_metric
 from .positivity import (
     check_nakano_pointwise_identity,
     griffiths_report,
     nakano_report,
+    positivity_report,
 )
 from .singular import DEFAULTS, FIXED_RANK, MollifierSchedule, regularized_solve, singular_catalog
 from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump
@@ -429,16 +431,16 @@ def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
     cat = _metric_for(cfg, grid)
     region = _certified_region(cfg, grid, cat)
     theta = curvature(cat.metric)
-    dn, argn, _vec = nakano_report(cat.metric, theta, region, symmetry_tol=cfg.symmetry)
-    dg, argg, _xi, net_err = griffiths_report(cat.metric, theta, region,
-                                              symmetry_tol=cfg.symmetry)
+    rep = positivity_report(cat.metric, theta, region, symmetry_tol=cfg.symmetry)
+    dn, dg, net_err = rep.delta_nakano, rep.delta_griffiths, rep.net_error
+    tol = rep.ordering_tolerance
     rows = [
         _row("nakano-floor", "tuple-quadratic-form-minimum", grid.n, 0, grid.N,
              dn, "", True),
         _row("griffiths-floor", "decomposable-quadratic-form-minimum", grid.n, 0, grid.N,
              dg, "", True),
         _row("floor-ordering", "nakano-bounded-by-griffiths", grid.n, 0, grid.N,
-             dn - dg, 1e-9 + net_err, dn <= dg + 1e-9 + net_err),
+             dn - dg, tol, dn <= dg + tol),
         _row("net-refinement", "direction-net-error-bound", grid.n, 0, grid.N,
              net_err, cfg.net, net_err <= cfg.net),
     ]
@@ -491,7 +493,7 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
             f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, cfg.sigma)
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.cg, margin=cfg.seam_margin)
-            check = verify_hormander(rep, delta, 1, tol=cfg.hormander)
+            check = verify_hormander(rep, tol=cfg.hormander)
             # an unclaimable bound (no positive certified floor) or a source
             # that samples to zero is a failure of the configured check, not a
             # silent skip

@@ -94,12 +94,6 @@ def merge_sign(a: tuple, b: tuple):
     return (-1) ** inversions, tuple(sorted(a + b))
 
 
-def insertion_sign(k: int, idx: tuple) -> int:
-    """Sign of dz_k wedge dz_idx -> dz_(idx + {k}); idx must not contain k."""
-    sign, _ = merge_sign((k,), idx)
-    return sign
-
-
 @lru_cache(maxsize=64)
 def grow_table(n: int, k: int) -> tuple:
     """Rows (src, j, dst, sign) with dz_j ^ dz_idx = sign * dz_grown.
@@ -227,19 +221,6 @@ def scale_by_field(a: EForm, field: np.ndarray) -> EForm:
     if field.shape != a.grid.shape:
         raise FormError("scaling field shape does not match the grid")
     return EForm(a.grid, a.rank, a.p, a.q, a.coeffs * field[..., None, None, None])
-
-
-def conjugate_form(a: EForm) -> EForm:
-    """Complex conjugate form: bidegree (q,p), coefficients conj with crossing sign."""
-    out = EForm.zeros(a.grid, a.rank, a.q, a.p)
-    sign = (-1) ** (a.p * a.q)
-    n = a.grid.n
-    for I in a.dz_slots():
-        for J in a.dzbar_slots():
-            out.coeffs[..., index_slot(n, a.q)[J], index_slot(n, a.p)[I], :] = (
-                sign * np.conj(a.slot(I, J))
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,6 @@ class GridSpec:
         return (self.N,) * (2 * self.n)
 
     @property
-    def num_points(self) -> int:
-        return self.N ** (2 * self.n)
-
-    @property
     def spacing(self) -> float:
         return self.L / self.N
 

@@ -34,12 +34,10 @@ import numpy as np
 
 from .errors import FormError
 from .grid import GridSpec, from_spectrum, to_spectrum
-from .metric import MetricField, dual_metric, matrix_apply
+from .metric import MetricField, matrix_apply
 from .exterior import EForm, add_signed, grow_table, hodge_star, omega_power, wedge
 
 __all__ = [
-    "MetricField",
-    "dual_metric",
     "CurvatureField",
     "chern_connection",
     "curvature",
@@ -80,17 +78,6 @@ class CurvatureField:
         blocks = np.array(blocks, dtype=np.complex128)
         return cls(grid, rank, np.broadcast_to(blocks, grid.shape + blocks.shape))
 
-    def hermitian_defect(self, h: MetricField) -> float:
-        """Max relative violation of h Theta_jk = (h Theta_kj)^H off the mask."""
-        hT = np.einsum("...ac,...jkcb->...jkab", h.mat, self.theta)
-        swapped = np.conj(np.swapaxes(hT, -1, -2)).swapaxes(-4, -3)
-        defect = np.abs(hT - swapped).max(axis=(-4, -3, -2, -1))
-        scale = np.abs(hT).max(axis=(-4, -3, -2, -1))
-        keep = h.unmasked()
-        top = defect[keep].max()
-        denom = max(scale[keep].max(), 1e-300)
-        return float(top / denom)
-
 
 def chern_connection(h: MetricField) -> np.ndarray:
     """Connection coefficients theta_j = h^{-1} d_j h, shape grid + (n, r, r).
@@ -105,7 +92,7 @@ def chern_connection(h: MetricField) -> np.ndarray:
         for a, phi in enumerate(h.diag_log_weights):
             spec = to_spectrum(h.grid, phi.astype(np.complex128))
             for j in range(n):
-                out[..., j, a, a] = -from_spectrum(h.grid, spec, j)
+                np.negative(from_spectrum(h.grid, spec, j), out=out[..., j, a, a])
         return out
     hinv = h.inverse_mat()
     spec = to_spectrum(h.grid, h.mat)
@@ -137,7 +124,7 @@ def curvature(h: MetricField) -> CurvatureField:
     for j in range(n):
         spec = to_spectrum(h.grid, theta_conn[..., j, :, :])
         for k in range(n):
-            out[..., j, k, :, :] = -from_spectrum(h.grid, spec, k, True)
+            np.negative(from_spectrum(h.grid, spec, k, True), out=out[..., j, k, :, :])
     return CurvatureField(h.grid, h.rank, out)
 
 

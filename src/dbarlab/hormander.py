@@ -51,7 +51,8 @@ from .grid import (
     to_lattice,
     to_spectrum,
 )
-from .hermitian import MetricField, dbar
+from .hermitian import dbar
+from .metric import MetricField
 
 
 def _gram(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -213,11 +214,6 @@ def _range_defect(grid: GridSpec, p: int, spec: np.ndarray) -> float:
     return float(lost / max(np.linalg.norm(spec), 1e-300))
 
 
-def range_projection_defect(f: EForm) -> float:
-    """Relative l2 mass of the (n,p)-form f outside the exact discrete range of dbar."""
-    return _range_defect(f.grid, f.q, to_spectrum(f.grid, f.coeffs)[..., 0, :, :])
-
-
 def project_to_range(f: EForm) -> EForm:
     """Remove the (measure-zero) cokernel bins: zero/Nyquist modes and
     directions transverse to the dbar multiplier."""
@@ -278,7 +274,8 @@ def solve_min_norm(
     if h.grid != grid or h.rank != f.rank:
         raise FormError("metric does not match the source")
 
-    bound = _bound(delta, p)
+    # the Hormander bound 1/(p delta), claimed only for a positive finite floor
+    bound = 1.0 / (delta * p) if delta is not None and 0.0 < delta < np.inf else None
     f_norm2 = norm2(f, h)
     if f_norm2 == 0.0:
         zero = SolveReport(0.0, 0.0, p, delta, bound, 0.0, 0.0, 0, 0.0, bound is not None)
@@ -415,16 +412,9 @@ def solve_min_norm(
     return u, report
 
 
-def _bound(delta, p):
-    """The Hormander bound 1/(p delta), or None unless delta is a positive finite floor."""
-    if delta is None or not 0.0 < delta < np.inf:
-        return None
-    return 1.0 / (delta * p)
-
-
-def verify_hormander(report: SolveReport, delta: float, p: int, tol: float = 0.05) -> dict:
-    """Check u_norm2 <= (1 + tol)/(p delta) * f_norm2 against a certified floor."""
-    bound = _bound(delta, p)
+def verify_hormander(report: SolveReport, tol: float = 0.05) -> dict:
+    """Check u_norm2 <= (1 + tol) * bound * f_norm2 against the report's 1/(p delta) bound."""
+    bound = report.bound
     if bound is None:
         return {"claimed": False, "passed": None, "slack": None, "bound": None,
                 "normalized_ratio": None}
@@ -438,40 +428,3 @@ def verify_hormander(report: SolveReport, delta: float, p: int, tol: float = 0.0
         # a zero source has the zero solution, which meets the bound with no ratio
         "normalized_ratio": report.u_norm2 / (bound * report.f_norm2) if report.f_norm2 else None,
     }
-
-
-def dense_min_norm(f: EForm, h: MetricField) -> EForm:
-    """Dense minimal-norm oracle for small grids: pinv of the whitened matrix.
-
-    Builds W2 T W1^{-1} column by column (W = pointwise sqrt of h) and solves
-    with the Moore-Penrose inverse; practical for N <= 16 at n = 1.
-    """
-    grid = f.grid
-    n = grid.n
-    p = f.q
-    if grid.num_points * f.rank * len(index_tuples(n, p - 1)) > 1024:
-        raise PreconditionError("dense oracle restricted to small grids")
-    sqrt_h = MetricField(grid, h.rank, h.sqrt_mat())
-    inv_sqrt = np.linalg.inv(sqrt_h.mat)
-
-    shape1 = grid.shape + (1, len(index_tuples(n, p - 1)), f.rank)
-    dim1 = int(np.prod(shape1))
-    shape2 = f.coeffs.shape
-    dim2 = int(np.prod(shape2))
-    cols = np.zeros((dim2, dim1), dtype=np.complex128)
-    basis = np.zeros(dim1, dtype=np.complex128)
-    for i in range(dim1):
-        basis[:] = 0.0
-        basis[i] = 1.0
-        u = EForm.zeros(grid, f.rank, n, p - 1)
-        u.coeffs[...] = basis.reshape(shape1)
-        u.coeffs = _gram(inv_sqrt, u.coeffs)
-        Tu = dbar(u)
-        Tu.coeffs = _gram(sqrt_h.mat, Tu.coeffs)
-        cols[:, i] = Tu.coeffs.ravel()
-    f_white = _gram(sqrt_h.mat, f.coeffs).ravel()
-    u_white, *_ = np.linalg.lstsq(cols, f_white, rcond=1e-12)
-    u = EForm.zeros(grid, f.rank, n, p - 1)
-    u.coeffs[...] = u_white.reshape(shape1)
-    u.coeffs = _gram(inv_sqrt, u.coeffs)
-    return u

@@ -17,10 +17,6 @@ from .grid import GridSpec
 
 HERMITIAN_TOL = 1e-12
 
-# eigh's backward error is a few eps times the largest eigenvalue at a point;
-# a negative eigenvalue beyond this multiple of eps is not roundoff
-EIGH_ROUNDOFF = 1e3 * np.finfo(np.float64).eps
-
 
 def matrix_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Pointwise h @ v for stacked matrices (..., r, r) and vectors (..., r).
@@ -143,21 +139,6 @@ class MetricField:
             return np.linalg.inv(self.mat)
         except np.linalg.LinAlgError as exc:
             raise MetricError("metric is singular at some grid point") from exc
-
-    def sqrt_mat(self) -> np.ndarray:
-        """Pointwise hermitian positive square root.
-
-        Eigenvalues within eigh's roundoff below zero are set to zero; one
-        further below raises, since the metric is then not positive there.
-        """
-        vals, vecs = np.linalg.eigh(self.mat)
-        rel = vals[..., 0] / np.maximum(np.abs(vals).max(axis=-1), 1e-300)
-        if rel.min() < -EIGH_ROUNDOFF:
-            raise MetricError(
-                f"metric is not positive: eigenvalue {rel.min():.3e} times its point's scale"
-            )
-        vals = np.clip(vals, 0.0, None)
-        return np.einsum("...ab,...b,...cb->...ac", vecs, np.sqrt(vals), np.conj(vecs))
 
 
 def dual_metric(h: MetricField) -> MetricField:

@@ -32,7 +32,7 @@ REFINE_PASSES = 2    # each pass rescans 7 x 7 points at a fifth of the previous
 
 @dataclass
 class PositivityReport:
-    """Extracted curvature floors (or caps, for mode='upper').
+    """Griffiths and Nakano floors read from one whitened stack.
 
     net_error is the change of the Griffiths extremum over the last
     refinement pass of the direction net: a heuristic spread, not a bound.
@@ -45,15 +45,12 @@ class PositivityReport:
     argmin_nakano: tuple
     direction: np.ndarray          # xi at the Griffiths extremum
     section: np.ndarray            # whitened eigenvector at the Nakano extremum
-    mode: str = "lower"
     net_error: float = 0.0
 
-    def __post_init__(self):
-        tol = 1e-9 * max(1.0, abs(self.delta_griffiths)) + self.net_error
-        if self.delta_nakano > self.delta_griffiths + tol:
-            raise PreconditionError(
-                "nakano floor exceeds griffiths floor, extraction is inconsistent"
-            )
+    @property
+    def ordering_tolerance(self) -> float:
+        """Slack of delta_nakano <= delta_griffiths: 1e-9 of max(1, |delta_G|), plus net_error."""
+        return 1e-9 * max(1.0, abs(self.delta_griffiths)) + self.net_error
 
 
 def _check_block_symmetry(M: np.ndarray, tol: float):
@@ -105,15 +102,8 @@ def _coords(keep, flat: int) -> tuple:
     return tuple(int(c) for c in np.argwhere(keep)[flat])
 
 
-def nakano_report(
-    h: MetricField,
-    theta: CurvatureField,
-    region=None,
-    mode: str = "lower",
-    symmetry_tol: float = SYMMETRY_TOL,
-) -> tuple:
-    """(delta, argmin point, whitened eigenvector) of the Nakano quadratic form."""
-    keep, W = _whitened_blocks(h, theta, region, symmetry_tol)
+def _nakano(keep, W: np.ndarray, mode: str) -> tuple:
+    """(delta, point, whitened eigenvector): one batched eigh of the nr x nr matrices."""
     n, points, r = W.shape[0], W.shape[2], W.shape[-1]
     vals, vecs = np.linalg.eigh(W.transpose(2, 0, 3, 1, 4).reshape(points, n * r, n * r))
     if mode == "lower":
@@ -127,49 +117,24 @@ def nakano_report(
     return float(pick[flat]), _coords(keep, flat), vec
 
 
-def nakano_delta(
-    h: MetricField, theta: CurvatureField, region=None, symmetry_tol: float = SYMMETRY_TOL
-) -> float:
-    """Grid minimum of the smallest generalized Nakano eigenvalue."""
-    return nakano_report(h, theta, region, symmetry_tol=symmetry_tol)[0]
-
-
-def _decomposable_report(nakano: tuple, rank: int) -> tuple:
-    """The Griffiths report from the Nakano one when every tuple is decomposable.
-
-    At n = 1 the direction is the single coordinate; at rank 1 the Nakano
-    eigenvector is the tuple xi_j s itself, which whitening scales by one
-    common factor, so its normalization is the direction.
-    """
-    delta, coords, vec = nakano
-    xi = vec / np.linalg.norm(vec) if rank == 1 else np.ones(1, dtype=np.complex128)
-    return delta, coords, xi, 0.0
-
-
 def _direction(t: float, phi: float) -> np.ndarray:
     return np.array([np.cos(t), np.sin(t) * np.exp(1j * phi)])
 
 
-def griffiths_report(
-    h: MetricField,
-    theta: CurvatureField,
-    region=None,
-    mode: str = "lower",
-    symmetry_tol: float = SYMMETRY_TOL,
-) -> tuple:
-    """(delta, argmin point, xi, net_error) for the Griffiths quadratic form.
+def _griffiths(keep, W: np.ndarray, mode: str, nakano: tuple | None = None) -> tuple:
+    """(delta, point, xi, net_error) of the Griffiths form on the whitened stack.
 
-    At n = 1 or rank 1 every tuple is decomposable, so this is the Nakano
-    extraction and net_error is 0.  Otherwise (n = 2) it scans a
-    NET_SIDE x NET_SIDE direction net on CP^1, then refines REFINE_PASSES
-    times around the best direction.  net_error is the change of the
-    extremum over the last refinement pass: a heuristic spread between
-    passes, not a bound on the distance to the true floor.
+    At n = 1 or rank 1 every tuple is decomposable, so this reads the Nakano
+    extremum (nakano, when the caller already holds it): the direction is the
+    single coordinate at n = 1, and at rank 1 the Nakano eigenvector is the
+    tuple xi_j s itself, which whitening scales by one common factor, so its
+    normalization is the direction.  Otherwise it scans the direction net.
     """
-    n, r = h.grid.n, h.rank
+    n, r = W.shape[0], W.shape[-1]
     if n == 1 or r == 1:
-        return _decomposable_report(nakano_report(h, theta, region, mode, symmetry_tol), r)
-    keep, W = _whitened_blocks(h, theta, region, symmetry_tol)
+        delta, coords, vec = _nakano(keep, W, mode) if nakano is None else nakano
+        xi = vec / np.linalg.norm(vec) if r == 1 else np.ones(1, dtype=np.complex128)
+        return delta, coords, xi, 0.0
     rows = W.reshape(n * n, -1)
     # the extremum of the caps is minus the floor of -A, so one minimum serves both modes
     sign = 1.0 if mode == "lower" else -1.0
@@ -199,20 +164,49 @@ def griffiths_report(
     return sign * float(best[0]), _coords(keep, best[1]), xi, float(abs(best[0] - prev))
 
 
+def nakano_report(
+    h: MetricField,
+    theta: CurvatureField,
+    region=None,
+    mode: str = "lower",
+    symmetry_tol: float = SYMMETRY_TOL,
+) -> tuple:
+    """(delta, argmin point, whitened eigenvector) of the Nakano quadratic form."""
+    return _nakano(*_whitened_blocks(h, theta, region, symmetry_tol), mode)
+
+
+def griffiths_report(
+    h: MetricField,
+    theta: CurvatureField,
+    region=None,
+    mode: str = "lower",
+    symmetry_tol: float = SYMMETRY_TOL,
+) -> tuple:
+    """(delta, argmin point, xi, net_error) for the Griffiths quadratic form.
+
+    At n = 1 or rank 1 every tuple is decomposable, so this is the Nakano
+    extraction and net_error is 0.  Otherwise (n = 2) it scans a
+    NET_SIDE x NET_SIDE direction net on CP^1, then refines REFINE_PASSES
+    times around the best direction.  net_error is the change of the
+    extremum over the last refinement pass: a heuristic spread between
+    passes, not a bound on the distance to the true floor.
+    """
+    return _griffiths(*_whitened_blocks(h, theta, region, symmetry_tol), mode)
+
+
 def positivity_report(
-    h: MetricField, theta: CurvatureField, region=None, mode: str = "lower"
+    h: MetricField, theta: CurvatureField, region=None, symmetry_tol: float = SYMMETRY_TOL
 ) -> PositivityReport:
-    """Joint Griffiths/Nakano extraction with the ordering invariant enforced."""
-    nakano = nakano_report(h, theta, region, mode)
-    if h.grid.n == 1 or h.rank == 1:
-        dg, arg_g, xi, net_err = _decomposable_report(nakano, h.rank)
-    else:
-        dg, arg_g, xi, net_err = griffiths_report(h, theta, region, mode)
+    """Both floors from one whitening and one Nakano eigh.
+
+    The Griffiths floor reads the same stack: the Nakano extremum where every
+    tuple is decomposable (n = 1 or rank 1), the direction net otherwise.
+    """
+    keep, W = _whitened_blocks(h, theta, region, symmetry_tol)
+    nakano = _nakano(keep, W, "lower")
+    dg, arg_g, xi, net_err = _griffiths(keep, W, "lower", nakano)
     dn, arg_n, vec = nakano
-    if mode == "upper":
-        # for caps the ordering flips: max over tuples >= max over decomposables
-        return PositivityReport(dg, max(dn, dg), arg_g, arg_n, xi, vec, mode, net_err)
-    return PositivityReport(dg, dn, arg_g, arg_n, xi, vec, mode, net_err)
+    return PositivityReport(dg, dn, arg_g, arg_n, xi, vec, net_err)
 
 
 def check_nakano_pointwise_identity(

@@ -33,9 +33,10 @@ import numpy as np
 from .errors import PreconditionError, ValidationError
 from .exterior import EForm
 from .grid import GridSpec, box_mask, to_lattice, to_spectrum
-from .hermitian import MetricField, curvature, dual_metric
+from .hermitian import curvature
 from .hormander import norm2, solve_min_norm
-from .positivity import nakano_delta
+from .metric import MetricField, dual_metric
+from .positivity import nakano_report
 from .weights import BUDGET, apodized_quadratic_weight, plateau_coordinate, plateau_geometry
 
 
@@ -392,7 +393,7 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
         reg_nu = _box_off_poles(grid, interior_halfwidth, cat.poles, eps + 3.0 * grid.spacing)
         # mollified spikes carry ~1e-4 discretization asymmetry; immaterial at
         # the 0.1-level floor tolerance of this pipeline
-        delta_nu = nakano_delta(h_nu, curvature(h_nu), region=reg_nu, symmetry_tol=1e-2)
+        delta_nu = nakano_report(h_nu, curvature(h_nu), reg_nu, symmetry_tol=1e-2)[0]
         deltas.append(float(delta_nu))
         # the pipeline's inequalities live at the few-percent level; a 1e-9
         # relative solve keeps the deepest mollified weights inside the cap

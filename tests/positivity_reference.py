@@ -8,7 +8,8 @@ refinement passes and the spread between passes are those of the fast path,
 so agreement checks the shared whitened stack and its per-direction
 contraction.  It covers n = 2 at rank >= 2, the case that runs a net.
 
-It also keeps the curvature-contraction residual with its sign products.
+It also keeps the curvature-contraction residual with its sign products,
+and the hermitian block-symmetry defect of a curvature field.
 """
 
 from __future__ import annotations
@@ -93,3 +94,15 @@ def nakano_pointwise_identity(theta, gamma, h):
                                 hatted[k])
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
+
+
+def hermitian_defect(theta, h):
+    """Max relative violation of h Theta_jk = (h Theta_kj)^H off the mask."""
+    hT = np.einsum("...ac,...jkcb->...jkab", h.mat, theta.theta)
+    swapped = np.conj(np.swapaxes(hT, -1, -2)).swapaxes(-4, -3)
+    defect = np.abs(hT - swapped).max(axis=(-4, -3, -2, -1))
+    scale = np.abs(hT).max(axis=(-4, -3, -2, -1))
+    keep = h.unmasked()
+    top = defect[keep].max()
+    denom = max(scale[keep].max(), 1e-300)
+    return float(top / denom)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dbarlab.exterior import EForm, index_slot, insertion_sign
+from dbarlab.exterior import EForm, index_slot, merge_sign
 from dbarlab.grid import dz_array
 
 
@@ -60,7 +60,7 @@ def dbar(a):
             for k in range(n):
                 if k in J:
                     continue
-                s = sign_p * insertion_sign(k, J)
+                s = sign_p * merge_sign((k,), J)[0]
                 target = tuple(sorted(J + (k,)))
                 out.coeffs[..., Ipos, pos_J[target], :] += s * dz_array(
                     a.grid, c, k, conjugate=True
@@ -78,7 +78,7 @@ def dpartial(a):
             for k in range(n):
                 if k in I:
                     continue
-                s = insertion_sign(k, I)
+                s = merge_sign((k,), I)[0]
                 target = tuple(sorted(I + (k,)))
                 out.coeffs[..., pos_I[target], Jpos, :] += s * dz_array(
                     a.grid, c, k, conjugate=False
@@ -96,7 +96,7 @@ def dbar_transpose(v):
             c = v.coeffs[..., Ipos, Jpos, :]
             for k in J:
                 Jm = tuple(i for i in J if i != k)
-                s = sign_p * insertion_sign(k, Jm)
+                s = sign_p * merge_sign((k,), Jm)[0]
                 out.coeffs[..., Ipos, pos_J[Jm], :] += s * (
                     -dz_array(v.grid, c, k, conjugate=False)
                 )

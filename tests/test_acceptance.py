@@ -21,7 +21,7 @@ from dbarlab.exterior import (
     wedge,
 )
 from dbarlab.grid import GridSpec, integrate
-from dbarlab.hermitian import CurvatureField, MetricField, curvature, dbar, dbar_star_formal
+from dbarlab.hermitian import CurvatureField, curvature, dbar, dbar_star_formal
 from dbarlab.hormander import (
     apply_Tstar,
     norm2,
@@ -29,10 +29,11 @@ from dbarlab.hormander import (
     solve_min_norm,
     verify_hormander,
 )
+from dbarlab.metric import MetricField
 from dbarlab.positivity import (
     check_nakano_pointwise_identity,
     griffiths_report,
-    nakano_delta,
+    nakano_report,
     positivity_report,
 )
 from dbarlab.singular import MollifierSchedule, regularized_solve, singular_catalog
@@ -111,10 +112,10 @@ def test_criterion_2_algebraic_identity_suite():
         grid = GridSpec(n, 16, 8.0)
         rank = 2
         # every grid point carries independent random data, so each form draw
-        # contributes num_points algebraic instances; (1,1) also gets the
+        # contributes one algebraic instance per point; (1,1) also gets the
         # literal thousand independent draws since it is cheap
         draws = 1000 if n == 1 else 16
-        instance_counts[(n, p)] = draws * grid.num_points
+        instance_counts[(n, p)] = draws * grid.N ** (2 * n)
         h = random_pointwise_metric(grid, rank, rng)
         theta = random_pointwise_curvature(grid, rank, rng, h=h)
         for _ in range(draws):
@@ -213,7 +214,7 @@ def test_criterion_5_hormander_bound():
         h, r0 = gauss.metric, gauss.plateau_radius
         z = grid.z(0)
         box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
-        delta = nakano_delta(h, curvature(h), region=box)
+        delta = nakano_report(h, curvature(h), region=box)[0]
         ratios = []
         for _ in range(count):
             center = tuple(grid.center + rng.uniform(-0.25, 0.25) for _ in range(2))
@@ -221,7 +222,7 @@ def test_criterion_5_hormander_bound():
             f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, 0.3)
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta)
-            check = verify_hormander(rep, delta, 1, tol=0.05)
+            check = verify_hormander(rep, tol=0.05)
             all_ok &= bool(check["passed"]) and rep.residual <= 1e-9
             ratios.append(rep.ratio)
         mean_ratio[c] = float(np.mean(ratios))
@@ -249,7 +250,7 @@ def test_criterion_6_basic_estimate():
             shape = [1] * (2 * n)
             shape[axis] = grid.N
             region &= (np.abs(t_ax) <= 0.95 * r0).reshape(shape)
-        delta = nakano_delta(h, curvature(h), region=region)
+        delta = nakano_report(h, curvature(h), region=region)[0]
         assert delta > 0
         support = plateau_bump(grid, r_flat=0.5 * r0, r_zero=min(2.4, 0.45 * grid.L))
         for _ in range(count):
@@ -288,7 +289,7 @@ def test_criterion_7_positivity_extraction():
         phi = 0.4 * random_band_limited(grid, rng, 0.1, real=True).real
         h1 = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
         th = curvature(h1)
-        equality_ok &= griffiths_report(h1, th)[0] == nakano_delta(h1, th)
+        equality_ok &= griffiths_report(h1, th)[0] == nakano_report(h1, th)[0]
 
     grid = GridSpec(2, 8, 8.0)
     h = MetricField.identity(grid, 2)

@@ -10,17 +10,19 @@ from dbarlab.bochner import (
     bk_integrated,
     bk_pointwise,
     bk_reports,
-    cross_term_integrals,
     xi_omega_identity,
 )
 from dbarlab.cli import _bk_source
 from dbarlab.errors import FormError, SupportError
 from dbarlab.exterior import EForm, norm_sq, scale_by_field
 from dbarlab.grid import GridSpec, integrate
-from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal, dpartial
-from dbarlab.positivity import nakano_delta
+from dbarlab.hermitian import curvature, dbar, dbar_star_formal, dpartial
+from dbarlab.metric import MetricField
+from dbarlab.positivity import nakano_report
 from dbarlab.singular import singular_catalog
 from dbarlab.weights import plateau_bump, random_form, smooth_source_bump
+
+from bochner_reference import cross_term_integrals
 
 
 @pytest.fixture
@@ -201,7 +203,7 @@ def test_basic_estimate_random_bumps_n1():
     h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
-    delta = nakano_delta(h, curvature(h), region=box)
+    delta = nakano_report(h, curvature(h), region=box)[0]
     rngl = np.random.default_rng(21)
     for _ in range(10):
         center = tuple(g.center + rngl.uniform(-0.3, 0.3) for _ in range(2))
@@ -223,7 +225,7 @@ def test_basic_estimate_n2(rng):
         shape = [1] * 4
         shape[axis] = g.N
         region &= (np.abs(t) <= 0.95 * r0).reshape(shape)
-    delta = nakano_delta(h, curvature(h), region=region)
+    delta = nakano_report(h, curvature(h), region=region)[0]
     assert delta > 0
     for p in (1, 2):
         alpha = random_form(g, 1, 2, p, rng, kmax_frac=0.2, interior=True)

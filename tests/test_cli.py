@@ -374,15 +374,17 @@ def test_rank_defaults_to_the_catalog_rank(tmp_path):
 
 def test_cli_nan_in_an_informational_row_fails_it(tmp_path, capsys, monkeypatch):
     # nakano-floor has no threshold; a NaN floor used to read as a pass
+    import dataclasses
+
     import dbarlab.cli as cli
 
-    real_nakano_report = cli.nakano_report
+    real_positivity_report = cli.positivity_report
 
     def nan_floor(*args, **kwargs):
-        _floor, *rest = real_nakano_report(*args, **kwargs)
-        return (float("nan"), *rest)
+        return dataclasses.replace(real_positivity_report(*args, **kwargs),
+                                   delta_nakano=float("nan"))
 
-    monkeypatch.setattr(cli, "nakano_report", nan_floor)
+    monkeypatch.setattr(cli, "positivity_report", nan_floor)
     text = BASE.replace("name = identities\ncount = 5", "name = positivity")
     cfg = write_config(tmp_path, text)
     assert main(["positivity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -392,6 +394,21 @@ def test_cli_nan_in_an_informational_row_fails_it(tmp_path, capsys, monkeypatch)
         rows = {row["check"]: row for row in csv.DictReader(handle)}
     assert rows["nakano-floor"]["threshold"] == "" and rows["nakano-floor"]["passed"] == "0"
     assert rows["griffiths-floor"]["passed"] == "1"
+
+
+def test_cli_floor_ordering_threshold_scales_with_a_griffiths_floor_above_one(tmp_path):
+    # c = 2 puts the floors at 1.48 on this N = 16 grid, so the threshold's
+    # roundoff part is 1e-9 |delta_G|, not 1e-9
+    text = BASE.replace("name = identities\ncount = 5", "name = positivity").replace(
+        "c = 1.0", "c = 2.0")
+    cfg = write_config(tmp_path, text)
+    assert main(["positivity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "positivity.csv", newline="") as handle:
+        rows = {row["check"]: row for row in csv.DictReader(handle)}
+    dg = float(rows["griffiths-floor"]["value"])
+    net_error = float(rows["net-refinement"]["value"])
+    assert abs(dg) > 1.0
+    assert float(rows["floor-ordering"]["threshold"]) == 1e-9 * abs(dg) + net_error
 
 
 @pytest.mark.parametrize("seed", ["-1", "many"])

@@ -9,7 +9,6 @@ from dbarlab.errors import FormError
 from dbarlab.exterior import (
     EForm,
     c_const,
-    conjugate_form,
     dv_density,
     grow_table,
     hodge_star,
@@ -239,17 +238,6 @@ def test_inner_product_hermitian(rng):
     assert np.abs(aa - norm_sq(a, h)).max() < 1e-12 * np.abs(aa).max()
 
 
-def test_conjugate_form_norm_invariance(rng):
-    g = small_grid(2)
-    h = MetricField.identity(g, 1)
-    a = random_form(g, 1, 0, 1, rng)
-    ca = conjugate_form(a)
-    assert ca.bidegree == (1, 0)
-    na = norm_sq(a, h)
-    nc = norm_sq(ca, h)
-    assert np.abs(na - nc).max() < 1e-13 * na.max()
-
-
 def test_wedge_rank_and_degree_errors(rng):
     g = small_grid(1)
     a = random_form(g, 2, 1, 0, rng)
@@ -410,7 +398,7 @@ def test_identities_runs_no_three_operand_contraction_on_a_full_grid(tmp_path, m
     # elementwise or a two-operand dot
     cfg = parse_config(IDENTITIES_CFG)
     assert cfg.rank == 1
-    points = GridSpec(cfg.n, cfg.N, cfg.L).num_points
+    points = cfg.N ** (2 * cfg.n)
     calls = []
     plain_einsum = np.einsum
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cg_reference import flat_reference_min_norm, reference_min_norm
+from hormander_reference import dense_min_norm, range_projection_defect
 from dbarlab.errors import FormError, PreconditionError, SolverError
 from dbarlab.exterior import EForm, inner_product, norm_sq
 from dbarlab.grid import GridSpec, integrate
-from dbarlab.hermitian import MetricField, curvature, dbar, dbar_star_formal
+from dbarlab.hermitian import curvature, dbar, dbar_star_formal
 from dbarlab.hormander import (
     _flat_symbol,
     _per_mode,
@@ -15,14 +16,13 @@ from dbarlab.hormander import (
     apply_Tstar,
     closedness_defect,
     dbar_transpose,
-    dense_min_norm,
     norm2,
     project_to_range,
-    range_projection_defect,
     solve_min_norm,
     verify_hormander,
 )
-from dbarlab.positivity import nakano_delta
+from dbarlab.metric import MetricField
+from dbarlab.positivity import nakano_report
 from dbarlab.singular import singular_catalog
 from dbarlab.weights import random_band_limited, random_form, smooth_source_bump
 
@@ -117,13 +117,13 @@ def test_solve_gaussian_bump_bound():
     h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
-    delta = nakano_delta(h, curvature(h), region=box)
+    delta = nakano_report(h, curvature(h), region=box)[0]
     f = EForm.zeros(g, 1, 1, 1)
     f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.2, g.center - 0.1), 0.3)
     f = project_to_range(f)
     u, rep = solve_min_norm(f, h, delta=delta)
     assert rep.residual <= 1e-9
-    check = verify_hormander(rep, delta, 1)
+    check = verify_hormander(rep)
     assert check["claimed"] and check["passed"]
     assert check["normalized_ratio"] < 1.0
 
@@ -137,7 +137,7 @@ def test_solve_flat_metric_returns_algebraic_solution(rng):
     u, rep = solve_min_norm(f, h, delta=0.0)
     assert rep.residual <= 1e-10
     assert not rep.bound_claimed
-    check = verify_hormander(rep, 0.0, 1)
+    check = verify_hormander(rep)
     assert check["claimed"] is False and check["passed"] is None
 
 
@@ -196,13 +196,13 @@ def test_weight_sweep_bound_halves():
         h, r0 = gauss.metric, gauss.plateau_radius
         z = g.z(0)
         box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
-        delta = nakano_delta(h, curvature(h), region=box)
+        delta = nakano_report(h, curvature(h), region=box)[0]
         assert delta == pytest.approx(c, rel=2e-2)
         f = EForm.zeros(g, 1, 1, 1)
         f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center + 0.15, g.center), 0.3)
         f = project_to_range(f)
         _, rep = solve_min_norm(f, h, delta=delta)
-        assert verify_hormander(rep, delta, 1)["passed"]
+        assert verify_hormander(rep)["passed"]
         ratios[c] = rep.ratio
     assert ratios[2.0] <= ratios[1.0]
     assert ratios[4.0] <= ratios[2.0]
@@ -271,14 +271,14 @@ def test_solve_n2_top_degree_bound():
         sh = [1] * 4
         sh[ax] = g.N
         region &= (np.abs(t) <= 0.95 * r0).reshape(sh)
-    delta = nakano_delta(h, curvature(h), region=region)
+    delta = nakano_report(h, curvature(h), region=region)[0]
     assert delta > 0
     f = EForm.zeros(g, 1, 2, 2)
     f.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * 4, 0.35)
     f = project_to_range(f)
     u, rep = solve_min_norm(f, h, delta=delta, tol=1e-8)
     assert rep.residual <= 1e-7
-    check = verify_hormander(rep, delta, 2)
+    check = verify_hormander(rep)
     assert check["passed"]
 
 
@@ -323,7 +323,7 @@ def test_dense_adjoint_matrix_oracle(rng):
     # and check T* = G1^{-1} T^H G2 literally, independent of the einsum paths
     g = GridSpec(1, 8, 4.0)
     h = random_weight_metric(g, rng, amp=0.4)
-    dim = g.num_points
+    dim = g.N ** (2 * g.n)
     T = np.zeros((dim, dim), dtype=complex)
     Tstar = np.zeros((dim, dim), dtype=complex)
     basis = np.zeros(dim, dtype=complex)
@@ -361,7 +361,7 @@ def test_symbol_eig_keeps_exact_rank_n2():
     g = GridSpec(2, 8, 8.0)
     _vals, _vecs, keep = _symbol_eig(g, 1)
     zero_per_axis = int((g.wavenumbers() == 0.0).sum())
-    assert keep.sum() == g.num_points - zero_per_axis ** 4 == 4080
+    assert keep.sum() == g.N ** (2 * g.n) - zero_per_axis ** 4 == 4080
 
 
 def test_solve_closed_n2_source_to_1e10(rng):

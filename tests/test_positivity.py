@@ -3,14 +3,13 @@ import pytest
 
 from dbarlab.errors import CurvatureSymmetryError, MetricError, PreconditionError
 from dbarlab.grid import GridSpec
-from dbarlab.hermitian import CurvatureField, MetricField, curvature
-from dbarlab.metric import dual_metric
+from dbarlab.hermitian import CurvatureField, curvature
+from dbarlab.metric import MetricField, dual_metric
 from dbarlab.positivity import (
     _whiten,
     check_basic_inequality,
     check_nakano_pointwise_identity,
     griffiths_report,
-    nakano_delta,
     nakano_report,
     positivity_report,
 )
@@ -77,7 +76,7 @@ def test_identity_curvature_floors():
     g = GridSpec(2, 8, 8.0)
     h = MetricField.identity(g, 2)
     th = identity_curvature(g, 2)
-    assert nakano_delta(h, th) == pytest.approx(1.0, abs=1e-12)
+    assert nakano_report(h, th)[0] == pytest.approx(1.0, abs=1e-12)
     assert griffiths_report(h, th)[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -87,7 +86,7 @@ def test_gaussian_interior_floor_is_weight_strength():
     h, r0 = gauss.metric, gauss.plateau_radius
     z = g.z(0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
-    delta = nakano_delta(h, curvature(h), region=box)
+    delta = nakano_report(h, curvature(h), region=box)[0]
     assert abs(delta - 1.0) < 5e-3
 
 
@@ -96,7 +95,7 @@ def test_dimension_one_exact_equality(rng):
     w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).real)
     h = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     th = curvature(h)
-    assert griffiths_report(h, th)[0] == nakano_delta(h, th)
+    assert griffiths_report(h, th)[0] == nakano_report(h, th)[0]
 
 
 def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):
@@ -107,28 +106,33 @@ def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):
     h = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
     th = curvature(h)
     dg, point, xi, net_err = griffiths_report(h, th)
-    assert dg == nakano_delta(h, th)
+    assert dg == nakano_report(h, th)[0]
     assert net_err == 0.0
     # the reported direction attains the floor at the reported point
     form = np.einsum("j,k,jk->", xi, np.conj(xi), th.theta[point][..., 0, 0]).real
     assert form == pytest.approx(dg, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, rank", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("n, rank", [(1, 2), (2, 1), (2, 2)])
 def test_positivity_report_runs_nakano_once(monkeypatch, rng, n, rank):
+    # both floors read one whitened stack and one Nakano eigh; at (2, 2) the
+    # Griffiths net scans that same stack
     import dbarlab.positivity as positivity
 
-    calls = []
-    real = positivity.nakano_report
+    calls = {"whiten": 0, "eigh": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(positivity, "nakano_report", counting)
+    monkeypatch.setattr(positivity, "_whitened_blocks",
+                        counting("whiten", positivity._whitened_blocks))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     g = GridSpec(n, 8, 8.0)
     positivity_report(MetricField.identity(g, rank), nakano_positive_curvature(g, rank, rng))
-    assert len(calls) == 1
+    assert calls == {"whiten": 1, "eigh": 1}
 
 
 def test_frozen_witness_griffiths_positive_nakano_negative():
@@ -216,7 +220,7 @@ def test_scaling_covariance(rng):
     h2 = MetricField.from_weight(g, 7.0 * w, 1, log_weight=-np.log(7.0 * w))
     t1, t2 = curvature(h1), curvature(h2)
     assert np.abs(t1.theta - t2.theta).max() < 1e-10 * np.abs(t1.theta).max()
-    assert abs(nakano_delta(h1, t1) - nakano_delta(h2, t2)) < 1e-10
+    assert abs(nakano_report(h1, t1)[0] - nakano_report(h2, t2)[0]) < 1e-10
 
 
 def test_duality_flip_rank_one(rng):
@@ -279,7 +283,7 @@ def test_symmetry_violation_raises():
     blocks[0, 1] = np.eye(2)  # missing conjugate partner
     th = CurvatureField.constant(g, 2, blocks)
     with pytest.raises(CurvatureSymmetryError):
-        nakano_delta(h, th)
+        nakano_report(h, th)[0]
     with pytest.raises(CurvatureSymmetryError):
         griffiths_report(h, th)
 
@@ -298,7 +302,7 @@ def test_metric_not_positive_at_unmasked_point_raises_metric_error():
     # the same point under the singular mask is outside every claim
     mask = np.zeros(g.shape, dtype=bool)
     mask[bad] = True
-    assert nakano_delta(MetricField(g, 2, mat, mask), th) == pytest.approx(1.0)
+    assert nakano_report(MetricField(g, 2, mat, mask), th)[0] == pytest.approx(1.0)
 
 
 def test_whiten_singular_factor_raises_metric_error():
@@ -312,7 +316,7 @@ def test_empty_region_raises():
     h = MetricField.identity(g, 1)
     th = identity_curvature(g, 1)
     with pytest.raises(PreconditionError):
-        nakano_delta(h, th, region=np.zeros(g.shape, dtype=bool))
+        nakano_report(h, th, region=np.zeros(g.shape, dtype=bool))[0]
 
 
 def test_nakano_pointwise_identity_cases(rng):
@@ -375,7 +379,7 @@ def test_basic_inequality_p1_matches_pointwise_identity(rng):
     g = GridSpec(2, 8, 8.0)
     h = MetricField.identity(g, 2)
     th = nakano_positive_curvature(g, 2, rng)
-    delta = nakano_delta(h, th)
+    delta = nakano_report(h, th)[0]
     gamma = random_form(g, 2, 1, 0, rng)
     res = check_basic_inequality(th, gamma, h, delta, 1)
     assert res["min_slack"] >= -1e-10 * max(res["scale"], 1e-300)
@@ -386,7 +390,7 @@ def test_basic_inequality_randomized_nonnegative(rng):
     h = MetricField.identity(g, 2)
     for _ in range(10):
         th = nakano_positive_curvature(g, 2, rng)
-        delta = nakano_delta(h, th)
+        delta = nakano_report(h, th)[0]
         for p in (1, 2):
             gamma = random_form(g, 2, 2 - p, 0, rng)
             res = check_basic_inequality(th, gamma, h, delta, p)

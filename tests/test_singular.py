@@ -7,9 +7,10 @@ from dbarlab import cli
 from dbarlab.errors import PreconditionError, ValidationError
 from dbarlab.exterior import EForm, norm_sq
 from dbarlab.grid import GridSpec, convolve, dz_array, integrate
-from dbarlab.hermitian import MetricField, curvature, dual_metric
+from dbarlab.hermitian import curvature
 from dbarlab.hormander import norm2, project_to_range, solve_min_norm
-from dbarlab.positivity import nakano_delta
+from dbarlab.metric import MetricField, dual_metric
+from dbarlab.positivity import nakano_report
 from dbarlab.singular import (
     MollifierSchedule,
     check_monotone,
@@ -290,7 +291,7 @@ def test_regularized_solve_smooth_limit_matches_direct():
     box = (np.abs(z.real) <= 0.95 * cat.plateau_radius) & (
         np.abs(z.imag) <= 0.95 * cat.plateau_radius
     )
-    delta = nakano_delta(cat.metric, curvature(cat.metric), region=box)
+    delta = nakano_report(cat.metric, curvature(cat.metric), region=box)[0]
     u_direct, rep_direct = solve_min_norm(f, cat.metric, delta=delta)
     num = np.linalg.norm(u_pipe.coeffs - u_direct.coeffs)
     den = np.linalg.norm(u_direct.coeffs)
