@@ -137,7 +137,9 @@ FIELDS = (
     Field("metric", "offset_im", _finite, ANY, DEFAULTS["offset"].imag,
           "any pole offset from the box centre"),
     Field("operation", "count", int, "[1, inf)", {"identities": 100, "solve": 20},
-          "a row reports the worst or mean over its samples"),
+          "a row reports the worst or mean over its samples; identities draws as many "
+          "independent coefficients as count band-limited draws on the grid would carry, "
+          "as full-band samples on its suite grid against a random metric"),
     Field("operation", "sweep", _list_of(_finite), ANY, (1.0, 2.0, 4.0), "any weight strengths c"),
     Field("operation", "sigma", _finite, POSITIVE, {"solve": 0.3, "regularize": 0.2},
           "a source bump needs a positive width"),
@@ -163,14 +165,14 @@ ExperimentConfig = make_dataclass("ExperimentConfig", [spec.attr for spec in FIE
 
 # A run whose estimated working set passes this cap exits 1 before it allocates
 # anything: the lab is desk-scale, and a larger run would take a workstation's
-# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 320 MB.
+# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 256 MB.
 WORKING_SET_CAP_MB = 2048
 
 # Full-grid complex fields (16 bytes a point, times rank^2) a pipeline holds at
 # its peak, rounded up from traced peaks at n = 1, 2 and rank 1, 2.  solve
 # holds about one more per source bump and regularize five more per mollifier
 # radius; those are charged to count and nu_max.
-_PEAK_FIELDS = {"identities": 20, "positivity": 20, "solve": 32, "regularize": 32,
+_PEAK_FIELDS = {"identities": 16, "positivity": 20, "solve": 32, "regularize": 32,
                 "convergence": 20}
 _FIELDS_PER_ITEM = {"solve": ("count", 2), "regularize": ("nu_max", 6)}
 
@@ -349,37 +351,65 @@ _ALGEBRAIC_CHECKS = (
 )
 
 
+# The algebraic suite runs on its own grid of at most this many points.  Each
+# point of a full-band draw is an independent instance of the same small
+# algebra, so the configured grid would add points, not rigour.
+SUITE_POINTS = 4096
+
+
+def _suite_grid(grid: GridSpec) -> GridSpec:
+    """The largest power-of-two grid N_s >= 8 with N_s <= N and N_s^(2n) <= SUITE_POINTS."""
+    N = 8
+    while 2 * N <= grid.N and (2 * N) ** (2 * grid.n) <= SUITE_POINTS:
+        N *= 2
+    return GridSpec(grid.n, N, grid.L)
+
+
+def _suite_samples(grid: GridSpec, suite: GridSpec, count: int) -> int:
+    """Suite draws per case: at least count band-limited draws' worth of coefficients.
+
+    A default draw on the configured grid (random_form's kmax_frac 0.25) keeps
+    m = 2 max(1, N/8) + 1 modes per axis, so count of them carry count m^(2n)
+    independent gaussian coefficients per field; a full-band suite draw
+    carries N_s^(2n).
+    """
+    m = 2 * max(1, grid.N // 8) + 1
+    return -(-count * m ** (2 * grid.n) // suite.N ** (2 * grid.n))
+
+
 def _algebraic_rows(grid: GridSpec, rank: int, count: int, tol: float, rng) -> list:
-    """Worst residual of each pointwise algebraic identity over count samples per case."""
+    """Worst residual of each pointwise algebraic identity over the suite's samples per case.
+
+    The rows run on the suite grid, with full-band draws against one random
+    metric drawn for the run; their N column is the suite grid's.
+    """
     n = grid.n
-    h = MetricField.identity(grid, rank)
+    suite = _suite_grid(grid)
+    samples = _suite_samples(grid, suite, count)
+    h = _random_metric(suite, rank, rng)
     rows = []
     for p in [1] if n == 1 else [1, n]:
         worst = [0.0] * 4
-        for _ in range(count):
-            worst = [max(w, r) for w, r in zip(worst, _algebraic_sample(grid, h, p, rng))]
+        for _ in range(samples):
+            worst = [max(w, r) for w, r in zip(worst, _algebraic_sample(h, p, rng))]
         for (check, verifies), value in zip(_ALGEBRAIC_CHECKS, worst):
-            rows.append(_row(check, verifies, n, p, grid.N, float(value), tol, value <= tol))
+            rows.append(_row(check, verifies, n, p, suite.N, float(value), tol, value <= tol))
     return rows
 
 
-def _algebraic_sample(grid: GridSpec, h: MetricField, p: int, rng) -> tuple:
-    """Residuals of one random sample, in _ALGEBRAIC_CHECKS order; its fields die on return."""
-    n, rank = grid.n, h.rank
-    alpha = random_form(grid, rank, n, p, rng)
+def _algebraic_sample(h: MetricField, p: int, rng) -> tuple:
+    """Residuals of one full-band random sample, in _ALGEBRAIC_CHECKS order."""
+    grid, rank = h.grid, h.rank
+    n = grid.n
+    alpha = random_form(grid, rank, n, p, rng, kmax_frac=1.0)
     gam = hodge_star(alpha)
     scale = max(np.abs(alpha.coeffs).max(), 1e-300)
     rec_err = np.abs(wedge(gam, omega_power(grid, p)).coeffs - alpha.coeffs).max() / scale
     nsq_a = norm_sq(alpha, h)
-    del alpha
     norm_err = np.abs(nsq_a - norm_sq(gam, h)).max() / max(nsq_a.max(), 1e-300)
-    del gam, nsq_a
-    gamma1 = random_form(grid, rank, n - 1, 0, rng)
-    nak_err = check_nakano_pointwise_identity(
-        _random_symmetric_curvature(grid, rank, rng), gamma1, h
-    )
-    del gamma1
-    xi = random_form(grid, rank, n - 1, 1, rng)
+    gamma1 = random_form(grid, rank, n - 1, 0, rng, kmax_frac=1.0)
+    nak_err = check_nakano_pointwise_identity(_random_symmetric_curvature(h, rng), gamma1, h)
+    xi = random_form(grid, rank, n - 1, 1, rng, kmax_frac=1.0)
     return rec_err, norm_err, nak_err, xi_omega_identity(xi, h)
 
 
@@ -407,15 +437,31 @@ def _bk_rows(cfg: ExperimentConfig, grid: GridSpec) -> list:
     ]
 
 
-def _random_symmetric_curvature(grid, rank, rng):
-    """Random curvature blocks with the hermitian h-symmetry (h = identity)."""
-    n = grid.n
-    shape = (n, n, rank, rank)
-    blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for j in range(n):
-        for k in range(j, n):
-            blocks[k, j] = np.conj(blocks[j, k].T)
-    return CurvatureField.constant(grid, rank, blocks)
+def _random_metric(grid: GridSpec, rank: int, rng) -> MetricField:
+    """A random positive hermitian metric, drawn independently at every point.
+
+    Rank 1 is the weight exp(N(0, 1)); rank >= 2 is A A^H + I with A a complex
+    gaussian matrix, which is not diagonal.
+    """
+    if rank == 1:
+        return MetricField.from_weight(grid, np.exp(rng.standard_normal(grid.shape)))
+    shape = grid.shape + (rank, rank)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return MetricField(grid, rank, a @ np.conj(np.swapaxes(a, -1, -2)) + np.eye(rank))
+
+
+def _random_symmetric_curvature(h: MetricField, rng) -> CurvatureField:
+    """Random curvature Theta_jk = h^-1 B_jk, drawn independently at every point.
+
+    B, read as one nr x nr matrix with rows (j, a) and columns (k, b), is
+    hermitian: B_kj = B_jk^H, which is the h-symmetry h Theta_jk = (h Theta_kj)^H.
+    """
+    n, rank = h.grid.n, h.rank
+    shape = h.grid.shape + (n, n, rank, rank)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    blocks = 0.5 * (raw + np.conj(np.swapaxes(np.swapaxes(raw, -4, -3), -2, -1)))
+    return CurvatureField(h.grid, rank, np.einsum("...ac,...jkcb->...jkab",
+                                                  h.inverse_mat(), blocks))
 
 
 def _certified_region(cfg: ExperimentConfig, grid: GridSpec, cat) -> np.ndarray:

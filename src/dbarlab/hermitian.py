@@ -69,15 +69,6 @@ class CurvatureField:
         if self.theta.shape != expected:
             raise FormError(f"curvature shape {self.theta.shape} does not match {expected}")
 
-    @classmethod
-    def constant(cls, grid: GridSpec, rank: int, blocks: np.ndarray) -> "CurvatureField":
-        """Curvature with the same (n, n, r, r) coefficient blocks at every point.
-
-        theta is a read-only broadcast view of one copy of the blocks.
-        """
-        blocks = np.array(blocks, dtype=np.complex128)
-        return cls(grid, rank, np.broadcast_to(blocks, grid.shape + blocks.shape))
-
 
 def chern_connection(h: MetricField) -> np.ndarray:
     """Connection coefficients theta_j = h^{-1} d_j h, shape grid + (n, r, r).
@@ -90,7 +81,7 @@ def chern_connection(h: MetricField) -> np.ndarray:
     out = np.zeros(h.grid.shape + (n, h.rank, h.rank), dtype=np.complex128)
     if h.diag_log_weights is not None:
         for a, phi in enumerate(h.diag_log_weights):
-            spec = to_spectrum(h.grid, phi.astype(np.complex128))
+            spec = to_spectrum(h.grid, phi)
             for j in range(n):
                 np.negative(from_spectrum(h.grid, spec, j), out=out[..., j, a, a])
         return out
@@ -113,7 +104,7 @@ def curvature(h: MetricField) -> CurvatureField:
     out = np.zeros(h.grid.shape + (n, n, h.rank, h.rank), dtype=np.complex128)
     if h.diag_log_weights is not None:
         for a, phi in enumerate(h.diag_log_weights):
-            spec = to_spectrum(h.grid, phi.astype(np.complex128))
+            spec = to_spectrum(h.grid, phi)
             for j in range(n):
                 dphi = from_spectrum(h.grid, spec, j)
                 dspec = to_spectrum(h.grid, dphi)

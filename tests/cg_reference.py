@@ -12,6 +12,9 @@ pseudoinverse and the rescaled inner products.
 
 ``flat_reference_min_norm`` runs the same iteration preconditioned by B^+
 alone, the yardstick for the weighted preconditioner's iteration counts.
+
+Both stop with a SolverError at ``maxiter`` iterations, by default
+10 ceil(sqrt(size of f)).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ def flat_pinv_apply(grid, p, coeffs):
     return _mode_transform(grid, spec, False)
 
 
-def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
+def reference_min_norm(f, h, tol=1e-10, maxiter=None):
     """Minimal-norm u with dbar u = f by real-space CG preconditioned with
     D^+H h D^+; returns (u, iterations)."""
     grid = f.grid
@@ -52,15 +55,15 @@ def reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
         w.coeffs = np.einsum("...ab,...ijb->...ija", h.mat, w.coeffs)
         return flat_pinv_apply(grid, p, dbar(w).coeffs)
 
-    return _reference_cg(f, h, weighted_pinv_apply, tol, maxiter_factor)
+    return _reference_cg(f, h, weighted_pinv_apply, tol, maxiter)
 
 
-def flat_reference_min_norm(f, h, tol=1e-10, maxiter_factor=10):
+def flat_reference_min_norm(f, h, tol=1e-10, maxiter=None):
     """The same real-space CG preconditioned with the flat B^+ alone."""
-    return _reference_cg(f, h, lambda r: flat_pinv_apply(f.grid, f.q, r), tol, maxiter_factor)
+    return _reference_cg(f, h, lambda r: flat_pinv_apply(f.grid, f.q, r), tol, maxiter)
 
 
-def _reference_cg(f, h, precondition, tol, maxiter_factor):
+def _reference_cg(f, h, precondition, tol, maxiter):
     grid = f.grid
     n = grid.n
     p = f.q
@@ -74,7 +77,8 @@ def _reference_cg(f, h, precondition, tol, maxiter_factor):
     def h2_norm(res):
         return np.sqrt(max(norm2(EForm(grid, f.rank, n, p, res), h), 0.0))
 
-    maxiter = int(maxiter_factor * np.ceil(np.sqrt(f.coeffs.size)))
+    if maxiter is None:
+        maxiter = int(10 * np.ceil(np.sqrt(f.coeffs.size)))
     f_norm = np.sqrt(norm2(f, h))
 
     z = np.zeros_like(f.coeffs)

@@ -9,7 +9,8 @@ so agreement checks the shared whitened stack and its per-direction
 contraction.  It covers n = 2 at rank >= 2, the case that runs a net.
 
 It also keeps the curvature-contraction residual with its sign products,
-and the hermitian block-symmetry defect of a curvature field.
+the hermitian block-symmetry defect of a curvature field, and the constant
+curvature fields the tests build.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from dbarlab.exterior import c_const, dv_density, grow_table, pairing
-from dbarlab.hermitian import curvature_wedge
+from dbarlab.hermitian import CurvatureField, curvature_wedge
 from dbarlab.metric import matrix_apply, vector_inner
 from dbarlab.positivity import _whiten
 
@@ -106,3 +107,9 @@ def hermitian_defect(theta, h):
     top = defect[keep].max()
     denom = max(scale[keep].max(), 1e-300)
     return float(top / denom)
+
+
+def constant_curvature(grid, rank, blocks):
+    """Curvature with the same (n, n, r, r) blocks at every point, a read-only broadcast."""
+    blocks = np.array(blocks, dtype=np.complex128)
+    return CurvatureField(grid, rank, np.broadcast_to(blocks, grid.shape + blocks.shape))

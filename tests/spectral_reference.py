@@ -23,7 +23,7 @@ def chern_connection(h):
     if h.diag_log_weights is not None:
         for j in range(n):
             for a, phi in enumerate(h.diag_log_weights):
-                out[..., j, a, a] = -dz_array(h.grid, phi.astype(np.complex128), j)
+                out[..., j, a, a] = -dz_array(h.grid, phi, j)
         return out
     hinv = h.inverse_mat()
     for j in range(n):
@@ -38,7 +38,7 @@ def curvature(h):
     if h.diag_log_weights is not None:
         for a, phi in enumerate(h.diag_log_weights):
             for j in range(n):
-                dphi = dz_array(h.grid, phi.astype(np.complex128), j)
+                dphi = dz_array(h.grid, phi, j)
                 for k in range(n):
                     out[..., j, k, a, a] = dz_array(h.grid, dphi, k, conjugate=True)
         return out

@@ -42,6 +42,7 @@ from dbarlab.weights import (
     random_band_limited,
     smooth_source_bump,
 )
+import positivity_reference
 from test_positivity import WITNESS_BLOCKS
 
 
@@ -293,7 +294,7 @@ def test_criterion_7_positivity_extraction():
 
     grid = GridSpec(2, 8, 8.0)
     h = MetricField.identity(grid, 2)
-    witness = CurvatureField.constant(grid, 2, WITNESS_BLOCKS)
+    witness = positivity_reference.constant_curvature(grid, 2, WITNESS_BLOCKS)
     rep = positivity_report(h, witness)
     witness_ok = rep.delta_griffiths > 0.0 >= rep.delta_nakano
     elapsed = time.time() - t0

@@ -4,8 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dbarlab import cli
 from dbarlab.cli import main, parse_config, report_convergence
 from dbarlab.errors import ValidationError
+from dbarlab.grid import GridSpec
+from dbarlab.weights import random_band_limited
+
+import positivity_reference
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -91,6 +98,63 @@ def test_cli_identities_two_dimensional(tmp_path):
     # per-identity residual rows for both (2,1) and (2,2)
     assert report.count("hodge-star-reconstruction") == 2
     assert "bk-pointwise" in report
+
+
+def _default_draw_modes(N):
+    """Modes per axis that a default band-limited draw keeps, read off its spectrum."""
+    field = random_band_limited(GridSpec(1, N, 8.0), np.random.default_rng(0))
+    spectrum = np.abs(np.fft.fft2(field)).max(axis=1)
+    return int(np.count_nonzero(spectrum > 1e-9 * spectrum.max()))
+
+
+@pytest.mark.parametrize("n, N, count", [
+    (1, 8, 1), (1, 16, 100), (1, 64, 200), (1, 128, 7), (1, 512, 3),
+    (2, 8, 1), (2, 16, 5), (2, 32, 2), (2, 64, 1),
+])
+def test_suite_draws_cover_the_band_limited_coefficients(n, N, count):
+    grid = GridSpec(n, N, 8.0)
+    suite = cli._suite_grid(grid)
+    points = suite.N ** (2 * n)
+    assert suite.N <= N and points <= cli.SUITE_POINTS
+    # the largest such grid
+    assert 2 * suite.N > N or (2 * suite.N) ** (2 * n) > cli.SUITE_POINTS
+    samples = cli._suite_samples(grid, suite, count)
+    needed = count * _default_draw_modes(N) ** (2 * n)
+    assert samples * points >= needed > (samples - 1) * points
+
+
+@pytest.mark.parametrize("path, suite_N, samples", [
+    (ROOT / "configs" / "identities.cfg", 64, 15),
+    (ROOT / "perfbench" / "configs" / "identities-n2.cfg", 8, 4),
+], ids=["identities", "identities-n2"])
+def test_shipped_identities_suites_cover_their_counts(path, suite_N, samples):
+    cfg = parse_config(path)
+    grid = GridSpec(cfg.n, cfg.N, cfg.L)
+    suite = cli._suite_grid(grid)
+    assert (suite.N, cli._suite_samples(grid, suite, cfg.count)) == (suite_N, samples)
+    assert samples * suite_N ** (2 * cfg.n) >= cfg.count * _default_draw_modes(cfg.N) ** (2 * cfg.n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_suite_metric_and_curvature_keep_the_h_symmetry(n):
+    rng = np.random.default_rng(40 + n)
+    grid = cli._suite_grid(GridSpec(n, 32, 8.0))
+    weight = cli._random_metric(grid, 1, rng).mat[..., 0, 0]
+    assert weight.real.min() > 0 and weight.real.std() > 0.5
+    h = cli._random_metric(grid, 2, rng)
+    assert np.abs(h.mat[..., 0, 1]).min() > 0
+    assert np.linalg.eigvalsh(h.mat).min() > 1 - 1e-12
+    theta = cli._random_symmetric_curvature(h, rng)
+    assert positivity_reference.hermitian_defect(theta, h) <= 1e-13
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_algebraic_rows_pass_on_the_suite_grid(n, rank):
+    rows = cli._algebraic_rows(GridSpec(n, 16, 8.0), rank, 2, 1e-12, np.random.default_rng(7))
+    assert [row[3] for row in rows] == [1] * 4 + ([] if n == 1 else [2] * 4)
+    assert {row[4] for row in rows} == {16 if n == 1 else 8}
+    assert all(row[-1] == 1 for row in rows), rows
 
 
 def test_cli_subcommand_config_mismatch(tmp_path):

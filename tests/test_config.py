@@ -161,6 +161,21 @@ def test_working_set_estimate_bounds_the_traced_peak(op, tmp_path):
     assert peak / 2**20 <= sum(working_set_mb(cfg).values())
 
 
+@pytest.mark.parametrize("N, rank", [(16, 1), (16, 2), (32, 1)])
+def test_working_set_estimate_bounds_the_identities_peak_at_n2(N, rank, tmp_path):
+    # the Bochner-Kodaira pass sets this peak: 14.7, 8.7 and 14.5 fields
+    cfg = dataclasses.replace(
+        parse_config(ROOT / "perfbench" / "configs" / "identities-n2.cfg"), N=N, rank=rank
+    )
+    tracemalloc.start()
+    try:
+        assert run(cfg, tmp_path) in (0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= sum(working_set_mb(cfg).values())
+
+
 def _base_config(op: str, tmp_path):
     path = tmp_path / f"{op}.cfg"
     path.write_text(_render(_sections(op)), encoding="utf-8")

@@ -426,11 +426,12 @@ def rank2_top_degree_source(rng):
 )
 def test_weighted_preconditioner_cuts_flat_iterations_tenfold(make_source, rng):
     # the weight between the two symbol pseudoinverses is what the flat
-    # preconditioner misses; measured 4/254, 6/153, 17/301 and 25/500
+    # preconditioner misses; measured 4/254, 6/153, 17/301 and 25/500.  The
+    # flat run stops at ten times the weighted count, still above tol there
     g, h, f = make_source(rng)
     _u, rep = solve_min_norm(f, h, tol=1e-10)
-    _u_flat, iterations_flat = flat_reference_min_norm(f, h, tol=1e-10)
-    assert rep.iterations <= iterations_flat / 10
+    with pytest.raises(SolverError, match="hit the cap"):
+        flat_reference_min_norm(f, h, tol=1e-10, maxiter=10 * rep.iterations)
 
 
 @pytest.mark.parametrize("n, N, p", [(1, 32, 1), (2, 8, 1), (2, 16, 2)])

@@ -57,7 +57,7 @@ def identity_curvature(grid, rank):
     blocks = np.zeros((grid.n, grid.n, rank, rank), dtype=np.complex128)
     for j in range(grid.n):
         blocks[j, j] = np.eye(rank)
-    return CurvatureField.constant(grid, rank, blocks)
+    return positivity_reference.constant_curvature(grid, rank, blocks)
 
 
 def nakano_positive_curvature(grid, rank, rng, floor=0.3):
@@ -69,7 +69,7 @@ def nakano_positive_curvature(grid, rank, rng, floor=0.3):
     for j in range(grid.n):
         for k in range(grid.n):
             blocks[j, k] = M[k * rank : (k + 1) * rank, j * rank : (j + 1) * rank]
-    return CurvatureField.constant(grid, rank, blocks)
+    return positivity_reference.constant_curvature(grid, rank, blocks)
 
 
 def test_identity_curvature_floors():
@@ -138,7 +138,7 @@ def test_positivity_report_runs_nakano_once(monkeypatch, rng, n, rank):
 def test_frozen_witness_griffiths_positive_nakano_negative():
     g = GridSpec(2, 8, 8.0)
     h = MetricField.identity(g, 2)
-    th = CurvatureField.constant(g, 2, WITNESS_BLOCKS)
+    th = positivity_reference.constant_curvature(g, 2, WITNESS_BLOCKS)
     rep = positivity_report(h, th)
     assert rep.delta_griffiths > 0.05
     assert rep.delta_nakano <= -0.05
@@ -188,7 +188,7 @@ def test_griffiths_matches_per_direction_reference(case, mode):
     g = GridSpec(2, 8, 8.0)
     if case == "witness":
         h = MetricField.identity(g, 2)
-        th = CurvatureField.constant(g, 2, WITNESS_BLOCKS)
+        th = positivity_reference.constant_curvature(g, 2, WITNESS_BLOCKS)
     else:
         # criterion 7's metrics, drawn in its order from its seed
         rng = np.random.default_rng(77)
@@ -281,7 +281,7 @@ def test_symmetry_violation_raises():
     h = MetricField.identity(g, 2)
     blocks = np.zeros((2, 2, 2, 2), dtype=np.complex128)
     blocks[0, 1] = np.eye(2)  # missing conjugate partner
-    th = CurvatureField.constant(g, 2, blocks)
+    th = positivity_reference.constant_curvature(g, 2, blocks)
     with pytest.raises(CurvatureSymmetryError):
         nakano_report(h, th)[0]
     with pytest.raises(CurvatureSymmetryError):
@@ -344,7 +344,7 @@ def test_nakano_identity_with_nontrivial_metric(rng):
     for j in range(2):
         for k in range(2):
             blocks[j, k] = hinv @ Msym[k * 2 : (k + 1) * 2, j * 2 : (j + 1) * 2]
-    th = CurvatureField.constant(g, 2, blocks)
+    th = positivity_reference.constant_curvature(g, 2, blocks)
     gamma = random_form(g, 2, 1, 0, rng)
     assert check_nakano_pointwise_identity(th, gamma, h) < 1e-12
 
