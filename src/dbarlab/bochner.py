@@ -13,18 +13,26 @@ is evaluated with the spectral calculus and reported as a density against
 dV; the residual is the max pointwise mismatch over the requested region.
 
 Both forms of the identity are read off one term pass that builds every
-density once.  The pass computes the connection term D'gamma once and reuses
-it for the adjoint, since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports
-returns the pointwise and integrated reports of a single pass.  The curvature
-is always that of h, and the compact-support proxy of the "stein" mode
+density once, and transforms every field in it once.  One spectrum per
+coefficient of gamma gives dbar gamma and del gamma.  One set of connection
+blocks theta_j, built only for the directions j that grow a nonzero
+coefficient of gamma, gives the connection term of D'gamma and the
+curvature blocks Theta_jk = -dbar_k theta_j.  The adjoint reuses D'gamma,
+since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports returns the
+pointwise and integrated reports of a single pass.  The curvature is always
+that of h, and the compact-support proxy of the "stein" mode
 (check_support) holds the seam-margin mass to SUPPORT_TOL.
 
-Memory: the pass keeps a full-grid field only until its last use.  The
-curvature density comes first, so the curvature field the pass computes is
-gone before the connection terms; D'gamma goes once dbar D'gamma exists.
-omega_{p-1} is a read-only broadcast of one constant block (omega_power), so
-it costs no full-grid array.  Only gamma and the finished densities live for
-the whole pass.
+Memory: the pass keeps a full-grid field only until its last use, and
+orders its stages so that few live at once.  The del-dbar term of the left
+side comes first, while only gamma exists.  dbar gamma is reduced to its
+density before any theta_j is built, and gamma's spectra are gone by then.
+Each theta_j goes once it is transformed, and each curvature block is
+applied as soon as it is formed, so no curvature field exists; D'gamma goes
+once dbar D'gamma exists, and gamma once the cross terms are done.
+omega_{p-1} is a read-only broadcast of one constant block (omega_power),
+so it costs no full-grid array.  At n = 2 and rank 1 the traced peak is 10
+full-grid complex fields (160 MiB at N = 32).
 """
 
 from __future__ import annotations
@@ -48,12 +56,11 @@ from .exterior import (
 from .grid import integrate, interior_mask, seam_leakage
 from .hermitian import (
     adjoint_from_dprime,
-    curvature,
-    curvature_wedge,
+    connection_terms,
     dbar,
+    dbar_and_del,
     dbar_star_formal,
     dpartial,
-    dprime,
 )
 from .metric import MetricField
 
@@ -95,9 +102,12 @@ def _require_np_form(alpha: EForm):
 def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     """Every density of the identity against dV, each computed once.
 
-    The adjoint term reuses D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.
-    Each full-grid intermediate is dropped after its last use; the curvature
-    field lives only until Theta^gamma is formed.
+    Each field is transformed once: one spectrum per coefficient of gamma
+    gives dbar gamma and del gamma, and one connection theta gives D'gamma
+    and the curvature blocks (connection_terms).  The adjoint term reuses
+    D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.  Each full-grid
+    intermediate is dropped after its last use, in an order that keeps few
+    of them alive at once (see the module docstring).
     """
     n = alpha.grid.n
     p = alpha.q
@@ -105,19 +115,20 @@ def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     om_p1 = omega_power(alpha.grid, p - 1)
     ic = 1j * c_const(n - p)
 
-    theta_gamma = curvature_wedge(curvature(h), gamma)
-    terms = {"curvature": ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))}
+    terms = {"lhs": ic * dv_density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))}
+    dbar_gamma, dpg = dbar_and_del(gamma)
+    terms["dbar_gamma_sq"] = norm_sq(dbar_gamma, h)
+    del dbar_gamma
+    theta_gamma = connection_terms(gamma, h, dpg)  # dpg is now D'gamma
+    terms["curvature"] = ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))
     del theta_gamma
-    terms["lhs"] = ic * dv_density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
-    terms["dbar_gamma_sq"] = norm_sq(dbar(gamma), h)
-    terms["dbar_alpha_sq"] = np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
-
-    dpg = dprime(gamma, h)
     terms["adjoint_sq"] = norm_sq(adjoint_from_dprime(dpg, om_p1), h)
     dbar_dpg = dbar(dpg)
     del dpg
     terms["cross_minus"] = -ic * dv_density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
     terms["cross_plus"] = ic * dv_density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
+    del dbar_dpg, gamma
+    terms["dbar_alpha_sq"] = np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
     return terms
 
 

@@ -165,16 +165,22 @@ ExperimentConfig = make_dataclass("ExperimentConfig", [spec.attr for spec in FIE
 
 # A run whose estimated working set passes this cap exits 1 before it allocates
 # anything: the lab is desk-scale, and a larger run would take a workstation's
-# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 256 MB.
+# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 226 MB.
 WORKING_SET_CAP_MB = 2048
 
 # Full-grid complex fields (16 bytes a point, times rank^2) a pipeline holds at
 # its peak, rounded up from traced peaks at n = 1, 2 and rank 1, 2.  solve
 # holds about one more per source bump and regularize five more per mollifier
 # radius; those are charged to count and nu_max.
-_PEAK_FIELDS = {"identities": 16, "positivity": 20, "solve": 32, "regularize": 32,
+_PEAK_FIELDS = {"identities": 14, "positivity": 20, "solve": 32, "regularize": 32,
                 "convergence": 20}
 _FIELDS_PER_ITEM = {"solve": ("count", 2), "regularize": ("nu_max", 6)}
+# What does not grow with the grid, and outweighs the fields at the smallest
+# grids: every run's interpreter allocations and lazy caches (0.1-0.3 MB
+# traced at N = 8 and 16), and the identities suite's fields on its own grid
+# of at most SUITE_POINTS points (20.6 of them traced at n = 2, rank 1).
+_FIXED_MB = 0.5
+_SUITE_FIELDS = 21
 
 
 def _parse_sections(text: str) -> dict:
@@ -228,15 +234,18 @@ def working_set_mb(cfg: ExperimentConfig) -> dict:
     """Estimated peak memory of a run in MB, split by the field that drives each part.
 
     The grid part is charged to N (to resolutions for convergence, whose
-    largest grid it is); solve's source bumps to count and regularize's
-    mollified metrics to nu_max.
+    largest grid it is), with the fixed part; solve's source bumps to count
+    and regularize's mollified metrics to nu_max.
     """
     if cfg.operation == "convergence":
         N, grid_field = max(cfg.resolutions), "resolutions"
     else:
         N, grid_field = cfg.N, "N"
     field_mb = 16 * N ** (2 * cfg.n) * cfg.rank ** 2 / 2**20
-    parts = {grid_field: _PEAK_FIELDS[cfg.operation] * field_mb}
+    fixed_mb = _FIXED_MB
+    if cfg.operation == "identities":
+        fixed_mb += _SUITE_FIELDS * 16 * SUITE_POINTS * cfg.rank ** 2 / 2**20
+    parts = {grid_field: _PEAK_FIELDS[cfg.operation] * field_mb + fixed_mb}
     if cfg.operation in _FIELDS_PER_ITEM:
         name, fields = _FIELDS_PER_ITEM[cfg.operation]
         parts[name] = getattr(cfg, name) * fields * field_mb

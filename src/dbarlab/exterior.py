@@ -172,10 +172,6 @@ class EForm:
         # np.moveaxis(store, (0, 1, 2), (-3, -2, -1)) without its argument checks
         return cls(grid, rank, p, q, store.transpose(tuple(range(3, store.ndim)) + (0, 1, 2)))
 
-    @property
-    def bidegree(self) -> tuple:
-        return (self.p, self.q)
-
     def dz_slots(self) -> tuple:
         return index_tuples(self.grid.n, self.p)
 

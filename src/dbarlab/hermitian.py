@@ -12,18 +12,24 @@ weight e^{-|z|^2} has Theta_11 = 1 and i*Theta = omega.
 
 Every derivative is a Fourier multiplier, and each input field is forward
 transformed once: dbar and del transform each coefficient once and apply
-the multiplier of every direction k to that one spectrum, the connection
-transforms each exponent (or the matrix field) once, and the curvature
-transforms each exponent and each first derivative once for all second
-directions.  dbar, del, D' and Theta wedge take their insertion signs and
-target slots from one table, ``exterior.grow_table``.
+the multiplier of every direction k to that one spectrum (dbar_and_del
+serves both from it), the connection blocks theta_j come from one transform
+of each exponent (or of the matrix field), and the curvature row Theta_j.
+from one transform of theta_j, of each diagonal entry on its own for
+diagonal exponents.  curvature and chern_connection build every block; the
+Bochner-Kodaira pass calls connection_terms, where one set of theta_j feeds
+both D'gamma and Theta ^ gamma.  dbar, del, D' and Theta wedge take their
+insertion signs and target slots from one table, ``exterior.grow_table``.
 
 An identically zero coefficient (say the empty slot of a source filled in
 one slot only) has derivative exactly 0: dbar and del test each source
 coefficient once, on its real and imaginary parts, and give a zero one no
-forward transform, no inverse and no add.  A NaN counts as nonzero.  The
-pointwise products (pairing, wedge, the connection term of D') make no such
-test, as it would cost as much as the product it saves.
+forward transform, no inverse and no add.  A NaN counts as nonzero.
+connection_terms tests the coefficients of its form the same way and builds
+theta_j and the blocks Theta_jk only for the directions j that grow a
+nonzero one.  The other pointwise products (pairing, wedge, the connection
+term of dprime) make no such test, as it would cost as much as the product
+it saves.
 """
 
 from __future__ import annotations
@@ -44,7 +50,9 @@ __all__ = [
     "curvature_wedge",
     "dbar",
     "dpartial",
+    "dbar_and_del",
     "dprime",
+    "connection_terms",
     "dbar_star_formal",
     "adjoint_from_dprime",
 ]
@@ -70,82 +78,99 @@ class CurvatureField:
             raise FormError(f"curvature shape {self.theta.shape} does not match {expected}")
 
 
-def chern_connection(h: MetricField) -> np.ndarray:
-    """Connection coefficients theta_j = h^{-1} d_j h, shape grid + (n, r, r).
+def _connection_blocks(h: MetricField, directions) -> dict:
+    """{j: theta_j} for each j in directions, theta_j = h^{-1} d_j h of shape grid + (r, r).
 
     For metrics carrying diagonal exponents this is diag(-d_j phi_a), the same
     quantity computed from the smooth exponent instead of the matrix entries.
     Each exponent (or the matrix field) is transformed once for all j.
     """
+    grid = h.grid
+    if h.diag_log_weights is None:
+        hinv = h.inverse_mat()
+        spec = to_spectrum(grid, h.mat)
+        return {j: hinv @ from_spectrum(grid, spec, j) for j in directions}
+    blocks = {j: np.zeros(grid.shape + (h.rank, h.rank), dtype=np.complex128) for j in directions}
+    for a, phi in enumerate(h.diag_log_weights):
+        spec = to_spectrum(grid, phi)
+        for j, block in blocks.items():
+            np.negative(from_spectrum(grid, spec, j), out=block[..., a, a])
+    return blocks
+
+
+def _curvature_spectra(h: MetricField, theta_j: np.ndarray) -> list:
+    """(entry, spectrum) pairs from which every Theta_jk = -dbar_k(theta_j) is formed.
+
+    The entry is the whole block, or, for metrics carrying diagonal exponents,
+    each diagonal entry on its own (r transforms instead of r^2): theta_j is
+    then diagonal.
+    """
+    if h.diag_log_weights is None:
+        entries = [np.s_[...]]
+    else:
+        entries = [np.s_[..., a, a] for a in range(h.rank)]
+    return [(entry, to_spectrum(h.grid, theta_j[entry])) for entry in entries]
+
+
+def _curvature_block(grid: GridSpec, spectra: list, k: int, out: np.ndarray) -> None:
+    """Write Theta_jk = -dbar_k(theta_j) into out (zero off the entries) from theta_j's spectra."""
+    for entry, spec in spectra:
+        np.negative(from_spectrum(grid, spec, k, True), out=out[entry])
+
+
+def chern_connection(h: MetricField) -> np.ndarray:
+    """Connection coefficients theta_j = h^{-1} d_j h, shape grid + (n, r, r)."""
     n = h.grid.n
-    out = np.zeros(h.grid.shape + (n, h.rank, h.rank), dtype=np.complex128)
-    if h.diag_log_weights is not None:
-        for a, phi in enumerate(h.diag_log_weights):
-            spec = to_spectrum(h.grid, phi)
-            for j in range(n):
-                np.negative(from_spectrum(h.grid, spec, j), out=out[..., j, a, a])
-        return out
-    hinv = h.inverse_mat()
-    spec = to_spectrum(h.grid, h.mat)
-    for j in range(n):
-        out[..., j, :, :] = hinv @ from_spectrum(h.grid, spec, j)
-    return out
+    blocks = _connection_blocks(h, range(n))
+    return np.stack([blocks[j] for j in range(n)], axis=-3)
 
 
 def curvature(h: MetricField) -> CurvatureField:
-    """Curvature coefficients Theta_jk = -dbar_k(h^{-1} d_j h).
+    """Curvature coefficients Theta_jk = -dbar_k(theta_j), shape grid + (n, n, r, r).
 
-    Diagonal-exponent metrics reduce entrywise to d_j dbar_k phi_a: each
-    exponent is transformed once, and each d_j phi_a once for all k.  A single
-    product multiplier would save n transforms, but its roundoff moves the
-    integrated identity residual (a ~1e-5 cancellation) by ~1e-11 of itself.
+    The connection blocks theta_j come from one transform of each exponent
+    (or of the matrix field); each theta_j is transformed once for all k, each
+    diagonal entry separately for metrics carrying diagonal exponents.  That
+    is 1 + 2n + n^2 transforms per exponent, or per matrix field.
     """
     n = h.grid.n
     out = np.zeros(h.grid.shape + (n, n, h.rank, h.rank), dtype=np.complex128)
-    if h.diag_log_weights is not None:
-        for a, phi in enumerate(h.diag_log_weights):
-            spec = to_spectrum(h.grid, phi)
-            for j in range(n):
-                dphi = from_spectrum(h.grid, spec, j)
-                dspec = to_spectrum(h.grid, dphi)
-                for k in range(n):
-                    out[..., j, k, a, a] = from_spectrum(h.grid, dspec, k, True)
-        return CurvatureField(h.grid, h.rank, out)
-    theta_conn = chern_connection(h)
-    for j in range(n):
-        spec = to_spectrum(h.grid, theta_conn[..., j, :, :])
+    for j, theta_j in _connection_blocks(h, range(n)).items():
+        spectra = _curvature_spectra(h, theta_j)
         for k in range(n):
-            np.negative(from_spectrum(h.grid, spec, k, True), out=out[..., j, k, :, :])
+            _curvature_block(h.grid, spectra, k, out[..., j, k, :, :])
     return CurvatureField(h.grid, h.rank, out)
 
 
-def _differential(a: EForm, conjugate: bool) -> EForm:
-    """Componentwise spectral dbar (conjugate) or del, one forward transform per coefficient.
+def _differentials(a: EForm, conjugates: tuple) -> list:
+    """Componentwise spectral dbar (conjugate) and/or del, one forward transform per coefficient.
 
     The coefficient a_IJ contributes s * d_k a_IJ to the slot of the index set
     grown by k, for every k outside it: the dzbar set J for dbar, with the
     (-1)^p crossing of dzbar_k past dz_I, and the dz set I for del.  The signs
-    and slots are the rows of grow_table.  A coefficient that is identically
-    zero is skipped: its rows would add exact zeros.
+    and slots are the rows of grow_table.  One spectrum of a_IJ serves every
+    requested differential; a coefficient that is identically zero is
+    skipped, as its rows would add exact zeros.
     """
-    out = EForm.zeros(a.grid, a.rank, a.p + (not conjugate), a.q + conjugate)
-    crossing = (-1) ** a.p if conjugate else 1
-    # views with the grown index set on the second slot axis
-    a_c, out_c = a.coeffs, out.coeffs
-    if not conjugate:
-        a_c, out_c = a_c.swapaxes(-3, -2), out_c.swapaxes(-3, -2)
-    table = grow_table(a.grid.n, a.q if conjugate else a.p)
-    for other in range(a_c.shape[-3]):
-        spec_src = None
-        for src, k, dst, sign in table:
-            if src != spec_src:
-                coeff, spec_src = a_c[..., other, src, :], src
-                nonzero = coeff.real.any() or coeff.imag.any()
-                spec = to_spectrum(a.grid, coeff) if nonzero else None
-            if spec is not None:
-                add_signed(out_c[..., other, dst, :], crossing * sign,
-                           from_spectrum(a.grid, spec, k, conjugate))
-    return out
+    n = a.grid.n
+    plans = []
+    for conjugate in conjugates:
+        out = EForm.zeros(a.grid, a.rank, a.p + (not conjugate), a.q + conjugate)
+        table = grow_table(n, a.q if conjugate else a.p)
+        plans.append((out, conjugate, (-1) ** a.p if conjugate else 1, table))
+    for i in range(a.coeffs.shape[-3]):
+        for j in range(a.coeffs.shape[-2]):
+            coeff = a.coeffs[..., i, j, :]
+            if not (coeff.real.any() or coeff.imag.any()):
+                continue
+            spec = to_spectrum(a.grid, coeff)
+            for out, conjugate, crossing, table in plans:
+                for src, k, dst, sign in table:
+                    if src != (j if conjugate else i):
+                        continue
+                    target = out.coeffs[..., i, dst, :] if conjugate else out.coeffs[..., dst, j, :]
+                    add_signed(target, crossing * sign, from_spectrum(a.grid, spec, k, conjugate))
+    return [out for out, *_ in plans]
 
 
 def dbar(a: EForm) -> EForm:
@@ -159,7 +184,7 @@ def dbar(a: EForm) -> EForm:
             f"dbar target bidegree ({a.p},{a.q + 1}) exceeds n={a.grid.n}; "
             "a top-degree form is automatically dbar-closed"
         )
-    return _differential(a, conjugate=True)
+    return _differentials(a, (True,))[0]
 
 
 def dpartial(a: EForm) -> EForm:
@@ -169,22 +194,77 @@ def dpartial(a: EForm) -> EForm:
             f"del target bidegree ({a.p + 1},{a.q}) exceeds n={a.grid.n}; "
             "top-holomorphic-degree del vanishes identically"
         )
-    return _differential(a, conjugate=False)
+    return _differentials(a, (False,))[0]
 
 
-def dprime(a: EForm, h: MetricField) -> EForm:
-    """D' = del + theta wedge on (q,0)-forms, the (1,0)-part of the Chern connection."""
+def dbar_and_del(a: EForm) -> tuple:
+    """(dbar a, del a) from one forward transform of each coefficient of a.
+
+    A target bidegree past n raises FormError, from EForm.zeros.
+    """
+    return tuple(_differentials(a, (True, False)))
+
+
+def _check_connection_operand(a: EForm, h: MetricField):
     if a.q != 0:
         raise FormError(
             f"D' is only applied to (q,0)-forms here, got bidegree ({a.p},{a.q})"
         )
     if h.grid != a.grid or h.rank != a.rank:
         raise FormError("metric does not match the form")
-    out = dpartial(a)
-    theta_conn = chern_connection(h)
-    for src, j, dst, sign in grow_table(a.grid.n, a.p):
+
+
+def _add_connection(out: EForm, a: EForm, theta: dict, rows) -> None:
+    """out += theta ^ a over the grow_table rows of the (q,0)-form a; theta is {j: theta_j}."""
+    for src, j, dst, sign in rows:
         add_signed(out.coeffs[..., dst, 0, :], sign,
-                   matrix_apply(theta_conn[..., j, :, :], a.coeffs[..., src, 0, :]))
+                   matrix_apply(theta[j], a.coeffs[..., src, 0, :]))
+
+
+def _add_curvature_term(out: EForm, a: EForm, j: int, k: int, block, rows) -> None:
+    """out += the terms Theta_jk a_I dz_j ^ dzbar_k ^ dz_I of Theta ^ a, block = Theta_jk.
+
+    At n <= 2 each target slot takes at most two terms, so adding them j by j
+    rounds as adding them in grow_table order does.
+    """
+    crossing = (-1) ** a.p  # dzbar_k crossing dz_I
+    for src, j_row, dst, sign in rows:
+        if j_row == j:
+            add_signed(out.coeffs[..., dst, k, :], crossing * sign,
+                       matrix_apply(block, a.coeffs[..., src, 0, :]))
+
+
+def dprime(a: EForm, h: MetricField) -> EForm:
+    """D' = del + theta wedge on (q,0)-forms, the (1,0)-part of the Chern connection."""
+    _check_connection_operand(a, h)
+    out = dpartial(a)
+    _add_connection(out, a, _connection_blocks(h, range(a.grid.n)), grow_table(a.grid.n, a.p))
+    return out
+
+
+def connection_terms(a: EForm, h: MetricField, del_a: EForm) -> EForm:
+    """Theta ^ a for a (q,0)-form a; adds theta ^ a to del_a = dpartial(a), making it D'a.
+
+    Each coefficient of a is tested once, and theta_j is built only for the
+    directions j that grow a nonzero one: one transform of each exponent (or
+    of the matrix field) gives every theta_j, which feeds both D'a and the
+    curvature blocks Theta_jk = -dbar_k(theta_j).  theta_j goes once it is
+    transformed, and each block is applied as soon as it is formed, in one
+    buffer per j, so no curvature field exists.
+    """
+    _check_connection_operand(a, h)
+    live = [c.real.any() or c.imag.any() for c in np.moveaxis(a.coeffs[..., 0, :], -2, 0)]
+    rows = [row for row in grow_table(a.grid.n, a.p) if live[row[0]]]
+    theta = _connection_blocks(h, sorted({j for _, j, _, _ in rows}))
+    _add_connection(del_a, a, theta, rows)
+    out = EForm.zeros(a.grid, a.rank, a.p + 1, 1)
+    for j in list(theta):
+        spectra = _curvature_spectra(h, theta.pop(j))
+        block = np.zeros(a.grid.shape + (a.rank, a.rank), dtype=np.complex128)
+        for k in range(a.grid.n):
+            _curvature_block(a.grid, spectra, k, block)
+            _add_curvature_term(out, a, j, k, block, rows)
+        del spectra, block  # before the next theta_j is transformed
     return out
 
 
@@ -198,13 +278,10 @@ def curvature_wedge(theta: CurvatureField, a: EForm) -> EForm:
     if a.p + 1 > n:
         raise FormError("curvature wedge target degree exceeds n")
     out = EForm.zeros(a.grid, a.rank, a.p + 1, 1)
-    sign_q = (-1) ** a.p  # dzbar_k crossing dz_I
-    for src, j, dst, sign in grow_table(n, a.p):
-        s = sign_q * sign
-        c = a.coeffs[..., src, 0, :]
+    rows = grow_table(n, a.p)
+    for j in range(n):
         for k in range(n):
-            add_signed(out.coeffs[..., dst, k, :], s,
-                       matrix_apply(theta.theta[..., j, k, :, :], c))
+            _add_curvature_term(out, a, j, k, theta.theta[..., j, k, :, :], rows)
     return out
 
 

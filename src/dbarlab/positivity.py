@@ -23,7 +23,7 @@ from .exterior import (
     add_signed, c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge,
 )
 from .hermitian import CurvatureField, curvature_wedge
-from .metric import MetricField, matrix_apply, vector_inner
+from .metric import MetricField, matrix_apply
 
 SYMMETRY_TOL = 1e-6
 NET_SIDE = 16        # the direction net is NET_SIDE x NET_SIDE points (t, phi) on CP^1
@@ -217,6 +217,12 @@ def check_nakano_pointwise_identity(
     i c_{n-1} <Theta ^ gamma, gamma> against sum_jk (Theta_jk gamma^j, gamma^k) dV
     for an (n-1,0)-form gamma, where gamma^j are the coefficients in the
     hat-dz_j frame ordered so that dz_j ^ hat-dz_j is the full dz wedge.
+
+    The right side is sum_jk gamma^k^H B_jk gamma^j with B_jk = h Theta_jk
+    (the hermitian blocks B of Theta = h^-1 B), read as plain dot products
+    of h gamma^k with Theta_jk gamma^j, not through the metric contraction:
+    the left side pairs through h, so a wrong metric contraction there shows
+    at every rank.
     """
     n = gamma.grid.n
     if (gamma.p, gamma.q) != (n - 1, 0):
@@ -227,14 +233,14 @@ def check_nakano_pointwise_identity(
     # gamma^j is that sign times the rest's coefficient, and the two signs of
     # each term fold into one add or subtract
     hatted = {j: (sign, gamma.coeffs[..., src, 0, :]) for src, j, _, sign in grow_table(n, n - 1)}
+    h_hatted = {k: np.conj(matrix_apply(h.mat, coeff)) for k, (_, coeff) in hatted.items()}
     rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
     for j in range(n):
         sign_j, coeff_j = hatted[j]
         for k in range(n):
-            sign_k, coeff_k = hatted[k]
-            add_signed(rhs, sign_j * sign_k,
-                       vector_inner(h, matrix_apply(theta.theta[..., j, k, :, :], coeff_j),
-                                    coeff_k))
+            add_signed(rhs, sign_j * hatted[k][0],
+                       np.einsum("...a,...a->...", h_hatted[k],
+                                 matrix_apply(theta.theta[..., j, k, :, :], coeff_j)))
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from dbarlab.exterior import c_const, dv_density, grow_table, pairing
 from dbarlab.hermitian import CurvatureField, curvature_wedge
-from dbarlab.metric import matrix_apply, vector_inner
+from dbarlab.metric import matrix_apply
 from dbarlab.positivity import _whiten
 
 
@@ -91,8 +91,8 @@ def nakano_pointwise_identity(theta, gamma, h):
     rhs = np.zeros(gamma.grid.shape, dtype=np.complex128)
     for j in range(n):
         for k in range(n):
-            rhs += vector_inner(h, matrix_apply(theta.theta[..., j, k, :, :], hatted[j]),
-                                hatted[k])
+            rhs += np.einsum("...a,...a->...", np.conj(matrix_apply(h.mat, hatted[k])),
+                             matrix_apply(theta.theta[..., j, k, :, :], hatted[j]))
     scale = max(np.abs(lhs).max(), np.abs(rhs).max(), 1e-300)
     return float(np.abs(lhs - rhs).max() / scale)
 

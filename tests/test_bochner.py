@@ -6,6 +6,7 @@ import spectral_reference as ref
 
 from dbarlab import hermitian
 from dbarlab.bochner import (
+    _bk_terms,
     basic_estimate,
     bk_integrated,
     bk_pointwise,
@@ -22,7 +23,8 @@ from dbarlab.positivity import nakano_report
 from dbarlab.singular import singular_catalog
 from dbarlab.weights import plateau_bump, random_form, smooth_source_bump
 
-from bochner_reference import cross_term_integrals
+from bochner_reference import bk_terms, cross_term_integrals
+from test_hormander import nondiagonal_rank2_metric
 
 
 @pytest.fixture
@@ -258,10 +260,11 @@ def test_bk_reports_matches_separate_calls(rng, n, p):
 
 def test_bk_reports_traced_peak_stays_within_field_budget():
     # n = 2, N = 16, rank 1, curvature computed inside the pass.  The pass
-    # holds gamma, Theta^gamma or dbar D'gamma and the finished densities, but
-    # no curvature field past Theta^gamma and no materialized omega power:
-    # 14.0 full-grid complex fields of traced peak, against 21.0 when the
-    # curvature field and omega^0 lived for the whole pass.
+    # holds gamma and the finished densities, one curvature block at a time
+    # and no materialized omega power, and frees theta_j, gamma's spectrum and
+    # dbar gamma early: 10.1 full-grid complex fields of traced peak, against
+    # 11.1 with the full curvature field and 21.0 when it and omega^0 lived
+    # for the whole pass.
     g = GridSpec(2, 16, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     alpha = EForm.zeros(g, 1, 2, 1)
@@ -277,14 +280,16 @@ def test_bk_reports_traced_peak_stays_within_field_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start) / field_bytes <= 17.0
+    assert (peak - start) / field_bytes <= 10.5
     assert rep_p.terms == expected[0].terms and rep_i.terms == expected[1].terms
 
 
 def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     # the CLI's source fills one of the two slots of its (2,1)-form; the other
     # slot and the zero slots it leaves in gamma and the pairings are never
-    # transformed: 26 transforms, where transforming every coefficient took 41
+    # transformed, gamma is transformed once for dbar and del, and one
+    # connection block feeds D'gamma and its curvature row: 18 transforms,
+    # where transforming every coefficient took 41 and the separate curvature 26
     g = GridSpec(2, 8, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     inputs = []
@@ -298,7 +303,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     monkeypatch.setattr(hermitian, "to_spectrum", counting(hermitian.to_spectrum))
     monkeypatch.setattr(hermitian, "from_spectrum", counting(hermitian.from_spectrum))
     bk_reports(_bk_source(g, 1), h)
-    assert len(inputs) == 26
+    assert len(inputs) == 18
     assert all(inputs)
 
 
@@ -318,3 +323,38 @@ def test_differentials_of_forms_with_zero_slots_match_reference(rng, rank):
                 assert np.array_equal(dbar(a).coeffs, ref.dbar(a).coeffs, equal_nan=True)
             if p < 2:
                 assert np.array_equal(dpartial(a).coeffs, ref.dpartial(a).coeffs, equal_nan=True)
+
+
+def _pass_metric(g, kind, rng):
+    gauss = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
+    if kind == "rank1":
+        return gauss
+    if kind == "diagonal-rank2":
+        phi = gauss.diag_log_weights[0]
+        return MetricField.from_diagonal(g, [np.exp(-phi), np.exp(-0.5 * phi)], [phi, 0.5 * phi])
+    return nondiagonal_rank2_metric(g, rng)
+
+
+@pytest.mark.parametrize("source", ["one-slot", "every-slot"])
+@pytest.mark.parametrize("metric", ["rank1", "diagonal-rank2", "nondiagonal-rank2"])
+@pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (2, 2)])
+def test_bk_terms_equal_the_reference_pass_bitwise(n, p, metric, source):
+    # one connection for Theta ^ gamma and D'gamma, curvature blocks only for
+    # the directions gamma grows, one spectrum for dbar gamma and del gamma:
+    # the same arithmetic as the full curvature field and dprime
+    rng = np.random.default_rng(17)
+    g = GridSpec(n, 16 if n == 1 else 8, 8.0)
+    h = _pass_metric(g, metric, rng)
+    if source == "every-slot":
+        alpha = random_form(g, h.rank, n, p, rng, kmax_frac=0.25)
+    elif p == 1:
+        alpha = _bk_source(g, h.rank)
+    else:
+        alpha = EForm.zeros(g, h.rank, n, p)
+        alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(g, (g.center,) * (2 * n), 0.05 * g.L)
+    fast, slow = _bk_terms(alpha, h), bk_terms(alpha, h)
+    assert fast.keys() == slow.keys()
+    for name, value in slow.items():
+        assert fast[name].dtype == value.dtype
+        assert np.array_equal(fast[name].view(np.float64), value.view(np.float64)), name
+    assert np.abs(slow["curvature"]).max() > 0

@@ -23,7 +23,6 @@ ALLOWED = {
     "io.read_field": "the reader of the field format write_field writes",
     "grid.convolve": "test-only; 10+ test call sites, left for a later change",
     "singular.mollifier_kernel": "test-only; 10+ test call sites, left for a later change",
-    "exterior.EForm.bidegree": "test-only, left for a later change",
 }
 
 

@@ -104,7 +104,7 @@ def test_pairing_decomposable_case(rng):
     b = EForm.zeros(g, 1, 1, 0)
     b.coeffs[..., 0, 0, 0] = t
     out = pairing(a, b, h)
-    assert out.bidegree == (1, 1)
+    assert (out.p, out.q) == (1, 1)
     assert np.abs(out.coeffs[..., 0, 0, 0] - s * np.conj(t)).max() < 1e-14
 
 
