@@ -268,11 +268,6 @@ def _check_relations(cfg: ExperimentConfig) -> None:
     if FIXED_RANK.get(cfg.catalog, cfg.rank) != cfg.rank:
         raise ValidationError(f"field 'rank' in [metric] must be {FIXED_RANK[cfg.catalog]} "
                               f"for catalog={cfg.catalog}, got rank={cfg.rank}")
-    if cfg.operation == "regularize" and not cfg.eps0 < 0.5 * cfg.L:
-        raise ValidationError(
-            f"field 'eps0' in [operation] must be below half the box side (a kernel "
-            f"ball must fit in the box), got eps0={cfg.eps0:g}, L={cfg.L:g}"
-        )
     parts = working_set_mb(cfg)
     total = sum(parts.values())
     if total > WORKING_SET_CAP_MB:
@@ -282,6 +277,17 @@ def _check_relations(cfg: ExperimentConfig) -> None:
             f"field {name!r} in [{section}] gives an estimated working set of "
             f"{total:.0f} MB, over the {WORKING_SET_CAP_MB} MB cap of a desk-scale run "
             f"(got {name}={getattr(cfg, name)}, n={cfg.n}, rank={cfg.rank})"
+        )
+    if cfg.operation == "regularize" and cfg.eps0 / cfg.nu_max < 2.0 * (cfg.L / cfg.N):
+        raise ValidationError(
+            f"fields 'eps0' and 'nu_max' in [operation] must leave the finest mollifier "
+            f"radius eps0/nu_max at least 2 grid spacings 2*L/N = {2.0 * (cfg.L / cfg.N):g}, "
+            f"got eps0={cfg.eps0:g}, nu_max={cfg.nu_max}, L={cfg.L:g}, N={cfg.N}"
+        )
+    if cfg.operation == "regularize" and not cfg.eps0 < 0.5 * cfg.L:
+        raise ValidationError(
+            f"field 'eps0' in [operation] must be below half the box side (a kernel "
+            f"ball must fit in the box), got eps0={cfg.eps0:g}, L={cfg.L:g}"
         )
 
 
@@ -544,7 +550,7 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
                          grid.N, delta_global, "", True))
         ratios = []
         for idx, center in enumerate(_bump_centers(cfg, grid, rng)):
-            f = EForm.zeros(grid, 1, 1, 1)
+            f = EForm.zeros(grid, h.rank, 1, 1)
             f.coeffs[..., 0, 0, 0] = smooth_source_bump(grid, center, cfg.sigma)
             f = project_to_range(f)
             u, rep = solve_min_norm(f, h, delta=delta, tol=cfg.cg, margin=cfg.seam_margin)

@@ -26,9 +26,9 @@ Storage is slot-major: ``EForm.zeros`` allocates one C-contiguous
 as ``coeffs`` of shape grid + (C(n,p), C(n,q), rank), so every coefficient
 field ``coeffs[..., i, j, a]`` is one contiguous grid block that transforms,
 adds and multiplies at full bandwidth.  A new form keeps this order by
-writing into ``EForm.zeros`` or by an order-"K" operation (ufuncs,
-``EForm.copy``); ``ndarray.copy()`` defaults to C order and would make the
-coefficients grid-major.  A reshape that merges grid axes with slot axes
+writing into ``EForm.zeros`` or by an order-"K" operation (ufuncs);
+``ndarray.copy()`` defaults to C order and would make the coefficients
+grid-major.  A reshape that merges grid axes with slot axes
 (``ravel``, ``reshape(-1)``) copies a slot-major form, and writes into the
 copy are lost; a writer fills slots through indexing.
 
@@ -183,9 +183,6 @@ class EForm:
         n = self.grid.n
         return self.coeffs[..., index_slot(n, self.p)[I], index_slot(n, self.q)[J], :]
 
-    def copy(self) -> "EForm":
-        return EForm(self.grid, self.rank, self.p, self.q, self.coeffs.copy(order="K"))
-
     def __add__(self, other: "EForm") -> "EForm":
         _check_compatible(self, other)
         return EForm(self.grid, self.rank, self.p, self.q, self.coeffs + other.coeffs)
@@ -210,13 +207,6 @@ def _check_compatible(a: EForm, b: EForm):
         raise FormError(
             f"form mismatch: ({a.p},{a.q}) rank {a.rank} vs ({b.p},{b.q}) rank {b.rank}"
         )
-
-
-def scale_by_field(a: EForm, field: np.ndarray) -> EForm:
-    """Multiply every coefficient by a scalar field (cutoffs, weights)."""
-    if field.shape != a.grid.shape:
-        raise FormError("scaling field shape does not match the grid")
-    return EForm(a.grid, a.rank, a.p, a.q, a.coeffs * field[..., None, None, None])
 
 
 # ---------------------------------------------------------------------------

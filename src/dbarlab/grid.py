@@ -84,22 +84,6 @@ class GridSpec:
             for axis in range(dims)
         )
 
-    def coordinate(self, axis: int) -> np.ndarray:
-        """Full-shape array of the coordinate along one real axis (0-based)."""
-        if not 0 <= axis < 2 * self.n:
-            raise FormError(f"real axis {axis} out of range for n={self.n}")
-        t = self.along_axes(self.axis_coordinates())[axis]
-        return np.broadcast_to(t, self.shape).copy()
-
-    def z(self, j: int, centered: bool = True) -> np.ndarray:
-        """Complex coordinate z_j = x_j + i*y_j, optionally centered at L/2."""
-        if not 0 <= j < self.n:
-            raise FormError(f"complex axis {j} out of range for n={self.n}")
-        x = self.coordinate(2 * j)
-        y = self.coordinate(2 * j + 1)
-        off = self.center if centered else 0.0
-        return (x - off) + 1j * (y - off)
-
     def wavenumbers(self) -> np.ndarray:
         """Signed 1D wavenumbers 2*pi*k/L with the Nyquist entry zeroed."""
         w = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.spacing)
@@ -167,7 +151,8 @@ def integrate(grid: GridSpec, values: np.ndarray):
 def convolve(grid: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Periodic convolution with a real, nonnegative, unit-mass kernel, computed spectrally.
 
-    A real field convolves to a real field.
+    The kernel has the grid's shape; trailing component axes of f ride along,
+    each component convolved with it.  A real field convolves to a real field.
     """
     if np.iscomplexobj(kernel):
         raise ValidationError("convolution kernel must be real")
@@ -176,7 +161,9 @@ def convolve(grid: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     mass = float(integrate(grid, kernel))
     if abs(mass - 1.0) > 1e-10:
         raise ValidationError(f"convolution kernel mass is {mass!r}, expected 1")
-    out = to_lattice(grid, to_spectrum(grid, f) * to_spectrum(grid, kernel)) * grid.cell_volume
+    spec_k = to_spectrum(grid, kernel)
+    spec_k = spec_k.reshape(spec_k.shape + (1,) * (f.ndim - spec_k.ndim))
+    out = to_lattice(grid, to_spectrum(grid, f) * spec_k) * grid.cell_volume
     return out if np.iscomplexobj(f) else out.real
 
 

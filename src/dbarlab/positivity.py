@@ -165,14 +165,10 @@ def _griffiths(keep, W: np.ndarray, mode: str, nakano: tuple | None = None) -> t
 
 
 def nakano_report(
-    h: MetricField,
-    theta: CurvatureField,
-    region=None,
-    mode: str = "lower",
-    symmetry_tol: float = SYMMETRY_TOL,
+    h: MetricField, theta: CurvatureField, region=None, symmetry_tol: float = SYMMETRY_TOL
 ) -> tuple:
     """(delta, argmin point, whitened eigenvector) of the Nakano quadratic form."""
-    return _nakano(*_whitened_blocks(h, theta, region, symmetry_tol), mode)
+    return _nakano(*_whitened_blocks(h, theta, region, symmetry_tol), "lower")
 
 
 def griffiths_report(

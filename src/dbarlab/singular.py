@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .exterior import EForm
-from .grid import GridSpec, box_mask, to_lattice, to_spectrum
+from .grid import GridSpec, box_mask, convolve, to_lattice, to_spectrum
 from .hermitian import curvature
 from .hormander import norm2, solve_min_norm
 from .metric import MetricField, dual_metric
@@ -61,7 +61,11 @@ class MollifierSchedule:
 
 
 @lru_cache(maxsize=64)
-def _kernel_cached(grid: GridSpec, eps: float) -> tuple:
+def mollifier_kernel(grid: GridSpec, eps: float) -> np.ndarray:
+    """Radial bump exp(-1/(1-(rho/eps)^2)) on rho < eps, unit discrete mass.
+
+    Built once per grid and radius; the cached array is read-only.
+    """
     if eps < 2.0 * grid.spacing:
         raise PreconditionError(
             f"mollifier radius {eps} under-resolved: needs at least 2 grid spacings "
@@ -82,13 +86,8 @@ def _kernel_cached(grid: GridSpec, eps: float) -> tuple:
     if mass <= 0:
         raise PreconditionError("mollifier kernel has no interior samples")
     vals /= mass
-    return vals, to_spectrum(grid, vals)
-
-
-def mollifier_kernel(grid: GridSpec, eps: float) -> np.ndarray:
-    """Radial bump exp(-1/(1-(rho/eps)^2)) on rho < eps, unit discrete mass (a copy)."""
-    vals, _ = _kernel_cached(grid, eps)
-    return vals.copy()
+    vals.flags.writeable = False
+    return vals
 
 
 def mollify(h: MetricField, eps: float) -> MetricField:
@@ -97,9 +96,7 @@ def mollify(h: MetricField, eps: float) -> MetricField:
     Hermiticity and positive semidefiniteness survive exactly (averaging with
     nonnegative weights stays in the psd cone); the result is unmasked.
     """
-    _, spec_k = _kernel_cached(h.grid, eps)
-    spec = to_spectrum(h.grid, h.mat) * spec_k[..., None, None]
-    out = to_lattice(h.grid, spec) * h.grid.cell_volume
+    out = convolve(h.grid, h.mat, mollifier_kernel(h.grid, eps))
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     return MetricField(h.grid, h.rank, out)
 
@@ -117,8 +114,6 @@ def periodic_log_pole(grid: GridSpec, z0: complex) -> np.ndarray:
     """
     if grid.n != 1:
         raise ValidationError("log-pole weights are a Riemann-surface (n = 1) construction")
-    x = grid.coordinate(0)
-    y = grid.coordinate(1)
     k = np.fft.fftfreq(grid.N, d=grid.spacing) * 2.0 * np.pi
     # band-limited point mass: product of shifted Dirichlet kernels
     sx = np.zeros(grid.N, dtype=np.complex128)
@@ -250,7 +245,6 @@ def _mask_nearest(h: MetricField, poles: tuple) -> MetricField:
 class MonotoneReport:
     """Worst quadratic-form ordering violation per consecutive kernel pair."""
 
-    side: str
     pair_defects: list = field(default_factory=list)   # (nu, defect, points_checked)
     max_defect: float = 0.0
     unchecked_pairs: list = field(default_factory=list)
@@ -281,31 +275,25 @@ def monotone_region(grid: GridSpec, cat: CatalogMetric, eps: float) -> np.ndarra
     return _box_off_poles(grid, _psh_zone_halfwidth(cat) - eps, cat.poles, clear)
 
 
-def check_monotone(
-    cat: CatalogMetric,
-    schedule: MollifierSchedule,
-    side: str = "dual",
-) -> MonotoneReport:
+def check_monotone(cat: CatalogMetric, schedule: MollifierSchedule) -> MonotoneReport:
     """Quadratic-form ordering of the mollified family on the negatively curved side.
 
-    For the dual side (positively curved input) the mollifications must be
-    non-increasing along the shrinking schedule: g * chi_(eps_{nu+1}) <=
-    g * chi_(eps_nu) pointwise as forms.  The defect is the worst positive
-    eigenvalue of the difference, relative to the local scale, measured where
-    the averaging argument applies; pairs whose region is empty are reported
-    unchecked.
+    The dual g of the positively curved catalog metric is mollified, and the
+    family must be non-increasing along the shrinking schedule:
+    g * chi_(eps_{nu+1}) <= g * chi_(eps_nu) pointwise as forms.  The defect
+    is the worst positive eigenvalue of the difference, relative to the local
+    scale, measured where the averaging argument applies; pairs whose region
+    is empty are reported unchecked.
     """
-    if side not in ("dual", "primal"):
-        raise ValidationError("side must be 'dual' or 'primal'")
-    g = dual_metric(cat.metric) if side == "dual" else cat.metric
+    g = dual_metric(cat.metric)
     radii = schedule.radii
-    return _monotone_report(cat, radii, [mollify(g, eps) for eps in radii], side)
+    return _monotone_report(cat, radii, [mollify(g, eps) for eps in radii])
 
 
-def _monotone_report(cat: CatalogMetric, radii: tuple, mollified: list, side: str):
+def _monotone_report(cat: CatalogMetric, radii: tuple, mollified: list):
     """check_monotone's pairwise ordering over an already mollified family, one per radius."""
     grid = cat.metric.grid
-    report = MonotoneReport(side=side)
+    report = MonotoneReport()
     for idx in range(len(radii) - 1):
         eps_coarse = radii[idx]
         region = monotone_region(grid, cat, eps_coarse)
@@ -425,7 +413,7 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
 
     final_ratio = norm2(us[-1], h) / f_norm_h
     # the dual family the solves ran on is the one check_monotone would build
-    monotone = _monotone_report(cat, radii, mollified, "dual")
+    monotone = _monotone_report(cat, radii, mollified)
     report = RegularizationReport(
         eps_values=radii,
         delta_values=deltas,

@@ -214,32 +214,6 @@ def plateau_coordinate(grid: GridSpec, j: int, r0: float, s: float) -> np.ndarra
     return np.broadcast_to(x, grid.shape) + 1j * np.broadcast_to(y, grid.shape)
 
 
-def plateau_bump(
-    grid: GridSpec,
-    center: tuple | None = None,
-    r_flat: float | None = None,
-    r_zero: float | None = None,
-) -> np.ndarray:
-    """Radial C-infinity bump: 1 inside r_flat, 0 outside r_zero, exact support.
-
-    Distances are Euclidean in the 2n real coordinates, measured from `center`
-    (defaults to the box center) without periodic wrap, so the support never
-    touches the seam as long as r_zero < L/2.
-    """
-    if r_zero is None:
-        r_zero = 0.42 * grid.L
-    if r_flat is None:
-        r_flat = 0.7 * r_zero
-    if not 0 < r_flat < r_zero < 0.5 * grid.L:
-        raise ValidationError("need 0 < r_flat < r_zero < L/2")
-    if center is None:
-        center = (grid.center,) * (2 * grid.n)
-    rho = _radial_distance(grid, center)
-    vals = 1.0 - smooth_step((rho - r_flat) / (r_zero - r_flat))
-    vals[rho >= r_zero] = 0.0
-    return vals
-
-
 BUMP_SUPPORT_RADIUS = 6.5  # smooth_source_bump's support radius, in units of sigma
 
 
@@ -268,7 +242,6 @@ def random_band_limited(
     grid: GridSpec,
     rng: np.random.Generator,
     kmax_frac: float = 0.25,
-    real: bool = False,
 ) -> np.ndarray:
     """Random field with spectrum supported on |k_axis| <= kmax_frac * N/2.
 
@@ -291,8 +264,6 @@ def random_band_limited(
     for _ in range(dims):
         # contracting the leading axis appends the synthesized one last
         vals = np.tensordot(vals, synth, axes=([0], [1]))
-    if real:
-        vals = vals.real.astype(np.complex128)
     return vals
 
 
@@ -303,10 +274,9 @@ def random_form(
     q: int,
     rng: np.random.Generator,
     kmax_frac: float = 0.25,
-    interior: bool = False,
 ):
-    """Random band-limited (p,q)-form; interior=True multiplies a plateau bump."""
-    from .exterior import EForm, scale_by_field
+    """Random band-limited (p,q)-form, every coefficient a random_band_limited field."""
+    from .exterior import EForm
 
     form = EForm.zeros(grid, rank, p, q)
     # one field per (dz slot, dzbar slot, component), drawn in that C order and
@@ -314,6 +284,4 @@ def random_form(
     # merges grid and slot axes would copy)
     for index in np.ndindex(form.coeffs.shape[-3:]):
         form.coeffs[(...,) + index] = random_band_limited(grid, rng, kmax_frac)
-    if interior:
-        form = scale_by_field(form, plateau_bump(grid))
     return form

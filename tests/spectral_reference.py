@@ -103,7 +103,7 @@ def dbar_transpose(v):
     return out
 
 
-def random_band_limited(grid, rng, kmax_frac=0.25, real=False):
+def random_band_limited(grid, rng, kmax_frac=0.25):
     """Full-grid inverse FFT of a spectrum drawn on the kept modes in C order."""
     kmax = max(1, int(kmax_frac * grid.N / 2))
     spec = np.zeros(grid.shape, dtype=np.complex128)
@@ -117,7 +117,4 @@ def random_band_limited(grid, rng, kmax_frac=0.25, real=False):
         keep &= keep_axis.reshape(shape)
     count = int(keep.sum())
     spec[keep] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    vals = np.fft.ifftn(spec) * grid.N ** grid.n
-    if real:
-        vals = vals.real.astype(np.complex128)
-    return vals
+    return np.fft.ifftn(spec) * grid.N ** grid.n

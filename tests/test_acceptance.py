@@ -17,7 +17,6 @@ from dbarlab.exterior import (
     inner_product,
     norm_sq,
     omega_power,
-    scale_by_field,
     wedge,
 )
 from dbarlab.grid import GridSpec, integrate
@@ -37,11 +36,8 @@ from dbarlab.positivity import (
     positivity_report,
 )
 from dbarlab.singular import MollifierSchedule, regularized_solve, singular_catalog
-from dbarlab.weights import (
-    plateau_bump,
-    random_band_limited,
-    smooth_source_bump,
-)
+from dbarlab.weights import random_band_limited, smooth_source_bump
+from field_helpers import complex_coordinate, plateau_bump, scale_by_field
 import positivity_reference
 from test_positivity import WITNESS_BLOCKS
 
@@ -178,7 +174,7 @@ def test_criterion_4_adjoint_exactness():
     t0 = time.time()
     grid = GridSpec(1, 16, 8.0)
     rng = np.random.default_rng(44)
-    phi = 0.5 * random_band_limited(grid, rng, 0.15, real=True).real
+    phi = 0.5 * random_band_limited(grid, rng, 0.15).real
     h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
     worst = 0.0
     for _ in range(1000):
@@ -213,7 +209,7 @@ def test_criterion_5_hormander_bound():
     for c, count in ((1.0, 20), (2.0, 7), (4.0, 7)):
         gauss = singular_catalog("gaussian", grid, c=c)
         h, r0 = gauss.metric, gauss.plateau_radius
-        z = grid.z(0)
+        z = complex_coordinate(grid, 0)
         box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
         delta = nakano_report(h, curvature(h), region=box)[0]
         ratios = []
@@ -287,7 +283,7 @@ def test_criterion_7_positivity_extraction():
     equality_ok = True
     for _ in range(5):
         grid = GridSpec(1, 16, 8.0)
-        phi = 0.4 * random_band_limited(grid, rng, 0.1, real=True).real
+        phi = 0.4 * random_band_limited(grid, rng, 0.1).real
         h1 = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
         th = curvature(h1)
         equality_ok &= griffiths_report(h1, th)[0] == nakano_report(h1, th)[0]

@@ -15,15 +15,16 @@ from dbarlab.bochner import (
 )
 from dbarlab.cli import _bk_source
 from dbarlab.errors import FormError, SupportError
-from dbarlab.exterior import EForm, norm_sq, scale_by_field
+from dbarlab.exterior import EForm, norm_sq
 from dbarlab.grid import GridSpec, integrate
 from dbarlab.hermitian import curvature, dbar, dbar_star_formal, dpartial
 from dbarlab.metric import MetricField
 from dbarlab.positivity import nakano_report
 from dbarlab.singular import singular_catalog
-from dbarlab.weights import plateau_bump, random_form, smooth_source_bump
+from dbarlab.weights import random_form, smooth_source_bump
 
 from bochner_reference import bk_terms, cross_term_integrals
+from field_helpers import complex_coordinate, plateau_bump, scale_by_field
 from test_hormander import nondiagonal_rank2_metric
 
 
@@ -203,7 +204,7 @@ def test_basic_estimate_random_bumps_n1():
     g = GridSpec(1, 64, 8.0)
     gauss = singular_catalog("gaussian", g, c=1.0)
     h, r0 = gauss.metric, gauss.plateau_radius
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
     delta = nakano_report(h, curvature(h), region=box)[0]
     rngl = np.random.default_rng(21)
@@ -230,7 +231,7 @@ def test_basic_estimate_n2(rng):
     delta = nakano_report(h, curvature(h), region=region)[0]
     assert delta > 0
     for p in (1, 2):
-        alpha = random_form(g, 1, 2, p, rng, kmax_frac=0.2, interior=True)
+        alpha = scale_by_field(random_form(g, 1, 2, p, rng, kmax_frac=0.2), plateau_bump(g))
         bump = plateau_bump(g, r_flat=0.4 * r0, r_zero=min(0.9 * r0, 0.45 * g.L))
         alpha = scale_by_field(alpha, bump)
         res = basic_estimate(alpha, h, delta)
@@ -241,7 +242,7 @@ def test_basic_estimate_n2(rng):
 def test_bk_reports_matches_separate_calls(rng, n, p):
     g = GridSpec(n, 32 if n == 1 else 16, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
-    alpha = random_form(g, 1, n, p, rng, kmax_frac=0.2, interior=True)
+    alpha = scale_by_field(random_form(g, 1, n, p, rng, kmax_frac=0.2), plateau_bump(g))
     rep_p, rep_i = bk_reports(alpha, h, margin=0.125)
     sep_p = bk_pointwise(alpha, h, margin=0.125)
     sep_i = bk_integrated(alpha, h, mode="periodic")

@@ -201,6 +201,8 @@ def test_cli_seed_override_changes_report(tmp_path):
 
 @pytest.mark.parametrize("op, field, value", [
     ("regularize", "nu_max", "2"),
+    ("regularize", "nu_max", "9"),
+    ("regularize", "eps0", "0.1"),
     ("identities", "count", "0"),
     ("solve", "count", "0"),
     ("solve", "count", "many"),
@@ -361,6 +363,26 @@ def test_cli_flat_gaussian_rank_two_runs(tmp_path):
     cat = cli._metric_for(parse_config(cfg), GridSpec(1, 16, 8.0))
     assert np.array_equal(cat.metric.mat, np.broadcast_to(np.eye(2), cat.metric.mat.shape))
     assert main(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_solve_rank_two_matches_rank_one(tmp_path):
+    # solve used to build its source at rank 1 whatever the metric's rank, so
+    # the rank-2 gaussian exited 2 on a metric that did not match the source;
+    # that metric is the rank-1 weight on both components and the source
+    # fills the first, so the bound rows are rank 1's
+    text = BASE.replace("name = identities\ncount = 5", "name = solve\ncount = 2\nsweep = 1,2")
+    bound_rows = {}
+    for rank in (1, 2):
+        cfg = write_config(tmp_path, text.replace("c = 1.0\n", f"c = 1.0\nrank = {rank}\n"),
+                           f"rank{rank}.cfg")
+        out = tmp_path / f"o{rank}"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "solve.csv", newline="", encoding="utf-8") as fh:
+            bound_rows[rank] = {row["check"]: float(row["value"]) for row in csv.DictReader(fh)
+                                if row["check"].startswith("hormander-bound")}
+    assert len(bound_rows[1]) == 4 and bound_rows[2].keys() == bound_rows[1].keys()
+    for check, value in bound_rows[1].items():
+        assert abs(bound_rows[2][check] - value) <= 1e-12 * abs(value)
 
 
 def test_cli_solve_seam_leakage_uses_seam_margin(tmp_path):

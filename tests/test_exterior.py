@@ -19,7 +19,6 @@ from dbarlab.exterior import (
     norm_sq,
     omega_power,
     pairing,
-    scale_by_field,
     wedge,
     wedge_basis,
 )
@@ -30,6 +29,7 @@ from dbarlab.singular import singular_catalog
 from dbarlab.weights import random_band_limited, random_form
 
 import exterior_reference
+from field_helpers import scale_by_field
 from grassmann_oracle import as_canonical, basis_form, multiply
 from test_hormander import nondiagonal_rank2_metric
 
@@ -435,7 +435,6 @@ def test_forms_store_each_coefficient_as_one_contiguous_block(n, rank):
             zero = EForm.zeros(g, rank, p, q)
             assert_slot_major(zero)
             a = random_form(g, rank, p, q, rng)
-            assert_slot_major(a.copy())
             assert_slot_major(scale_by_field(a, np.ones(g.shape)))
             if q < n:
                 assert_slot_major(dbar(a))

@@ -15,7 +15,9 @@ from dbarlab.grid import (
     to_lattice,
     to_spectrum,
 )
+from dbarlab.singular import mollifier_kernel
 from dbarlab.weights import random_band_limited
+from field_helpers import complex_coordinate, coordinate
 
 
 def test_gridspec_validation():
@@ -31,7 +33,7 @@ def test_gridspec_validation():
 
 def test_plane_wave_eigenfunction():
     g = GridSpec(1, 16, 8.0)
-    x = g.coordinate(0)
+    x = coordinate(g, 0)
     f = np.exp(2j * np.pi * x / g.L)
     df = dz_array(g, f, 0)
     expected = (1j * np.pi / g.L) * f
@@ -42,7 +44,7 @@ def test_plane_wave_eigenfunction():
 
 def test_y_wave_conjugate_split():
     g = GridSpec(1, 16, 8.0)
-    y = g.coordinate(1)
+    y = coordinate(g, 1)
     f = np.exp(2j * np.pi * y / g.L)
     assert np.abs(dz_array(g, f, 0) - (np.pi / g.L) * f).max() < 1e-13
     assert np.abs(dz_array(g, f, 0, True) + (np.pi / g.L) * f).max() < 1e-13
@@ -83,7 +85,7 @@ def test_band_limited_vs_finite_differences():
 def test_integrate_constant_and_orthogonality():
     g = GridSpec(1, 16, 8.0)
     assert integrate(g, np.full(g.shape, 2.5)) == pytest.approx(2.5 * g.L**2)
-    x = g.coordinate(0)
+    x = coordinate(g, 0)
     wave = np.exp(2j * np.pi * x / g.L)
     assert abs(integrate(g, wave)) < 1e-12
 
@@ -139,31 +141,45 @@ def test_convolve_validation():
         convolve(g, f, double)
 
 
-def test_convolve_against_direct_summation():
-    from dbarlab.singular import mollifier_kernel
-
-    g = GridSpec(1, 8, 8.0)
-    rng = np.random.default_rng(14)
-    f = random_band_limited(g, rng, 0.5, real=True)
-    kern = mollifier_kernel(g, 2.2)
-    spectral = convolve(g, f, kern)
+def _direct_convolution(g, f, kern):
+    """Periodic convolution of a grid-shaped field as the plain lattice sum."""
     direct = np.zeros(g.shape, dtype=np.complex128)
     for dx in range(g.N):
         for dy in range(g.N):
             if kern[dx, dy] == 0.0:
                 continue
             direct += kern[dx, dy] * np.roll(np.roll(f, dx, axis=0), dy, axis=1)
-    direct *= g.cell_volume
+    return direct * g.cell_volume
+
+
+def test_convolve_against_direct_summation():
+    g = GridSpec(1, 8, 8.0)
+    rng = np.random.default_rng(14)
+    f = random_band_limited(g, rng, 0.5).real
+    kern = mollifier_kernel(g, 2.2)
+    spectral = convolve(g, f, kern)
+    direct = _direct_convolution(g, f, kern)
     assert np.abs(spectral - direct).max() < 1e-12 * np.abs(direct).max()
+
+    # a nondiagonal matrix field: the component axes ride along, each entry
+    # convolved as its own grid field
+    shape = g.shape + (2, 2)
+    field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectral = convolve(g, field, kern)
+    assert spectral.shape == shape
+    for a in range(2):
+        for b in range(2):
+            entry = field[..., a, b]
+            assert np.array_equal(spectral[..., a, b], convolve(g, entry, kern))
+            direct = _direct_convolution(g, entry, kern)
+            assert np.abs(spectral[..., a, b] - direct).max() < 1e-12 * np.abs(direct).max()
 
 
 def test_convolve_radial_kernel_adds_constant_on_quadratic_field():
     # |z|^2 convolved with a radial unit-mass kernel gains the constant second
     # moment wherever the kernel support does not cross the seam
-    from dbarlab.singular import mollifier_kernel
-
     g = GridSpec(1, 32, 8.0)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     f = np.abs(z) ** 2
     eps = 0.8
     kern = mollifier_kernel(g, eps)
@@ -176,8 +192,6 @@ def test_convolve_radial_kernel_adds_constant_on_quadratic_field():
 
 
 def test_convolve_preserves_integral():
-    from dbarlab.singular import mollifier_kernel
-
     g = GridSpec(1, 16, 8.0)
     rng = np.random.default_rng(15)
     f = random_band_limited(g, rng, 0.4)

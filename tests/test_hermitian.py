@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import positivity_reference
 import spectral_reference as ref
+from field_helpers import complex_coordinate
 from hormander_reference import sqrt_mat
 
 from dbarlab.errors import FormError, MetricError
@@ -61,7 +62,7 @@ def test_connection_gaussian_interior():
     gauss = singular_catalog("gaussian", g, c=1.0)
     h, r0 = gauss.metric, gauss.plateau_radius
     theta = chern_connection(h)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     assert np.abs(theta[..., 0, 0, 0] + np.conj(z))[box].max() < 1e-4
 
@@ -84,15 +85,15 @@ def test_curvature_gaussian_equals_weight_strength():
         gauss = singular_catalog("gaussian", g, c=c)
         h, r0 = gauss.metric, gauss.plateau_radius
         th = curvature(h)
-        z = g.z(0)
+        z = complex_coordinate(g, 0)
         box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
         assert np.abs(th.theta[..., 0, 0, 0, 0] - c)[box].max() < 5e-3 * c
 
 
 def test_curvature_diagonal_reduction(rng):
     g = GridSpec(1, 32, 8.0)
-    phi1 = random_band_limited(g, rng, 0.15, real=True).real * 0.3
-    phi2 = random_band_limited(g, rng, 0.15, real=True).real * 0.3
+    phi1 = random_band_limited(g, rng, 0.15).real * 0.3
+    phi2 = random_band_limited(g, rng, 0.15).real * 0.3
     h = MetricField.from_diagonal(g, [np.exp(-phi1), np.exp(-phi2)],
                                   log_weights=[phi1, phi2])
     th = curvature(h).theta
@@ -109,7 +110,7 @@ def test_curvature_diagonal_reduction(rng):
 def test_curvature_two_code_paths_agree(rng):
     # the generic h^{-1} dh route against the exponent route, rank one
     g = GridSpec(1, 32, 8.0)
-    phi = random_band_limited(g, rng, 0.1, real=True).real * 0.3
+    phi = random_band_limited(g, rng, 0.1).real * 0.3
     with_payload = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
     without = MetricField.from_weight(g, np.exp(-phi), 1)
     t1 = curvature(with_payload).theta
@@ -163,7 +164,7 @@ def test_dprime_gaussian_scalar_section():
     one = EForm.zeros(g, 1, 0, 0)
     one.coeffs[..., 0, 0, 0] = 1.0
     out = dprime(one, h)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     assert np.abs(out.coeffs[..., 0, 0, 0] + np.conj(z))[box].max() < 1e-4
 
@@ -195,7 +196,7 @@ def test_dbar_annihilates_plateau_holomorphic():
     f = EForm.zeros(g, 1, 0, 0)
     f.coeffs[..., 0, 0, 0] = w**2 - 0.5 * w
     out = dbar(f)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     inner = (np.abs(z.real) <= 0.6) & (np.abs(z.imag) <= 0.6)
     scale = np.abs(f.coeffs).max()
     assert np.abs(out.coeffs[..., 0, 0, 0])[inner].max() < 5e-5 * scale
@@ -275,7 +276,7 @@ def test_motivational_subharmonicity_identity():
     curv_term = -1j * pairing(curvature_wedge(theta, u), u, h).coeffs[..., 0, 0, 0]
     dpu = dprime(u, h)
     grad_term = 1j * pairing(dpu, dpu, h).coeffs[..., 0, 0, 0]
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     resid = np.abs(lhs - curv_term - grad_term)[box].max()
     scale = max(np.abs(curv_term[box]).max(), np.abs(grad_term[box]).max())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cg_reference import flat_reference_min_norm, reference_min_norm
+from field_helpers import complex_coordinate, coordinate
 from hormander_reference import dense_min_norm, range_projection_defect
 from dbarlab.errors import FormError, PreconditionError, SolverError
 from dbarlab.exterior import EForm, inner_product, norm_sq
@@ -33,7 +34,7 @@ def rng():
 
 
 def random_weight_metric(grid, rng, amp=0.5):
-    phi = amp * random_band_limited(grid, rng, 0.15, real=True).real
+    phi = amp * random_band_limited(grid, rng, 0.15).real
     return MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
 
 
@@ -76,8 +77,8 @@ def test_single_mode_flat_adjoint_is_conjugate_multiplier():
     g = GridSpec(1, 16, 8.0)
     h = MetricField.identity(g, 1)
     kx, ky = 2, -3
-    x = g.coordinate(0)
-    y = g.coordinate(1)
+    x = coordinate(g, 0)
+    y = coordinate(g, 1)
     wave = np.exp(2j * np.pi * (kx * x + ky * y) / g.L)
     v = EForm.zeros(g, 1, 1, 1)
     v.coeffs[..., 0, 0, 0] = wave
@@ -115,7 +116,7 @@ def test_solve_gaussian_bump_bound():
     g = GridSpec(1, 64, 8.0)
     gauss = singular_catalog("gaussian", g, c=1.0)
     h, r0 = gauss.metric, gauss.plateau_radius
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
     delta = nakano_report(h, curvature(h), region=box)[0]
     f = EForm.zeros(g, 1, 1, 1)
@@ -194,7 +195,7 @@ def test_weight_sweep_bound_halves():
     for c in (1.0, 2.0, 4.0):
         gauss = singular_catalog("gaussian", g, c=c)
         h, r0 = gauss.metric, gauss.plateau_radius
-        z = g.z(0)
+        z = complex_coordinate(g, 0)
         box = (np.abs(z.real) <= 0.95 * r0) & (np.abs(z.imag) <= 0.95 * r0)
         delta = nakano_report(h, curvature(h), region=box)[0]
         assert delta == pytest.approx(c, rel=2e-2)

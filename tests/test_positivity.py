@@ -17,6 +17,7 @@ from dbarlab.singular import singular_catalog
 from dbarlab.weights import random_band_limited, random_form
 
 import positivity_reference
+from field_helpers import complex_coordinate
 
 # Griffiths-positive / Nakano-negative curvature blocks, found by randomized
 # search (seed 2026, trial 5490) over hermitian-symmetric constant curvature
@@ -84,7 +85,7 @@ def test_gaussian_interior_floor_is_weight_strength():
     g = GridSpec(1, 64, 8.0)
     gauss = singular_catalog("gaussian", g, c=1.0)
     h, r0 = gauss.metric, gauss.plateau_radius
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     delta = nakano_report(h, curvature(h), region=box)[0]
     assert abs(delta - 1.0) < 5e-3
@@ -92,7 +93,7 @@ def test_gaussian_interior_floor_is_weight_strength():
 
 def test_dimension_one_exact_equality(rng):
     g = GridSpec(1, 16, 8.0)
-    w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).real)
+    w = np.exp(0.3 * random_band_limited(g, rng, 0.1).real)
     h = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     th = curvature(h)
     assert griffiths_report(h, th)[0] == nakano_report(h, th)[0]
@@ -102,7 +103,7 @@ def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):
     # at rank one every tuple s_j = xi_j s is decomposable, so the floors
     # coincide exactly and no direction net runs
     g = GridSpec(2, 8, 8.0)
-    phi = 0.4 * random_band_limited(g, rng, 0.2, real=True).real
+    phi = 0.4 * random_band_limited(g, rng, 0.2).real
     h = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
     th = curvature(h)
     dg, point, xi, net_err = griffiths_report(h, th)
@@ -215,7 +216,7 @@ def test_nakano_at_most_griffiths(rng):
 def test_scaling_covariance(rng):
     # h -> c h leaves curvature and both floors unchanged
     g = GridSpec(1, 32, 8.0)
-    w = np.exp(0.3 * random_band_limited(g, rng, 0.1, real=True).real)
+    w = np.exp(0.3 * random_band_limited(g, rng, 0.1).real)
     h1 = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     h2 = MetricField.from_weight(g, 7.0 * w, 1, log_weight=-np.log(7.0 * w))
     t1, t2 = curvature(h1), curvature(h2)
@@ -227,7 +228,7 @@ def test_duality_flip_rank_one(rng):
     g = GridSpec(1, 32, 8.0)
     gauss = singular_catalog("gaussian", g, c=1.0)
     h, r0 = gauss.metric, gauss.plateau_radius
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     dual = dual_metric(h)
     floor_dual = griffiths_report(dual, curvature(dual), box)[0]
@@ -255,15 +256,15 @@ def test_duality_rank_two_twisted_metric(rng):
 
     g = GridSpec(1, 64, 8.0)
     phi = apodized_quadratic_weight(g, 0.5, r0=1.0, s=0.30).real
-    pert = 0.15 * random_band_limited(g, rng, 0.08, real=True).real
-    pert2 = 0.15 * random_band_limited(g, rng, 0.08, real=True).real
+    pert = 0.15 * random_band_limited(g, rng, 0.08).real
+    pert2 = 0.15 * random_band_limited(g, rng, 0.08).real
     mat = np.zeros(g.shape + (2, 2), dtype=complex)
     mat[..., 0, 0] = np.exp(-phi) * (1.0 + 0.3 * np.tanh(pert))
     mat[..., 1, 1] = np.exp(-phi) * (1.0 - 0.3 * np.tanh(pert))
     mat[..., 0, 1] = np.exp(-phi) * 0.2 * (pert2 + 0.5j * pert)
     mat[..., 1, 0] = np.conj(mat[..., 0, 1])
     h = MetricField(g, 2, mat)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.9) & (np.abs(z.imag) <= 0.9)
     # matrix products through the weight well leave ~1e-4 discretization
     # asymmetry; immaterial at the 1e-2 level these floors are read at

@@ -21,6 +21,7 @@ from dbarlab.singular import (
     singular_catalog,
 )
 from dbarlab.weights import smooth_source_bump
+from field_helpers import complex_coordinate
 
 
 @pytest.fixture
@@ -59,7 +60,7 @@ def test_mollify_smooth_limit_rate():
     # away from the apodization transition, whose scale the widest kernel spans
     g = GridSpec(1, 64, 8.0)
     h = singular_catalog("gaussian", g, c=1.0).metric
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     inner = (np.abs(z.real) <= 1.0) & (np.abs(z.imag) <= 1.0)
     errs = []
     for eps in (1.2, 0.6, 0.3):
@@ -83,7 +84,7 @@ def test_mollified_psh_gains_constant():
     # convolution lifts a subharmonic weight by a positive constant where the
     # kernel sees only the quadratic core
     g = GridSpec(1, 64, 8.0)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     phi = np.abs(z) ** 2
     out = convolve(g, phi, mollifier_kernel(g, 0.8))
     gain = out - phi
@@ -127,7 +128,7 @@ def test_periodic_log_pole_behaves_like_log():
     g = GridSpec(1, 64, 8.0)
     z0 = complex(g.center + 0.3, g.center - 0.2)
     lam = periodic_log_pole(g, z0)
-    z = g.z(0, centered=False)
+    z = complex_coordinate(g, 0, centered=False)
     d = np.abs(z - z0)
     ring = (d > 0.3) & (d < 0.8)
     # lambda - log|z - z0| is approximately constant-plus-smooth on a ring
@@ -142,7 +143,7 @@ def test_periodic_log_pole_delta_mass():
     z0 = complex(g.center + 0.3, g.center - 0.2)
     lam = periodic_log_pole(g, z0)
     curv = dz_array(g, dz_array(g, lam.astype(np.complex128), 0, False), 0, True).real
-    z = g.z(0, centered=False)
+    z = complex_coordinate(g, 0, centered=False)
     # the band-limited point mass rings: its sinc tails keep ~7% outside small
     # balls, shrinking as the ball grows
     for rho, tol in ((1.0, 0.08), (3.0, 0.025)):
@@ -164,7 +165,7 @@ def test_catalog_log_pole_background_curvature():
     w = h.mat[..., 0, 0].real
     hl = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
     theta = curvature(hl).theta[..., 0, 0, 0, 0].real
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     z0 = cat.poles[0]
     ring = (
         (np.abs(z.real) <= 0.9 * cat.plateau_radius)
@@ -187,7 +188,7 @@ def test_catalog_matrix_psh_dual_section_subharmonicity():
             lap = dz_array(
                 g, dz_array(g, norm.astype(np.complex128), 0, False), 0, True
             ).real
-            z = g.z(0)
+            z = complex_coordinate(g, 0)
             inner = (np.abs(z.real) <= 0.5 * cat.plateau_radius) & (
                 np.abs(z.imag) <= 0.5 * cat.plateau_radius
             )
@@ -198,7 +199,7 @@ def test_monotone_ordering_log_pole():
     g = GridSpec(1, 64, 8.0)
     cat = singular_catalog("log_pole", g, a=0.5, offset=1.5 + 1.5j)
     sched = MollifierSchedule(2.0, 8)
-    rep = check_monotone(cat, sched, "dual")
+    rep = check_monotone(cat, sched)
     assert rep.max_defect <= 1e-10
     assert rep.pair_defects  # some pairs were actually measured
     # the coarsest kernel exceeds the certified zone at this resolution
@@ -213,7 +214,7 @@ def test_monotone_strict_gap_scalar_psh():
     gd = dual_metric(cat.metric)
     m1 = mollify(gd, 1.0)
     m2 = mollify(gd, 0.5)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     inner = (np.abs(z.real) <= 0.4 * cat.plateau_radius) & (
         np.abs(z.imag) <= 0.4 * cat.plateau_radius
     )
@@ -232,24 +233,19 @@ def test_monotone_near_equality_for_pluriharmonic_exponent():
     psi = (w**2).real  # Re(z^2) on the core
     a1 = convolve(g, psi, mollifier_kernel(g, 0.7))
     a2 = convolve(g, psi, mollifier_kernel(g, 0.35))
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     inner = (np.abs(z.real) <= 0.15) & (np.abs(z.imag) <= 0.15)
     scale = max(np.abs(psi).max(), 1.0)
     assert np.abs(a1 - psi)[inner].max() < 1e-6 * scale
     assert np.abs(a1 - a2)[inner].max() < 1e-6 * scale
 
 
-def test_monotone_primal_side_of_negative_metric():
-    # mollifying a negatively curved metric directly (primal side) must give
-    # the same non-increasing family; realized by wrapping the dual of a
-    # positively curved catalog entry
-    from dbarlab.singular import CatalogMetric
-
+def test_monotone_ordering_gaussian():
+    # the gaussian's dual is negatively curved with no pole, so its mollified
+    # family is non-increasing wherever the kernel ball stays in the psh zone
     g = GridSpec(1, 64, 8.0)
     cat = singular_catalog("gaussian", g)
-    neg = CatalogMetric("dualized", dual_metric(cat.metric), (),
-                        -cat.delta_target, cat.plateau_radius, cat.smoothing)
-    rep = check_monotone(neg, MollifierSchedule(1.0, 4), side="primal")
+    rep = check_monotone(cat, MollifierSchedule(1.0, 4))
     assert rep.max_defect <= 1e-10
     assert rep.pair_defects
 
@@ -287,7 +283,7 @@ def test_regularized_solve_smooth_limit_matches_direct():
     f = project_to_range(f)
     sched = MollifierSchedule(2.0, 8)
     u_pipe, rep = regularized_solve(f, cat, sched)
-    z = g.z(0)
+    z = complex_coordinate(g, 0)
     box = (np.abs(z.real) <= 0.95 * cat.plateau_radius) & (
         np.abs(z.imag) <= 0.95 * cat.plateau_radius
     )
@@ -396,7 +392,7 @@ def test_shipped_regularize_config_builds_each_piece_once(tmp_path, monkeypatch)
     assert calls["leggauss"] == 1
     assert calls["mollify"] == schedule.nu_max
     assert calls["dual_metric"] <= 1 + schedule.nu_max
-    assert check_monotone(cat, schedule, "dual") == rep.monotone
+    assert check_monotone(cat, schedule) == rep.monotone
     assert rep.monotone.pair_defects
 
 

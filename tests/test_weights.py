@@ -26,8 +26,10 @@ def test_separable_band_limited_matches_full_grid_reference(n, N, kmax_frac, rea
     g = GridSpec(n, N, 8.0)
     rng_fast = np.random.default_rng(5)
     rng_slow = np.random.default_rng(5)
-    fast = random_band_limited(g, rng_fast, kmax_frac, real)
-    slow = ref.random_band_limited(g, rng_slow, kmax_frac, real)
+    fast = random_band_limited(g, rng_fast, kmax_frac)
+    slow = ref.random_band_limited(g, rng_slow, kmax_frac)
+    if real:
+        fast, slow = fast.real, slow.real
     assert np.abs(fast - slow).max() <= 1e-14 * np.abs(slow).max()
     assert rng_fast.bit_generator.state == rng_slow.bit_generator.state
 
