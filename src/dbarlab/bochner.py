@@ -78,7 +78,6 @@ class IdentityReport:
     terms: dict = field(default_factory=dict)
     residual: float = 0.0
     relative_residual: float = 0.0
-    slope: float | None = None
 
 
 def check_support(alpha: EForm, h: MetricField, margin: float):

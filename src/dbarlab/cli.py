@@ -46,6 +46,9 @@ from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump
 
 OPERATIONS = ("identities", "positivity", "solve", "regularize", "convergence")
 
+# where regularize centres its source bump, off the box centre on each axis
+REGULARIZE_SOURCE_OFFSET = (-0.7, -0.5)
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -258,12 +261,18 @@ def _check_relations(cfg: ExperimentConfig) -> None:
         raise ValidationError(
             f"field 'n' in [domain] must be 1 for the {cfg.operation} pipeline, got {cfg.n}"
         )
-    reach = cfg.spread + BUMP_SUPPORT_RADIUS * cfg.sigma if cfg.operation == "solve" else 0
-    if reach > 0.5 * cfg.L:
+    if cfg.operation == "solve" and cfg.spread + BUMP_SUPPORT_RADIUS * cfg.sigma > 0.5 * cfg.L:
         raise ValidationError(
             f"field 'spread' in [operation] plus the source support radius "
             f"{BUMP_SUPPORT_RADIUS:g}*sigma must fit in half the box side, "
             f"got spread={cfg.spread:g}, sigma={cfg.sigma:g}, L={cfg.L:g}"
+        )
+    offset = max(abs(part) for part in REGULARIZE_SOURCE_OFFSET)
+    if cfg.operation == "regularize" and offset + BUMP_SUPPORT_RADIUS * cfg.sigma > 0.5 * cfg.L:
+        raise ValidationError(
+            f"field 'sigma' in [operation] must keep the source support radius "
+            f"{BUMP_SUPPORT_RADIUS:g}*sigma plus the source's offset {offset:g} from the box "
+            f"centre within half the box side, got sigma={cfg.sigma:g}, L={cfg.L:g}"
         )
     if FIXED_RANK.get(cfg.catalog, cfg.rank) != cfg.rank:
         raise ValidationError(f"field 'rank' in [metric] must be {FIXED_RANK[cfg.catalog]} "
@@ -509,12 +518,13 @@ def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
         rows.append(_row("dimension-one-equality", "griffiths-equals-nakano", grid.n, 0,
                          grid.N, abs(dg - dn), 0.0, dg == dn))
     if cat.metric.mask is None and cat.metric.rank == 1:
-        # floor of the dual equals minus the cap of the metric, exactly at rank one
+        # floor of the dual equals minus the cap of the metric, exactly at rank one;
+        # the cap is minus the floor of -Theta
         dual = dual_metric(cat.metric)
         dual_floor = griffiths_report(dual, curvature(dual), region,
                                       symmetry_tol=cfg.symmetry)[0]
-        cap = griffiths_report(cat.metric, theta, region, mode="upper",
-                               symmetry_tol=cfg.symmetry)[0]
+        cap = -griffiths_report(cat.metric, CurvatureField(grid, theta.rank, -theta.theta),
+                                region, symmetry_tol=cfg.symmetry)[0]
         rows.append(_row("duality-flip", "dual-curvature-sign-reversal", grid.n, 0, grid.N,
                          abs(dual_floor + cap), cfg.duality,
                          abs(dual_floor + cap) <= cfg.duality))
@@ -584,9 +594,8 @@ def run_regularize(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
     grid = GridSpec(cfg.n, cfg.N, cfg.L)
     cat = _metric_for(cfg, grid)
     schedule = MollifierSchedule(cfg.eps0, cfg.nu_max)
-    bump = smooth_source_bump(
-        grid, (grid.center - 0.7, grid.center - 0.5), cfg.sigma
-    )
+    center = tuple(grid.center + offset for offset in REGULARIZE_SOURCE_OFFSET)
+    bump = smooth_source_bump(grid, center, cfg.sigma)
     f = EForm.zeros(grid, cat.metric.rank, 1, 1)
     f.coeffs[..., 0, 0, 0] = bump
     f = project_to_range(f)

@@ -37,7 +37,8 @@ The pointwise contractions move no memory they do not need:
 * a rank-1 metric contracts as a real weight w = h_00, so each slot pair of
   ``pairing`` and ``inner_product`` is two elementwise products, and
   ``norm_sq`` is w times one pass over the slot-major store viewed as reals;
-  rank > 1 runs the einsum t^H h s per slot pair;
+  rank > 1 runs the einsum t^H h s per slot pair, and ``norm_sq`` is the
+  real part of ``inner_product(a, a)``;
 * a constant form (``omega_power``, a zero-stride broadcast) wedges as
   scalars: each nonzero entry of its block multiplies the other operand's
   field, and the zero entries are skipped;
@@ -365,7 +366,8 @@ def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
     the squares are summed over the slots, from the last to the first, then
     each point's real and imaginary sums are added.  For the 2 or 4 slots of
     n <= 2 this rounds exactly as numpy's per-point einsum dot over the
-    interleaved parts does.
+    interleaved parts does.  At rank > 1 it is the real part of
+    inner_product(a, a, h).
     """
     if h.grid != a.grid or h.rank != a.rank:
         raise FormError("metric does not match the form")
@@ -383,12 +385,8 @@ def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
             total = (sums[0::2] + sums[1::2]).reshape(a.grid.shape)
         total *= h.mat[..., 0, 0].real
         return total
-    total = np.zeros(a.grid.shape, dtype=np.float64)
-    for I in a.dz_slots():
-        for J in a.dzbar_slots():
-            c = a.slot(I, J)
-            total += vector_inner(h, c, c).real
-    return total
+    # the real part of the complex sum is the sum of the real parts
+    return inner_product(a, a, h).real
 
 
 def inner_product(a: EForm, b: EForm, h: MetricField) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Chern connection, curvature, and the bundle operators D', dbar, dbar*_h.
+"""Chern connection, curvature, and the first-order form operators D', dbar, dbar^T.
 
 The bundle is globally trivialized on the model domain, so dbar acts
 componentwise and every curvature effect enters through the metric.  With
@@ -10,20 +10,24 @@ the sign coming from reordering dzbar_k wedge dz_j into the canonical frame;
 for a line bundle this reduces to Theta_11 = -d ddbar log h entrywise, so the
 weight e^{-|z|^2} has Theta_11 = 1 and i*Theta = omega.
 
-Every derivative is a Fourier multiplier, and each input field is forward
-transformed once: dbar and del transform each coefficient once and apply
-the multiplier of every direction k to that one spectrum (dbar_and_del
-serves both from it), the connection blocks theta_j come from one transform
-of each exponent (or of the matrix field), and the curvature row Theta_j.
-from one transform of theta_j, of each diagonal entry on its own for
-diagonal exponents.  curvature and chern_connection build every block; the
-Bochner-Kodaira pass calls connection_terms, where one set of theta_j feeds
-both D'gamma and Theta ^ gamma.  dbar, del, D' and Theta wedge take their
-insertion signs and target slots from one table, ``exterior.grow_table``.
+Every derivative is a Fourier multiplier.  The componentwise operators dbar,
+del and the unweighted transpose dbar^T are rows of one cached table,
+``_derivative_rows``: dbar's rows are grow_table's on the dzbar index with
+the (-1)^p crossing, del's are grow_table's on the dz index, and dbar^T
+reads dbar's rows backwards with -d_k.  ``_differentials`` applies any of them from one
+forward transform of each coefficient (dbar_and_del serves both from it,
+and ``hormander.dbar_transpose`` is one call of it).  The connection blocks
+theta_j come from one transform of each exponent (or of the matrix field),
+and the curvature row Theta_j. from one transform of theta_j, of each
+diagonal entry on its own for diagonal exponents.  curvature and
+chern_connection build every block; the Bochner-Kodaira pass calls
+connection_terms, where one set of theta_j feeds both D'gamma and
+Theta ^ gamma.  D' and Theta wedge take their insertion signs and target
+slots from ``exterior.grow_table`` too.
 
 An identically zero coefficient (say the empty slot of a source filled in
-one slot only) has derivative exactly 0: dbar and del test each source
-coefficient once, on its real and imaginary parts, and give a zero one no
+one slot only) has derivative exactly 0: _differentials tests each source
+coefficient once, on its real and imaginary parts, and gives a zero one no
 forward transform, no inverse and no add.  A NaN counts as nonzero.
 connection_terms tests the coefficients of its form the same way and builds
 theta_j and the blocks Theta_jk only for the directions j that grow a
@@ -35,13 +39,17 @@ it saves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .errors import FormError
 from .grid import GridSpec, from_spectrum, to_spectrum
 from .metric import MetricField, matrix_apply
-from .exterior import EForm, add_signed, grow_table, hodge_star, omega_power, wedge
+from .exterior import (
+    EForm, add_signed, grow_table, hodge_star, index_tuples, omega_power, wedge,
+)
 
 __all__ = [
     "CurvatureField",
@@ -142,34 +150,56 @@ def curvature(h: MetricField) -> CurvatureField:
     return CurvatureField(h.grid, h.rank, out)
 
 
-def _differentials(a: EForm, conjugates: tuple) -> list:
-    """Componentwise spectral dbar (conjugate) and/or del, one forward transform per coefficient.
+# per operator: whether its multiplier is dbar_k (else d_k), and its bidegree step
+_OPERATORS = {"dbar": (True, 0, 1), "del": (False, 1, 0), "dbar_transpose": (False, 0, -1)}
 
-    The coefficient a_IJ contributes s * d_k a_IJ to the slot of the index set
-    grown by k, for every k outside it: the dzbar set J for dbar, with the
-    (-1)^p crossing of dzbar_k past dz_I, and the dz set I for del.  The signs
-    and slots are the rows of grow_table.  One spectrum of a_IJ serves every
-    requested differential; a coefficient that is identically zero is
+
+@lru_cache(maxsize=64)
+def _derivative_rows(n: int, p: int, q: int, op: str) -> tuple:
+    """Rows (src, k, dst, sign) of op on (p,q)-forms: out_dst += sign * d_k a_src.
+
+    src and dst are (dz slot, dzbar slot) pairs and d_k is op's multiplier in
+    direction k.  dbar grows the dzbar set by k, with the (-1)^p crossing of
+    dzbar_k past dz_I; del grows the dz set.  dbar^T reads dbar's rows from
+    (p, q-1) backwards, with -d_k: the Nyquist-zeroed multipliers make each
+    d_k skew-adjoint, so -d_k is the l2 adjoint of dbar_k.  Every sign and
+    slot is a row of grow_table.
+    """
+    if op == "dbar_transpose":
+        return tuple((dst, k, src, -sign)
+                     for src, k, dst, sign in _derivative_rows(n, p, q - 1, "dbar"))
+    if op == "dbar":
+        crossing = (-1) ** p
+        return tuple(((i, src), k, (i, dst), crossing * sign)
+                     for src, k, dst, sign in grow_table(n, q)
+                     for i in range(len(index_tuples(n, p))))
+    return tuple(((src, j), k, (dst, j), sign)
+                 for src, k, dst, sign in grow_table(n, p)
+                 for j in range(len(index_tuples(n, q))))
+
+
+def _differentials(a: EForm, ops: tuple) -> list:
+    """The operators ops (keys of _OPERATORS) of a, one forward transform per coefficient.
+
+    Each applies its _derivative_rows.  One spectrum of a coefficient serves
+    every requested operator; a coefficient that is identically zero is
     skipped, as its rows would add exact zeros.
     """
-    n = a.grid.n
     plans = []
-    for conjugate in conjugates:
-        out = EForm.zeros(a.grid, a.rank, a.p + (not conjugate), a.q + conjugate)
-        table = grow_table(n, a.q if conjugate else a.p)
-        plans.append((out, conjugate, (-1) ** a.p if conjugate else 1, table))
-    for i in range(a.coeffs.shape[-3]):
-        for j in range(a.coeffs.shape[-2]):
-            coeff = a.coeffs[..., i, j, :]
-            if not (coeff.real.any() or coeff.imag.any()):
-                continue
-            spec = to_spectrum(a.grid, coeff)
-            for out, conjugate, crossing, table in plans:
-                for src, k, dst, sign in table:
-                    if src != (j if conjugate else i):
-                        continue
-                    target = out.coeffs[..., i, dst, :] if conjugate else out.coeffs[..., dst, j, :]
-                    add_signed(target, crossing * sign, from_spectrum(a.grid, spec, k, conjugate))
+    for op in ops:
+        conjugate, dp, dq = _OPERATORS[op]
+        out = EForm.zeros(a.grid, a.rank, a.p + dp, a.q + dq)
+        plans.append((out, conjugate, _derivative_rows(a.grid.n, a.p, a.q, op)))
+    for src in product(*map(range, a.coeffs.shape[-3:-1])):
+        coeff = a.coeffs[..., src[0], src[1], :]
+        if not (coeff.real.any() or coeff.imag.any()):
+            continue
+        spec = to_spectrum(a.grid, coeff)
+        for out, conjugate, rows in plans:
+            for row_src, k, (i, j), sign in rows:
+                if row_src == src:
+                    add_signed(out.coeffs[..., i, j, :], sign,
+                               from_spectrum(a.grid, spec, k, conjugate))
     return [out for out, *_ in plans]
 
 
@@ -184,7 +214,7 @@ def dbar(a: EForm) -> EForm:
             f"dbar target bidegree ({a.p},{a.q + 1}) exceeds n={a.grid.n}; "
             "a top-degree form is automatically dbar-closed"
         )
-    return _differentials(a, (True,))[0]
+    return _differentials(a, ("dbar",))[0]
 
 
 def dpartial(a: EForm) -> EForm:
@@ -194,7 +224,7 @@ def dpartial(a: EForm) -> EForm:
             f"del target bidegree ({a.p + 1},{a.q}) exceeds n={a.grid.n}; "
             "top-holomorphic-degree del vanishes identically"
         )
-    return _differentials(a, (False,))[0]
+    return _differentials(a, ("del",))[0]
 
 
 def dbar_and_del(a: EForm) -> tuple:
@@ -202,7 +232,7 @@ def dbar_and_del(a: EForm) -> tuple:
 
     A target bidegree past n raises FormError, from EForm.zeros.
     """
-    return tuple(_differentials(a, (True, False)))
+    return tuple(_differentials(a, ("dbar", "del")))
 
 
 def _check_connection_operand(a: EForm, h: MetricField):

@@ -5,9 +5,10 @@ is trivialized, T is a fixed Fourier-multiplier structure and the metric only
 enters through the pointwise Gram weight h of both spaces: norm2(a, h) is the
 h-weighted lattice quadrature over h's unmasked cells, and the Hilbert-space
 adjoint is computed exactly as apply_Tstar(v, h) = h^{-1} dbar^T (h v), with
-dbar^T the unweighted transpose: it reads the rows of ``exterior.grow_table``
-that build dbar backwards and transforms each coefficient once.  The per-mode
-symbol D of dbar is built from the same rows.
+dbar^T the unweighted transpose.  This module has no derivative loop of its
+own: dbar^T is one call of ``hermitian``'s row-table operators (dbar's rows
+read backwards, each coefficient transformed once), and the per-mode symbol
+D of dbar reads dbar's rows from the same table.
 
 The minimal-norm solve uses the normal equations T T* y = f.  Substituting
 z = h y turns them into A z = f with A = dbar (h^{-1} dbar^T z), which is
@@ -27,46 +28,32 @@ the preconditioned operator is the identity up to a term of rank at most
 four per bundle component; at n = 2 it is a close approximation.  The stopping
 norm needs r on the lattice: five transforms per iteration, all through
 grid's scipy.fft transform pair.  The stopping norm is taken in place, as one
-h-weighted sum over the inverse transform of r, and the per-mode products,
-h and h^{-1} (formed entrywise when h is diagonal) are broadcast multiply-adds
-over the small contracted index.  The final u and its true residual go through
+h-weighted sum over the inverse transform of r.  The per-mode products, and
+h and h^{-1} (formed entrywise when h is diagonal) through
+``metric.matrix_apply``, are broadcast multiply-adds over the small
+contracted index.  The final u and its true residual go through
 the real-space dbar^T and dbar; an unconverged solve raises SolverError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import FormError, PreconditionError, SolverError
-from .exterior import EForm, add_signed, grow_table, index_tuples, norm_sq
+from .exterior import EForm, index_tuples, norm_sq
 from .grid import (
     GridSpec,
     _dz_multiplier,
-    from_spectrum,
     integrate,
     seam_leakage,
     to_lattice,
     to_spectrum,
 )
-from .hermitian import dbar
-from .metric import MetricField
-
-
-def _gram(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Pointwise mat @ c on the bundle index ("...ab,...ijb->...ija").
-
-    mat is grid + (r, r); coeffs is grid + (..., r) with any number of form
-    slot axes in between.  Written as multiply-adds over the small index b,
-    into an array laid out as coeffs is (slot-major for a form's coefficients).
-    """
-    m = mat.reshape(mat.shape[:-2] + (1,) * (coeffs.ndim - mat.ndim + 1) + mat.shape[-2:])
-    out = np.multiply(m[..., 0], coeffs[..., :1], out=np.empty_like(coeffs))
-    for b in range(1, mat.shape[-1]):
-        out += m[..., b] * coeffs[..., b : b + 1]
-    return out
+from .hermitian import _derivative_rows, _differentials, dbar
+from .metric import MetricField, matrix_apply
 
 
 def norm2(a: EForm, h: MetricField) -> float:
@@ -96,37 +83,19 @@ class SolveReport:
     bound_claimed: bool
 
     def row(self) -> dict:
-        return {
-            "u_norm2": self.u_norm2,
-            "f_norm2": self.f_norm2,
-            "p": self.p,
-            "delta": "" if self.delta is None else self.delta,
-            "bound": "" if self.bound is None else self.bound,
-            "ratio": self.ratio,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "seam_leakage": self.seam_leakage,
-            "bound_claimed": int(self.bound_claimed),
-        }
+        """The fields in order, an unset delta or bound as an empty cell."""
+        return {key: "" if value is None else value for key, value in asdict(self).items()}
 
 
 def dbar_transpose(v: EForm) -> EForm:
-    """Unweighted l2 transpose of the dbar coefficient map.
+    """Unweighted l2 transpose of the dbar coefficient map, from hermitian's row table.
 
     (dbar^T v)_{I,J} = sum_{k not in J} (-1)^p ins(k,J) (-d_k) v_{I, J+k};
     exact because the Nyquist-zeroed multipliers make each d_k skew-adjoint.
     """
     if v.q == 0:
         raise FormError("transpose of dbar maps q = 0 forms to nothing")
-    out = EForm.zeros(v.grid, v.rank, v.p, v.q - 1)
-    sign_p = (-1) ** v.p
-    for Ipos in range(v.coeffs.shape[-3]):
-        specs = [to_spectrum(v.grid, v.coeffs[..., Ipos, J, :]) for J in range(v.coeffs.shape[-2])]
-        # row (Jm, k, J): dz_k ^ dz_Jm = sign dz_J, so v_J feeds out_Jm
-        for src, k, dst, sign in grow_table(v.grid.n, v.q - 1):
-            add_signed(out.coeffs[..., Ipos, src, :], -sign_p * sign,
-                       from_spectrum(v.grid, specs[dst], k))
-    return out
+    return _differentials(v, ("dbar_transpose",))[0]
 
 
 def apply_Tstar(v: EForm, h: MetricField) -> EForm:
@@ -134,8 +103,8 @@ def apply_Tstar(v: EForm, h: MetricField) -> EForm:
 
     <dbar u, v> = <u, T* v> to roundoff, both sides integrated with h.
     """
-    u = dbar_transpose(EForm(v.grid, v.rank, v.p, v.q, _gram(h.mat, v.coeffs)))
-    u.coeffs = _gram(h.inverse_mat(), u.coeffs)
+    u = dbar_transpose(EForm(v.grid, v.rank, v.p, v.q, matrix_apply(h.mat, v.coeffs)))
+    u.coeffs = matrix_apply(h.inverse_mat(), u.coeffs)
     return u
 
 
@@ -149,9 +118,8 @@ def _flat_symbol(grid: GridSpec, p: int) -> np.ndarray:
     n = grid.n
     shape = grid.shape + (len(index_tuples(n, p)), len(index_tuples(n, p - 1)))
     D = np.zeros(shape, dtype=np.complex128)
-    sign_p = (-1) ** n
-    for src, k, dst, sign in grow_table(n, p - 1):
-        D[..., dst, src] += sign_p * sign * _dz_multiplier(grid, k, True)
+    for (_, src), k, (_, dst), sign in _derivative_rows(n, n, p - 1, "dbar"):
+        D[..., dst, src] += sign * _dz_multiplier(grid, k, True)
     return D
 
 
@@ -231,7 +199,7 @@ def _spectral_norm2(grid: GridSpec, hmat: np.ndarray, spec: np.ndarray) -> float
     form on an unmasked metric, taken as one weighted sum on the lattice.
     """
     v = to_lattice(grid, spec)
-    return float(np.vdot(v, _gram(hmat, v)).real) * grid.cell_volume
+    return float(np.vdot(v, matrix_apply(hmat, v)).real) * grid.cell_volume
 
 
 def closedness_defect(f: EForm, h: MetricField) -> float:
@@ -310,13 +278,13 @@ def solve_min_norm(
         return form
 
     def apply_A(spec: np.ndarray) -> np.ndarray:
-        w = _gram(hinv, to_lattice(grid, _per_mode(DH, spec)))
+        w = matrix_apply(hinv, to_lattice(grid, _per_mode(DH, spec)))
         return _per_mode(D, to_spectrum(grid, w))
 
     def precondition(spec: np.ndarray) -> np.ndarray:
         # M = D^+H F[h F^-1[D^+ r]]: the weight sits between the two
         # pseudoinverses; at n = 1 M is A^+ up to the four modes where D vanishes
-        w = _gram(hmat, to_lattice(grid, _per_mode(Dp, spec)))
+        w = matrix_apply(hmat, to_lattice(grid, _per_mode(Dp, spec)))
         return _per_mode(DpH, to_spectrum(grid, w))
 
     def h2_norm(spec: np.ndarray) -> float:
@@ -390,7 +358,7 @@ def solve_min_norm(
     # the solution and its true residual go through the real-space operators,
     # which checks the spectral iteration on every solve
     u = dbar_transpose(to_form(best_z if best_resid < resid else z))
-    u.coeffs = _gram(hinv, u.coeffs)
+    u.coeffs = matrix_apply(hinv, u.coeffs)
 
     true_resid_form = dbar(u)
     true_resid_form.coeffs -= f.coeffs

@@ -19,13 +19,18 @@ HERMITIAN_TOL = 1e-12
 
 
 def matrix_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Pointwise h @ v for stacked matrices (..., r, r) and vectors (..., r).
+    """Pointwise mat @ v on the bundle index ("...ab,...ijb->...ija").
 
-    At r = 1 this is one elementwise product.
+    mat is grid + (r, r); vec is grid + (..., r) with any number of form slot
+    axes in between, which ride along.  Written as multiply-adds over the
+    small index b, into an array laid out as vec is (slot-major for a form's
+    coefficients); at r = 1 this is one elementwise product.
     """
-    if mat.shape[-1] == 1:
-        return mat[..., 0] * vec
-    return np.einsum("...ab,...b->...a", mat, vec)
+    m = mat.reshape(mat.shape[:-2] + (1,) * (vec.ndim - mat.ndim + 1) + mat.shape[-2:])
+    out = np.multiply(m[..., 0], vec[..., :1], out=np.empty_like(vec))
+    for b in range(1, mat.shape[-1]):
+        out += m[..., b] * vec[..., b : b + 1]
+    return out
 
 
 def vector_inner(h: MetricField, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -72,7 +77,8 @@ class MetricField:
         defect = np.abs(self.mat - np.conj(np.swapaxes(self.mat, -1, -2))).max()
         if scale > 0 and defect > HERMITIAN_TOL * scale * 10:
             raise MetricError(f"metric is not hermitian: defect {defect:.3e} vs scale {scale:.3e}")
-        # symmetrize the roundoff away so downstream eigensolves stay clean
+        # the one place a metric is made hermitian: symmetrizing the roundoff away
+        # leaves mat exactly hermitian, so downstream eigensolves stay clean
         self.mat = 0.5 * (self.mat + np.conj(np.swapaxes(self.mat, -1, -2)))
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)

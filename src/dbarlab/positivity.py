@@ -102,26 +102,19 @@ def _coords(keep, flat: int) -> tuple:
     return tuple(int(c) for c in np.argwhere(keep)[flat])
 
 
-def _nakano(keep, W: np.ndarray, mode: str) -> tuple:
+def _nakano(keep, W: np.ndarray) -> tuple:
     """(delta, point, whitened eigenvector): one batched eigh of the nr x nr matrices."""
     n, points, r = W.shape[0], W.shape[2], W.shape[-1]
     vals, vecs = np.linalg.eigh(W.transpose(2, 0, 3, 1, 4).reshape(points, n * r, n * r))
-    if mode == "lower":
-        pick = vals[:, 0]
-        flat = int(np.argmin(pick))
-        vec = vecs[flat, :, 0]
-    else:
-        pick = vals[:, -1]
-        flat = int(np.argmax(pick))
-        vec = vecs[flat, :, -1]
-    return float(pick[flat]), _coords(keep, flat), vec
+    flat = int(np.argmin(vals[:, 0]))
+    return float(vals[flat, 0]), _coords(keep, flat), vecs[flat, :, 0]
 
 
 def _direction(t: float, phi: float) -> np.ndarray:
     return np.array([np.cos(t), np.sin(t) * np.exp(1j * phi)])
 
 
-def _griffiths(keep, W: np.ndarray, mode: str, nakano: tuple | None = None) -> tuple:
+def _griffiths(keep, W: np.ndarray, nakano: tuple | None = None) -> tuple:
     """(delta, point, xi, net_error) of the Griffiths form on the whitened stack.
 
     At n = 1 or rank 1 every tuple is decomposable, so this reads the Nakano
@@ -132,12 +125,10 @@ def _griffiths(keep, W: np.ndarray, mode: str, nakano: tuple | None = None) -> t
     """
     n, r = W.shape[0], W.shape[-1]
     if n == 1 or r == 1:
-        delta, coords, vec = _nakano(keep, W, mode) if nakano is None else nakano
+        delta, coords, vec = _nakano(keep, W) if nakano is None else nakano
         xi = vec / np.linalg.norm(vec) if r == 1 else np.ones(1, dtype=np.complex128)
         return delta, coords, xi, 0.0
     rows = W.reshape(n * n, -1)
-    # the extremum of the caps is minus the floor of -A, so one minimum serves both modes
-    sign = 1.0 if mode == "lower" else -1.0
     ts = np.linspace(0.0, 0.5 * np.pi, NET_SIDE)
     phis = np.linspace(0.0, 2.0 * np.pi, NET_SIDE, endpoint=False)
     dt, dphi = ts[1] - ts[0], phis[1] - phis[0]
@@ -155,28 +146,24 @@ def _griffiths(keep, W: np.ndarray, mode: str, nakano: tuple | None = None) -> t
                 # A(xi) = sum_kj conj(xi_k) xi_j W_kj at every kept point, as one
                 # (1 x n*n) @ (n*n x points*r*r) product; a 1-D left operand
                 # would take the far slower matrix-vector route
-                weights = (sign * np.outer(np.conj(xi), xi)).reshape(1, n * n)
+                weights = np.outer(np.conj(xi), xi).reshape(1, n * n)
                 pick = np.linalg.eigvalsh((weights @ rows).reshape(-1, r, r))[:, 0]
                 flat = int(np.argmin(pick))
                 if pick[flat] < best[0]:
                     best = (pick[flat], flat, t, phi)
     xi = _direction(best[2], best[3])
-    return sign * float(best[0]), _coords(keep, best[1]), xi, float(abs(best[0] - prev))
+    return float(best[0]), _coords(keep, best[1]), xi, float(abs(best[0] - prev))
 
 
 def nakano_report(
     h: MetricField, theta: CurvatureField, region=None, symmetry_tol: float = SYMMETRY_TOL
 ) -> tuple:
     """(delta, argmin point, whitened eigenvector) of the Nakano quadratic form."""
-    return _nakano(*_whitened_blocks(h, theta, region, symmetry_tol), "lower")
+    return _nakano(*_whitened_blocks(h, theta, region, symmetry_tol))
 
 
 def griffiths_report(
-    h: MetricField,
-    theta: CurvatureField,
-    region=None,
-    mode: str = "lower",
-    symmetry_tol: float = SYMMETRY_TOL,
+    h: MetricField, theta: CurvatureField, region=None, symmetry_tol: float = SYMMETRY_TOL
 ) -> tuple:
     """(delta, argmin point, xi, net_error) for the Griffiths quadratic form.
 
@@ -185,9 +172,10 @@ def griffiths_report(
     NET_SIDE x NET_SIDE direction net on CP^1, then refines REFINE_PASSES
     times around the best direction.  net_error is the change of the
     extremum over the last refinement pass: a heuristic spread between
-    passes, not a bound on the distance to the true floor.
+    passes, not a bound on the distance to the true floor.  The Griffiths
+    cap of Theta is minus the floor of -Theta.
     """
-    return _griffiths(*_whitened_blocks(h, theta, region, symmetry_tol), mode)
+    return _griffiths(*_whitened_blocks(h, theta, region, symmetry_tol))
 
 
 def positivity_report(
@@ -199,8 +187,8 @@ def positivity_report(
     tuple is decomposable (n = 1 or rank 1), the direction net otherwise.
     """
     keep, W = _whitened_blocks(h, theta, region, symmetry_tol)
-    nakano = _nakano(keep, W, "lower")
-    dg, arg_g, xi, net_err = _griffiths(keep, W, "lower", nakano)
+    nakano = _nakano(keep, W)
+    dg, arg_g, xi, net_err = _griffiths(keep, W, nakano)
     dn, arg_n, vec = nakano
     return PositivityReport(dg, dn, arg_g, arg_n, xi, vec, net_err)
 

@@ -93,12 +93,11 @@ def mollifier_kernel(grid: GridSpec, eps: float) -> np.ndarray:
 def mollify(h: MetricField, eps: float) -> MetricField:
     """Entrywise periodic convolution with the radius-eps kernel.
 
-    Hermiticity and positive semidefiniteness survive exactly (averaging with
-    nonnegative weights stays in the psd cone); the result is unmasked.
+    Hermiticity and positive semidefiniteness survive (averaging with
+    nonnegative weights stays in the psd cone), up to the transforms'
+    roundoff, which MetricField symmetrizes away; the result is unmasked.
     """
-    out = convolve(h.grid, h.mat, mollifier_kernel(h.grid, eps))
-    out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-    return MetricField(h.grid, h.rank, out)
+    return MetricField(h.grid, h.rank, convolve(h.grid, h.mat, mollifier_kernel(h.grid, eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,8 @@ def _monotone_report(cat: CatalogMetric, radii: tuple, mollified: list):
         if not region.any():
             report.unchecked_pairs.append(idx + 1)
             continue
+        # exactly hermitian, as the difference of two MetricField matrices
         diff = mollified[idx + 1].mat[region] - mollified[idx].mat[region]
-        diff = 0.5 * (diff + np.conj(np.swapaxes(diff, -1, -2)))
         top = np.linalg.eigvalsh(diff)[..., -1]
         scale = np.abs(np.linalg.eigvalsh(mollified[idx].mat[region])).max()
         defect = float(max(top.max(), 0.0) / max(scale, 1e-300))
@@ -325,7 +324,6 @@ class RegularizationReport:
     f_norm_h: float
     bound_matrix: dict                # (nu0, nu) -> |u_nu|^2 in the h_nu0 norm
     uniform_bound_ok: bool
-    worst_pair: tuple | None
     cauchy_defects: list
     final_ratio: float
     solve_reports: list
@@ -391,18 +389,9 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
 
     eps_floor = max(0.0, cat.delta_target - min(deltas))
     bound_limit = (1.0 / max(cat.delta_target - eps_floor, 1e-12)) * f_norm_h
-    bound_matrix = {}
-    uniform_ok = True
-    worst = None
-    for nu0 in range(1, len(radii) + 1):
-        h0 = metrics[nu0 - 1]
-        for nu in range(nu0, len(radii) + 1):
-            val = norm2(us[nu - 1], h0)
-            bound_matrix[(nu0, nu)] = val
-            ok = val <= bound_limit * (1.0 + 1e-9)
-            if not ok and (worst is None or val > bound_matrix.get(worst, -np.inf)):
-                worst = (nu0, nu)
-            uniform_ok &= ok
+    bound_matrix = {(nu0, nu): norm2(us[nu - 1], metrics[nu0 - 1])
+                    for nu0 in range(1, len(radii) + 1) for nu in range(nu0, len(radii) + 1)}
+    uniform_ok = all(val <= bound_limit * (1.0 + 1e-9) for val in bound_matrix.values())
 
     cauchy = []
     h_coarsest = metrics[0]
@@ -422,7 +411,6 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
         f_norm_h=f_norm_h,
         bound_matrix=bound_matrix,
         uniform_bound_ok=uniform_ok,
-        worst_pair=worst,
         cauchy_defects=cauchy,
         final_ratio=final_ratio,
         solve_reports=solves,

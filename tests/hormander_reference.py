@@ -16,8 +16,8 @@ from dbarlab.errors import MetricError, PreconditionError
 from dbarlab.exterior import EForm, index_tuples
 from dbarlab.grid import to_spectrum
 from dbarlab.hermitian import dbar
-from dbarlab.hormander import _gram, _range_defect
-from dbarlab.metric import MetricField
+from dbarlab.hormander import _range_defect
+from dbarlab.metric import MetricField, matrix_apply
 
 # eigh's backward error is a few eps times the largest eigenvalue at a point;
 # a negative eigenvalue beyond this multiple of eps is not roundoff
@@ -70,13 +70,13 @@ def dense_min_norm(f: EForm, h: MetricField) -> EForm:
         basis[i] = 1.0
         u = EForm.zeros(grid, f.rank, n, p - 1)
         u.coeffs[...] = basis.reshape(shape1)
-        u.coeffs = _gram(inv_sqrt, u.coeffs)
+        u.coeffs = matrix_apply(inv_sqrt, u.coeffs)
         Tu = dbar(u)
-        Tu.coeffs = _gram(sqrt_h.mat, Tu.coeffs)
+        Tu.coeffs = matrix_apply(sqrt_h.mat, Tu.coeffs)
         cols[:, i] = Tu.coeffs.ravel()
-    f_white = _gram(sqrt_h.mat, f.coeffs).ravel()
+    f_white = matrix_apply(sqrt_h.mat, f.coeffs).ravel()
     u_white, *_ = np.linalg.lstsq(cols, f_white, rcond=1e-12)
     u = EForm.zeros(grid, f.rank, n, p - 1)
     u.coeffs[...] = u_white.reshape(shape1)
-    u.coeffs = _gram(inv_sqrt, u.coeffs)
+    u.coeffs = matrix_apply(inv_sqrt, u.coeffs)
     return u

@@ -18,6 +18,7 @@ from dbarlab.errors import FormError, SupportError
 from dbarlab.exterior import EForm, norm_sq
 from dbarlab.grid import GridSpec, integrate
 from dbarlab.hermitian import curvature, dbar, dbar_star_formal, dpartial
+from dbarlab.hormander import dbar_transpose
 from dbarlab.metric import MetricField
 from dbarlab.positivity import nakano_report
 from dbarlab.singular import singular_catalog
@@ -324,6 +325,9 @@ def test_differentials_of_forms_with_zero_slots_match_reference(rng, rank):
                 assert np.array_equal(dbar(a).coeffs, ref.dbar(a).coeffs, equal_nan=True)
             if p < 2:
                 assert np.array_equal(dpartial(a).coeffs, ref.dpartial(a).coeffs, equal_nan=True)
+            if q > 0:
+                assert np.array_equal(dbar_transpose(a).coeffs, ref.dbar_transpose(a).coeffs,
+                                      equal_nan=True)
 
 
 def _pass_metric(g, kind, rng):

@@ -210,6 +210,7 @@ def test_cli_seed_override_changes_report(tmp_path):
     ("solve", "sigma", "-0.3"),
     ("regularize", "sigma", "0"),
     ("regularize", "sigma", "nan"),
+    ("regularize", "sigma", "0.6"),
     ("solve", "sweep", "1,x"),
     ("solve", "sweep", ""),
     ("solve", "spread", "9"),

@@ -25,7 +25,6 @@ CALLERS = SRC + sorted((ROOT / "perfbench").rglob("*.py"))
 
 ALLOWED = {
     "hormander.apply_Tstar": "criterion 4 checks the exact discrete adjoint",
-    "exterior.inner_product": "criterion 4 pairs forms with it",
     "bochner.basic_estimate": "the paper's a-priori estimate, checked by criterion 6",
     "positivity.check_basic_inequality": "the pointwise form of criterion 6's estimate",
     "io.read_field": "the reader of the field format write_field writes",

@@ -196,7 +196,12 @@ def test_griffiths_matches_per_direction_reference(case, mode):
         for _ in range(int(case[-1]) + 1):
             h = random_pointwise_metric(g, 2, rng)
             th = random_pointwise_curvature(g, 2, rng, h=h)
-    delta, point, _xi, net_err = griffiths_report(h, th, mode=mode)
+    if mode == "lower":
+        delta, point, _xi, net_err = griffiths_report(h, th)
+    else:
+        # the cap is minus the floor of -Theta
+        delta, point, _xi, net_err = griffiths_report(h, CurvatureField(g, 2, -th.theta))
+        delta = -delta
     reference = positivity_reference.griffiths_report(h, th, mode=mode)
     ref_delta, ref_point, _ref_xi, ref_net_err = reference
     assert abs(delta - ref_delta) <= 1e-12 * abs(ref_delta)
@@ -232,7 +237,7 @@ def test_duality_flip_rank_one(rng):
     box = (np.abs(z.real) <= 0.9 * r0) & (np.abs(z.imag) <= 0.9 * r0)
     dual = dual_metric(h)
     floor_dual = griffiths_report(dual, curvature(dual), box)[0]
-    cap = griffiths_report(h, curvature(h), box, mode="upper")[0]
+    cap = -griffiths_report(h, CurvatureField(g, 1, -curvature(h).theta), box)[0]
     assert abs(floor_dual + cap) < 1e-6
 
 
@@ -245,7 +250,7 @@ def test_duality_rank_two_griffiths_negative_dual(rng):
     # for h = I the dual curvature blocks are -Theta_jk^T; its Griffiths cap
     # must sit at minus the original floor
     dg = griffiths_report(h, th)[0]
-    cap_dual = griffiths_report(h, dual_th, mode="upper")[0]
+    cap_dual = -griffiths_report(h, CurvatureField(g, 2, -dual_th.theta))[0]
     assert cap_dual == pytest.approx(-dg, abs=1e-6)
 
 
@@ -271,8 +276,8 @@ def test_duality_rank_two_twisted_metric(rng):
     floor = griffiths_report(h, curvature(h), box, symmetry_tol=1e-3)[0]
     assert floor > 0.3
     dual = dual_metric(h)
-    cap_dual = griffiths_report(dual, curvature(dual), box, mode="upper",
-                                symmetry_tol=1e-3)[0]
+    cap_dual = -griffiths_report(dual, CurvatureField(g, 2, -curvature(dual).theta), box,
+                                 symmetry_tol=1e-3)[0]
     assert cap_dual < -0.3
     assert abs(floor + cap_dual) < 1e-3
 
