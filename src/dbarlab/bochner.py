@@ -20,8 +20,8 @@ coefficient of gamma, gives the connection term of D'gamma and the
 curvature blocks Theta_jk = -dbar_k theta_j.  The adjoint reuses D'gamma,
 since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports returns the
 pointwise and integrated reports of a single pass.  The curvature is always
-that of h, and the compact-support proxy of the "stein" mode
-(check_support) holds the seam-margin mass to SUPPORT_TOL.
+that of h.  The compact-support proxy check_support holds the seam-margin
+mass to SUPPORT_TOL.
 
 Memory: the pass keeps a full-grid field only until its last use, and
 orders its stages so that few live at once.  The del-dbar term of the left
@@ -159,7 +159,7 @@ def _pointwise_report(alpha: EForm, t: dict, margin: float) -> IdentityReport:
     return report
 
 
-def _integrated_report(alpha: EForm, t: dict, leak: float) -> IdentityReport:
+def _integrated_report(alpha: EForm, t: dict) -> IdentityReport:
     grid = alpha.grid
     I_curv = float(integrate(grid, t["curvature"].real))
     I_dbar_gamma = float(integrate(grid, t["dbar_gamma_sq"]))
@@ -174,7 +174,6 @@ def _integrated_report(alpha: EForm, t: dict, leak: float) -> IdentityReport:
         "dbar_gamma_integral": I_dbar_gamma,
         "adjoint_integral": I_tstar,
         "dbar_alpha_integral": I_dbar_alpha,
-        "seam_leakage": float(leak),
     }
     report.residual = float(abs(residual))
     report.relative_residual = float(abs(residual) / scale)
@@ -189,7 +188,7 @@ def bk_reports(alpha: EForm, h: MetricField, margin: float = 0.125) -> tuple:
     """
     _require_np_form(alpha)
     t = _bk_terms(alpha, h)
-    return _pointwise_report(alpha, t, margin), _integrated_report(alpha, t, 0.0)
+    return _pointwise_report(alpha, t, margin), _integrated_report(alpha, t)
 
 
 def bk_pointwise(alpha: EForm, h: MetricField, margin: float = 0.125) -> IdentityReport:
@@ -198,16 +197,10 @@ def bk_pointwise(alpha: EForm, h: MetricField, margin: float = 0.125) -> Identit
     return _pointwise_report(alpha, _bk_terms(alpha, h), margin)
 
 
-def bk_integrated(alpha: EForm, h: MetricField, mode: str = "periodic") -> IdentityReport:
-    """The four-integral balance; exact derivatives integrate to zero spectrally.
-
-    mode="stein" additionally enforces the compact-support proxy on the
-    default seam band (a 0.125 box fraction per side) and reports the
-    measured seam leakage.
-    """
+def bk_integrated(alpha: EForm, h: MetricField) -> IdentityReport:
+    """The four-integral balance; exact derivatives integrate to zero spectrally."""
     _require_np_form(alpha)
-    leak = check_support(alpha, h, 0.125) if mode == "stein" else 0.0
-    return _integrated_report(alpha, _bk_terms(alpha, h), leak)
+    return _integrated_report(alpha, _bk_terms(alpha, h))
 
 
 def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:

@@ -103,16 +103,17 @@ def _dz_multiplier(grid: GridSpec, j: int, conjugate: bool) -> np.ndarray:
     return 0.5 * (1j * kx + sign * ky)
 
 
-def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -> np.ndarray:
-    """Spectral d/dz_j (conjugate=False) or d/dzbar_j (True) of an array.
+def dz_array(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
+    """Spectral d/dz_j of an array.
 
     Leading axes must be the grid axes; any trailing axes are treated as
-    components and differentiated entrywise.
+    components and differentiated entrywise.  d/dzbar_j is
+    from_spectrum(grid, to_spectrum(grid, arr), j, True).
     """
     dims = 2 * grid.n
     if arr.shape[:dims] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
-    return from_spectrum(grid, to_spectrum(grid, arr), j, conjugate)
+    return from_spectrum(grid, to_spectrum(grid, arr), j)
 
 
 def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:

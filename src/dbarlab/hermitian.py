@@ -17,11 +17,12 @@ the (-1)^p crossing, del's are grow_table's on the dz index, and dbar^T
 reads dbar's rows backwards with -d_k.  ``_differentials`` applies any of them from one
 forward transform of each coefficient (dbar_and_del serves both from it,
 and ``hormander.dbar_transpose`` is one call of it).  The connection blocks
-theta_j come from one transform of each exponent (or of the matrix field),
-and the curvature row Theta_j. from one transform of theta_j, of each
-diagonal entry on its own for diagonal exponents.  curvature and
-chern_connection build every block; the Bochner-Kodaira pass calls
-connection_terms, where one set of theta_j feeds both D'gamma and
+theta_j come from one transform of each exponent phi_a = -log h_aa of a
+positive diagonal metric (MetricField.diagonal_exponents), or of the matrix
+field of any other, and the curvature row Theta_j. from one transform of
+theta_j, of each diagonal entry on its own for a positive diagonal metric.
+curvature and chern_connection build every block; the Bochner-Kodaira pass
+calls connection_terms, where one set of theta_j feeds both D'gamma and
 Theta ^ gamma.  D' and Theta wedge take their insertion signs and target
 slots from ``exterior.grow_table`` too.
 
@@ -86,38 +87,36 @@ class CurvatureField:
             raise FormError(f"curvature shape {self.theta.shape} does not match {expected}")
 
 
-def _connection_blocks(h: MetricField, directions) -> dict:
-    """{j: theta_j} for each j in directions, theta_j = h^{-1} d_j h of shape grid + (r, r).
+def _connection_blocks(h: MetricField, directions) -> tuple:
+    """({j: theta_j}, entries): theta_j = h^{-1} d_j h of shape grid + (r, r) for j in directions.
 
-    For metrics carrying diagonal exponents this is diag(-d_j phi_a), the same
-    quantity computed from the smooth exponent instead of the matrix entries.
-    Each exponent (or the matrix field) is transformed once for all j.
+    For a positive diagonal metric this is diag(-d_j phi_a), the same quantity
+    computed from the smooth exponents instead of the matrix entries, and
+    entries lists the diagonal entries, the only ones that can be nonzero;
+    for any other metric entries is the whole block.  The exponents are
+    derived once, and each (or the matrix field) is transformed once for all j.
     """
     grid = h.grid
-    if h.diag_log_weights is None:
+    phis = h.diagonal_exponents()
+    if phis is None:
         hinv = h.inverse_mat()
         spec = to_spectrum(grid, h.mat)
-        return {j: hinv @ from_spectrum(grid, spec, j) for j in directions}
+        return {j: hinv @ from_spectrum(grid, spec, j) for j in directions}, [np.s_[...]]
     blocks = {j: np.zeros(grid.shape + (h.rank, h.rank), dtype=np.complex128) for j in directions}
-    for a, phi in enumerate(h.diag_log_weights):
+    for a, phi in enumerate(phis):
         spec = to_spectrum(grid, phi)
         for j, block in blocks.items():
             np.negative(from_spectrum(grid, spec, j), out=block[..., a, a])
-    return blocks
+    return blocks, [np.s_[..., a, a] for a in range(h.rank)]
 
 
-def _curvature_spectra(h: MetricField, theta_j: np.ndarray) -> list:
+def _curvature_spectra(grid: GridSpec, theta_j: np.ndarray, entries: list) -> list:
     """(entry, spectrum) pairs from which every Theta_jk = -dbar_k(theta_j) is formed.
 
-    The entry is the whole block, or, for metrics carrying diagonal exponents,
-    each diagonal entry on its own (r transforms instead of r^2): theta_j is
-    then diagonal.
+    entries are _connection_blocks': the whole block, or each diagonal entry on
+    its own (r transforms instead of r^2) when theta_j is diagonal.
     """
-    if h.diag_log_weights is None:
-        entries = [np.s_[...]]
-    else:
-        entries = [np.s_[..., a, a] for a in range(h.rank)]
-    return [(entry, to_spectrum(h.grid, theta_j[entry])) for entry in entries]
+    return [(entry, to_spectrum(grid, theta_j[entry])) for entry in entries]
 
 
 def _curvature_block(grid: GridSpec, spectra: list, k: int, out: np.ndarray) -> None:
@@ -129,7 +128,7 @@ def _curvature_block(grid: GridSpec, spectra: list, k: int, out: np.ndarray) -> 
 def chern_connection(h: MetricField) -> np.ndarray:
     """Connection coefficients theta_j = h^{-1} d_j h, shape grid + (n, r, r)."""
     n = h.grid.n
-    blocks = _connection_blocks(h, range(n))
+    blocks, _ = _connection_blocks(h, range(n))
     return np.stack([blocks[j] for j in range(n)], axis=-3)
 
 
@@ -138,13 +137,14 @@ def curvature(h: MetricField) -> CurvatureField:
 
     The connection blocks theta_j come from one transform of each exponent
     (or of the matrix field); each theta_j is transformed once for all k, each
-    diagonal entry separately for metrics carrying diagonal exponents.  That
-    is 1 + 2n + n^2 transforms per exponent, or per matrix field.
+    diagonal entry separately for a positive diagonal metric.  That is
+    1 + 2n + n^2 transforms per exponent, or per matrix field.
     """
     n = h.grid.n
     out = np.zeros(h.grid.shape + (n, n, h.rank, h.rank), dtype=np.complex128)
-    for j, theta_j in _connection_blocks(h, range(n)).items():
-        spectra = _curvature_spectra(h, theta_j)
+    blocks, entries = _connection_blocks(h, range(n))
+    for j, theta_j in blocks.items():
+        spectra = _curvature_spectra(h.grid, theta_j, entries)
         for k in range(n):
             _curvature_block(h.grid, spectra, k, out[..., j, k, :, :])
     return CurvatureField(h.grid, h.rank, out)
@@ -268,7 +268,7 @@ def dprime(a: EForm, h: MetricField) -> EForm:
     """D' = del + theta wedge on (q,0)-forms, the (1,0)-part of the Chern connection."""
     _check_connection_operand(a, h)
     out = dpartial(a)
-    _add_connection(out, a, _connection_blocks(h, range(a.grid.n)), grow_table(a.grid.n, a.p))
+    _add_connection(out, a, _connection_blocks(h, range(a.grid.n))[0], grow_table(a.grid.n, a.p))
     return out
 
 
@@ -285,11 +285,11 @@ def connection_terms(a: EForm, h: MetricField, del_a: EForm) -> EForm:
     _check_connection_operand(a, h)
     live = [c.real.any() or c.imag.any() for c in np.moveaxis(a.coeffs[..., 0, :], -2, 0)]
     rows = [row for row in grow_table(a.grid.n, a.p) if live[row[0]]]
-    theta = _connection_blocks(h, sorted({j for _, j, _, _ in rows}))
+    theta, entries = _connection_blocks(h, sorted({j for _, j, _, _ in rows}))
     _add_connection(del_a, a, theta, rows)
     out = EForm.zeros(a.grid, a.rank, a.p + 1, 1)
     for j in list(theta):
-        spectra = _curvature_spectra(h, theta.pop(j))
+        spectra = _curvature_spectra(a.grid, theta.pop(j), entries)
         block = np.zeros(a.grid.shape + (a.rank, a.rank), dtype=np.complex128)
         for k in range(a.grid.n):
             _curvature_block(a.grid, spectra, k, block)

@@ -51,19 +51,12 @@ def vector_inner(h: MetricField, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MetricField:
-    """r x r hermitian matrix per grid point, with an optional singular mask.
-
-    Metrics of the diagonal exponential form diag(exp(-phi_a)) may carry their
-    exponents in ``diag_log_weights``; connection and curvature then
-    differentiate the smooth exponents instead of forming h^{-1} dh, which
-    avoids amplifying spectral truncation noise by the weight's dynamic range.
-    """
+    """r x r hermitian matrix per grid point, with an optional singular mask."""
 
     grid: GridSpec
     rank: int
     mat: np.ndarray
     mask: np.ndarray | None = None
-    diag_log_weights: tuple | None = None
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=np.complex128)
@@ -84,49 +77,57 @@ class MetricField:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.grid.shape:
                 raise FormError("mask shape does not match the grid")
-        if self.diag_log_weights is not None:
-            if len(self.diag_log_weights) != self.rank:
-                raise FormError("need one log-weight per diagonal entry")
-            self.diag_log_weights = tuple(
-                np.asarray(w, dtype=np.float64) for w in self.diag_log_weights
-            )
 
     @classmethod
     def identity(cls, grid: GridSpec, rank: int = 1) -> "MetricField":
         mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
         for a in range(rank):
             mat[..., a, a] = 1.0
-        zero = np.zeros(grid.shape)
-        return cls(grid, rank, mat, diag_log_weights=(zero,) * rank)
+        return cls(grid, rank, mat)
 
     @classmethod
-    def from_weight(
-        cls, grid: GridSpec, weight: np.ndarray, rank: int = 1, log_weight: np.ndarray | None = None
-    ) -> "MetricField":
-        """Diagonal metric weight * I; pass log_weight when weight = exp(-log_weight)."""
+    def from_weight(cls, grid: GridSpec, weight: np.ndarray, rank: int = 1) -> "MetricField":
+        """Diagonal metric weight * I."""
         w = np.asarray(weight, dtype=np.complex128)
         if w.shape != grid.shape:
             raise FormError("weight shape does not match the grid")
         mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
         for a in range(rank):
             mat[..., a, a] = w
-        payload = None if log_weight is None else (log_weight,) * rank
-        return cls(grid, rank, mat, diag_log_weights=payload)
+        return cls(grid, rank, mat)
 
     @classmethod
-    def from_diagonal(cls, grid: GridSpec, weights, log_weights=None) -> "MetricField":
-        """Diagonal metric from positive scalar fields, optionally with exponents."""
+    def from_diagonal(cls, grid: GridSpec, weights) -> "MetricField":
+        """Diagonal metric from positive scalar fields."""
         rank = len(weights)
         mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
         for a, w in enumerate(weights):
             mat[..., a, a] = np.asarray(w)
-        payload = None if log_weights is None else tuple(log_weights)
-        return cls(grid, rank, mat, diag_log_weights=payload)
+        return cls(grid, rank, mat)
 
     def unmasked(self) -> np.ndarray:
         if self.mask is None:
             return np.ones(self.grid.shape, dtype=bool)
         return ~self.mask
+
+    def _diagonal(self) -> np.ndarray | None:
+        """The diagonal entries, grid + (r,), when every off-diagonal entry is 0; else None."""
+        diag = np.diagonal(self.mat, axis1=-2, axis2=-1)
+        if self.rank == 1 or np.count_nonzero(self.mat) == np.count_nonzero(diag):
+            return diag
+        return None
+
+    def diagonal_exponents(self) -> list | None:
+        """[phi_a] with h = diag(exp(-phi_a)) when h is diagonal with positive entries, else None.
+
+        Connection and curvature differentiate these smooth exponents instead of
+        forming h^{-1} dh, which avoids amplifying spectral truncation noise by the
+        weight's dynamic range; any other metric takes the h^{-1} dh route.
+        """
+        diag = self._diagonal()
+        if diag is None or not (diag.real > 0).all():
+            return None
+        return [-np.log(diag[..., a].real) for a in range(self.rank)]
 
     def inverse_mat(self) -> np.ndarray:
         """Pointwise inverse; raises on an exactly singular unmasked point.
@@ -134,8 +135,8 @@ class MetricField:
         A diagonal stack is inverted entrywise, which equals LAPACK's answer; any
         other stack, or a reciprocal that is not finite, goes to np.linalg.inv.
         """
-        diag = np.diagonal(self.mat, axis1=-2, axis2=-1)
-        if self.rank == 1 or np.count_nonzero(self.mat) == np.count_nonzero(diag):
+        diag = self._diagonal()
+        if diag is not None:
             inv = np.zeros_like(self.mat)
             with np.errstate(all="ignore"):
                 recip = np.divide(1.0, diag, out=np.einsum("...aa->...a", inv))
@@ -149,8 +150,4 @@ class MetricField:
 
 def dual_metric(h: MetricField) -> MetricField:
     """Metric induced on the dual bundle: entrywise transpose of the inverse."""
-    inv = h.inverse_mat()
-    payload = None
-    if h.diag_log_weights is not None:
-        payload = tuple(-w for w in h.diag_log_weights)
-    return MetricField(h.grid, h.rank, np.swapaxes(inv, -1, -2), h.mask, payload)
+    return MetricField(h.grid, h.rank, np.swapaxes(h.inverse_mat(), -1, -2), h.mask)

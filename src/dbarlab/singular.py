@@ -177,7 +177,7 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     phi = apodized_quadratic_weight(grid, c, r0, s)
 
     if name == "gaussian":
-        h = MetricField.from_weight(grid, np.exp(-phi), int(p["rank"]), log_weight=phi)
+        h = MetricField.from_weight(grid, np.exp(-phi), int(p["rank"]))
         return CatalogMetric(name, h, (), c, r0, s)
 
     if name == "log_pole":
@@ -186,7 +186,7 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
             raise ValidationError(f"log-pole exponent must lie in [0,1), got {a}")
         z0 = complex(grid.center + p["offset"].real, grid.center + p["offset"].imag)
         if a == 0.0:
-            h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
+            h = MetricField.from_weight(grid, np.exp(-phi), 1)
             return CatalogMetric(name, h, (), c, r0, s)
         lam = periodic_log_pole(grid, z0)
         w = np.exp(2.0 * a * lam - phi)
@@ -233,7 +233,7 @@ def _mask_nearest(h: MetricField, poles: tuple) -> MetricField:
         ix = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.real))))
         iy = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.imag))))
         mask[ix, iy] = True
-    return MetricField(h.grid, h.rank, h.mat, mask, h.diag_log_weights)
+    return MetricField(h.grid, h.rank, h.mat, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +370,14 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
     for eps in radii:
         mollified.append(mollify(g, eps))
         h_nu = dual_metric(mollified[-1])
-        if h.rank == 1:
-            # rank one: curvature through the exponent -log h_nu, which tames
-            # the mollified spike's dynamic range in the spectral derivatives
-            w = h_nu.mat[..., 0, 0].real
-            h_nu = MetricField.from_weight(grid, w, 1, log_weight=-np.log(w))
         metrics.append(h_nu)
         reg_nu = _box_off_poles(grid, interior_halfwidth, cat.poles, eps + 3.0 * grid.spacing)
-        # mollified spikes carry ~1e-4 discretization asymmetry; immaterial at
-        # the 0.1-level floor tolerance of this pipeline
+        # a diagonal family's curvature comes from its exponents and is block
+        # symmetric to roundoff; a non-diagonal one takes h^{-1} dh, whose
+        # mollified matrix_psh_dual curvature misses the default 1e-6 check
+        # (4.2e-7 against a 0.41 scale at N = 64), immaterial at the 0.1-level
+        # floor tolerance of this pipeline; the default can stand once the
+        # matrix route is block symmetric to roundoff
         delta_nu = nakano_report(h_nu, curvature(h_nu), reg_nu, symmetry_tol=1e-2)[0]
         deltas.append(float(delta_nu))
         # the pipeline's inequalities live at the few-percent level; a 1e-9

@@ -1,7 +1,7 @@
 """Per-direction spectral operators, the reference for the transform-once paths.
 
-Each derivative here goes through ``dz_array``, which transforms its input
-forward and back for every single direction: the connection and curvature
+Each derivative here goes through ``dz_array`` (or ``dzbar_array``), which
+transforms its input forward and back for every single direction: the connection and curvature
 differentiate twice in sequence, dbar, del and the dbar transpose transform
 a coefficient again for each k, and the band-limited field is an inverse FFT of the full,
 mostly empty spectrum.  Agreement with ``dbarlab.hermitian`` and
@@ -14,20 +14,34 @@ from __future__ import annotations
 import numpy as np
 
 from dbarlab.exterior import EForm, index_slot, merge_sign
-from dbarlab.grid import dz_array
+from dbarlab.grid import dz_array, from_spectrum, to_spectrum
+
+
+def dzbar_array(grid, arr, k):
+    """Spectral d/dzbar_k of an array, transformed forward and back on its own."""
+    return from_spectrum(grid, to_spectrum(grid, arr), k, True)
 
 
 def chern_connection(h):
+    """theta_j, shape grid + (n, r, r); the exponents are the library's own."""
     n = h.grid.n
     out = np.zeros(h.grid.shape + (n, h.rank, h.rank), dtype=np.complex128)
-    if h.diag_log_weights is not None:
+    phis = h.diagonal_exponents()
+    if phis is not None:
         for j in range(n):
-            for a, phi in enumerate(h.diag_log_weights):
+            for a, phi in enumerate(phis):
                 out[..., j, a, a] = -dz_array(h.grid, phi, j)
         return out
+    return chern_connection_matrix(h)
+
+
+def chern_connection_matrix(h):
+    """theta_j = h^{-1} d_j h from the matrix field, whatever the metric."""
+    n = h.grid.n
+    out = np.zeros(h.grid.shape + (n, h.rank, h.rank), dtype=np.complex128)
     hinv = h.inverse_mat()
     for j in range(n):
-        out[..., j, :, :] = hinv @ dz_array(h.grid, h.mat, j, conjugate=False)
+        out[..., j, :, :] = hinv @ dz_array(h.grid, h.mat, j)
     return out
 
 
@@ -35,17 +49,25 @@ def curvature(h):
     """Theta coefficients, shape grid + (n, n, r, r)."""
     n = h.grid.n
     out = np.zeros(h.grid.shape + (n, n, h.rank, h.rank), dtype=np.complex128)
-    if h.diag_log_weights is not None:
-        for a, phi in enumerate(h.diag_log_weights):
+    phis = h.diagonal_exponents()
+    if phis is not None:
+        for a, phi in enumerate(phis):
             for j in range(n):
                 dphi = dz_array(h.grid, phi, j)
                 for k in range(n):
-                    out[..., j, k, a, a] = dz_array(h.grid, dphi, k, conjugate=True)
+                    out[..., j, k, a, a] = dzbar_array(h.grid, dphi, k)
         return out
-    theta_conn = chern_connection(h)
+    return curvature_matrix(h)
+
+
+def curvature_matrix(h):
+    """Theta_jk = -dbar_k(h^{-1} d_j h) from the matrix field, whatever the metric."""
+    n = h.grid.n
+    out = np.zeros(h.grid.shape + (n, n, h.rank, h.rank), dtype=np.complex128)
+    theta_conn = chern_connection_matrix(h)
     for j in range(n):
         for k in range(n):
-            out[..., j, k, :, :] = -dz_array(h.grid, theta_conn[..., j, :, :], k, conjugate=True)
+            out[..., j, k, :, :] = -dzbar_array(h.grid, theta_conn[..., j, :, :], k)
     return out
 
 
@@ -62,9 +84,7 @@ def dbar(a):
                     continue
                 s = sign_p * merge_sign((k,), J)[0]
                 target = tuple(sorted(J + (k,)))
-                out.coeffs[..., Ipos, pos_J[target], :] += s * dz_array(
-                    a.grid, c, k, conjugate=True
-                )
+                out.coeffs[..., Ipos, pos_J[target], :] += s * dzbar_array(a.grid, c, k)
     return out
 
 
@@ -80,9 +100,7 @@ def dpartial(a):
                     continue
                 s = merge_sign((k,), I)[0]
                 target = tuple(sorted(I + (k,)))
-                out.coeffs[..., pos_I[target], Jpos, :] += s * dz_array(
-                    a.grid, c, k, conjugate=False
-                )
+                out.coeffs[..., pos_I[target], Jpos, :] += s * dz_array(a.grid, c, k)
     return out
 
 
@@ -98,7 +116,7 @@ def dbar_transpose(v):
                 Jm = tuple(i for i in J if i != k)
                 s = sign_p * merge_sign((k,), Jm)[0]
                 out.coeffs[..., Ipos, pos_J[Jm], :] += s * (
-                    -dz_array(v.grid, c, k, conjugate=False)
+                    -dz_array(v.grid, c, k)
                 )
     return out
 

@@ -150,7 +150,7 @@ def test_criterion_3_differential_identity_suite():
                 grid, (grid.center + 0.3, grid.center - 0.2), 0.42
             )
             rp = bk_pointwise(alpha, h)
-            ri = bk_integrated(alpha, h, mode="periodic")
+            ri = bk_integrated(alpha, h)
             worst_pointwise = max(worst_pointwise, rp.relative_residual)
             if N == 64:
                 worst_at_64["pointwise"] = max(worst_at_64["pointwise"], rp.relative_residual)
@@ -175,7 +175,7 @@ def test_criterion_4_adjoint_exactness():
     grid = GridSpec(1, 16, 8.0)
     rng = np.random.default_rng(44)
     phi = 0.5 * random_band_limited(grid, rng, 0.15).real
-    h = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
+    h = MetricField.from_weight(grid, np.exp(-phi), 1)
     worst = 0.0
     for _ in range(1000):
         u = raw_form(grid, 1, 1, 0, rng)
@@ -284,7 +284,7 @@ def test_criterion_7_positivity_extraction():
     for _ in range(5):
         grid = GridSpec(1, 16, 8.0)
         phi = 0.4 * random_band_limited(grid, rng, 0.1).real
-        h1 = MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
+        h1 = MetricField.from_weight(grid, np.exp(-phi), 1)
         th = curvature(h1)
         equality_ok &= griffiths_report(h1, th)[0] == nakano_report(h1, th)[0]
 

@@ -386,6 +386,37 @@ def test_cli_solve_rank_two_matches_rank_one(tmp_path):
         assert abs(bound_rows[2][check] - value) <= 1e-12 * abs(value)
 
 
+@pytest.mark.parametrize("op, catalog, code", [
+    ("positivity", "log_pole", 0),
+    ("positivity", "log_pole_pair", 0),
+    ("solve", "log_pole", 0),
+    # the pair's second pole stays at its fixed offset2, inside the certified
+    # region: the c = 1 floor there is -19.6, so that entry claims no bound
+    # and its three bound rows fail; the sweep's c = 2 and c = 4 entries pass
+    ("solve", "log_pole_pair", 2),
+])
+def test_cli_log_pole_metrics_pass_the_default_symmetry_check(tmp_path, capsys, op, catalog,
+                                                              code):
+    # the catalog builds its log-pole metrics as plain positive diagonal
+    # matrices; only a curvature from their derived exponents passes the
+    # default 1e-6 block-symmetry check (h^{-1} dh misses it by 1e3 or more)
+    text = (ROOT / "configs" / f"{op}.cfg").read_text(encoding="utf-8")
+    text = text.replace("catalog = gaussian",
+                        f"catalog = {catalog}\noffset_re = 1.5\noffset_im = 1.5")
+    cfg = write_config(tmp_path, text.replace("count = 20", "count = 3"))
+    out = tmp_path / "o"
+    assert main([op, "--config", str(cfg), "--out", str(out)]) == code
+    assert "symmetry" not in capsys.readouterr().err
+    with open(out / f"{op}.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["check"]: row for row in csv.DictReader(fh)}
+    failed = {check for check, row in rows.items() if row["passed"] != "1"}
+    if code == 0:
+        assert not failed
+    else:
+        assert failed == {f"hormander-bound-c1-{idx:02d}" for idx in range(3)}
+        assert float(rows["certified-floor-c1"]["value"]) < 0
+
+
 def test_cli_solve_seam_leakage_uses_seam_margin(tmp_path):
     # seam_leakage used to be measured on the solver's default band of 0.125
     # whatever the config said; the certified floors do not move with it here

@@ -31,12 +31,8 @@ ALLOWED = {
 }
 
 KNOBS = {
-    "bochner.bk_integrated.mode": "the tests' route to the stein compact-support proxy",
-    "grid.dz_array.conjugate": "the tests' route to d/dzbar through the traced layer",
     "hormander.solve_min_norm.maxiter_factor": "the tests' route to the iteration-cap error",
     "hormander.solve_min_norm.range_tol": "the tests' route to the range-defect error",
-    "metric.MetricField.from_diagonal.log_weights":
-        "the tests' route to a diagonal metric with non-equal exponents",
     "cli.main.argv": "the entry point reads sys.argv; the tests pass their own",
 }
 

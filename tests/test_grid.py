@@ -38,7 +38,7 @@ def test_plane_wave_eigenfunction():
     df = dz_array(g, f, 0)
     expected = (1j * np.pi / g.L) * f
     assert np.abs(df - expected).max() < 1e-13
-    dfbar = dz_array(g, f, 0, conjugate=True)
+    dfbar = from_spectrum(g, to_spectrum(g, f), 0, True)
     assert np.abs(dfbar - expected).max() < 1e-13  # x-wave: both halves equal
 
 
@@ -47,7 +47,7 @@ def test_y_wave_conjugate_split():
     y = coordinate(g, 1)
     f = np.exp(2j * np.pi * y / g.L)
     assert np.abs(dz_array(g, f, 0) - (np.pi / g.L) * f).max() < 1e-13
-    assert np.abs(dz_array(g, f, 0, True) + (np.pi / g.L) * f).max() < 1e-13
+    assert np.abs(from_spectrum(g, to_spectrum(g, f), 0, True) + (np.pi / g.L) * f).max() < 1e-13
 
 
 def test_constant_derivative_vanishes():
@@ -55,7 +55,7 @@ def test_constant_derivative_vanishes():
     f = np.full(g.shape, 3.7 - 0.2j)
     for j in range(2):
         for conj in (False, True):
-            assert np.abs(dz_array(g, f, j, conj)).max() == 0.0
+            assert np.abs(from_spectrum(g, to_spectrum(g, f), j, conj)).max() == 0.0
 
 
 def test_axis_range_checked():
@@ -97,7 +97,7 @@ def test_discrete_stokes():
     scale = abs(integrate(g, np.abs(f))) + 1e-300
     for j in range(2):
         for conj in (False, True):
-            assert abs(integrate(g, dz_array(g, f, j, conj))) / scale < 1e-12
+            assert abs(integrate(g, from_spectrum(g, to_spectrum(g, f), j, conj))) / scale < 1e-12
 
 
 def test_partial_linear_and_commuting():
@@ -108,8 +108,8 @@ def test_partial_linear_and_commuting():
     lin = dz_array(g, 2.0 * f + 1j * h, 0)
     ref = 2.0 * dz_array(g, f, 0) + 1j * dz_array(g, h, 0)
     assert np.abs(lin - ref).max() < 1e-10 * np.abs(ref).max()
-    ab = dz_array(g, dz_array(g, f, 0), 1, True)
-    ba = dz_array(g, dz_array(g, f, 1, True), 0)
+    ab = from_spectrum(g, to_spectrum(g, dz_array(g, f, 0)), 1, True)
+    ba = dz_array(g, from_spectrum(g, to_spectrum(g, f), 1, True), 0)
     assert np.abs(ab - ba).max() < 1e-10 * max(np.abs(ab).max(), 1e-300)
 
 

@@ -35,7 +35,7 @@ def rng():
 
 def random_weight_metric(grid, rng, amp=0.5):
     phi = amp * random_band_limited(grid, rng, 0.15).real
-    return MetricField.from_weight(grid, np.exp(-phi), 1, log_weight=phi)
+    return MetricField.from_weight(grid, np.exp(-phi), 1)
 
 
 def test_adjoint_exactness_random_pairs(rng):

@@ -94,7 +94,7 @@ def test_gaussian_interior_floor_is_weight_strength():
 def test_dimension_one_exact_equality(rng):
     g = GridSpec(1, 16, 8.0)
     w = np.exp(0.3 * random_band_limited(g, rng, 0.1).real)
-    h = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
+    h = MetricField.from_weight(g, w, 1)
     th = curvature(h)
     assert griffiths_report(h, th)[0] == nakano_report(h, th)[0]
 
@@ -104,7 +104,7 @@ def test_rank_one_griffiths_equals_nakano_in_dimension_two(rng):
     # coincide exactly and no direction net runs
     g = GridSpec(2, 8, 8.0)
     phi = 0.4 * random_band_limited(g, rng, 0.2).real
-    h = MetricField.from_weight(g, np.exp(-phi), 1, log_weight=phi)
+    h = MetricField.from_weight(g, np.exp(-phi), 1)
     th = curvature(h)
     dg, point, xi, net_err = griffiths_report(h, th)
     assert dg == nakano_report(h, th)[0]
@@ -222,8 +222,8 @@ def test_scaling_covariance(rng):
     # h -> c h leaves curvature and both floors unchanged
     g = GridSpec(1, 32, 8.0)
     w = np.exp(0.3 * random_band_limited(g, rng, 0.1).real)
-    h1 = MetricField.from_weight(g, w, 1, log_weight=-np.log(w))
-    h2 = MetricField.from_weight(g, 7.0 * w, 1, log_weight=-np.log(7.0 * w))
+    h1 = MetricField.from_weight(g, w, 1)
+    h2 = MetricField.from_weight(g, 7.0 * w, 1)
     t1, t2 = curvature(h1), curvature(h2)
     assert np.abs(t1.theta - t2.theta).max() < 1e-10 * np.abs(t1.theta).max()
     assert abs(nakano_report(h1, t1)[0] - nakano_report(h2, t2)[0]) < 1e-10

@@ -83,11 +83,11 @@ def test_closed_form_plateau_radius_matches_bisection():
 
 
 def test_weight_fields_are_real_contiguous_arrays():
-    # the catalog metric keeps its log weight as its own float64 array, not a
-    # strided real view into a complex128 field
+    # the exponents derived from a catalog metric are each their own float64
+    # array, not a strided real view into a complex128 field
     g = GridSpec(2, 8, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, rank=2, r0=1.0, s=0.3).metric
-    for w in h.diag_log_weights:
+    for w in h.diagonal_exponents():
         assert w.dtype == np.float64 and w.flags.c_contiguous
         base = w
         while base is not None:
