@@ -19,6 +19,7 @@ from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # loaded with the package, not on a run's first draw
 
 from .bochner import bk_pointwise, bk_reports, xi_omega_identity
 from .errors import DbarLabError, ValidationError

@@ -9,10 +9,14 @@ skew-adjoint on the lattice, which is what makes the discrete
 integration-by-parts identities hold to roundoff.
 
 This module owns the package's FFTs: ``to_spectrum`` and ``to_lattice`` are
-the forward and inverse transforms over the grid axes, on scipy.fft with its
-default single worker.  ``from_spectrum`` runs the inverse in place on its own
-multiplied spectrum; ``to_lattice`` copies, as its callers' spectra stay in
-use.  Every other spectral step goes through these.
+the forward and inverse transforms over the grid axes, on numpy.fft, one grid
+axis at a time in axis order and in place after the first.  A real input
+takes the real path: a real transform of the last grid axis, complex ones of
+the others over the half spectrum, and the hermitian fill of the rest.  This
+is the arithmetic of scipy.fft.fftn/ifftn, and the results are bitwise equal
+to it.  ``from_spectrum`` inverts its own multiplied spectrum in place;
+``to_lattice`` allocates, as its callers' spectra stay in use.  Every other
+spectral step goes through these.
 
 A scalar field on the lattice is a plain array of ``grid.shape``, float64 or
 complex128 as its producer computes it; ``integrate`` is the package's one
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
+import numpy.fft  # loaded with the package, not on a run's first transform
 
 from .errors import FormError, ValidationError
 
@@ -116,14 +120,73 @@ def dz_array(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
     return from_spectrum(grid, to_spectrum(grid, arr), j)
 
 
+def _conj_mirror(dst: np.ndarray, src: np.ndarray, axes: tuple) -> None:
+    """dst = conj(src) reflected k -> -k mod N on each of axes, by basic slices.
+
+    Per axis, index 0 maps to itself and 1..N-1 to N-1..1; the blocks are
+    kept as size-1 or strided slices, so axis numbers never shift.
+    """
+    if not axes:
+        np.conjugate(src, out=dst)
+        return
+    lead = (slice(None),) * axes[0]
+    _conj_mirror(dst[lead + (slice(0, 1),)], src[lead + (slice(0, 1),)], axes[1:])
+    _conj_mirror(dst[lead + (slice(1, None),)], src[lead + (slice(None, 0, -1),)], axes[1:])
+
+
+def _hermitian_plane(plane: np.ndarray, axes: tuple) -> None:
+    """Hermitian fill of a plane of the half spectrum that is its own mirror image.
+
+    A position later in C order than its mirror over axes takes the mirror's
+    conjugate, and a self-mirrored position is conjugated.
+    """
+    if not axes:
+        np.conjugate(plane, out=plane)
+        return
+    lead = (slice(None),) * axes[0]
+    half = plane.shape[axes[0]] // 2
+    _conj_mirror(plane[lead + (slice(half + 1, None),)],
+                 plane[lead + (slice(half - 1, 0, -1),)], axes[1:])
+    for k in (0, half):
+        _hermitian_plane(plane[lead + (slice(k, k + 1),)], axes[1:])
+
+
+def _transform(arr: np.ndarray, dims: int, forward: bool) -> np.ndarray:
+    """FFT (or inverse FFT) over the leading dims axes, into a new C-ordered array."""
+    fft = np.fft.fft if forward else np.fft.ifft
+    if np.iscomplexobj(arr):
+        out = fft(arr, axis=0)
+        for k in range(1, dims):
+            fft(out, axis=k, out=out)
+        return out
+    # real input: the real transform of the last grid axis fills the half
+    # spectrum k <= N/2 there, and the hermitian fill gives the rest
+    last = dims - 1
+    lead = (slice(None),) * last
+    half = arr.shape[last] // 2
+    out = np.empty(arr.shape, dtype=np.complex128)
+    low = out[lead + (slice(0, half + 1),)]
+    np.fft.rfft(arr, axis=last, norm="backward" if forward else "forward", out=low)
+    if not forward:
+        inner = out[lead + (slice(1, half),)]
+        np.conjugate(inner, out=inner)
+    for k in range(last):
+        fft(low, axis=k, out=low)
+    axes = tuple(range(last))
+    _conj_mirror(out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)], axes)
+    for k in (0, half):
+        _hermitian_plane(out[lead + (slice(k, k + 1),)], axes)
+    return out
+
+
 def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
     """Forward FFT over the grid axes; trailing component axes ride along."""
-    return scipy.fft.fftn(arr, axes=tuple(range(2 * grid.n)))
+    return _transform(arr, 2 * grid.n, True)
 
 
 def to_lattice(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     """Inverse FFT over the grid axes; trailing component axes ride along."""
-    return scipy.fft.ifftn(spec, axes=tuple(range(2 * grid.n)))
+    return _transform(spec, 2 * grid.n, False)
 
 
 def from_spectrum(
@@ -141,7 +204,10 @@ def from_spectrum(
     dims = 2 * grid.n
     mult = _dz_multiplier(grid, j, conjugate)
     mult = mult.reshape(mult.shape + (1,) * (spec.ndim - dims))
-    return scipy.fft.ifftn(mult * spec, axes=tuple(range(dims)), overwrite_x=True)
+    out = mult * spec
+    for k in range(dims):
+        np.fft.ifft(out, axis=k, out=out)
+    return out
 
 
 def integrate(grid: GridSpec, values: np.ndarray):
@@ -149,11 +215,11 @@ def integrate(grid: GridSpec, values: np.ndarray):
     return values.sum() * grid.cell_volume
 
 
-def convolve(grid: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Periodic convolution with a real, nonnegative, unit-mass kernel, computed spectrally.
+def kernel_spectrum(grid: GridSpec, kernel: np.ndarray) -> np.ndarray:
+    """Spectrum of a real, nonnegative, unit-mass kernel of the grid's shape, for convolve.
 
-    The kernel has the grid's shape; trailing component axes of f ride along,
-    each component convolved with it.  A real field convolves to a real field.
+    The kernel is checked here, once, so a caller that convolves with one
+    kernel many times keeps its spectrum.
     """
     if np.iscomplexobj(kernel):
         raise ValidationError("convolution kernel must be real")
@@ -162,8 +228,19 @@ def convolve(grid: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     mass = float(integrate(grid, kernel))
     if abs(mass - 1.0) > 1e-10:
         raise ValidationError(f"convolution kernel mass is {mass!r}, expected 1")
-    spec_k = to_spectrum(grid, kernel)
-    spec_k = spec_k.reshape(spec_k.shape + (1,) * (f.ndim - spec_k.ndim))
+    return to_spectrum(grid, kernel)
+
+
+def convolve(grid: GridSpec, f: np.ndarray, kernel_spec: np.ndarray) -> np.ndarray:
+    """Periodic convolution with the kernel whose spectrum is kernel_spec, computed spectrally.
+
+    kernel_spec is kernel_spectrum's output; trailing component axes of f ride
+    along, each component convolved with the kernel.  A real field convolves
+    to a real field.
+    """
+    if not np.iscomplexobj(kernel_spec):
+        raise ValidationError("convolve takes kernel_spectrum's output, not the kernel")
+    spec_k = kernel_spec.reshape(kernel_spec.shape + (1,) * (f.ndim - kernel_spec.ndim))
     out = to_lattice(grid, to_spectrum(grid, f) * spec_k) * grid.cell_volume
     return out if np.iscomplexobj(f) else out.real
 

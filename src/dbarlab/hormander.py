@@ -27,7 +27,7 @@ nonzero scalar off the four modes where it vanishes (zero and Nyquist), so
 the preconditioned operator is the identity up to a term of rank at most
 four per bundle component; at n = 2 it is a close approximation.  The stopping
 norm needs r on the lattice: five transforms per iteration, all through
-grid's scipy.fft transform pair.  The stopping norm is taken in place, as one
+grid's numpy.fft transform pair.  The stopping norm is taken in place, as one
 h-weighted sum over the inverse transform of r.  The per-mode products, and
 h and h^{-1} (formed entrywise when h is diagonal) through
 ``metric.matrix_apply``, are broadcast multiply-adds over the small

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .exterior import EForm
-from .grid import GridSpec, box_mask, convolve, to_lattice, to_spectrum
+from .grid import GridSpec, box_mask, convolve, kernel_spectrum, to_lattice, to_spectrum
 from .hermitian import curvature
 from .hormander import norm2, solve_min_norm
 from .metric import MetricField, dual_metric
@@ -90,6 +90,14 @@ def mollifier_kernel(grid: GridSpec, eps: float) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=64)
+def _mollifier_spectrum(grid: GridSpec, eps: float) -> np.ndarray:
+    """The checked spectrum of mollifier_kernel(grid, eps), built once; read-only."""
+    spec = kernel_spectrum(grid, mollifier_kernel(grid, eps))
+    spec.flags.writeable = False
+    return spec
+
+
 def mollify(h: MetricField, eps: float) -> MetricField:
     """Entrywise periodic convolution with the radius-eps kernel.
 
@@ -97,7 +105,7 @@ def mollify(h: MetricField, eps: float) -> MetricField:
     nonnegative weights stays in the psd cone), up to the transforms'
     roundoff, which MetricField symmetrizes away; the result is unmasked.
     """
-    return MetricField(h.grid, h.rank, convolve(h.grid, h.mat, mollifier_kernel(h.grid, eps)))
+    return MetricField(h.grid, h.rank, convolve(h.grid, h.mat, _mollifier_spectrum(h.grid, eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,17 +18,26 @@ exactly exp(-c|z - z_c|^2); all curvature claims are made on that region.
 The saturation keeps the weight's dynamic range bounded, with the exponent
 budget split evenly across the 2n real axes.
 
-The tail is a 128-panel Gauss-Legendre integral on a rule built once.  With
-t = r0 + u its saturation value is exactly r0^2 + 2 A r0 + B, A and B fixed
-integrals of the ramp (_saturation_law), so the default r0 is a closed-form root.
+The tail is the integral of m' in closed form, with math.erfc and math.exp.
+With x = (t - tm)/s, m(t) = r0^2 + F(x(t)) - F(x(r0)) for
+
+    F(x) = s tm (x erfc x - e^(-x^2)/sqrt(pi))
+           + s^2 ((2x^2 - 1)/4 erfc x - x e^(-x^2)/(2 sqrt(pi))),
+
+evaluated in the rearrangement _saturated_square gives, which subtracts no
+terms much larger than m (the difference as written loses up to 1e-14 of m
+when r0 is small against s).  With t = r0 + u the saturation value is
+exactly r0^2 + 2 A r0 + B, A and B fixed integrals of the ramp
+(_saturation_law, from the same antiderivatives), so the default r0 is a
+closed-form root.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import ValidationError
 from .grid import GridSpec
@@ -55,7 +64,7 @@ def smooth_step(t: np.ndarray) -> np.ndarray:
 
 def _ramp_down(t: np.ndarray, tm: float, s: float) -> np.ndarray:
     """erfc ramp from 1 to 0 centered at tm with smoothing scale s."""
-    return 0.5 * erfc((np.asarray(t, dtype=np.float64) - tm) / s)
+    return np.array([0.5 * math.erfc((x - tm) / s) for x in np.asarray(t, dtype=np.float64)])
 
 
 def _reach(r0: float, s: float) -> tuple:
@@ -64,37 +73,41 @@ def _reach(r0: float, s: float) -> tuple:
     return tm, tm + RAMP_REACH * s
 
 
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple:
-    """The 10-point Gauss-Legendre nodes and weights on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(10)
+def _erfc_antiderivatives(x: float) -> tuple:
+    """(G0, G1) at x: antiderivatives of erfc(x) and of x erfc(x)."""
+    erfc = math.erfc(x)
+    gauss = math.exp(-x * x) / math.sqrt(math.pi)
+    return x * erfc - gauss, (2.0 * x * x - 1.0) / 4.0 * erfc - 0.5 * x * gauss
 
 
-def _panels(lo: float, hi: float) -> tuple:
-    """(x, w): nodes and weights of the 128-panel Gauss-Legendre rule on [lo, hi]."""
-    nodes, gl_weights = _gauss_legendre()
-    edges = np.linspace(lo, hi, 129)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * nodes[None, :], half[:, None] * gl_weights[None, :]
+def _ramp_moment(x: float, tm: float, s: float) -> float:
+    """F(x) = s tm G0(x) + s^2 G1(x), an antiderivative of m'(t) = 2 t ramp(t) in x = (t - tm)/s."""
+    g0, g1 = _erfc_antiderivatives(x)
+    return s * tm * g0 + s * s * g1
 
 
-def _profile_value(r0: float, upper: float, s: float) -> float:
-    """r0^2 plus the 128-panel Gauss-Legendre integral of m'(t) = 2 t ramp(t) on [r0, upper]."""
-    tm, _ = _reach(r0, s)
-    x, w = _panels(r0, upper)
-    return r0 * r0 + float(np.sum(w * (2.0 * x * _ramp_down(x, tm, s))))
+def _saturated_square(t: float, tm: float, s: float) -> float:
+    """m(t) = r0^2 + integral of 2 u ramp(u) on [r0, t], for r0 = tm - CORE_REACH s <= t.
+
+    Up to the ramp's center it is t^2 less the integral of 2 u (1 - ramp(u)),
+    which is F with tm -> -tm on the reflected range; beyond, m(tm) plus the
+    integral the ramp keeps.  Neither form subtracts terms much larger than m.
+    """
+    x = (t - tm) / s
+    if x > 0.0:
+        return _saturated_square(tm, tm, s) + (_ramp_moment(x, tm, s) - _ramp_moment(0.0, tm, s))
+    return t * t - (_ramp_moment(-x, -tm, s) - _ramp_moment(CORE_REACH, -tm, s))
 
 
 @lru_cache(maxsize=64)
 def saturating_square_profile(N: int, L: float, r0: float, s: float) -> tuple:
     """Sampled profile m(|t|) at the N centered axis offsets; m = t^2 on [0, r0].
 
-    Beyond r0 the profile continues as the Gauss-Legendre integral of
+    Beyond r0 the profile continues as the closed-form integral of
     m'(t) = 2 t * ramp(t), saturating by r0 + (CORE_REACH + RAMP_REACH) * s.
     Returned as tuples to stay hashable.
     """
-    _, r1 = _reach(r0, s)
+    tm, r1 = _reach(r0, s)
     if not (0 < r0 and 0 < s and r1 <= 0.5 * L):
         raise ValidationError(
             f"profile needs r0 > 0, s > 0 and to saturate inside the box: "
@@ -105,8 +118,7 @@ def saturating_square_profile(N: int, L: float, r0: float, s: float) -> tuple:
     vals = np.empty_like(a)
     core = a <= r0
     vals[core] = a[core] ** 2
-    tails = {tp: _profile_value(r0, min(tp, r1), s) for tp in np.unique(a[~core])}
-    vals[~core] = [tails[tp] for tp in a[~core]]
+    vals[~core] = [_saturated_square(min(tp, r1), tm, s) for tp in a[~core]]
     return tuple(t_axis), tuple(vals)
 
 
@@ -121,10 +133,16 @@ def _axis_profile(grid: GridSpec, r0: float, s: float, center: float) -> np.ndar
 
 
 def _saturation_law(s: float) -> tuple:
-    """(A, B), the integrals of ramp(u) and 2 u ramp(u) on [0, r1 - r0], the same for all r0."""
-    u, w = _panels(0.0, (CORE_REACH + RAMP_REACH) * s)
-    mass = w * _ramp_down(u, CORE_REACH * s, s)
-    return float(np.sum(mass)), float(np.sum(2.0 * u * mass))
+    """(A, B), the integrals of ramp(u) and 2 u ramp(u) on [0, r1 - r0], the same for all r0.
+
+    B is the saturation value at r0 = 0; A is tm less the ramp's deficit below
+    its center plus its mass above, in x = (u - tm)/s with tm = CORE_REACH s.
+    """
+    g0_core, _ = _erfc_antiderivatives(CORE_REACH)
+    g0_ramp, _ = _erfc_antiderivatives(RAMP_REACH)
+    tm = CORE_REACH * s
+    A = s * (CORE_REACH + 0.5 * (g0_ramp - g0_core))
+    return A, _saturated_square(tm + RAMP_REACH * s, tm, s)
 
 
 def default_smoothing_scale(grid: GridSpec, c: float) -> float:

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -548,3 +551,27 @@ def test_config_that_is_not_utf8_names_the_path(tmp_path, capsys):
     assert main(["identities", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert str(cfg) in err and "Traceback" not in err
+
+
+def test_cli_imports_no_scipy_and_its_runs_import_nothing(tmp_path):
+    # in a fresh interpreter: the package loads numpy alone, and running each
+    # shipped config loads no module the import did not, so no import cost
+    # lands inside a run
+    script = (
+        "import sys\n"
+        "import dbarlab.cli as cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "before = set(sys.modules)\n"
+        "codes = [cli.run(cli.parse_config(path), sys.argv[1]) for path in sys.argv[2:]]\n"
+        "print(sorted(set(sys.modules) - before))\n"
+        "print(codes)\n"
+    )
+    configs = sorted(str(path) for path in (ROOT / "configs").glob("*.cfg"))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path), *configs],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    scipy_modules, loaded, codes = done.stdout.splitlines()
+    assert scipy_modules == "[]"
+    assert loaded == "[]"
+    assert codes == str([0] * len(configs))

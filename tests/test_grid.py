@@ -11,6 +11,7 @@ from dbarlab.grid import (
     from_spectrum,
     integrate,
     interior_mask,
+    kernel_spectrum,
     seam_leakage,
     to_lattice,
     to_spectrum,
@@ -123,10 +124,11 @@ def test_convolve_delta_and_constant():
     g = GridSpec(1, 16, 8.0)
     rng = np.random.default_rng(13)
     f = random_band_limited(g, rng, 0.3)
-    out = convolve(g, f, _delta_kernel(g))
+    delta = kernel_spectrum(g, _delta_kernel(g))
+    out = convolve(g, f, delta)
     assert np.abs(out - f).max() < 1e-10 * np.abs(f).max()
     const = np.full(g.shape, 4.2)
-    out2 = convolve(g, const, _delta_kernel(g))
+    out2 = convolve(g, const, delta)
     assert np.abs(out2 - 4.2).max() < 1e-10
 
 
@@ -135,10 +137,17 @@ def test_convolve_validation():
     f = np.ones(g.shape)
     bad = -np.ones(g.shape) / g.L**2
     with pytest.raises(ValidationError):
-        convolve(g, f, bad)
+        kernel_spectrum(g, bad)
     double = 2.0 * np.ones(g.shape) / g.L**2
     with pytest.raises(ValidationError):
-        convolve(g, f, double)
+        kernel_spectrum(g, double)
+    with pytest.raises(ValidationError):
+        kernel_spectrum(g, (1.0 + 0j) * np.ones(g.shape) / g.L**2)
+    # the kernel itself in place of its spectrum is refused, not misread
+    unit = np.ones(g.shape) / g.L**2
+    with pytest.raises(ValidationError):
+        convolve(g, f, unit)
+    assert np.abs(convolve(g, f, kernel_spectrum(g, unit)) - 1.0).max() < 1e-12
 
 
 def _direct_convolution(g, f, kern):
@@ -157,7 +166,8 @@ def test_convolve_against_direct_summation():
     rng = np.random.default_rng(14)
     f = random_band_limited(g, rng, 0.5).real
     kern = mollifier_kernel(g, 2.2)
-    spectral = convolve(g, f, kern)
+    kern_spec = kernel_spectrum(g, kern)
+    spectral = convolve(g, f, kern_spec)
     direct = _direct_convolution(g, f, kern)
     assert np.abs(spectral - direct).max() < 1e-12 * np.abs(direct).max()
 
@@ -165,12 +175,12 @@ def test_convolve_against_direct_summation():
     # convolved as its own grid field
     shape = g.shape + (2, 2)
     field = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    spectral = convolve(g, field, kern)
+    spectral = convolve(g, field, kern_spec)
     assert spectral.shape == shape
     for a in range(2):
         for b in range(2):
             entry = field[..., a, b]
-            assert np.array_equal(spectral[..., a, b], convolve(g, entry, kern))
+            assert np.array_equal(spectral[..., a, b], convolve(g, entry, kern_spec))
             direct = _direct_convolution(g, entry, kern)
             assert np.abs(spectral[..., a, b] - direct).max() < 1e-12 * np.abs(direct).max()
 
@@ -182,8 +192,7 @@ def test_convolve_radial_kernel_adds_constant_on_quadratic_field():
     z = complex_coordinate(g, 0)
     f = np.abs(z) ** 2
     eps = 0.8
-    kern = mollifier_kernel(g, eps)
-    out = convolve(g, f, kern)
+    out = convolve(g, f, kernel_spectrum(g, mollifier_kernel(g, eps)))
     shift = out - f
     interior = np.abs(z) < 0.5 * g.L - eps - 2 * g.spacing
     inner_vals = shift[interior]
@@ -195,9 +204,9 @@ def test_convolve_preserves_integral():
     g = GridSpec(1, 16, 8.0)
     rng = np.random.default_rng(15)
     f = random_band_limited(g, rng, 0.4)
-    kern = mollifier_kernel(g, 1.5)
+    kern_spec = kernel_spectrum(g, mollifier_kernel(g, 1.5))
     before = integrate(g, f)
-    after = integrate(g, convolve(g, f, kern))
+    after = integrate(g, convolve(g, f, kern_spec))
     assert abs(after - before) < 1e-12 * max(abs(before), 1e-300)
 
 
@@ -243,3 +252,26 @@ def test_from_spectrum_is_the_plain_inverse_and_leaves_spec_alone(n, N, slots, r
             expected = scipy.fft.ifftn(mult * spec, axes=tuple(range(2 * n)))
             assert np.array_equal(from_spectrum(g, spec, j, conj), expected)
             assert np.array_equal(spec, kept)
+
+
+@pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (1, 64), (1, 128), (2, 8), (2, 16), (2, 32)])
+def test_transforms_are_bitwise_scipy_fft(n, N):
+    # numpy.fft one grid axis at a time, with the real path's hermitian fill,
+    # does scipy.fft.fftn/ifftn's arithmetic: the bytes agree, for real and
+    # complex input, with and without trailing components, and for strided views
+    g = GridSpec(n, N, 8.0)
+    axes = tuple(range(2 * n))
+    rng = np.random.default_rng(100 * n + N)
+    shape = g.shape + (2, 1)
+    real = rng.standard_normal(shape)
+    cplx = real + 1j * rng.standard_normal(shape)
+    for arr in (real, cplx, real[..., 1, 0], cplx[..., 0, 0]):
+        for ours, theirs in ((to_spectrum, scipy.fft.fftn), (to_lattice, scipy.fft.ifftn)):
+            got, expected = ours(g, arr), theirs(arr, axes=axes)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (ours.__name__, arr.shape, arr.dtype)
+    for j in range(n):
+        for conj in (False, True):
+            mult = _dz_multiplier(g, j, conj)[..., None, None]
+            expected = scipy.fft.ifftn(mult * cplx, axes=axes)
+            assert from_spectrum(g, cplx, j, conj).tobytes() == expected.tobytes()

@@ -6,7 +6,15 @@ import pytest
 from dbarlab import cli
 from dbarlab.errors import PreconditionError, ValidationError
 from dbarlab.exterior import EForm, norm_sq
-from dbarlab.grid import GridSpec, convolve, dz_array, from_spectrum, integrate, to_spectrum
+from dbarlab.grid import (
+    GridSpec,
+    convolve,
+    dz_array,
+    from_spectrum,
+    integrate,
+    kernel_spectrum,
+    to_spectrum,
+)
 from dbarlab.hermitian import curvature
 from dbarlab.hormander import norm2, project_to_range, solve_min_norm
 from dbarlab.metric import MetricField, dual_metric
@@ -86,7 +94,7 @@ def test_mollified_psh_gains_constant():
     g = GridSpec(1, 64, 8.0)
     z = complex_coordinate(g, 0)
     phi = np.abs(z) ** 2
-    out = convolve(g, phi, mollifier_kernel(g, 0.8))
+    out = convolve(g, phi, kernel_spectrum(g, mollifier_kernel(g, 0.8)))
     gain = out - phi
     inner = np.abs(z) < 0.5 * g.L - 0.8 - 2 * g.spacing
     assert gain[inner].min() > 0
@@ -228,8 +236,8 @@ def test_monotone_near_equality_for_pluriharmonic_exponent():
 
     w = plateau_coordinate(g, 0, r0=0.9, s=0.31)
     psi = (w**2).real  # Re(z^2) on the core
-    a1 = convolve(g, psi, mollifier_kernel(g, 0.7))
-    a2 = convolve(g, psi, mollifier_kernel(g, 0.35))
+    a1 = convolve(g, psi, kernel_spectrum(g, mollifier_kernel(g, 0.7)))
+    a2 = convolve(g, psi, kernel_spectrum(g, mollifier_kernel(g, 0.35)))
     z = complex_coordinate(g, 0)
     inner = (np.abs(z.real) <= 0.15) & (np.abs(z.imag) <= 0.15)
     scale = max(np.abs(psi).max(), 1.0)
@@ -355,12 +363,11 @@ def test_shipped_regularize_config_takes_few_iterations_per_radius(tmp_path, mon
 
 
 def test_shipped_regularize_config_builds_each_piece_once(tmp_path, monkeypatch):
-    # the quadrature rule is built once per process (the plateau radius used
-    # to bisect through 62 rebuilds of it), and the monotone check reads the
-    # family the solves ran on instead of mollifying every radius again
+    # the plateau profile is built once per run, and the monotone check reads
+    # the family the solves ran on instead of mollifying every radius again
     from dbarlab import singular, weights
 
-    calls = {"leggauss": 0, "mollify": 0, "dual_metric": 0}
+    calls = {"mollify": 0, "dual_metric": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -375,18 +382,15 @@ def test_shipped_regularize_config_builds_each_piece_once(tmp_path, monkeypatch)
         runs.append((args, rep))
         return u, rep
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        counted("leggauss", np.polynomial.legendre.leggauss))
     monkeypatch.setattr(singular, "mollify", counted("mollify", mollify))
     monkeypatch.setattr(singular, "dual_metric", counted("dual_metric", dual_metric))
     monkeypatch.setattr(cli, "regularized_solve", recording)
-    weights._gauss_legendre.cache_clear()
     weights.saturating_square_profile.cache_clear()
     config = Path(__file__).resolve().parent.parent / "configs" / "regularize.cfg"
     assert cli.main(["regularize", "--config", str(config), "--out", str(tmp_path)]) == 0
     (((_f, cat, schedule), rep),) = runs
     assert schedule.nu_max == 8
-    assert calls["leggauss"] == 1
+    assert weights.saturating_square_profile.cache_info().misses == 1
     assert calls["mollify"] == schedule.nu_max
     assert calls["dual_metric"] <= 1 + schedule.nu_max
     assert check_monotone(cat, schedule) == rep.monotone

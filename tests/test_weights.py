@@ -9,6 +9,8 @@ from dbarlab.errors import ValidationError
 from dbarlab.grid import GridSpec
 from dbarlab.singular import singular_catalog
 from dbarlab.weights import (
+    _reach,
+    _saturation_law,
     default_plateau_radius,
     random_band_limited,
     saturating_square_profile,
@@ -48,6 +50,30 @@ def test_profile_at_half_box_accepted():
     # the shipped configs saturate exactly at L/2: 1.0 + (4.5 + 5.5) * 0.30
     _, vals = saturating_square_profile(64, 8.0, 1.0, 0.30)
     assert np.isfinite(vals).all()
+
+
+def test_closed_form_profile_matches_quadrature():
+    # the closed-form tail against the 128-panel Gauss-Legendre rule it
+    # replaced, sample by sample, including plateaus narrow against the ramp
+    tails = 0
+    for N, L, r0, s in itertools.product(
+        (16, 64, 128), (4.0, 8.0, 12.5), (0.2, 0.5, 1.0, 1.7, 2.5), (0.05, 0.1, 0.22, 0.3)
+    ):
+        tm, r1 = _reach(r0, s)
+        if r1 > 0.5 * L:
+            continue
+        t_axis, vals = saturating_square_profile(N, L, r0, s)
+        for t, value in zip(np.abs(t_axis), vals):
+            if t <= r0:
+                assert value == t * t
+                continue
+            expected = plateau_reference._profile_value(r0, min(t, r1), s)
+            assert abs(value - expected) <= 2e-15 * expected, (N, L, r0, s, t)
+            tails += 1
+    assert tails > 1000
+    for s in np.linspace(0.01, 1.0, 100):
+        for got, expected in zip(_saturation_law(s), plateau_reference._saturation_law(s)):
+            assert abs(got - expected) <= 2e-15 * expected, s
 
 
 def _radius_or_error(fn, grid, c, budget):
