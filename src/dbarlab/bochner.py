@@ -13,8 +13,11 @@ is evaluated with the spectral calculus and reported as a density against
 dV; the residual is the max pointwise mismatch over the requested region.
 
 Both forms of the identity are read off one term pass that builds every
-density once, and transforms every field in it once.  One spectrum per
-coefficient of gamma gives dbar gamma and del gamma.  One set of connection
+density once.  Each derivative transforms only its own complex plane
+(grid.plane_spectrum), forward and back.  One plane spectrum per
+coefficient of gamma and direction gives dbar gamma and del gamma in that
+direction.  On the identities-n2 benchmark config the pass runs 42 one-axis
+FFT passes, where transforming every grid axis took 72.  One set of connection
 blocks theta_j, built only for the directions j that grow a nonzero
 coefficient of gamma, gives the connection term of D'gamma and the
 curvature blocks Theta_jk = -dbar_k theta_j.  The adjoint reuses D'gamma,
@@ -26,8 +29,9 @@ mass to SUPPORT_TOL.
 Memory: the pass keeps a full-grid field only until its last use, and
 orders its stages so that few live at once.  The del-dbar term of the left
 side comes first, while only gamma exists.  dbar gamma is reduced to its
-density before any theta_j is built, and gamma's spectra are gone by then.
-Each theta_j goes once it is transformed, and each curvature block is
+density before any theta_j is built, and gamma's spectra are gone by then;
+at most one plane spectrum of a coefficient is alive at a time.  Each
+theta_j goes once its last curvature block is formed, and each block is
 applied as soon as it is formed, so no curvature field exists; D'gamma goes
 once dbar D'gamma exists, and gamma once the cross terms are done.
 omega_{p-1} is a read-only broadcast of one constant block (omega_power),
@@ -101,9 +105,9 @@ def _require_np_form(alpha: EForm):
 def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     """Every density of the identity against dV, each computed once.
 
-    Each field is transformed once: one spectrum per coefficient of gamma
-    gives dbar gamma and del gamma, and one connection theta gives D'gamma
-    and the curvature blocks (connection_terms).  The adjoint term reuses
+    One plane spectrum per coefficient of gamma and direction gives dbar
+    gamma and del gamma, and one connection theta gives D'gamma and the
+    curvature blocks (connection_terms).  The adjoint term reuses
     D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.  Each full-grid
     intermediate is dropped after its last use, in an order that keeps few
     of them alive at once (see the module docstring).

@@ -8,14 +8,20 @@ Zeroing the Nyquist mode keeps every derivative operator exactly
 skew-adjoint on the lattice, which is what makes the discrete
 integration-by-parts identities hold to roundoff.
 
-This module owns the package's FFTs: ``to_spectrum`` and ``to_lattice`` are
-the forward and inverse transforms over the grid axes, on numpy.fft, one grid
-axis at a time in axis order and in place after the first.  A real input
-takes the real path: a real transform of the last grid axis, complex ones of
-the others over the half spectrum, and the hermitian fill of the rest.  This
-is the arithmetic of scipy.fft.fftn/ifftn, and the results are bitwise equal
-to it.  ``from_spectrum`` inverts its own multiplied spectrum in place;
-``to_lattice`` allocates, as its callers' spectra stay in use.  Every other
+This module owns the package's FFTs, on numpy.fft, one axis at a time in
+axis order and in place after the first.  ``to_spectrum`` and ``to_lattice``
+are the forward and inverse transforms over all grid axes, for the Fourier
+space solver, ``convolve`` and ``kernel_spectrum``.  A derivative d/dz_j or
+d/dzbar_j varies only along the real axes (x_j, y_j) of its complex plane,
+so it transforms only those two: ``plane_spectrum(grid, arr, j)`` is the
+forward transform over them, and ``from_spectrum`` multiplies that plane
+spectrum and inverts the same two axes, leaving the spectrum alone for its
+next use.  ``dz_array`` is the single-use derivative: it multiplies and
+inverts its own plane spectrum in place.  At n = 1 the plane is the whole
+grid.  A real input takes the real path: a real transform of the last
+transformed axis, complex ones of the others over the half spectrum, and the
+hermitian fill of the rest.  This is the arithmetic of scipy.fft.fftn/ifftn
+over the same axes, and the results are bitwise equal to it.  Every other
 spectral step goes through these.
 
 A scalar field on the lattice is a plain array of ``grid.shape``, float64 or
@@ -107,17 +113,18 @@ def _dz_multiplier(grid: GridSpec, j: int, conjugate: bool) -> np.ndarray:
     return 0.5 * (1j * kx + sign * ky)
 
 
-def dz_array(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
-    """Spectral d/dz_j of an array.
+def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -> np.ndarray:
+    """Spectral d/dz_j (or d/dzbar_j) of an array, transforming only the plane of z_j.
 
     Leading axes must be the grid axes; any trailing axes are treated as
-    components and differentiated entrywise.  d/dzbar_j is
-    from_spectrum(grid, to_spectrum(grid, arr), j, True).
+    components and differentiated entrywise.  The plane spectrum is the
+    output's buffer: it is multiplied and inverted in place.
     """
     dims = 2 * grid.n
     if arr.shape[:dims] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
-    return from_spectrum(grid, to_spectrum(grid, arr), j)
+    spec = plane_spectrum(grid, arr, j)
+    return _plane_derivative(grid, spec, j, conjugate, spec)
 
 
 def _conj_mirror(dst: np.ndarray, src: np.ndarray, axes: tuple) -> None:
@@ -151,17 +158,17 @@ def _hermitian_plane(plane: np.ndarray, axes: tuple) -> None:
         _hermitian_plane(plane[lead + (slice(k, k + 1),)], axes[1:])
 
 
-def _transform(arr: np.ndarray, dims: int, forward: bool) -> np.ndarray:
-    """FFT (or inverse FFT) over the leading dims axes, into a new C-ordered array."""
+def _transform(arr: np.ndarray, axes: tuple, forward: bool) -> np.ndarray:
+    """FFT (or inverse FFT) over axes, in increasing order, into a new C-ordered array."""
     fft = np.fft.fft if forward else np.fft.ifft
     if np.iscomplexobj(arr):
-        out = fft(arr, axis=0)
-        for k in range(1, dims):
+        out = fft(arr, axis=axes[0])
+        for k in axes[1:]:
             fft(out, axis=k, out=out)
         return out
-    # real input: the real transform of the last grid axis fills the half
-    # spectrum k <= N/2 there, and the hermitian fill gives the rest
-    last = dims - 1
+    # real input: the real transform of the last axis fills the half spectrum
+    # k <= N/2 there, and the hermitian fill over the other axes gives the rest
+    last, others = axes[-1], axes[:-1]
     lead = (slice(None),) * last
     half = arr.shape[last] // 2
     out = np.empty(arr.shape, dtype=np.complex128)
@@ -170,44 +177,66 @@ def _transform(arr: np.ndarray, dims: int, forward: bool) -> np.ndarray:
     if not forward:
         inner = out[lead + (slice(1, half),)]
         np.conjugate(inner, out=inner)
-    for k in range(last):
+    for k in others:
         fft(low, axis=k, out=low)
-    axes = tuple(range(last))
-    _conj_mirror(out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)], axes)
+    _conj_mirror(out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)],
+                 others)
     for k in (0, half):
-        _hermitian_plane(out[lead + (slice(k, k + 1),)], axes)
+        _hermitian_plane(out[lead + (slice(k, k + 1),)], others)
     return out
 
 
 def to_spectrum(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
-    """Forward FFT over the grid axes; trailing component axes ride along."""
-    return _transform(arr, 2 * grid.n, True)
+    """Forward FFT over every grid axis; trailing component axes ride along."""
+    return _transform(arr, tuple(range(2 * grid.n)), True)
 
 
 def to_lattice(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
-    """Inverse FFT over the grid axes; trailing component axes ride along."""
-    return _transform(spec, 2 * grid.n, False)
+    """Inverse FFT over every grid axis; trailing component axes ride along."""
+    return _transform(spec, tuple(range(2 * grid.n)), False)
+
+
+def plane_spectrum(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
+    """Forward FFT over the real axes (x_j, y_j) of the complex plane j only.
+
+    The other grid axes and trailing component axes ride along; this is the
+    spectrum from_spectrum takes for derivatives in direction j.
+    """
+    if not 0 <= j < grid.n:
+        raise FormError(f"complex axis {j} out of range for n={grid.n}")
+    return _transform(arr, (2 * j, 2 * j + 1), True)
+
+
+def _plane_derivative(
+    grid: GridSpec, spec: np.ndarray, j: int, conjugate: bool, out: np.ndarray | None
+) -> np.ndarray:
+    """out = the inverse over plane j of multiplier * spec; out is spec for in place.
+
+    The product is written multiplier first, which fixes its rounding.
+    """
+    mult = _dz_multiplier(grid, j, conjugate)
+    mult = mult.reshape(mult.shape + (1,) * (spec.ndim - mult.ndim))
+    out = np.multiply(mult, spec, out=out)
+    np.fft.ifft(out, axis=2 * j, out=out)
+    np.fft.ifft(out, axis=2 * j + 1, out=out)
+    return out
 
 
 def from_spectrum(
     grid: GridSpec, spec: np.ndarray, j: int, conjugate: bool = False
 ) -> np.ndarray:
-    """d/dz_j (or d/dzbar_j) of the array whose spectrum is spec.
+    """d/dz_j (or d/dzbar_j) of the array whose plane-j spectrum is spec.
 
-    Applies the multiplier of the derivative and inverse-transforms over the
-    grid axes; trailing component axes of spec are differentiated entrywise.
-    Callers that need several derivatives of one array transform it once
-    with ``to_spectrum`` and take each derivative here.
+    spec is plane_spectrum(grid, arr, j); the multiplier of the derivative is
+    applied into a new array, inverted over the axes of plane j, and spec is
+    left as it was.  Trailing component axes of spec are differentiated
+    entrywise.  Callers that need several derivatives in direction j of one
+    array transform it once and take each here; a single derivative is
+    dz_array.
     """
     if not 0 <= j < grid.n:
         raise FormError(f"complex axis {j} out of range for n={grid.n}")
-    dims = 2 * grid.n
-    mult = _dz_multiplier(grid, j, conjugate)
-    mult = mult.reshape(mult.shape + (1,) * (spec.ndim - dims))
-    out = mult * spec
-    for k in range(dims):
-        np.fft.ifft(out, axis=k, out=out)
-    return out
+    return _plane_derivative(grid, spec, j, conjugate, None)
 
 
 def integrate(grid: GridSpec, values: np.ndarray):

@@ -10,25 +10,29 @@ the sign coming from reordering dzbar_k wedge dz_j into the canonical frame;
 for a line bundle this reduces to Theta_11 = -d ddbar log h entrywise, so the
 weight e^{-|z|^2} has Theta_11 = 1 and i*Theta = omega.
 
-Every derivative is a Fourier multiplier.  The componentwise operators dbar,
-del and the unweighted transpose dbar^T are rows of one cached table,
+Every derivative is a Fourier multiplier in one complex plane: d_k and
+dbar_k transform only the real axes (x_k, y_k) of z_k (grid.plane_spectrum),
+and invert only those.  The componentwise operators dbar, del and the
+unweighted transpose dbar^T are rows of one cached table,
 ``_derivative_rows``: dbar's rows are grow_table's on the dzbar index with
 the (-1)^p crossing, del's are grow_table's on the dz index, and dbar^T
-reads dbar's rows backwards with -d_k.  ``_differentials`` applies any of them from one
-forward transform of each coefficient (dbar_and_del serves both from it,
-and ``hormander.dbar_transpose`` is one call of it).  The connection blocks
-theta_j come from one transform of each exponent phi_a = -log h_aa of a
-positive diagonal metric (MetricField.diagonal_exponents), or of the matrix
-field of any other, and the curvature row Theta_j. from one transform of
-theta_j, of each diagonal entry on its own for a positive diagonal metric.
-curvature and chern_connection build every block; the Bochner-Kodaira pass
-calls connection_terms, where one set of theta_j feeds both D'gamma and
-Theta ^ gamma.  D' and Theta wedge take their insertion signs and target
-slots from ``exterior.grow_table`` too.
+reads dbar's rows backwards with -d_k.  ``_differentials`` applies any of
+them direction by direction within each coefficient: one plane spectrum of
+the coefficient serves every row in that direction (dbar_and_del serves
+both operators from it), and only one plane spectrum is alive at a time;
+``hormander.dbar_transpose`` is one call of it.  The connection blocks
+theta_j are d_j of each exponent phi_a = -log h_aa of a positive diagonal
+metric (MetricField.diagonal_exponents), or of the matrix field of any
+other, and the curvature blocks Theta_jk are dbar_k of theta_j, of each
+diagonal entry on its own for a positive diagonal metric; each of these is
+a single-use grid.dz_array.  curvature and chern_connection build every
+block; the Bochner-Kodaira pass calls connection_terms, where one set of
+theta_j feeds both D'gamma and Theta ^ gamma.  D' and Theta wedge take
+their insertion signs and target slots from ``exterior.grow_table`` too.
 
 An identically zero coefficient (say the empty slot of a source filled in
 one slot only) has derivative exactly 0: _differentials tests each source
-coefficient once, on its real and imaginary parts, and gives a zero one no
+coefficient once, in one pass over the field, and gives a zero one no
 forward transform, no inverse and no add.  A NaN counts as nonzero.
 connection_terms tests the coefficients of its form the same way and builds
 theta_j and the blocks Theta_jk only for the directions j that grow a
@@ -46,7 +50,7 @@ from itertools import product
 import numpy as np
 
 from .errors import FormError
-from .grid import GridSpec, from_spectrum, to_spectrum
+from .grid import GridSpec, dz_array, from_spectrum, plane_spectrum
 from .metric import MetricField, matrix_apply
 from .exterior import (
     EForm, add_signed, grow_table, hodge_star, index_tuples, omega_power, wedge,
@@ -94,35 +98,29 @@ def _connection_blocks(h: MetricField, directions) -> tuple:
     computed from the smooth exponents instead of the matrix entries, and
     entries lists the diagonal entries, the only ones that can be nonzero;
     for any other metric entries is the whole block.  The exponents are
-    derived once, and each (or the matrix field) is transformed once for all j.
+    derived once; each d_j transforms only the plane of z_j.
     """
     grid = h.grid
     phis = h.diagonal_exponents()
     if phis is None:
         hinv = h.inverse_mat()
-        spec = to_spectrum(grid, h.mat)
-        return {j: hinv @ from_spectrum(grid, spec, j) for j in directions}, [np.s_[...]]
+        return {j: hinv @ dz_array(grid, h.mat, j) for j in directions}, [np.s_[...]]
     blocks = {j: np.zeros(grid.shape + (h.rank, h.rank), dtype=np.complex128) for j in directions}
     for a, phi in enumerate(phis):
-        spec = to_spectrum(grid, phi)
         for j, block in blocks.items():
-            np.negative(from_spectrum(grid, spec, j), out=block[..., a, a])
+            np.negative(dz_array(grid, phi, j), out=block[..., a, a])
     return blocks, [np.s_[..., a, a] for a in range(h.rank)]
 
 
-def _curvature_spectra(grid: GridSpec, theta_j: np.ndarray, entries: list) -> list:
-    """(entry, spectrum) pairs from which every Theta_jk = -dbar_k(theta_j) is formed.
+def _curvature_block(grid: GridSpec, theta_j: np.ndarray, entries: list, k: int,
+                     out: np.ndarray) -> None:
+    """Write Theta_jk = -dbar_k(theta_j) into out (zero off the entries).
 
     entries are _connection_blocks': the whole block, or each diagonal entry on
-    its own (r transforms instead of r^2) when theta_j is diagonal.
+    its own (r derivatives instead of r^2) when theta_j is diagonal.
     """
-    return [(entry, to_spectrum(grid, theta_j[entry])) for entry in entries]
-
-
-def _curvature_block(grid: GridSpec, spectra: list, k: int, out: np.ndarray) -> None:
-    """Write Theta_jk = -dbar_k(theta_j) into out (zero off the entries) from theta_j's spectra."""
-    for entry, spec in spectra:
-        np.negative(from_spectrum(grid, spec, k, True), out=out[entry])
+    for entry in entries:
+        np.negative(dz_array(grid, theta_j[entry], k, True), out=out[entry])
 
 
 def chern_connection(h: MetricField) -> np.ndarray:
@@ -135,18 +133,18 @@ def chern_connection(h: MetricField) -> np.ndarray:
 def curvature(h: MetricField) -> CurvatureField:
     """Curvature coefficients Theta_jk = -dbar_k(theta_j), shape grid + (n, n, r, r).
 
-    The connection blocks theta_j come from one transform of each exponent
-    (or of the matrix field); each theta_j is transformed once for all k, each
-    diagonal entry separately for a positive diagonal metric.  That is
-    1 + 2n + n^2 transforms per exponent, or per matrix field.
+    The connection blocks theta_j are d_j of each exponent (or of the matrix
+    field), and Theta_jk is dbar_k of theta_j, of each diagonal entry
+    separately for a positive diagonal metric.  Each of these n + n^2
+    derivatives transforms one complex plane forward and back: 4n(n + 1)
+    one-axis FFT passes per exponent, or per matrix field.
     """
     n = h.grid.n
     out = np.zeros(h.grid.shape + (n, n, h.rank, h.rank), dtype=np.complex128)
     blocks, entries = _connection_blocks(h, range(n))
     for j, theta_j in blocks.items():
-        spectra = _curvature_spectra(h.grid, theta_j, entries)
         for k in range(n):
-            _curvature_block(h.grid, spectra, k, out[..., j, k, :, :])
+            _curvature_block(h.grid, theta_j, entries, k, out[..., j, k, :, :])
     return CurvatureField(h.grid, h.rank, out)
 
 
@@ -179,28 +177,39 @@ def _derivative_rows(n: int, p: int, q: int, op: str) -> tuple:
 
 
 def _differentials(a: EForm, ops: tuple) -> list:
-    """The operators ops (keys of _OPERATORS) of a, one forward transform per coefficient.
+    """The operators ops (keys of _OPERATORS) of a, one plane spectrum per coefficient and k.
 
-    Each applies its _derivative_rows.  One spectrum of a coefficient serves
-    every requested operator; a coefficient that is identically zero is
-    skipped, as its rows would add exact zeros.
+    Each applies its _derivative_rows.  Within a coefficient the directions
+    k are taken in turn: a single row in direction k is one dz_array, and
+    several (dbar and del together) share one plane spectrum, freed before
+    the next direction's.  A source slot meets each target slot in one
+    direction only, so every target sums its terms in row order.  A
+    coefficient that is identically zero is skipped, as its rows would add
+    exact zeros.
     """
-    plans = []
+    grid = a.grid
+    outs, rows = [], []
     for op in ops:
         conjugate, dp, dq = _OPERATORS[op]
-        out = EForm.zeros(a.grid, a.rank, a.p + dp, a.q + dq)
-        plans.append((out, conjugate, _derivative_rows(a.grid.n, a.p, a.q, op)))
+        out = EForm.zeros(grid, a.rank, a.p + dp, a.q + dq)
+        outs.append(out)
+        rows += [(src, k, out.coeffs[..., i, j, :], sign, conjugate)
+                 for src, k, (i, j), sign in _derivative_rows(grid.n, a.p, a.q, op)]
     for src in product(*map(range, a.coeffs.shape[-3:-1])):
         coeff = a.coeffs[..., src[0], src[1], :]
-        if not (coeff.real.any() or coeff.imag.any()):
+        if not np.any(coeff):
             continue
-        spec = to_spectrum(a.grid, coeff)
-        for out, conjugate, rows in plans:
-            for row_src, k, (i, j), sign in rows:
-                if row_src == src:
-                    add_signed(out.coeffs[..., i, j, :], sign,
-                               from_spectrum(a.grid, spec, k, conjugate))
-    return [out for out, *_ in plans]
+        for k in range(grid.n):
+            targets = [row[2:] for row in rows if row[:2] == (src, k)]
+            if len(targets) == 1:
+                dst, sign, conjugate = targets[0]
+                add_signed(dst, sign, dz_array(grid, coeff, k, conjugate))
+            elif targets:
+                spec = plane_spectrum(grid, coeff, k)
+                for dst, sign, conjugate in targets:
+                    add_signed(dst, sign, from_spectrum(grid, spec, k, conjugate))
+                del spec  # before the next direction's is made
+    return outs
 
 
 def dbar(a: EForm) -> EForm:
@@ -276,25 +285,24 @@ def connection_terms(a: EForm, h: MetricField, del_a: EForm) -> EForm:
     """Theta ^ a for a (q,0)-form a; adds theta ^ a to del_a = dpartial(a), making it D'a.
 
     Each coefficient of a is tested once, and theta_j is built only for the
-    directions j that grow a nonzero one: one transform of each exponent (or
-    of the matrix field) gives every theta_j, which feeds both D'a and the
-    curvature blocks Theta_jk = -dbar_k(theta_j).  theta_j goes once it is
-    transformed, and each block is applied as soon as it is formed, in one
-    buffer per j, so no curvature field exists.
+    directions j that grow a nonzero one; theta_j feeds both D'a and the
+    curvature blocks Theta_jk = -dbar_k(theta_j).  theta_j goes once its
+    last block is formed, and each block is applied as soon as it is formed,
+    in one buffer per j, so no curvature field exists.
     """
     _check_connection_operand(a, h)
-    live = [c.real.any() or c.imag.any() for c in np.moveaxis(a.coeffs[..., 0, :], -2, 0)]
+    live = [np.any(c) for c in np.moveaxis(a.coeffs[..., 0, :], -2, 0)]
     rows = [row for row in grow_table(a.grid.n, a.p) if live[row[0]]]
     theta, entries = _connection_blocks(h, sorted({j for _, j, _, _ in rows}))
     _add_connection(del_a, a, theta, rows)
     out = EForm.zeros(a.grid, a.rank, a.p + 1, 1)
     for j in list(theta):
-        spectra = _curvature_spectra(a.grid, theta.pop(j), entries)
+        theta_j = theta.pop(j)
         block = np.zeros(a.grid.shape + (a.rank, a.rank), dtype=np.complex128)
         for k in range(a.grid.n):
-            _curvature_block(a.grid, spectra, k, block)
+            _curvature_block(a.grid, theta_j, entries, k, block)
             _add_curvature_term(out, a, j, k, block, rows)
-        del spectra, block  # before the next theta_j is transformed
+        del theta_j, block  # before the next theta_j's blocks are formed
     return out
 
 

@@ -67,12 +67,20 @@ class MetricField:
         if not np.isfinite(scale):
             # a nan entry makes the max nan, an inf (or overflowing modulus) makes it inf
             raise MetricError("metric has a non-finite entry (nan or inf)")
-        defect = np.abs(self.mat - np.conj(np.swapaxes(self.mat, -1, -2))).max()
+        # the one place a metric is made hermitian: symmetrizing the roundoff away
+        # leaves mat exactly hermitian, so downstream eigensolves stay clean.  At
+        # rank 1, |h - conj(h)| = 2|Im h| and (h + conj(h))/2 = Re h + 0.0j, bit
+        # for bit, without the general formula's full-grid temporaries.
+        if self.rank == 1:
+            defect = 2 * np.abs(self.mat.imag).max()
+            hermitian = self.mat.real.astype(np.complex128)
+        else:
+            adjoint = np.conj(np.swapaxes(self.mat, -1, -2))
+            defect = np.abs(self.mat - adjoint).max()
+            hermitian = 0.5 * (self.mat + adjoint)
         if scale > 0 and defect > HERMITIAN_TOL * scale * 10:
             raise MetricError(f"metric is not hermitian: defect {defect:.3e} vs scale {scale:.3e}")
-        # the one place a metric is made hermitian: symmetrizing the roundoff away
-        # leaves mat exactly hermitian, so downstream eigensolves stay clean
-        self.mat = 0.5 * (self.mat + np.conj(np.swapaxes(self.mat, -1, -2)))
+        self.mat = hermitian
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.grid.shape:

@@ -1,7 +1,8 @@
 """Per-direction spectral operators, the reference for the transform-once paths.
 
 Each derivative here goes through ``dz_array`` (or ``dzbar_array``), which
-transforms its input forward and back for every single direction: the connection and curvature
+transforms its input over the derivative's own complex plane, forward and
+back, for every single direction: the connection and curvature
 differentiate twice in sequence, dbar, del and the dbar transpose transform
 a coefficient again for each k, and the band-limited field is an inverse FFT of the full,
 mostly empty spectrum.  Agreement with ``dbarlab.hermitian`` and
@@ -14,12 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from dbarlab.exterior import EForm, index_slot, merge_sign
-from dbarlab.grid import dz_array, from_spectrum, to_spectrum
+from dbarlab.grid import dz_array
 
 
 def dzbar_array(grid, arr, k):
     """Spectral d/dzbar_k of an array, transformed forward and back on its own."""
-    return from_spectrum(grid, to_spectrum(grid, arr), k, True)
+    return dz_array(grid, arr, k, True)
 
 
 def chern_connection(h):

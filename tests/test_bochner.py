@@ -289,23 +289,32 @@ def test_bk_reports_traced_peak_stays_within_field_budget():
 def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     # the CLI's source fills one of the two slots of its (2,1)-form; the other
     # slot and the zero slots it leaves in gamma and the pairings are never
-    # transformed, gamma is transformed once for dbar and del, and one
-    # connection block feeds D'gamma and its curvature row: 18 transforms,
-    # where transforming every coefficient took 41 and the separate curvature 26
+    # transformed, gamma is transformed once per direction for dbar and del,
+    # and one connection block feeds D'gamma and its curvature row.  Each
+    # derivative transforms only its own complex plane: 42 one-axis FFT
+    # passes, where 18 full-grid transforms took 72
     g = GridSpec(2, 8, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
-    inputs = []
+    inputs, passes = [], []
 
-    def counting(transform):
+    def nonzero_input(transform):
         def wrapped(grid, arr, *args):
-            inputs.append(arr.real.any() or arr.imag.any())
+            inputs.append(np.any(arr))
             return transform(grid, arr, *args)
         return wrapped
 
-    monkeypatch.setattr(hermitian, "to_spectrum", counting(hermitian.to_spectrum))
-    monkeypatch.setattr(hermitian, "from_spectrum", counting(hermitian.from_spectrum))
+    def one_pass(fft):
+        def wrapped(*args, **kwargs):
+            passes.append(fft.__name__)
+            return fft(*args, **kwargs)
+        return wrapped
+
+    for name in ("plane_spectrum", "dz_array", "from_spectrum"):
+        monkeypatch.setattr(hermitian, name, nonzero_input(getattr(hermitian, name)))
+    for name in ("fft", "ifft", "rfft"):
+        monkeypatch.setattr(np.fft, name, one_pass(getattr(np.fft, name)))
     bk_reports(_bk_source(g, 1), h)
-    assert len(inputs) == 18
+    assert len(passes) == 42
     assert all(inputs)
 
 

@@ -12,6 +12,7 @@ from dbarlab.grid import (
     integrate,
     interior_mask,
     kernel_spectrum,
+    plane_spectrum,
     seam_leakage,
     to_lattice,
     to_spectrum,
@@ -39,7 +40,7 @@ def test_plane_wave_eigenfunction():
     df = dz_array(g, f, 0)
     expected = (1j * np.pi / g.L) * f
     assert np.abs(df - expected).max() < 1e-13
-    dfbar = from_spectrum(g, to_spectrum(g, f), 0, True)
+    dfbar = dz_array(g, f, 0, True)
     assert np.abs(dfbar - expected).max() < 1e-13  # x-wave: both halves equal
 
 
@@ -48,7 +49,7 @@ def test_y_wave_conjugate_split():
     y = coordinate(g, 1)
     f = np.exp(2j * np.pi * y / g.L)
     assert np.abs(dz_array(g, f, 0) - (np.pi / g.L) * f).max() < 1e-13
-    assert np.abs(from_spectrum(g, to_spectrum(g, f), 0, True) + (np.pi / g.L) * f).max() < 1e-13
+    assert np.abs(dz_array(g, f, 0, True) + (np.pi / g.L) * f).max() < 1e-13
 
 
 def test_constant_derivative_vanishes():
@@ -56,7 +57,7 @@ def test_constant_derivative_vanishes():
     f = np.full(g.shape, 3.7 - 0.2j)
     for j in range(2):
         for conj in (False, True):
-            assert np.abs(from_spectrum(g, to_spectrum(g, f), j, conj)).max() == 0.0
+            assert np.abs(dz_array(g, f, j, conj)).max() == 0.0
 
 
 def test_axis_range_checked():
@@ -98,7 +99,7 @@ def test_discrete_stokes():
     scale = abs(integrate(g, np.abs(f))) + 1e-300
     for j in range(2):
         for conj in (False, True):
-            assert abs(integrate(g, from_spectrum(g, to_spectrum(g, f), j, conj))) / scale < 1e-12
+            assert abs(integrate(g, dz_array(g, f, j, conj))) / scale < 1e-12
 
 
 def test_partial_linear_and_commuting():
@@ -109,8 +110,8 @@ def test_partial_linear_and_commuting():
     lin = dz_array(g, 2.0 * f + 1j * h, 0)
     ref = 2.0 * dz_array(g, f, 0) + 1j * dz_array(g, h, 0)
     assert np.abs(lin - ref).max() < 1e-10 * np.abs(ref).max()
-    ab = from_spectrum(g, to_spectrum(g, dz_array(g, f, 0)), 1, True)
-    ba = dz_array(g, from_spectrum(g, to_spectrum(g, f), 1, True), 0)
+    ab = dz_array(g, dz_array(g, f, 0), 1, True)
+    ba = dz_array(g, dz_array(g, f, 1, True), 0)
     assert np.abs(ab - ba).max() < 1e-10 * max(np.abs(ab).max(), 1e-300)
 
 
@@ -239,26 +240,29 @@ def test_transform_pair_matches_numpy_fft(n, N, slots, rank):
 
 @pytest.mark.parametrize("n, N, slots, rank", [(1, 32, 1, 1), (2, 8, 2, 2)])
 def test_from_spectrum_is_the_plain_inverse_and_leaves_spec_alone(n, N, slots, rank):
-    # callers such as curvature, chern_connection and _differential reuse one
-    # spectrum for several derivatives, so the in-place inverse must not touch it
+    # _differentials reuses one plane spectrum for dbar and del, so
+    # from_spectrum inverts a new array over the plane's axes and leaves spec
     g = GridSpec(n, N, 8.0)
     rng = np.random.default_rng(9)
     shape = g.shape + (slots, rank)
-    spec = to_spectrum(g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    kept = spec.copy()
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     for j in range(n):
+        spec = plane_spectrum(g, arr, j)
+        kept = spec.copy()
         for conj in (False, True):
             mult = _dz_multiplier(g, j, conj)[..., None, None]
-            expected = scipy.fft.ifftn(mult * spec, axes=tuple(range(2 * n)))
+            expected = scipy.fft.ifftn(mult * spec, axes=(2 * j, 2 * j + 1))
             assert np.array_equal(from_spectrum(g, spec, j, conj), expected)
             assert np.array_equal(spec, kept)
+            assert np.array_equal(dz_array(g, arr, j, conj), expected)
 
 
 @pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (1, 64), (1, 128), (2, 8), (2, 16), (2, 32)])
 def test_transforms_are_bitwise_scipy_fft(n, N):
-    # numpy.fft one grid axis at a time, with the real path's hermitian fill,
-    # does scipy.fft.fftn/ifftn's arithmetic: the bytes agree, for real and
-    # complex input, with and without trailing components, and for strided views
+    # numpy.fft one axis at a time, with the real path's hermitian fill, does
+    # scipy.fft.fftn/ifftn's arithmetic over the same axes, all grid axes or
+    # one complex plane's: the bytes agree, for real and complex input, with
+    # and without trailing components, and for strided views
     g = GridSpec(n, N, 8.0)
     axes = tuple(range(2 * n))
     rng = np.random.default_rng(100 * n + N)
@@ -271,7 +275,14 @@ def test_transforms_are_bitwise_scipy_fft(n, N):
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (ours.__name__, arr.shape, arr.dtype)
     for j in range(n):
+        plane = (2 * j, 2 * j + 1)
+        for arr in (real, cplx, real[..., 1, 0], cplx[..., 0, 0]):
+            got, expected = plane_spectrum(g, arr, j), scipy.fft.fftn(arr, axes=plane)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (j, arr.shape, arr.dtype)
         for conj in (False, True):
             mult = _dz_multiplier(g, j, conj)[..., None, None]
-            expected = scipy.fft.ifftn(mult * cplx, axes=axes)
+            expected = scipy.fft.ifftn(mult * cplx, axes=plane)
             assert from_spectrum(g, cplx, j, conj).tobytes() == expected.tobytes()
+            expected = scipy.fft.ifftn(mult * scipy.fft.fftn(real, axes=plane), axes=plane)
+            assert dz_array(g, real, j, conj).tobytes() == expected.tobytes()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 import positivity_reference
 import spectral_reference as ref
 from field_helpers import complex_coordinate
@@ -12,7 +13,7 @@ from dbarlab.exterior import (
     norm_sq,
     pairing,
 )
-from dbarlab.grid import GridSpec, dz_array, integrate
+from dbarlab.grid import GridSpec, _dz_multiplier, dz_array, integrate
 from dbarlab.hermitian import (
     chern_connection,
     curvature,
@@ -302,6 +303,55 @@ def test_transform_once_operators_match_per_direction_reference(rng, n, N, rank)
             for fast, slow in pairs:
                 assert (fast.p, fast.q) == (slow.p, slow.q)
                 assert np.array_equal(fast.coeffs, slow.coeffs)
+
+
+def full_grid_dz(grid, arr, j, conjugate=False):
+    """d/dz_j (or d/dzbar_j) through scipy.fft.fftn/ifftn over every grid axis."""
+    axes = tuple(range(2 * grid.n))
+    mult = _dz_multiplier(grid, j, conjugate)
+    mult = mult.reshape(mult.shape + (1,) * (arr.ndim - mult.ndim))
+    return scipy.fft.ifftn(mult * scipy.fft.fftn(arr, axes=axes), axes=axes)
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_plane_derivatives_match_full_grid_transforms(rng, monkeypatch, N):
+    # a derivative transforms only its own complex plane; transforming every
+    # grid axis is the same operator, so the two agree to roundoff.  The
+    # per-direction reference, run on full-grid transforms, is the oracle for
+    # the form operators, the connection and the curvature.  Errors are
+    # relative to the operator's bound on its input, kmax^order * max|input|
+    # with kmax = pi N / L: the matrix metric's connection is 1e-3 of h, so
+    # relative to its own size it would measure h's roundoff.  The rank-2
+    # matrix metric runs at N <= 16, where its curvature field stays small.
+    g = GridSpec(2, N, 8.0)
+    kmax = np.pi * N / g.L
+    monkeypatch.setattr(ref, "dz_array", full_grid_dz)
+
+    def assert_close(plane, full, scale):
+        assert plane.shape == full.shape
+        assert np.abs(plane - full).max() <= 1e-14 * scale
+
+    f = random_band_limited(g, rng)
+    for j in range(2):
+        for conj in (False, True):
+            assert_close(dz_array(g, f, j, conj), full_grid_dz(g, f, j, conj),
+                         kmax * np.abs(f).max())
+    metrics = [singular_catalog("gaussian", g, c=1.0).metric]
+    if N <= 16:
+        metrics.append(random_matrix_metric(g, 2, rng))
+    for h in metrics:
+        phis = h.diagonal_exponents()
+        if phis is None:
+            size = np.abs(h.mat).max() * np.abs(h.inverse_mat()).max()
+        else:
+            size = max(np.abs(phi).max() for phi in phis)
+        assert_close(chern_connection(h), ref.chern_connection(h), kmax * size)
+        assert_close(curvature(h).theta, ref.curvature(h), kmax**2 * size)
+        a = random_form(g, h.rank, 0, 1, rng)
+        scale = kmax * np.abs(a.coeffs).max()
+        assert_close(dbar(a).coeffs, ref.dbar(a).coeffs, scale)
+        assert_close(dpartial(a).coeffs, ref.dpartial(a).coeffs, scale)
+        assert_close(dbar_transpose(a).coeffs, ref.dbar_transpose(a).coeffs, scale)
 
 
 def test_sqrt_mat_clips_roundoff_and_rejects_negative_eigenvalue(rng):

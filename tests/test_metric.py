@@ -15,7 +15,7 @@ import pytest
 from dbarlab.cli import _metric_for, main, parse_config
 from dbarlab.errors import MetricError
 from dbarlab.grid import GridSpec
-from dbarlab.metric import MetricField, dual_metric
+from dbarlab.metric import HERMITIAN_TOL, MetricField, dual_metric
 from dbarlab.singular import MollifierSchedule, mollify, singular_catalog
 from test_hermitian import random_matrix_metric
 
@@ -95,6 +95,28 @@ def test_non_finite_metric_is_rejected_at_construction(entry, value):
         warnings.simplefilter("error")
         with pytest.raises(MetricError, match="non-finite"):
             MetricField(g, rank, mat)
+
+
+@pytest.mark.parametrize("noise, accepted", [(1e-14, True), (1e-9, False)])
+def test_rank_one_symmetrization_is_the_general_formula(noise, accepted):
+    # rank 1 reads the defect and the hermitian part off Im h and Re h; both
+    # are the general formula's bit for bit, and noise past the tolerance
+    # still raises
+    g = GridSpec(2, 8, 8.0)
+    weight = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric.mat
+    rng = np.random.default_rng(3)
+    mat = weight + 1j * noise * rng.standard_normal(weight.shape)
+    adjoint = np.conj(np.swapaxes(mat, -1, -2))
+    defect = np.abs(mat - adjoint).max()
+    assert defect == 2 * np.abs(mat.imag).max()
+    assert (defect <= HERMITIAN_TOL * np.abs(mat).max() * 10) == accepted
+    if not accepted:
+        with pytest.raises(MetricError, match="not hermitian"):
+            MetricField(g, 1, mat)
+        return
+    h = MetricField(g, 1, mat)
+    assert h.mat.tobytes() == (0.5 * (mat + adjoint)).tobytes()
+    assert not np.signbit(h.mat.imag).any()
 
 
 def diagonal_with_entry(rank: int, value) -> MetricField:
