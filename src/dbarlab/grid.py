@@ -18,11 +18,10 @@ forward transform over them, and ``from_spectrum`` multiplies that plane
 spectrum and inverts the same two axes, leaving the spectrum alone for its
 next use.  ``dz_array`` is the single-use derivative: it multiplies and
 inverts its own plane spectrum in place.  At n = 1 the plane is the whole
-grid.  A real input takes the real path: a real transform of the last
-transformed axis, complex ones of the others over the half spectrum, and the
-hermitian fill of the rest.  This is the arithmetic of scipy.fft.fftn/ifftn
-over the same axes, and the results are bitwise equal to it.  Every other
-spectral step goes through these.
+grid.  Every transform is the same complex arithmetic: a real input is cast
+to complex128 once, into the output buffer, and takes the same passes.  The
+results are bitwise equal to scipy.fft.fftn/ifftn of the complex input over
+the same axes.  Every other spectral step goes through these.
 
 A scalar field on the lattice is a plain array of ``grid.shape``, float64 or
 complex128 as its producer computes it; ``integrate`` is the package's one
@@ -127,62 +126,21 @@ def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -
     return _plane_derivative(grid, spec, j, conjugate, spec)
 
 
-def _conj_mirror(dst: np.ndarray, src: np.ndarray, axes: tuple) -> None:
-    """dst = conj(src) reflected k -> -k mod N on each of axes, by basic slices.
-
-    Per axis, index 0 maps to itself and 1..N-1 to N-1..1; the blocks are
-    kept as size-1 or strided slices, so axis numbers never shift.
-    """
-    if not axes:
-        np.conjugate(src, out=dst)
-        return
-    lead = (slice(None),) * axes[0]
-    _conj_mirror(dst[lead + (slice(0, 1),)], src[lead + (slice(0, 1),)], axes[1:])
-    _conj_mirror(dst[lead + (slice(1, None),)], src[lead + (slice(None, 0, -1),)], axes[1:])
-
-
-def _hermitian_plane(plane: np.ndarray, axes: tuple) -> None:
-    """Hermitian fill of a plane of the half spectrum that is its own mirror image.
-
-    A position later in C order than its mirror over axes takes the mirror's
-    conjugate, and a self-mirrored position is conjugated.
-    """
-    if not axes:
-        np.conjugate(plane, out=plane)
-        return
-    lead = (slice(None),) * axes[0]
-    half = plane.shape[axes[0]] // 2
-    _conj_mirror(plane[lead + (slice(half + 1, None),)],
-                 plane[lead + (slice(half - 1, 0, -1),)], axes[1:])
-    for k in (0, half):
-        _hermitian_plane(plane[lead + (slice(k, k + 1),)], axes[1:])
-
-
 def _transform(arr: np.ndarray, axes: tuple, forward: bool) -> np.ndarray:
-    """FFT (or inverse FFT) over axes, in increasing order, into a new C-ordered array."""
+    """FFT (or inverse FFT) over axes, in increasing order, into a new C-ordered array.
+
+    A real input is cast to complex128 once, into the output buffer, and takes
+    the same in-place complex passes.
+    """
     fft = np.fft.fft if forward else np.fft.ifft
     if np.iscomplexobj(arr):
         out = fft(arr, axis=axes[0])
-        for k in axes[1:]:
-            fft(out, axis=k, out=out)
-        return out
-    # real input: the real transform of the last axis fills the half spectrum
-    # k <= N/2 there, and the hermitian fill over the other axes gives the rest
-    last, others = axes[-1], axes[:-1]
-    lead = (slice(None),) * last
-    half = arr.shape[last] // 2
-    out = np.empty(arr.shape, dtype=np.complex128)
-    low = out[lead + (slice(0, half + 1),)]
-    np.fft.rfft(arr, axis=last, norm="backward" if forward else "forward", out=low)
-    if not forward:
-        inner = out[lead + (slice(1, half),)]
-        np.conjugate(inner, out=inner)
-    for k in others:
-        fft(low, axis=k, out=low)
-    _conj_mirror(out[lead + (slice(half + 1, None),)], out[lead + (slice(half - 1, 0, -1),)],
-                 others)
-    for k in (0, half):
-        _hermitian_plane(out[lead + (slice(k, k + 1),)], others)
+        rest = axes[1:]
+    else:
+        out = arr.astype(np.complex128, order="C")
+        rest = axes
+    for k in rest:
+        fft(out, axis=k, out=out)
     return out
 
 

@@ -19,11 +19,14 @@ touching the cokernel.  The returned u = h^{-1} dbar^T z lies in Range(T*),
 hence is Gram-orthogonal to Ker(T) to machine precision regardless of how
 accurately the iteration converged.
 
-CG keeps z, r and p as Fourier spectra.  With D the per-mode dbar symbol and
-D^+ = D^H (D D^H)^+ its cached per-mode pseudoinverse, A acts as
-D F[h^{-1} F^{-1}[D^H p]] and the preconditioner as D^+H F[h F^{-1}[D^+ r]]:
-the weight sits between the two pseudoinverses.  At n = 1 the symbol is a
-nonzero scalar off the four modes where it vanishes (zero and Nyquist), so
+CG keeps z, r and p as Fourier spectra.  D is the per-mode dbar symbol:
+wedging with d = sum_k d_k dzbar_k, d_k the dzbar_k multiplier.  Wedging and
+contracting with d anticommute to |d|^2, D D^H + D^H D = |d|^2, so the cached
+per-mode pseudoinverse is the closed form D^+ = D^H / |d|^2, zero at the
+zero and Nyquist modes where d vanishes, and D D^+ is the range projection.
+A acts as D F[h^{-1} F^{-1}[D^H p]] and the preconditioner as
+D^+H F[h F^{-1}[D^+ r]]: the weight sits between the two pseudoinverses.  At
+n = 1 the symbol is a nonzero scalar off the four modes where it vanishes, so
 the preconditioned operator is the identity up to a term of rank at most
 four per bundle component; at n = 2 it is a close approximation.  The stopping
 norm needs r on the lattice: five transforms per iteration, all through
@@ -123,39 +126,15 @@ def _flat_symbol(grid: GridSpec, p: int) -> np.ndarray:
     return D
 
 
-# eigh's backward error is a few eps times the largest eigenvalue, so the
-# exact cokernel zeros come out as +-O(eps * top); the cutoff sits well above
-# that and far below the smallest genuine eigenvalue (2 pi/L)^2/4, which is
-# ~3e-4 of the top at N = 64.
-_CUTOFF = 1e4 * np.finfo(np.float64).eps
-
-
-@lru_cache(maxsize=16)
-def _symbol_eig(grid: GridSpec, p: int) -> tuple:
-    """Eigen-decomposition of B = D D^H per mode, for projection and pinv.
-
-    Directions with eigenvalue at most _CUTOFF times the global top are the
-    exact cokernel bins (zeroed Nyquist/zero modes and transverse directions).
-    """
-    D = _flat_symbol(grid, p)
-    B = D @ np.conj(np.swapaxes(D, -1, -2))
-    vals, vecs = np.linalg.eigh(B)
-    keep = vals > vals.max() * _CUTOFF
-    return vals, vecs, keep
-
-
 @lru_cache(maxsize=16)
 def _symbol_pinv(grid: GridSpec, p: int) -> np.ndarray:
-    """Per-mode pseudoinverse D^+ = D^H (D D^H)^+ of the dbar symbol.
+    """Per-mode pseudoinverse D^+ = D^H / |d|^2 of the dbar symbol (module docstring).
 
-    (D D^H)^+ = V diag(1/lambda) V^H over the kept eigenvalues, so the
-    cokernel directions are dropped; that is safe because residuals of the
-    substituted system never leave the range.
+    |d|^2 = sum_k |d_k|^2 vanishes exactly at the zero and Nyquist modes, where D^+ is 0.
     """
-    vals, vecs, keep = _symbol_eig(grid, p)
-    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    B_pinv = np.einsum("...jm,...m,...km->...jk", vecs, inv_vals, np.conj(vecs))
-    return np.conj(np.swapaxes(_flat_symbol(grid, p), -1, -2)) @ B_pinv
+    d2 = sum(np.abs(_dz_multiplier(grid, k, True)) ** 2 for k in range(grid.n))
+    inv = np.divide(1.0, d2, out=np.zeros(d2.shape), where=d2 > 0.0)
+    return np.conj(np.swapaxes(_flat_symbol(grid, p), -1, -2)) * inv[..., None, None]
 
 
 def _per_mode(mat: np.ndarray, spec: np.ndarray) -> np.ndarray:
@@ -170,10 +149,8 @@ def _per_mode(mat: np.ndarray, spec: np.ndarray) -> np.ndarray:
 
 
 def _range_component(grid: GridSpec, p: int, spec: np.ndarray) -> np.ndarray:
-    """Part of a (n,p) spectrum, shape grid + (C(n,p), r), in the range of dbar."""
-    _vals, vecs, keep = _symbol_eig(grid, p)
-    comp = _per_mode(np.conj(np.swapaxes(vecs, -1, -2)), spec)
-    return _per_mode(vecs, np.where(keep[..., None], comp, 0.0))
+    """Part of a (n,p) spectrum, shape grid + (C(n,p), r), in the range of dbar: D D^+ spec."""
+    return _per_mode(_flat_symbol(grid, p), _per_mode(_symbol_pinv(grid, p), spec))
 
 
 def _range_defect(grid: GridSpec, p: int, spec: np.ndarray) -> float:

@@ -88,29 +88,24 @@ class MetricField:
 
     @classmethod
     def identity(cls, grid: GridSpec, rank: int = 1) -> "MetricField":
-        mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
-        for a in range(rank):
-            mat[..., a, a] = 1.0
-        return cls(grid, rank, mat)
+        return cls.from_diagonal(grid, [np.ones(grid.shape)] * rank)
 
     @classmethod
     def from_weight(cls, grid: GridSpec, weight: np.ndarray, rank: int = 1) -> "MetricField":
         """Diagonal metric weight * I."""
-        w = np.asarray(weight, dtype=np.complex128)
-        if w.shape != grid.shape:
-            raise FormError("weight shape does not match the grid")
-        mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
-        for a in range(rank):
-            mat[..., a, a] = w
-        return cls(grid, rank, mat)
+        return cls.from_diagonal(grid, [weight] * rank)
 
     @classmethod
     def from_diagonal(cls, grid: GridSpec, weights) -> "MetricField":
-        """Diagonal metric from positive scalar fields."""
+        """Diagonal metric from positive scalar fields, each of the grid's shape."""
         rank = len(weights)
+        if rank == 0:
+            raise FormError("a diagonal metric needs at least one weight")
         mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
         for a, w in enumerate(weights):
-            mat[..., a, a] = np.asarray(w)
+            if np.shape(w) != grid.shape:
+                raise FormError(f"weight shape {np.shape(w)} does not match the grid {grid.shape}")
+            mat[..., a, a] = w
         return cls(grid, rank, mat)
 
     def unmasked(self) -> np.ndarray:

@@ -5,10 +5,12 @@ Every vector (z, r, p) lives on the lattice and every operator goes through
 the package's real-space ``dbar`` and ``dbar_transpose``.  The weighted
 preconditioner M = D^+H h D^+ is built the same way: D^+ = dbar^T B^+ and
 D^+H = B^+ dbar, with B^+ the flat-symbol pseudoinverse of B = D D^H applied
-through its own forward and back transform.  It runs no preconditions and no
-seam or bound bookkeeping: it is the bare iteration, so that agreement with
-the fast path checks the spectral operators, the cached per-mode
-pseudoinverse and the rescaled inner products.
+through its own forward and back transform.  B^+ comes from a per-mode
+eigen-decomposition of B (``symbol_eig``), a different algorithm from the
+package's closed form D^H / |d|^2, and ``symbol_pinv`` is the per-mode D^+
+it gives.  It runs no preconditions and no seam or bound bookkeeping: it is
+the bare iteration, so that agreement with the fast path checks the spectral
+operators, the cached per-mode pseudoinverse and the rescaled inner products.
 
 ``flat_reference_min_norm`` runs the same iteration preconditioned by B^+
 alone, the yardstick for the weighted preconditioner's iteration counts.
@@ -19,12 +21,45 @@ Both stop with a SolverError at ``maxiter`` iterations, by default
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from dbarlab.errors import SolverError
 from dbarlab.exterior import EForm
 from dbarlab.hermitian import dbar
-from dbarlab.hormander import _symbol_eig, dbar_transpose, norm2
+from dbarlab.hormander import _flat_symbol, dbar_transpose, norm2
+
+# eigh's backward error is a few eps times the largest eigenvalue, so the
+# exact cokernel zeros come out as +-O(eps * top); the cutoff sits well above
+# that and far below the smallest genuine eigenvalue (2 pi/L)^2/4, which is
+# ~3e-4 of the top at N = 64.
+CUTOFF = 1e4 * np.finfo(np.float64).eps
+
+
+@lru_cache(maxsize=16)
+def symbol_eig(grid, p):
+    """Eigen-decomposition of B = D D^H per mode: (vals, vecs, keep).
+
+    Directions with eigenvalue at most CUTOFF times the global top are the
+    exact cokernel bins (zeroed Nyquist/zero modes and transverse directions).
+    """
+    D = _flat_symbol(grid, p)
+    vals, vecs = np.linalg.eigh(D @ np.conj(np.swapaxes(D, -1, -2)))
+    keep = vals > vals.max() * CUTOFF
+    return vals, vecs, keep
+
+
+def _inverse_kept(vals, keep):
+    return np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+
+
+def symbol_pinv(grid, p):
+    """Per-mode D^+ = D^H (D D^H)^+, with (D D^H)^+ = V diag(1/lambda) V^H over the kept
+    eigenvalues."""
+    vals, vecs, keep = symbol_eig(grid, p)
+    B_pinv = np.einsum("...jm,...m,...km->...jk", vecs, _inverse_kept(vals, keep), np.conj(vecs))
+    return np.conj(np.swapaxes(_flat_symbol(grid, p), -1, -2)) @ B_pinv
 
 
 def _mode_transform(grid, coeffs, forward):
@@ -34,8 +69,8 @@ def _mode_transform(grid, coeffs, forward):
 
 def flat_pinv_apply(grid, p, coeffs):
     """Per-mode pseudoinverse of B = D D^H, applied through two transforms."""
-    vals, vecs, keep = _symbol_eig(grid, p)
-    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
+    vals, vecs, keep = symbol_eig(grid, p)
+    inv_vals = _inverse_kept(vals, keep)
     spec = _mode_transform(grid, coeffs, True)
     comp = np.einsum("...mj,...jr->...mr", np.conj(np.swapaxes(vecs, -1, -2)), spec[..., 0, :, :])
     comp = comp * inv_vals[..., None]

@@ -315,6 +315,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
         monkeypatch.setattr(np.fft, name, one_pass(getattr(np.fft, name)))
     bk_reports(_bk_source(g, 1), h)
     assert len(passes) == 42
+    assert "rfft" not in passes
     assert all(inputs)
 
 

@@ -259,10 +259,11 @@ def test_from_spectrum_is_the_plain_inverse_and_leaves_spec_alone(n, N, slots, r
 
 @pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (1, 64), (1, 128), (2, 8), (2, 16), (2, 32)])
 def test_transforms_are_bitwise_scipy_fft(n, N):
-    # numpy.fft one axis at a time, with the real path's hermitian fill, does
-    # scipy.fft.fftn/ifftn's arithmetic over the same axes, all grid axes or
-    # one complex plane's: the bytes agree, for real and complex input, with
-    # and without trailing components, and for strided views
+    # numpy.fft one axis at a time does scipy.fft.fftn/ifftn's complex
+    # arithmetic over the same axes, all grid axes or one complex plane's: a
+    # real input is the complex transform of its complex cast, and the bytes
+    # agree for real and complex input, with and without trailing components,
+    # and for strided views
     g = GridSpec(n, N, 8.0)
     axes = tuple(range(2 * n))
     rng = np.random.default_rng(100 * n + N)
@@ -271,18 +272,20 @@ def test_transforms_are_bitwise_scipy_fft(n, N):
     cplx = real + 1j * rng.standard_normal(shape)
     for arr in (real, cplx, real[..., 1, 0], cplx[..., 0, 0]):
         for ours, theirs in ((to_spectrum, scipy.fft.fftn), (to_lattice, scipy.fft.ifftn)):
-            got, expected = ours(g, arr), theirs(arr, axes=axes)
+            got, expected = ours(g, arr), theirs(arr.astype(complex), axes=axes)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (ours.__name__, arr.shape, arr.dtype)
     for j in range(n):
         plane = (2 * j, 2 * j + 1)
         for arr in (real, cplx, real[..., 1, 0], cplx[..., 0, 0]):
-            got, expected = plane_spectrum(g, arr, j), scipy.fft.fftn(arr, axes=plane)
+            got = plane_spectrum(g, arr, j)
+            expected = scipy.fft.fftn(arr.astype(complex), axes=plane)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes(), (j, arr.shape, arr.dtype)
         for conj in (False, True):
             mult = _dz_multiplier(g, j, conj)[..., None, None]
             expected = scipy.fft.ifftn(mult * cplx, axes=plane)
             assert from_spectrum(g, cplx, j, conj).tobytes() == expected.tobytes()
-            expected = scipy.fft.ifftn(mult * scipy.fft.fftn(real, axes=plane), axes=plane)
+            spec = scipy.fft.fftn(real.astype(complex), axes=plane)
+            expected = scipy.fft.ifftn(mult * spec, axes=plane)
             assert dz_array(g, real, j, conj).tobytes() == expected.tobytes()

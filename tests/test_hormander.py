@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cg_reference import flat_reference_min_norm, reference_min_norm
+from cg_reference import flat_reference_min_norm, reference_min_norm, symbol_eig, symbol_pinv
 from field_helpers import complex_coordinate, coordinate
 from hormander_reference import dense_min_norm, range_projection_defect
 from dbarlab.errors import FormError, PreconditionError, SolverError
@@ -11,8 +11,8 @@ from dbarlab.hermitian import curvature, dbar, dbar_star_formal
 from dbarlab.hormander import (
     _flat_symbol,
     _per_mode,
+    _range_component,
     _spectral_norm2,
-    _symbol_eig,
     _symbol_pinv,
     apply_Tstar,
     closedness_defect,
@@ -343,16 +343,20 @@ def test_dense_adjoint_matrix_oracle(rng):
     assert np.abs(Tstar - expected).max() < 1e-12 * np.abs(expected).max()
 
 
+def pinv_zero_modes(grid, p):
+    """Number of modes where the closed-form pseudoinverse is the zero matrix."""
+    return int((np.abs(_symbol_pinv(grid, p)).max(axis=(-2, -1)) == 0.0).sum())
+
+
 def test_flat_symbol_cokernel_dimension():
     # the discrete dbar on (1,0)-forms annihilates exactly the modes whose two
     # axis multipliers are both zeroed: the constant mode and the Nyquist rows
-    from dbarlab.hormander import _symbol_eig
-
     g = GridSpec(1, 16, 8.0)
-    vals, vecs, keep = _symbol_eig(g, 1)
+    vals, vecs, keep = symbol_eig(g, 1)
     assert keep.shape == g.shape + (1,)
     killed = (~keep).sum()
     assert killed == 4  # (kx, ky) in {0, Nyquist}^2
+    assert pinv_zero_modes(g, 1) == 4
 
 
 def test_symbol_eig_keeps_exact_rank_n2():
@@ -360,9 +364,43 @@ def test_symbol_eig_keeps_exact_rank_n2():
     # dzbar multiplier is nonzero; the exactly-zero transverse eigenvalues
     # come out of eigh as +-1e-17 and must not be kept
     g = GridSpec(2, 8, 8.0)
-    _vals, _vecs, keep = _symbol_eig(g, 1)
+    _vals, _vecs, keep = symbol_eig(g, 1)
     zero_per_axis = int((g.wavenumbers() == 0.0).sum())
     assert keep.sum() == g.N ** (2 * g.n) - zero_per_axis ** 4 == 4080
+    assert g.N ** (2 * g.n) - pinv_zero_modes(g, 1) == 4080
+
+
+def _adjoint(mat):
+    return np.conj(np.swapaxes(mat, -1, -2))
+
+
+def _close(got, expected, rel):
+    return np.abs(got - expected).max() <= rel * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n, N, p", [(1, 16, 1), (1, 64, 1), (2, 8, 1), (2, 8, 2), (2, 16, 1),
+                                     (2, 16, 2)])
+def test_closed_form_symbol_pinv_is_the_moore_penrose_inverse(n, N, p, rng):
+    # D D^H + D^H D = |d|^2 makes D^H / |d|^2 the pseudoinverse per mode: the
+    # four Penrose conditions hold, it equals the eigh oracle's D^H (D D^H)^+,
+    # and D D^+ is an idempotent projection that keeps what the oracle keeps
+    g = GridSpec(n, N, 8.0)
+    D = _flat_symbol(g, p)
+    Dp = _symbol_pinv(g, p)
+    assert Dp.shape == g.shape + D.shape[-1:] + D.shape[-2:-1]
+    assert _close(D @ Dp @ D, D, 1e-14)
+    assert _close(Dp @ D @ Dp, Dp, 1e-14)
+    assert _close(_adjoint(D @ Dp), D @ Dp, 1e-14)
+    assert _close(_adjoint(Dp @ D), Dp @ D, 1e-14)
+    assert _close(Dp, symbol_pinv(g, p), 1e-14)
+
+    shape = g.shape + (D.shape[-2], 2)
+    spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = _range_component(g, p, spec)
+    assert _close(_range_component(g, p, kept), kept, 1e-14)
+    _vals, vecs, keep = symbol_eig(g, p)
+    oracle = np.einsum("...jm,...m,...km,...kr->...jr", vecs, keep, np.conj(vecs), spec)
+    assert _close(kept, oracle, 1e-14)
 
 
 def test_solve_closed_n2_source_to_1e10(rng):

@@ -1,4 +1,5 @@
-"""MetricField: construction rejects non-finite entries; inverse_mat against LAPACK.
+"""MetricField: construction rejects non-finite entries and diagonal weights off the
+grid's shape; inverse_mat against LAPACK.
 
 A diagonal stack is inverted entrywise; every other stack, and every stack
 with a reciprocal that is not finite, goes through np.linalg.inv.  Both paths
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from dbarlab.cli import _metric_for, main, parse_config
-from dbarlab.errors import MetricError
+from dbarlab.errors import FormError, MetricError
 from dbarlab.grid import GridSpec
 from dbarlab.metric import HERMITIAN_TOL, MetricField, dual_metric
 from dbarlab.singular import MollifierSchedule, mollify, singular_catalog
@@ -95,6 +96,11 @@ def test_non_finite_metric_is_rejected_at_construction(entry, value):
         warnings.simplefilter("error")
         with pytest.raises(MetricError, match="non-finite"):
             MetricField(g, rank, mat)
+    # a diagonal metric's weights are checked against the grid, not broadcast
+    with pytest.raises(FormError, match="does not match the grid"):
+        MetricField.from_diagonal(g, [np.ones(g.N), np.full(g.shape, 2.0)])
+    with pytest.raises(FormError, match="at least one weight"):
+        MetricField.from_diagonal(g, [])
 
 
 @pytest.mark.parametrize("noise, accepted", [(1e-14, True), (1e-9, False)])
