@@ -13,30 +13,35 @@ is evaluated with the spectral calculus and reported as a density against
 dV; the residual is the max pointwise mismatch over the requested region.
 
 Both forms of the identity are read off one term pass that builds every
-density once.  Each derivative transforms only its own complex plane
-(grid.plane_spectrum), forward and back.  One plane spectrum per
-coefficient of gamma and direction gives dbar gamma and del gamma in that
-direction.  On the identities-n2 benchmark config the pass runs 42 one-axis
-FFT passes, where transforming every grid axis took 72.  One set of connection
-blocks theta_j, built only for the directions j that grow a nonzero
-coefficient of gamma, gives the connection term of D'gamma and the
-curvature blocks Theta_jk = -dbar_k theta_j.  The adjoint reuses D'gamma,
-since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports returns the
-pointwise and integrated reports of a single pass.  The curvature is always
-that of h.  The compact-support proxy check_support holds the seam-margin
-mass to SUPPORT_TOL.
+density once.  Each derivative transforms only its own complex plane, block
+by block (grid._plane_derivatives), forward and back.  One forward
+transform per coefficient of gamma and direction gives dbar gamma and del
+gamma in that direction.  On the identities-n2 benchmark config the pass
+runs 42 one-axis FFT passes over the field, where transforming every grid
+axis took 72.  One set of connection blocks theta_j, built only for the
+directions j that grow a nonzero coefficient of gamma, gives the connection
+term of D'gamma and the curvature blocks Theta_jk = -dbar_k theta_j.  The
+adjoint reuses D'gamma, since dbar*_h alpha = i D'gamma ^ omega_{p-1};
+bk_reports returns the pointwise and integrated reports of a single pass.
+The curvature is always that of h.  The compact-support proxy check_support
+holds the seam-margin mass to SUPPORT_TOL.
 
 Memory: the pass keeps a full-grid field only until its last use, and
 orders its stages so that few live at once.  The del-dbar term of the left
 side comes first, while only gamma exists.  dbar gamma is reduced to its
-density before any theta_j is built, and gamma's spectra are gone by then;
-at most one plane spectrum of a coefficient is alive at a time.  Each
-theta_j goes once its last curvature block is formed, and each block is
-applied as soon as it is formed, so no curvature field exists; D'gamma goes
-once dbar D'gamma exists, and gamma once the cross terms are done.
-omega_{p-1} is a read-only broadcast of one constant block (omega_power),
-so it costs no full-grid array.  At n = 2 and rank 1 the traced peak is 10
-full-grid complex fields (160 MiB at N = 32).
+density before any theta_j is built.  Derivatives are added into their
+target slots block by block, so no full-grid derivative or spectrum
+exists, and pairing and hodge_star leave the slots an identically zero slot
+would fill unwritten.  Each theta_j goes once its last curvature block is
+formed, and each block is applied as soon as it is formed, so no curvature
+field exists; D'gamma goes once dbar D'gamma exists, and gamma once the
+cross terms are done.  omega_{p-1} is a read-only broadcast of one constant
+block (omega_power), so it costs no full-grid array.  The pass yields each
+density in turn, and the reports reduce it before the next is made: a copy
+of its interior box for the pointwise report, its whole-grid integral for
+the integrated one.  At n = 2 and rank 1 the traced peak is 8.8 full-grid
+complex fields (141 MiB at N = 32), against 10 when every density and
+derivative was a full-grid array.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .exterior import (
     pairing,
     wedge,
 )
-from .grid import integrate, interior_mask, seam_leakage
+from .grid import _interior_box, integrate, seam_leakage
 from .hermitian import (
     adjoint_from_dprime,
     connection_terms,
@@ -102,15 +107,16 @@ def _require_np_form(alpha: EForm):
         )
 
 
-def _bk_terms(alpha: EForm, h: MetricField) -> dict:
-    """Every density of the identity against dV, each computed once.
+def _bk_terms(alpha: EForm, h: MetricField):
+    """Yield (name, density) for every density of the identity against dV, each computed once.
 
-    One plane spectrum per coefficient of gamma and direction gives dbar
+    One plane transform per coefficient of gamma and direction gives dbar
     gamma and del gamma, and one connection theta gives D'gamma and the
     curvature blocks (connection_terms).  The adjoint term reuses
     D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.  Each full-grid
     intermediate is dropped after its last use, in an order that keeps few
-    of them alive at once (see the module docstring).
+    of them alive at once (see the module docstring); a consumer drops each
+    density before it asks for the next.
     """
     n = alpha.grid.n
     p = alpha.q
@@ -118,41 +124,64 @@ def _bk_terms(alpha: EForm, h: MetricField) -> dict:
     om_p1 = omega_power(alpha.grid, p - 1)
     ic = 1j * c_const(n - p)
 
-    terms = {"lhs": ic * dv_density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))}
+    yield "lhs", ic * dv_density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
     dbar_gamma, dpg = dbar_and_del(gamma)
-    terms["dbar_gamma_sq"] = norm_sq(dbar_gamma, h)
+    yield "dbar_gamma_sq", norm_sq(dbar_gamma, h)
     del dbar_gamma
     theta_gamma = connection_terms(gamma, h, dpg)  # dpg is now D'gamma
-    terms["curvature"] = ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))
+    yield "curvature", ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))
     del theta_gamma
-    terms["adjoint_sq"] = norm_sq(adjoint_from_dprime(dpg, om_p1), h)
+    yield "adjoint_sq", norm_sq(adjoint_from_dprime(dpg, om_p1), h)
     dbar_dpg = dbar(dpg)
     del dpg
-    terms["cross_minus"] = -ic * dv_density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
-    terms["cross_plus"] = ic * dv_density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
+    yield "cross_minus", -ic * dv_density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
+    yield "cross_plus", ic * dv_density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
     del dbar_dpg, gamma
-    terms["dbar_alpha_sq"] = np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
-    return terms
+    yield "dbar_alpha_sq", np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
 
 
-def _pointwise_report(alpha: EForm, t: dict, margin: float) -> IdentityReport:
+# the densities whose whole-grid integrals the integrated report balances
+_INTEGRATED = ("curvature", "dbar_gamma_sq", "adjoint_sq", "dbar_alpha_sq")
+
+
+def _reports(alpha: EForm, h: MetricField, margin: float) -> tuple:
+    """(pointwise, integrated) reports, reducing each density of _bk_terms as it arrives.
+
+    The interior region is a box (grid._interior_box), so each density keeps a
+    copy of its box for the pointwise report and its whole-grid integral for
+    the integrated one, and the full field goes before the next is made.
+    Every reduction is a max or the whole-grid sum the full fields took, so
+    both reports are those of the full densities, bit for bit.
+    """
+    grid = alpha.grid
+    box = _interior_box(grid, margin)
+    inner, integrals = {}, {}
+    for name, density in _bk_terms(alpha, h):
+        inner[name] = density[box].copy()
+        if name in _INTEGRATED:
+            integrals[name] = float(integrate(grid, density.real))
+        del density  # before the next density is made
+    return _pointwise_report(alpha, inner), _integrated_report(alpha, integrals)
+
+
+def _pointwise_report(alpha: EForm, t: dict) -> IdentityReport:
+    """The pointwise report from the densities t on the interior box."""
     lhs = t["lhs"]
     rhs = (
         t["curvature"] + t["cross_minus"] + t["cross_plus"]
         + t["adjoint_sq"] + t["dbar_gamma_sq"] - t["dbar_alpha_sq"]
     )
-    region = interior_mask(alpha.grid, margin)
-    resid = np.abs(lhs - rhs)[region].max()
+    resid = np.abs(lhs - rhs).max()
     scale = max(
-        float(np.abs(lhs)[region].max()),
-        float(np.abs(t["curvature"])[region].max()),
-        float(t["adjoint_sq"][region].max()),
-        float(t["dbar_gamma_sq"][region].max()),
+        float(np.abs(lhs).max()),
+        float(np.abs(t["curvature"]).max()),
+        float(t["adjoint_sq"].max()),
+        float(t["dbar_gamma_sq"].max()),
         1e-300,
     )
     report = IdentityReport("bk-pointwise", alpha.grid.n, alpha.q, alpha.grid.N)
     report.terms = {
-        name: float(np.abs(t[name])[region].max())
+        name: float(np.abs(t[name]).max())
         for name in (
             "curvature", "cross_minus", "cross_plus",
             "adjoint_sq", "dbar_gamma_sq", "dbar_alpha_sq",
@@ -163,12 +192,13 @@ def _pointwise_report(alpha: EForm, t: dict, margin: float) -> IdentityReport:
     return report
 
 
-def _integrated_report(alpha: EForm, t: dict) -> IdentityReport:
+def _integrated_report(alpha: EForm, integrals: dict) -> IdentityReport:
+    """The integrated report from the whole-grid integrals of the _INTEGRATED densities."""
     grid = alpha.grid
-    I_curv = float(integrate(grid, t["curvature"].real))
-    I_dbar_gamma = float(integrate(grid, t["dbar_gamma_sq"]))
-    I_tstar = float(integrate(grid, t["adjoint_sq"]))
-    I_dbar_alpha = float(integrate(grid, t["dbar_alpha_sq"]))  # zeros when p == n
+    I_curv = integrals["curvature"]
+    I_dbar_gamma = integrals["dbar_gamma_sq"]
+    I_tstar = integrals["adjoint_sq"]
+    I_dbar_alpha = integrals["dbar_alpha_sq"]  # zeros when p == n
     residual = I_curv + I_dbar_gamma - I_tstar - I_dbar_alpha
     scale = max(abs(I_curv), I_dbar_gamma, I_tstar, abs(I_dbar_alpha), 1e-300)
 
@@ -191,20 +221,19 @@ def bk_reports(alpha: EForm, h: MetricField, margin: float = 0.125) -> tuple:
     single evaluation of each term.
     """
     _require_np_form(alpha)
-    t = _bk_terms(alpha, h)
-    return _pointwise_report(alpha, t, margin), _integrated_report(alpha, t)
+    return _reports(alpha, h, margin)
 
 
 def bk_pointwise(alpha: EForm, h: MetricField, margin: float = 0.125) -> IdentityReport:
     """Max pointwise residual of the del-dbar identity over the interior region."""
     _require_np_form(alpha)
-    return _pointwise_report(alpha, _bk_terms(alpha, h), margin)
+    return _reports(alpha, h, margin)[0]
 
 
 def bk_integrated(alpha: EForm, h: MetricField) -> IdentityReport:
     """The four-integral balance; exact derivatives integrate to zero spectrally."""
     _require_np_form(alpha)
-    return _integrated_report(alpha, _bk_terms(alpha, h))
+    return _reports(alpha, h, 0.125)[1]
 
 
 def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:

@@ -169,14 +169,14 @@ ExperimentConfig = make_dataclass("ExperimentConfig", [spec.attr for spec in FIE
 
 # A run whose estimated working set passes this cap exits 1 before it allocates
 # anything: the lab is desk-scale, and a larger run would take a workstation's
-# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 226 MB.
+# memory for itself.  identities-n2 (n = 2, N = 32) is estimated at 193 MB.
 WORKING_SET_CAP_MB = 2048
 
 # Full-grid complex fields (16 bytes a point, times rank^2) a pipeline holds at
 # its peak, rounded up from traced peaks at n = 1, 2 and rank 1, 2.  solve
 # holds about one more per source bump and regularize five more per mollifier
 # radius; those are charged to count and nu_max.
-_PEAK_FIELDS = {"identities": 14, "positivity": 20, "solve": 32, "regularize": 32,
+_PEAK_FIELDS = {"identities": 12, "positivity": 20, "solve": 32, "regularize": 32,
                 "convergence": 20}
 _FIELDS_PER_ITEM = {"solve": ("count", 2), "regularize": ("nu_max", 6)}
 # What does not grow with the grid, and outweighs the fields at the smallest

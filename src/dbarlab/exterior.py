@@ -42,6 +42,12 @@ The pointwise contractions move no memory they do not need:
 * a constant form (``omega_power``, a zero-stride broadcast) wedges as
   scalars: each nonzero entry of its block multiplies the other operand's
   field, and the zero entries are skipped;
+* ``pairing`` tests each slot of its operands once with np.any (a NaN
+  counts as nonzero) and skips every slot pair with an identically zero
+  slot, whose product would add exact zeros for finite data; ``hodge_star``
+  leaves the slot of a zero slot unwritten.  An output slot nothing is
+  added to stays as EForm.zeros made it, pages the system has not yet
+  backed with memory;
 * a +-1 sign or factor picks an add or a subtract instead of a product, and
   a unit constant in {1, -1, i, -i} (``dv_density``, ``hodge_star``) is one
   product written straight into the result: no division and no temporary.
@@ -59,7 +65,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FormError
-from .grid import GridSpec
+from .grid import GridSpec, add_signed
 from .metric import MetricField, vector_inner
 
 
@@ -214,14 +220,6 @@ def _check_compatible(a: EForm, b: EForm):
 # wedge and the flat Kahler form
 # ---------------------------------------------------------------------------
 
-def add_signed(dst: np.ndarray, sign: int, value) -> None:
-    """dst += sign * value for a unit sign, as one add or one subtract."""
-    if sign > 0:
-        dst += value
-    else:
-        dst -= value
-
-
 def _factors(a: EForm):
     """Per slot (I, J, factor): the coefficient field, or a constant form's scalar entry.
 
@@ -343,18 +341,27 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
     pos_I = index_slot(n, p)
     pos_J = index_slot(n, q)
     conj_sign = (-1) ** (b.p * b.q)
-    for Ia in a.dz_slots():
-        for Ja in a.dzbar_slots():
-            ca = a.slot(Ia, Ja)
-            for Ib in b.dz_slots():
-                for Jb in b.dzbar_slots():
-                    # conj(dz_Ib ^ dzbar_Jb) = (-1)^(pb*qb) dz_Jb ^ dzbar_Ib
-                    sign, I, J = wedge_basis(Ia, Ja, Jb, Ib)
-                    if sign == 0:
-                        continue
-                    add_signed(out.coeffs[..., pos_I[I], pos_J[J], 0], conj_sign * sign,
-                               vector_inner(h, ca, b.slot(Ib, Jb)))
+    a_slots = _live_slots(a)
+    b_slots = a_slots if b is a else _live_slots(b)
+    for Ia, Ja, ca in a_slots:
+        for Ib, Jb, cb in b_slots:
+            # conj(dz_Ib ^ dzbar_Jb) = (-1)^(pb*qb) dz_Jb ^ dzbar_Ib
+            sign, I, J = wedge_basis(Ia, Ja, Jb, Ib)
+            if sign == 0:
+                continue
+            add_signed(out.coeffs[..., pos_I[I], pos_J[J], 0], conj_sign * sign,
+                       vector_inner(h, ca, cb))
     return out
+
+
+def _live_slots(a: EForm) -> list:
+    """(I, J, coefficient field) of each slot of a that is not identically zero.
+
+    One np.any pass per slot; a NaN counts as nonzero.  A product with a zero
+    slot is exact zeros for finite data, and costs several passes.
+    """
+    return [(I, J, a.slot(I, J)) for I in a.dz_slots() for J in a.dzbar_slots()
+            if np.any(a.slot(I, J))]
 
 
 def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
@@ -432,5 +439,6 @@ def hodge_star(a: EForm) -> EForm:
     full = tuple(range(n))
     pos = index_slot(n, n - p)
     for J, Jc, eps in hodge_star_table(n, p):
-        np.multiply(a.slot(full, J), eps, out=out.coeffs[..., pos[Jc], 0, :])
+        if np.any(a.slot(full, J)):  # a zero slot stays unwritten
+            np.multiply(a.slot(full, J), eps, out=out.coeffs[..., pos[Jc], 0, :])
     return out

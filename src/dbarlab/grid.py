@@ -13,15 +13,19 @@ axis order and in place after the first.  ``to_spectrum`` and ``to_lattice``
 are the forward and inverse transforms over all grid axes, for the Fourier
 space solver, ``convolve`` and ``kernel_spectrum``.  A derivative d/dz_j or
 d/dzbar_j varies only along the real axes (x_j, y_j) of its complex plane,
-so it transforms only those two: ``plane_spectrum(grid, arr, j)`` is the
-forward transform over them, and ``from_spectrum`` multiplies that plane
-spectrum and inverts the same two axes, leaving the spectrum alone for its
-next use.  ``dz_array`` is the single-use derivative: it multiplies and
-inverts its own plane spectrum in place.  At n = 1 the plane is the whole
-grid.  Every transform is the same complex arithmetic: a real input is cast
-to complex128 once, into the output buffer, and takes the same passes.  The
-results are bitwise equal to scipy.fft.fftn/ifftn of the complex input over
-the same axes.  Every other spectral step goes through these.
+so it transforms only those two, in one cache-blocked kernel,
+``_plane_derivatives(grid, arr, j, targets)``.  For one block of the other
+axes at a time, sized to stay in cache, it transforms the plane forward
+once and, per target, applies the multiplier, inverts the plane and writes
+the block into a new array or adds or subtracts it into a view of the
+target.  No full-grid spectrum or derivative exists, and the first axis is
+transformed within the block instead of at the field's full stride.
+``dz_array`` is its single-target case.  At n = 1 the plane is the whole
+grid, and a field that fits one block is transformed whole.  Every
+transform is the same complex arithmetic: a real input is cast to
+complex128 once, into the transformed buffer, and takes the same passes.
+The results are bitwise equal to scipy.fft.fftn/ifftn of the complex input
+over the same axes.  Every other spectral step goes through these.
 
 A scalar field on the lattice is a plain array of ``grid.shape``, float64 or
 complex128 as its producer computes it; ``integrate`` is the package's one
@@ -30,6 +34,7 @@ lattice quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -100,6 +105,14 @@ class GridSpec:
         return w
 
 
+def add_signed(dst: np.ndarray, sign: int, value) -> None:
+    """dst += sign * value for a unit sign, as one add or one subtract."""
+    if sign > 0:
+        dst += value
+    else:
+        dst -= value
+
+
 @lru_cache(maxsize=32)
 def _dz_multiplier(grid: GridSpec, j: int, conjugate: bool) -> np.ndarray:
     """Fourier multiplier of d/dz_j (or d/dzbar_j), broadcastable to grid shape.
@@ -116,14 +129,10 @@ def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -
     """Spectral d/dz_j (or d/dzbar_j) of an array, transforming only the plane of z_j.
 
     Leading axes must be the grid axes; any trailing axes are treated as
-    components and differentiated entrywise.  The plane spectrum is the
-    output's buffer: it is multiplied and inverted in place.
+    components and differentiated entrywise.  This is _plane_derivatives
+    with one target, a new array.
     """
-    dims = 2 * grid.n
-    if arr.shape[:dims] != grid.shape:
-        raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
-    spec = plane_spectrum(grid, arr, j)
-    return _plane_derivative(grid, spec, j, conjugate, spec)
+    return _plane_derivatives(grid, arr, j, [(None, 1, conjugate)])[0]
 
 
 def _transform(arr: np.ndarray, axes: tuple, forward: bool) -> np.ndarray:
@@ -154,47 +163,98 @@ def to_lattice(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
     return _transform(spec, tuple(range(2 * grid.n)), False)
 
 
-def plane_spectrum(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
-    """Forward FFT over the real axes (x_j, y_j) of the complex plane j only.
+# Bytes of complex128 in one block of _plane_derivatives.  The block's plane
+# spectrum and one work copy of it stay in the 2 MiB L2 of the benchmark host
+# (perfbench/baseline.json) through the forward passes, the multiplier, the
+# inverse passes and the write, where a whole 16 MiB field streams through
+# memory once per pass.  Of 256 KiB to 4 MiB, 1 MiB gave the fastest
+# derivatives of a 32^4 field on that host.
+_BLOCK_BYTES = 2**20
 
-    The other grid axes and trailing component axes ride along; this is the
-    spectrum from_spectrum takes for derivatives in direction j.
+
+def _blocks(grid: GridSpec, shape: tuple, j: int) -> list:
+    """Index tuples of equal blocks covering an array of shape, for derivatives in plane j.
+
+    A block slices only the grid axes outside plane j and keeps every
+    trailing component axis whole, with at most _BLOCK_BYTES of complex128
+    when the grid allows it.  An array that fits one block, and every array
+    at n = 1, is one block (...).
     """
+    line = 16 * math.prod(shape) // grid.N**2  # bytes at one index of the other two grid axes
+    if grid.n == 1 or line * grid.N**2 <= _BLOCK_BYTES:
+        return [np.s_[...]]
+    outer, inner = (2, 3) if j == 0 else (0, 1)
+    per = 1 << max(0, (_BLOCK_BYTES // line).bit_length() - 1)  # a power of two, as N is
+    index = [slice(None)] * len(shape)
+    blocks = []
+    if per >= grid.N:
+        step = per // grid.N
+        for start in range(0, grid.N, step):
+            index[outer] = slice(start, start + step)
+            blocks.append(tuple(index))
+    else:
+        for row in range(grid.N):
+            index[outer] = slice(row, row + 1)
+            for start in range(0, grid.N, per):
+                index[inner] = slice(start, start + per)
+                blocks.append(tuple(index))
+    return blocks
+
+
+def _plane_derivatives(grid: GridSpec, arr: np.ndarray, j: int, targets: list) -> list:
+    """d/dz_j or d/dzbar_j of arr into every target (dst, sign, conjugate), block by block.
+
+    A target whose dst is None gets a new array; any other gets dst += sign
+    * the derivative (sign +-1), written through views of dst, so a strided
+    dst (a slot of a slot-major form) is filled in place.  Returns each
+    target's array.  Trailing component axes of arr are differentiated
+    entrywise.
+
+    Each block of _blocks is copied in (a real input is cast there) and
+    transformed forward over (x_j, y_j) once; per target, its multiplier is
+    applied, multiplier first, which fixes the product's rounding, then the
+    block is inverted over the same axes and written out, the last target
+    in the spectrum's own buffer.  Every line and every point takes the
+    arithmetic of scipy.fft.ifftn(multiplier * scipy.fft.fftn(arr,
+    axes=plane)), bit for bit.  An array of one block is transformed into a
+    new array with no copy in, and a new-array target keeps its result.
+    """
+    if arr.shape[: 2 * grid.n] != grid.shape:
+        raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
     if not 0 <= j < grid.n:
         raise FormError(f"complex axis {j} out of range for n={grid.n}")
-    return _transform(arr, (2 * j, 2 * j + 1), True)
-
-
-def _plane_derivative(
-    grid: GridSpec, spec: np.ndarray, j: int, conjugate: bool, out: np.ndarray | None
-) -> np.ndarray:
-    """out = the inverse over plane j of multiplier * spec; out is spec for in place.
-
-    The product is written multiplier first, which fixes its rounding.
-    """
-    mult = _dz_multiplier(grid, j, conjugate)
-    mult = mult.reshape(mult.shape + (1,) * (spec.ndim - mult.ndim))
-    out = np.multiply(mult, spec, out=out)
-    np.fft.ifft(out, axis=2 * j, out=out)
-    np.fft.ifft(out, axis=2 * j + 1, out=out)
-    return out
-
-
-def from_spectrum(
-    grid: GridSpec, spec: np.ndarray, j: int, conjugate: bool = False
-) -> np.ndarray:
-    """d/dz_j (or d/dzbar_j) of the array whose plane-j spectrum is spec.
-
-    spec is plane_spectrum(grid, arr, j); the multiplier of the derivative is
-    applied into a new array, inverted over the axes of plane j, and spec is
-    left as it was.  Trailing component axes of spec are differentiated
-    entrywise.  Callers that need several derivatives in direction j of one
-    array transform it once and take each here; a single derivative is
-    dz_array.
-    """
-    if not 0 <= j < grid.n:
-        raise FormError(f"complex axis {j} out of range for n={grid.n}")
-    return _plane_derivative(grid, spec, j, conjugate, None)
+    x, y = 2 * j, 2 * j + 1
+    mults = []
+    for _, _, conjugate in targets:
+        mult = _dz_multiplier(grid, j, conjugate)
+        mults.append(mult.reshape(mult.shape + (1,) * (arr.ndim - mult.ndim)))
+    blocks = _blocks(grid, arr.shape, j)
+    outs = [dst for dst, _, _ in targets]
+    work = None  # one block: each target but the last multiplies into a new array
+    if len(blocks) > 1:
+        outs = [np.empty(arr.shape, np.complex128) if dst is None else dst for dst in outs]
+        buffer = np.empty_like(arr[blocks[0]], dtype=np.complex128)  # laid out as arr
+        if len(targets) > 1:
+            work = np.empty_like(buffer)
+    for block in blocks:
+        if len(blocks) == 1:
+            spec = _transform(arr, (x, y), True)
+        else:
+            spec = buffer
+            np.copyto(spec, arr[block])
+            np.fft.fft(spec, axis=x, out=spec)
+            np.fft.fft(spec, axis=y, out=spec)
+        for t, (mult, (dst, sign, _)) in enumerate(zip(mults, targets)):
+            out = np.multiply(mult, spec, out=spec if t == len(targets) - 1 else work)
+            np.fft.ifft(out, axis=x, out=out)
+            np.fft.ifft(out, axis=y, out=out)
+            if outs[t] is None:  # one block, into a new array: out is the result
+                outs[t] = out
+            elif dst is None:
+                outs[t][block] = out
+            else:
+                add_signed(outs[t][block], sign, out)
+    return outs
 
 
 def integrate(grid: GridSpec, values: np.ndarray):
@@ -232,14 +292,26 @@ def convolve(grid: GridSpec, f: np.ndarray, kernel_spec: np.ndarray) -> np.ndarr
     return out if np.iscomplexobj(f) else out.real
 
 
-def interior_mask(grid: GridSpec, margin_frac: float = 0.125) -> np.ndarray:
-    """Boolean mask of the central box obtained by trimming margin_frac*L per side."""
+def _interior_axis(grid: GridSpec, margin_frac: float) -> np.ndarray:
+    """Length-N mask of the axis coordinates left after trimming margin_frac*L per side."""
     if not 0 <= margin_frac < 0.5:
         raise ValidationError(f"margin fraction must lie in [0, 0.5), got {margin_frac}")
     t = grid.axis_coordinates()
     lo = margin_frac * grid.L
     hi = (1.0 - margin_frac) * grid.L
-    return box_mask(grid, (t >= lo) & (t < hi))
+    return (t >= lo) & (t < hi)
+
+
+def interior_mask(grid: GridSpec, margin_frac: float = 0.125) -> np.ndarray:
+    """Boolean mask of the central box obtained by trimming margin_frac*L per side."""
+    return box_mask(grid, _interior_axis(grid, margin_frac))
+
+
+def _interior_box(grid: GridSpec, margin_frac: float) -> tuple:
+    """interior_mask's box as basic slices: arr[box] is a view of the masked points."""
+    kept = np.flatnonzero(_interior_axis(grid, margin_frac))
+    axis = slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
+    return (axis,) * (2 * grid.n)
 
 
 def box_mask(grid: GridSpec, axis_ok: np.ndarray) -> np.ndarray:

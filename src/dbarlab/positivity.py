@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureSymmetryError, MetricError, PreconditionError
-from .exterior import (
-    add_signed, c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge,
-)
+from .exterior import c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge
+from .grid import add_signed
 from .hermitian import CurvatureField, curvature_wedge
 from .metric import MetricField, matrix_apply
 

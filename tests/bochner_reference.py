@@ -67,7 +67,7 @@ def cross_term_integrals(alpha: EForm, h: MetricField) -> tuple:
 
     Returns (cross_minus, cross_plus, minus_adjoint_sq), read off the term pass.
     """
-    t = _bk_terms(alpha, h)
+    t = dict(_bk_terms(alpha, h))
     return (
         float(integrate(alpha.grid, t["cross_minus"].real)),
         float(integrate(alpha.grid, t["cross_plus"].real)),

@@ -163,7 +163,8 @@ def test_working_set_estimate_bounds_the_traced_peak(op, tmp_path):
 
 @pytest.mark.parametrize("N, rank", [(16, 1), (16, 2), (32, 1)])
 def test_working_set_estimate_bounds_the_identities_peak_at_n2(N, rank, tmp_path):
-    # the Bochner-Kodaira pass sets this peak: 13.7, 7.1 and 13.5 fields
+    # the Bochner-Kodaira pass sets this peak: 12.5, 6.6 and 11.8 fields, the
+    # traced peak over one full-grid field of rank^2 complex entries
     cfg = dataclasses.replace(
         parse_config(ROOT / "perfbench" / "configs" / "identities-n2.cfg"), N=N, rank=rank
     )

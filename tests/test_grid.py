@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from dbarlab import grid as grid_module
 from dbarlab.errors import FormError, ValidationError
 from dbarlab.grid import (
     GridSpec,
+    _blocks,
     _dz_multiplier,
+    _interior_box,
+    _plane_derivatives,
     convolve,
     dz_array,
-    from_spectrum,
     integrate,
     interior_mask,
     kernel_spectrum,
-    plane_spectrum,
     seam_leakage,
     to_lattice,
     to_spectrum,
@@ -239,22 +241,79 @@ def test_transform_pair_matches_numpy_fft(n, N, slots, rank):
 
 
 @pytest.mark.parametrize("n, N, slots, rank", [(1, 32, 1, 1), (2, 8, 2, 2)])
-def test_from_spectrum_is_the_plain_inverse_and_leaves_spec_alone(n, N, slots, rank):
-    # _differentials reuses one plane spectrum for dbar and del, so
-    # from_spectrum inverts a new array over the plane's axes and leaves spec
+def test_plane_derivative_targets_each_equal_the_plain_inverse(n, N, slots, rank):
+    # _differentials takes dbar and del from one forward transform: each
+    # target is the plain inverse of its multiplier times the spectrum, and
+    # the input is left alone
     g = GridSpec(n, N, 8.0)
     rng = np.random.default_rng(9)
     shape = g.shape + (slots, rank)
     arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = arr.copy()
     for j in range(n):
-        spec = plane_spectrum(g, arr, j)
-        kept = spec.copy()
-        for conj in (False, True):
+        spec = scipy.fft.fftn(arr, axes=(2 * j, 2 * j + 1))
+        outs = _plane_derivatives(g, arr, j, [(None, 1, False), (None, 1, True)])
+        for conj, got in zip((False, True), outs):
             mult = _dz_multiplier(g, j, conj)[..., None, None]
             expected = scipy.fft.ifftn(mult * spec, axes=(2 * j, 2 * j + 1))
-            assert np.array_equal(from_spectrum(g, spec, j, conj), expected)
-            assert np.array_equal(spec, kept)
+            assert np.array_equal(got, expected)
             assert np.array_equal(dz_array(g, arr, j, conj), expected)
+        assert np.array_equal(arr, kept)
+
+
+def _slot_major(g, slots, rng):
+    """A random complex grid + slots field laid out slot-major, as EForm.zeros lays out a form."""
+    store = rng.standard_normal(slots + g.shape) + 1j * rng.standard_normal(slots + g.shape)
+    return np.moveaxis(store, tuple(range(len(slots))), tuple(range(-len(slots), 0)))
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_plane_derivatives_are_bitwise_scipy_fft(N, monkeypatch):
+    # the blocked kernel is scipy.fft.ifftn(mult * scipy.fft.fftn(arr)) over
+    # plane j bit for bit, for complex, real and strided rank-2 input, into
+    # several targets: +- accumulation into the slots of a slot-major form,
+    # written through views, and a new array.  The block sizes put block
+    # boundaries at every index of the other two grid axes, within and
+    # between rows of them (at N < 32, where a block per index stays quick),
+    # and at none
+    g = GridSpec(2, N, 8.0)
+    rng = np.random.default_rng(N)
+    row = 16 * N**2 * 2  # bytes at one index of the other two grid axes
+    inputs = (
+        _slot_major(g, (2,), rng),
+        rng.standard_normal(g.shape + (2,)),
+        _slot_major(g, (3,), rng)[..., ::2],
+    )
+    blocks = {row * N // 2: 2 * N, row * N * 2: N // 2, row * N**2: 1}
+    if N < 32:
+        blocks[row] = N * N
+    start = _slot_major(g, (2, 1, 2), rng)
+    form = _slot_major(g, (2, 1, 2), rng)
+    for arr in inputs:
+        for j in range(2):
+            plane = (2 * j, 2 * j + 1)
+            spec = scipy.fft.fftn(arr.astype(complex), axes=plane)
+            d, dbar = (scipy.fft.ifftn(_dz_multiplier(g, j, conj)[..., None] * spec, axes=plane)
+                       for conj in (False, True))
+            expected = [start[..., 0, 0, :] + d, start[..., 1, 0, :] - dbar, d]
+            for block_bytes, count in blocks.items():
+                monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+                assert len(_blocks(g, arr.shape, j)) == count
+                form[...] = start
+                targets = [(form[..., 0, 0, :], 1, False), (form[..., 1, 0, :], -1, True),
+                           (None, 1, False)]
+                outs = _plane_derivatives(g, arr, j, targets)
+                for got, want in zip(outs, expected):
+                    assert got.tobytes() == want.tobytes(), (block_bytes, arr.strides, j)
+            assert dz_array(g, arr, j, True).tobytes() == dbar.tobytes()
+
+
+def test_interior_box_is_the_interior_mask():
+    for n, N, margin in ((1, 16, 0.25), (2, 8, 0.125), (1, 8, 0.0), (1, 32, 0.45)):
+        g = GridSpec(n, N, 8.0)
+        mask = np.zeros(g.shape, dtype=bool)
+        mask[_interior_box(g, margin)] = True
+        assert np.array_equal(mask, interior_mask(g, margin))
 
 
 @pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (1, 64), (1, 128), (2, 8), (2, 16), (2, 32)])
@@ -278,14 +337,11 @@ def test_transforms_are_bitwise_scipy_fft(n, N):
     for j in range(n):
         plane = (2 * j, 2 * j + 1)
         for arr in (real, cplx, real[..., 1, 0], cplx[..., 0, 0]):
-            got = plane_spectrum(g, arr, j)
-            expected = scipy.fft.fftn(arr.astype(complex), axes=plane)
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes(), (j, arr.shape, arr.dtype)
-        for conj in (False, True):
-            mult = _dz_multiplier(g, j, conj)[..., None, None]
-            expected = scipy.fft.ifftn(mult * cplx, axes=plane)
-            assert from_spectrum(g, cplx, j, conj).tobytes() == expected.tobytes()
-            spec = scipy.fft.fftn(real.astype(complex), axes=plane)
-            expected = scipy.fft.ifftn(mult * spec, axes=plane)
-            assert dz_array(g, real, j, conj).tobytes() == expected.tobytes()
+            spec = scipy.fft.fftn(arr.astype(complex), axes=plane)
+            for conj in (False, True):
+                mult = _dz_multiplier(g, j, conj)
+                mult = mult.reshape(mult.shape + (1,) * (arr.ndim - mult.ndim))
+                got = dz_array(g, arr, j, conj)
+                expected = scipy.fft.ifftn(mult * spec, axes=plane)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes(), (j, conj, arr.shape, arr.dtype)

@@ -10,10 +10,8 @@ from dbarlab.grid import (
     GridSpec,
     convolve,
     dz_array,
-    from_spectrum,
     integrate,
     kernel_spectrum,
-    to_spectrum,
 )
 from dbarlab.hermitian import curvature
 from dbarlab.hormander import norm2, project_to_range, solve_min_norm
@@ -150,7 +148,7 @@ def test_periodic_log_pole_delta_mass():
     g = GridSpec(1, 64, 8.0)
     z0 = complex(g.center + 0.3, g.center - 0.2)
     lam = periodic_log_pole(g, z0)
-    curv = from_spectrum(g, to_spectrum(g, dz_array(g, lam.astype(np.complex128), 0)), 0, True).real
+    curv = dz_array(g, dz_array(g, lam.astype(np.complex128), 0), 0, True).real
     z = complex_coordinate(g, 0, centered=False)
     # the band-limited point mass rings: its sinc tails keep ~7% outside small
     # balls, shrinking as the ball grows
@@ -190,9 +188,7 @@ def test_catalog_matrix_psh_dual_section_subharmonicity():
         smoothed = mollify(dual, eps)
         for v in (np.array([1.0, 0.0]), np.array([0.4, 1.0 - 0.3j])):
             norm = np.einsum("a,...ab,b->...", np.conj(v), smoothed.mat, v).real
-            lap = from_spectrum(
-                g, to_spectrum(g, dz_array(g, norm.astype(np.complex128), 0)), 0, True
-            ).real
+            lap = dz_array(g, dz_array(g, norm.astype(np.complex128), 0), 0, True).real
             z = complex_coordinate(g, 0)
             inner = (np.abs(z.real) <= 0.5 * cat.plateau_radius) & (
                 np.abs(z.imag) <= 0.5 * cat.plateau_radius
