@@ -144,26 +144,6 @@ def _bk_terms(alpha: EForm, h: MetricField):
 _INTEGRATED = ("curvature", "dbar_gamma_sq", "adjoint_sq", "dbar_alpha_sq")
 
 
-def _reports(alpha: EForm, h: MetricField, margin: float) -> tuple:
-    """(pointwise, integrated) reports, reducing each density of _bk_terms as it arrives.
-
-    The interior region is a box (grid._interior_box), so each density keeps a
-    copy of its box for the pointwise report and its whole-grid integral for
-    the integrated one, and the full field goes before the next is made.
-    Every reduction is a max or the whole-grid sum the full fields took, so
-    both reports are those of the full densities, bit for bit.
-    """
-    grid = alpha.grid
-    box = _interior_box(grid, margin)
-    inner, integrals = {}, {}
-    for name, density in _bk_terms(alpha, h):
-        inner[name] = density[box].copy()
-        if name in _INTEGRATED:
-            integrals[name] = float(integrate(grid, density.real))
-        del density  # before the next density is made
-    return _pointwise_report(alpha, inner), _integrated_report(alpha, integrals)
-
-
 def _pointwise_report(alpha: EForm, t: dict) -> IdentityReport:
     """The pointwise report from the densities t on the interior box."""
     lhs = t["lhs"]
@@ -218,22 +198,34 @@ def bk_reports(alpha: EForm, h: MetricField, margin: float = 0.125) -> tuple:
     """(pointwise, periodic integrated) reports from one pass over the terms.
 
     Equal to bk_pointwise(alpha, h, margin) and bk_integrated(alpha, h) at a
-    single evaluation of each term.
+    single evaluation of each term.  Each density of _bk_terms is reduced as
+    it arrives: the interior region is a box (grid._interior_box), so it
+    keeps a copy of its box for the pointwise report and its whole-grid
+    integral for the integrated one, and the full field goes before the
+    next is made.  Every reduction is a max or the whole-grid sum the full
+    fields took, so both reports are those of the full densities, bit for
+    bit.
     """
     _require_np_form(alpha)
-    return _reports(alpha, h, margin)
+    grid = alpha.grid
+    box = _interior_box(grid, margin)
+    inner, integrals = {}, {}
+    for name, density in _bk_terms(alpha, h):
+        inner[name] = density[box].copy()
+        if name in _INTEGRATED:
+            integrals[name] = float(integrate(grid, density.real))
+        del density  # before the next density is made
+    return _pointwise_report(alpha, inner), _integrated_report(alpha, integrals)
 
 
 def bk_pointwise(alpha: EForm, h: MetricField, margin: float = 0.125) -> IdentityReport:
     """Max pointwise residual of the del-dbar identity over the interior region."""
-    _require_np_form(alpha)
-    return _reports(alpha, h, margin)[0]
+    return bk_reports(alpha, h, margin)[0]
 
 
 def bk_integrated(alpha: EForm, h: MetricField) -> IdentityReport:
     """The four-integral balance; exact derivatives integrate to zero spectrally."""
-    _require_np_form(alpha)
-    return _reports(alpha, h, 0.125)[1]
+    return bk_reports(alpha, h)[1]
 
 
 def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:

@@ -175,29 +175,24 @@ _BLOCK_BYTES = 2**20
 def _blocks(grid: GridSpec, shape: tuple, j: int) -> list:
     """Index tuples of equal blocks covering an array of shape, for derivatives in plane j.
 
-    A block slices only the grid axes outside plane j and keeps every
-    trailing component axis whole, with at most _BLOCK_BYTES of complex128
-    when the grid allows it.  An array that fits one block, and every array
-    at n = 1, is one block (...).
+    A block is a run of whole rows of the outer grid axis outside plane j,
+    with every trailing component axis whole, and holds at most _BLOCK_BYTES
+    of complex128.  An array that fits one block, one whose single row
+    exceeds it (n = 2 at N >= 64, where splitting the row was measured no
+    faster than the unblocked transform), and every array at n = 1 is one
+    block (...).
     """
     line = 16 * math.prod(shape) // grid.N**2  # bytes at one index of the other two grid axes
-    if grid.n == 1 or line * grid.N**2 <= _BLOCK_BYTES:
+    rows = _BLOCK_BYTES // (line * grid.N)  # whole rows of the outer axis in one block
+    if grid.n == 1 or rows == 0 or rows >= grid.N:
         return [np.s_[...]]
-    outer, inner = (2, 3) if j == 0 else (0, 1)
-    per = 1 << max(0, (_BLOCK_BYTES // line).bit_length() - 1)  # a power of two, as N is
+    step = 1 << (rows.bit_length() - 1)  # a power of two, as N is
+    outer = 2 if j == 0 else 0
     index = [slice(None)] * len(shape)
     blocks = []
-    if per >= grid.N:
-        step = per // grid.N
-        for start in range(0, grid.N, step):
-            index[outer] = slice(start, start + step)
-            blocks.append(tuple(index))
-    else:
-        for row in range(grid.N):
-            index[outer] = slice(row, row + 1)
-            for start in range(0, grid.N, per):
-                index[inner] = slice(start, start + per)
-                blocks.append(tuple(index))
+    for start in range(0, grid.N, step):
+        index[outer] = slice(start, start + step)
+        blocks.append(tuple(index))
     return blocks
 
 

@@ -273,20 +273,18 @@ def test_plane_derivatives_are_bitwise_scipy_fft(N, monkeypatch):
     # plane j bit for bit, for complex, real and strided rank-2 input, into
     # several targets: +- accumulation into the slots of a slot-major form,
     # written through views, and a new array.  The block sizes put block
-    # boundaries at every index of the other two grid axes, within and
-    # between rows of them (at N < 32, where a block per index stays quick),
-    # and at none
+    # boundaries at every row of the outer axis outside the plane, at every
+    # other row, and at none: the whole array fits, or one row is over
+    # the budget
     g = GridSpec(2, N, 8.0)
     rng = np.random.default_rng(N)
-    row = 16 * N**2 * 2  # bytes at one index of the other two grid axes
+    line = 16 * N**2 * 2  # bytes at one index of the other two grid axes
     inputs = (
         _slot_major(g, (2,), rng),
         rng.standard_normal(g.shape + (2,)),
         _slot_major(g, (3,), rng)[..., ::2],
     )
-    blocks = {row * N // 2: 2 * N, row * N * 2: N // 2, row * N**2: 1}
-    if N < 32:
-        blocks[row] = N * N
+    blocks = {line * N: N, line * N * 2: N // 2, line * N**2: 1, line * N // 2: 1}
     start = _slot_major(g, (2, 1, 2), rng)
     form = _slot_major(g, (2, 1, 2), rng)
     for arr in inputs:
