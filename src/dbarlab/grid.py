@@ -21,9 +21,11 @@ the block into a new array or adds or subtracts it into a view of the
 target.  No full-grid spectrum or derivative exists, and the first axis is
 transformed within the block instead of at the field's full stride.
 ``dz_array`` is its single-target case.  At n = 1 the plane is the whole
-grid, and a field that fits one block is transformed whole.  Every
-transform is the same complex arithmetic: a real input is cast to
-complex128 once, into the transformed buffer, and takes the same passes.
+grid, and a field that fits one block, or one whose smallest block (a row
+of the other axes) would not fit (n = 2 at N >= 64), is transformed
+whole.  Every transform is the same complex arithmetic: a real input is
+cast to complex128 once, into the transformed buffer, and takes the same
+passes.
 The results are bitwise equal to scipy.fft.fftn/ifftn of the complex input
 over the same axes.  Every other spectral step goes through these.
 

@@ -240,33 +240,18 @@ def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> np.ndarra
 
     The cutoff engages at 5 sigma, where the Gaussian has already dropped to
     e^(-25/2), so the bump keeps near-Gaussian spectral decay while having
-    exactly compact support of radius BUMP_SUPPORT_RADIUS * sigma.  Only the
-    box where every axis offset |t - c| is below that radius is evaluated;
-    the rest of the grid lies outside the support and is exactly 0.
+    exactly compact support of radius BUMP_SUPPORT_RADIUS * sigma.
     """
-    radius = BUMP_SUPPORT_RADIUS * sigma
-    t = grid.axis_coordinates()
-    box = [slice(None)] * (2 * grid.n)
-    for axis, c in enumerate(center):
-        inside = np.flatnonzero(np.abs(t - c) < radius)  # an interval, as t increases
-        box[axis] = slice(int(inside[0]), int(inside[-1]) + 1) if inside.size else slice(0, 0)
-    box = tuple(box)
-    rho = _radial_distance(grid, center, box)
+    rho = _radial_distance(grid, center)
     vals = np.exp(-rho * rho / (2.0 * sigma * sigma))
     vals *= 1.0 - smooth_step((rho - 5.0 * sigma) / ((BUMP_SUPPORT_RADIUS - 5.0) * sigma))
-    vals[rho >= radius] = 0.0
-    bump = np.zeros(grid.shape)
-    bump[box] = vals
-    return bump
+    vals[rho >= BUMP_SUPPORT_RADIUS * sigma] = 0.0
+    return vals
 
 
-def _radial_distance(grid: GridSpec, center: tuple, box: tuple) -> np.ndarray:
-    """Distance to center on the sub-box of the grid that box (a slice per real axis) cuts."""
-    coordinates = grid.axis_coordinates()
-    dims = 2 * grid.n
-    rho2 = np.zeros(tuple(len(range(grid.N)[cut]) for cut in box))
-    for axis, (cut, c) in enumerate(zip(box, center)):
-        t = coordinates[cut].reshape((1,) * axis + (-1,) + (1,) * (dims - 1 - axis))
+def _radial_distance(grid: GridSpec, center: tuple) -> np.ndarray:
+    rho2 = np.zeros(grid.shape, dtype=np.float64)
+    for t, c in zip(grid.along_axes(grid.axis_coordinates()), center):
         rho2 = rho2 + (t - c) ** 2
     return np.sqrt(rho2)
 

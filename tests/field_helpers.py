@@ -3,8 +3,7 @@
 The tests build their model fields from these: coordinate and
 complex_coordinate sample the real and complex coordinates on the full
 grid, plateau_bump cuts a form down to a ball clear of the seam, and
-scale_by_field multiplies a form by such a cutoff.  smooth_source_bump_reference
-is the source bump evaluated at every grid point.
+scale_by_field multiplies a form by such a cutoff.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import numpy as np
 from dbarlab.errors import FormError, ValidationError
 from dbarlab.exterior import EForm
 from dbarlab.grid import GridSpec
-from dbarlab.weights import BUMP_SUPPORT_RADIUS, _radial_distance, smooth_step
+from dbarlab.weights import _radial_distance, smooth_step
 
 
 def coordinate(grid: GridSpec, axis: int) -> np.ndarray:
@@ -55,21 +54,9 @@ def plateau_bump(
         raise ValidationError("need 0 < r_flat < r_zero < L/2")
     if center is None:
         center = (grid.center,) * (2 * grid.n)
-    rho = _radial_distance(grid, center, (slice(None),) * (2 * grid.n))
+    rho = _radial_distance(grid, center)
     vals = 1.0 - smooth_step((rho - r_flat) / (r_zero - r_flat))
     vals[rho >= r_zero] = 0.0
-    return vals
-
-
-def smooth_source_bump_reference(grid: GridSpec, center: tuple, sigma: float) -> np.ndarray:
-    """weights.smooth_source_bump's formula evaluated on the full grid, the oracle for its box."""
-    rho2 = np.zeros(grid.shape, dtype=np.float64)
-    for t, c in zip(grid.along_axes(grid.axis_coordinates()), center):
-        rho2 = rho2 + (t - c) ** 2
-    rho = np.sqrt(rho2)
-    vals = np.exp(-rho * rho / (2.0 * sigma * sigma))
-    vals *= 1.0 - smooth_step((rho - 5.0 * sigma) / ((BUMP_SUPPORT_RADIUS - 5.0) * sigma))
-    vals[rho >= BUMP_SUPPORT_RADIUS * sigma] = 0.0
     return vals
 
 
