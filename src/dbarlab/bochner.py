@@ -16,13 +16,16 @@ Both forms of the identity are read off one term pass that builds every
 density once.  Each derivative transforms only its own complex plane, block
 by block (grid._plane_derivatives), forward and back.  One forward
 transform per coefficient of gamma and direction gives dbar gamma and del
-gamma in that direction.  On the identities-n2 benchmark config the pass
-runs 42 one-axis FFT passes over the field, where transforming every grid
-axis took 72.  One set of connection blocks theta_j, built only for the
-directions j that grow a nonzero coefficient of gamma, gives the connection
-term of D'gamma and the curvature blocks Theta_jk = -dbar_k theta_j.  The
-adjoint reuses D'gamma, since dbar*_h alpha = i D'gamma ^ omega_{p-1};
-bk_reports returns the pointwise and integrated reports of a single pass.
+gamma in that direction.  The kernel transforms only the slices of the
+other plane where its input is not identically zero, and the source is a
+bump of compact support, so on the identities-n2 benchmark config the pass
+runs 24.6 one-axis FFT passes over the field, where transforming every
+slice took 42 and transforming every grid axis 72.  One set of connection
+blocks theta_j, built only for the directions j that grow a nonzero
+coefficient of gamma, gives the connection term of D'gamma and the
+curvature blocks Theta_jk = -dbar_k theta_j.  The adjoint reuses D'gamma,
+since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports returns the
+pointwise and integrated reports of a single pass.
 The curvature is always that of h.  The compact-support proxy check_support
 holds the seam-margin mass to SUPPORT_TOL.
 

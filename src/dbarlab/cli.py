@@ -159,7 +159,8 @@ FIELDS = (
     Field("tolerances", name, _finite, POSITIVE, default, "a tolerance is a positive bound")
     for name, default in (
         ("algebraic", 1e-12), ("identity", 1e-6), ("integrated", 1e-8),  # identities
-        ("symmetry", 1e-6), ("net", 1e-4), ("duality", 1e-6),  # positivity
+        ("symmetry", 1e-6),  # positivity, solve
+        ("net", 1e-4), ("duality", 1e-6),  # positivity
         ("hormander", 0.05), ("solve_residual", 1e-9), ("cg", 1e-10),  # solve, regularize
         ("floor_eps", 0.1), ("monotone", 1e-10),  # regularize
     )
@@ -553,8 +554,8 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
         h = cat.metric
         theta = curvature(h)
         region = _certified_region(cfg, grid, cat)
-        delta = nakano_report(h, theta, region)[0]
-        delta_global = nakano_report(h, theta, None)[0]
+        delta = nakano_report(h, theta, region, symmetry_tol=cfg.symmetry)[0]
+        delta_global = nakano_report(h, theta, None, symmetry_tol=cfg.symmetry)[0]
         rows.append(_row(f"certified-floor-c{c:g}", "interior-curvature-floor", 1, 1,
                          grid.N, delta, "", True))
         rows.append(_row(f"global-floor-c{c:g}", "uncertified-global-floor", 1, 1,

@@ -14,18 +14,25 @@ are the forward and inverse transforms over all grid axes, for the Fourier
 space solver, ``convolve`` and ``kernel_spectrum``.  A derivative d/dz_j or
 d/dzbar_j varies only along the real axes (x_j, y_j) of its complex plane,
 so it transforms only those two, in one cache-blocked kernel,
-``_plane_derivatives(grid, arr, j, targets)``.  For one block of the other
-axes at a time, sized to stay in cache, it transforms the plane forward
-once and, per target, applies the multiplier, inverts the plane and writes
-the block into a new array or adds or subtracts it into a view of the
-target.  No full-grid spectrum or derivative exists, and the first axis is
-transformed within the block instead of at the field's full stride.
-``dz_array`` is its single-target case.  At n = 1 the plane is the whole
-grid, and a field that fits one block, or one whose smallest block (a row
-of the other axes) would not fit (n = 2 at N >= 64), is transformed
-whole.  Every transform is the same complex arithmetic: a real input is
-cast to complex128 once, into the transformed buffer, and takes the same
-passes.
+``_plane_derivatives(grid, arr, j, targets)``.  At n = 2 a slice is one
+point of the other plane, with the plane and the components whole; it is
+live unless the field is identically zero there, and a dead slice has
+derivative exactly 0.  A block is a run of consecutive live slices, the
+other plane's two axes seen as one index of a view, sized to stay in
+cache: on a dense field, whole rows of the other axes.  For one block at a
+time the kernel transforms the plane forward once and, per target,
+applies the multiplier, inverts the plane and writes the block into a new
+array (of zeros, which the dead slices keep) or adds or subtracts it into
+a view of the target.  A dead slice is never copied, transformed or
+written, so a field of compact support transforms only the slices its
+support meets.  No full-grid spectrum or derivative exists, and the first
+axis is transformed within the block instead of at the field's full
+stride.  ``dz_array`` is its single-target case.  At n = 1 the plane is
+the whole grid, and a dense field that fits one block, or one whose
+smallest block (a row of the other axes) would not fit (n = 2 at N >= 64),
+is transformed whole.  Every transform is the same complex arithmetic: a
+real input is cast to complex128 once, into the transformed buffer, and
+takes the same passes.
 The results are bitwise equal to scipy.fft.fftn/ifftn of the complex input
 over the same axes.  Every other spectral step goes through these.
 
@@ -174,27 +181,53 @@ def to_lattice(grid: GridSpec, spec: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 2**20
 
 
-def _blocks(grid: GridSpec, shape: tuple, j: int) -> list:
-    """Index tuples of equal blocks covering an array of shape, for derivatives in plane j.
+def _merged(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
+    """arr with the two grid axes of the other complex plane than j merged into one index.
 
-    A block is a run of whole rows of the outer grid axis outside plane j,
-    with every trailing component axis whole, and holds at most _BLOCK_BYTES
-    of complex128.  An array that fits one block, one whose single row
-    exceeds it (n = 2 at N >= 64, where splitting the row was measured no
-    faster than the unblocked transform), and every array at n = 1 is one
-    block (...).
+    The merged index runs over that plane's points in C order, and the
+    result is a view of arr, never a copy: None when the strides do not
+    allow one (the two axes are not one run of memory, as in a view with
+    them swapped).
     """
-    line = 16 * math.prod(shape) // grid.N**2  # bytes at one index of the other two grid axes
-    rows = _BLOCK_BYTES // (line * grid.N)  # whole rows of the outer axis in one block
-    if grid.n == 1 or rows == 0 or rows >= grid.N:
+    k = 2 if j == 0 else 0  # the other plane's first axis
+    if arr.strides[k] != grid.N * arr.strides[k + 1]:
+        return None
+    return arr.reshape(arr.shape[:k] + (grid.N**2,) + arr.shape[k + 2 :])
+
+
+def _blocks(grid: GridSpec, arr: np.ndarray, j: int) -> list:
+    """Index tuples of the blocks of arr's live slices, for derivatives in plane j.
+
+    A slice is one point of the other complex plane, with plane j's two axes
+    and every trailing component axis whole.  It is live when np.any over
+    it is true (a NaN is nonzero); a dead slice has derivative exactly 0.  A
+    block is a run of consecutive live slices of _merged(grid, arr, j),
+    indexed there, of at most a power of two of whole rows of the other
+    plane's outer axis in _BLOCK_BYTES of complex128; so on a dense array
+    the blocks are runs of whole rows.  One block (...) covers an array
+    with every slice live that fits the budget, or whose single row exceeds
+    it (n = 2 at N >= 64, where splitting a row was measured no faster than
+    the unblocked transform; such runs are not split), an array at n = 1,
+    which has no other plane and takes no test, and an array whose other
+    plane's axes do not merge into one index without a copy.
+    """
+    flat = _merged(grid, arr, j) if grid.n == 2 else None
+    if flat is None:
         return [np.s_[...]]
-    step = 1 << (rows.bit_length() - 1)  # a power of two, as N is
-    outer = 2 if j == 0 else 0
-    index = [slice(None)] * len(shape)
+    axis = 2 if j == 0 else 0  # the merged index
+    live = np.any(flat, axis=tuple(a for a in range(flat.ndim) if a != axis))
+    line = 16 * math.prod(arr.shape) // grid.N**2  # bytes of complex128 in one slice
+    rows = _BLOCK_BYTES // (line * grid.N)  # whole rows of the outer axis in one block
+    per = grid.N * (1 << (rows.bit_length() - 1)) if 0 < rows < grid.N else grid.N**2
+    edges = np.flatnonzero(np.diff(live, prepend=False, append=False))
+    if per == grid.N**2 and edges.tolist() == [0, grid.N**2]:
+        return [np.s_[...]]
+    index = [slice(None)] * (axis + 1)
     blocks = []
-    for start in range(0, grid.N, step):
-        index[outer] = slice(start, start + step)
-        blocks.append(tuple(index))
+    for start, stop in zip(edges[::2].tolist(), edges[1::2].tolist()):
+        for first in range(start, stop, per):
+            index[axis] = slice(first, min(first + per, stop))
+            blocks.append(tuple(index))
     return blocks
 
 
@@ -213,44 +246,49 @@ def _plane_derivatives(grid: GridSpec, arr: np.ndarray, j: int, targets: list) -
     block is inverted over the same axes and written out, the last target
     in the spectrum's own buffer.  Every line and every point takes the
     arithmetic of scipy.fft.ifftn(multiplier * scipy.fft.fftn(arr,
-    axes=plane)), bit for bit.  An array of one block is transformed into a
-    new array with no copy in, and a new-array target keeps its result.
+    axes=plane)), bit for bit.  A dead slice is not copied, transformed,
+    multiplied or added: a new-array target is allocated with np.zeros, so
+    there it is exactly +0.0, and a target view is left as it was.  An
+    array of one block (...) is transformed into a new array with no copy
+    in, and a new-array target keeps its result.
     """
     if arr.shape[: 2 * grid.n] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
     if not 0 <= j < grid.n:
         raise FormError(f"complex axis {j} out of range for n={grid.n}")
-    x, y = 2 * j, 2 * j + 1
+    blocks = _blocks(grid, arr, j)
+    whole = blocks == [np.s_[...]]
+    src = arr if whole else _merged(grid, arr, j)
+    x, y = (2 * j, 2 * j + 1) if whole else (j, j + 1)  # the plane's axes in src
     mults = []
     for _, _, conjugate in targets:
         mult = _dz_multiplier(grid, j, conjugate)
-        mults.append(mult.reshape(mult.shape + (1,) * (arr.ndim - mult.ndim)))
-    blocks = _blocks(grid, arr.shape, j)
-    outs = [dst for dst, _, _ in targets]
-    work = None  # one block: each target but the last multiplies into a new array
-    if len(blocks) > 1:
-        outs = [np.empty(arr.shape, np.complex128) if dst is None else dst for dst in outs]
-        buffer = np.empty_like(arr[blocks[0]], dtype=np.complex128)  # laid out as arr
-        if len(targets) > 1:
-            work = np.empty_like(buffer)
+        if not whole:
+            mult = mult.reshape((1,) * j + (grid.N, grid.N))
+        mults.append(mult.reshape(mult.shape + (1,) * (src.ndim - mult.ndim)))
+    outs = views = [dst for dst, _, _ in targets]
+    if not whole:
+        outs = [np.zeros(arr.shape, np.complex128) if dst is None else dst for dst in outs]
+        views = [_merged(grid, out, j) for out in outs]
+        if any(view is None for view in views):
+            raise FormError("a target's grid axes outside plane j do not merge into one index")
     for block in blocks:
-        if len(blocks) == 1:
+        if whole:
             spec = _transform(arr, (x, y), True)
         else:
-            spec = buffer
-            np.copyto(spec, arr[block])
+            spec = src[block].astype(np.complex128, order="K")  # laid out as arr
             np.fft.fft(spec, axis=x, out=spec)
             np.fft.fft(spec, axis=y, out=spec)
         for t, (mult, (dst, sign, _)) in enumerate(zip(mults, targets)):
-            out = np.multiply(mult, spec, out=spec if t == len(targets) - 1 else work)
+            out = np.multiply(mult, spec, out=spec if t == len(targets) - 1 else None)
             np.fft.ifft(out, axis=x, out=out)
             np.fft.ifft(out, axis=y, out=out)
             if outs[t] is None:  # one block, into a new array: out is the result
                 outs[t] = out
             elif dst is None:
-                outs[t][block] = out
+                views[t][block] = out
             else:
-                add_signed(outs[t][block], sign, out)
+                add_signed(views[t][block], sign, out)
     return outs
 
 

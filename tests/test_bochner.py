@@ -312,24 +312,34 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     # slot and the zero slots it leaves in gamma and the pairings are never
     # transformed, gamma is transformed once per direction for dbar and del,
     # and one connection block feeds D'gamma and its curvature row.  Each
-    # derivative transforms only its own complex plane: 42 one-axis FFT
-    # passes over the field, where 18 full-grid transforms took 72.  A pass
-    # is counted in elements over the field's size, so a blocked transform
-    # counts once
+    # derivative transforms only its own complex plane, and there only the
+    # live slices of the other plane (the source is a bump of compact
+    # support): 23.875 one-axis FFT passes over the field, where every slice
+    # took 42 and 18 full-grid transforms took 72.  A pass is counted in
+    # elements over the field's size, so a blocked transform counts once.
+    # No forward pass has a dead slice in its input
     g = GridSpec(2, 8, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     field = np.prod(g.shape)
-    inputs, passes = [], []
+    inputs, passes, dead = [], [], []
+    call = {}
 
     def nonzero_input(transform):
-        def wrapped(grid, arr, *args):
+        def wrapped(grid, arr, j, *args):
             inputs.append(np.any(arr))
-            return transform(grid, arr, *args)
+            call.update(j=j, ndim=arr.ndim)
+            return transform(grid, arr, j, *args)
         return wrapped
 
     def one_pass(fft):
         def wrapped(arr, *args, **kwargs):
             passes.append((fft.__name__, arr.size / field))
+            if fft.__name__ == "fft":
+                # a block has the other plane's axes merged into one index
+                j, merged = call["j"], arr.ndim < call["ndim"]
+                plane = (j, j + 1) if merged else (2 * j, 2 * j + 1)
+                components = range(4 - merged, arr.ndim)
+                dead.append(not np.all(np.any(arr, axis=plane + tuple(components))))
             return fft(arr, *args, **kwargs)
         return wrapped
 
@@ -338,9 +348,10 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     for name in ("fft", "ifft", "rfft"):
         monkeypatch.setattr(np.fft, name, one_pass(getattr(np.fft, name)))
     bk_reports(_bk_source(g, 1), h)
-    assert sum(size for _, size in passes) == 42
+    assert sum(size for _, size in passes) == 23.875
     assert "rfft" not in {name for name, _ in passes}
     assert all(inputs)
+    assert dead and not any(dead)
 
 
 @pytest.mark.parametrize("rank", [1, 2])

@@ -420,6 +420,27 @@ def test_cli_log_pole_metrics_pass_the_default_symmetry_check(tmp_path, capsys, 
         assert float(rows["certified-floor-c1"]["value"]) < 0
 
 
+def test_cli_solve_reads_the_symmetry_tolerance(tmp_path, capsys):
+    # solve took its curvature floors at the fixed default symmetry
+    # tolerance, so the nondiagonal rank-2 metric, whose spectral curvature
+    # misses block symmetry by 2.7e-4 at N = 64, could not be solved; with
+    # [tolerances] symmetry = 1e-3 its floor certifies and the bound holds
+    text = (ROOT / "configs" / "solve.cfg").read_text(encoding="utf-8")
+    text = text.replace("catalog = gaussian", "catalog = matrix_psh_dual").replace(
+        "count = 20", "count = 3").replace("sweep = 1,2,4", "sweep = 1")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "symmetry: 2.736e-04 vs scale 5.012e-01" in capsys.readouterr().err
+    cfg = write_config(tmp_path, text.replace("[tolerances]", "[tolerances]\nsymmetry = 1e-3"))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "solve.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["check"]: float(row["value"]) for row in csv.DictReader(fh)}
+    assert abs(rows["certified-floor-c1"] - 0.24919) < 1e-5
+    bounds = [value for check, value in rows.items() if check.startswith("hormander-bound")]
+    assert len(bounds) == 3 and all(0.147 < value < 0.150 for value in bounds)
+
+
 def test_cli_solve_seam_leakage_uses_seam_margin(tmp_path):
     # seam_leakage used to be measured on the solver's default band of 0.125
     # whatever the config said; the certified floors do not move with it here

@@ -296,7 +296,7 @@ def test_plane_derivatives_are_bitwise_scipy_fft(N, monkeypatch):
             expected = [start[..., 0, 0, :] + d, start[..., 1, 0, :] - dbar, d]
             for block_bytes, count in blocks.items():
                 monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
-                assert len(_blocks(g, arr.shape, j)) == count
+                assert len(_blocks(g, arr, j)) == count
                 form[...] = start
                 targets = [(form[..., 0, 0, :], 1, False), (form[..., 1, 0, :], -1, True),
                            (None, 1, False)]
@@ -304,6 +304,90 @@ def test_plane_derivatives_are_bitwise_scipy_fft(N, monkeypatch):
                 for got, want in zip(outs, expected):
                     assert got.tobytes() == want.tobytes(), (block_bytes, arr.strides, j)
             assert dz_array(g, arr, j, True).tobytes() == dbar.tobytes()
+
+
+def _sparse_inputs(g, rng):
+    """Complex grid + (2,) fields, slot-major, whose slices of either plane are mostly dead."""
+    x1, y1, x2, y2 = g.along_axes(g.axis_coordinates())
+    noise = _slot_major(g, (2,), rng)
+    ball = noise * ((x1 - 3.0) ** 2 + (y1 - 4.5) ** 2 + (x2 - 5.0) ** 2 + (y2 - 3.5) ** 2
+                    < 2.5**2)[..., None]
+
+    def seam(u):  # periodic distance to the lattice origin
+        return np.minimum(u, g.L - u)
+
+    # a disc around a corner of each plane, which the seam cuts in four
+    discs = noise * ((seam(x1) ** 2 + seam(y1 - 0.5) ** 2 < 1.5**2)
+                     & (seam(x2 - 7.0) ** 2 + seam(y2) ** 2 < 1.5**2))[..., None]
+    lone_nan = ball.copy()
+    lone_nan[g.N - 1, 0, 0, g.N - 1, 0] = np.nan  # in a slice of neither plane the ball meets
+    one_component = ball.copy()
+    one_component[1, g.N - 2, g.N - 2, 1, 1] = 1.0 - 2.0j
+    return {"ball": ball, "discs": discs, "lone-nan": lone_nan,
+            "one-component": one_component, "zero": np.zeros_like(ball)}
+
+
+@pytest.mark.parametrize("name", ["ball", "discs", "lone-nan", "one-component", "zero"])
+def test_plane_derivatives_of_sparse_fields_are_bitwise_scipy_fft(name, monkeypatch):
+    # the kernel transforms only the live slices of the other plane: for a
+    # field with compact support, one across the seam, one NaN or one
+    # nonzero component in an otherwise dead slice, and none at all, every
+    # target is still scipy.fft.ifftn(mult * scipy.fft.fftn(arr)) over plane
+    # j bit for bit, whatever the block budget, and a new array's dead
+    # slices are exact +0.0
+    g = GridSpec(2, 16, 8.0)
+    rng = np.random.default_rng(27)
+    arr = _sparse_inputs(g, rng)[name]
+    line = 16 * g.N**2 * 2  # bytes of one slice
+    start = _slot_major(g, (2, 1, 2), rng)
+    form = _slot_major(g, (2, 1, 2), rng)
+    for j in range(2):
+        plane = (2 * j, 2 * j + 1)
+        live = np.any(arr, axis=plane + (4,))
+        dead = np.s_[:, :, ~live] if j == 0 else np.s_[~live]
+        spec = scipy.fft.fftn(arr, axes=plane)
+        d, dbar = (scipy.fft.ifftn(_dz_multiplier(g, j, conj)[..., None] * spec, axes=plane)
+                   for conj in (False, True))
+        expected = [start[..., 0, 0, :] + d, start[..., 1, 0, :] - dbar, d, dbar]
+        for block_bytes in (line * g.N, line * g.N * 4, line * g.N**2, line * g.N // 2):
+            monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+            form[...] = start
+            targets = [(form[..., 0, 0, :], 1, False), (form[..., 1, 0, :], -1, True),
+                       (None, 1, False), (None, 1, True)]
+            outs = _plane_derivatives(g, arr, j, targets)
+            for got, want in zip(outs, expected):
+                assert got.tobytes() == want.tobytes(), (name, j, block_bytes)
+            for got in outs[2:]:
+                assert not got[dead].view(np.uint8).any(), (name, j, block_bytes)
+
+
+def test_blocks_of_a_dense_field_are_runs_of_whole_rows(monkeypatch):
+    # with every slice live a block is a power of two of whole rows of the
+    # other plane's outer axis, as many as fit the budget, so the blocks are
+    # the row blocks of the merged index; a field that fits the budget, one
+    # whose single row is over it, one at n = 1 and one whose other plane's
+    # axes are swapped (they merge into no view) is one block
+    g = GridSpec(2, 16, 8.0)
+    arr = _slot_major(g, (2,), np.random.default_rng(3))
+    line = 16 * g.N**2 * 2
+    for block_bytes, rows in ((line * g.N, 1), (line * g.N * 3, 2), (line * g.N * 8, 8)):
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+        for j, lead in ((0, 2), (1, 0)):
+            expected = [(slice(None),) * lead + (slice(first * g.N, (first + rows) * g.N),)
+                        for first in range(0, g.N, rows)]
+            assert _blocks(g, arr, j) == expected
+    for block_bytes in (line * g.N**2, line * g.N // 2):
+        monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+        assert _blocks(g, arr, 0) == _blocks(g, arr, 1) == [np.s_[...]]
+    monkeypatch.setattr(grid_module, "_BLOCK_BYTES", line * g.N)
+    swapped = np.swapaxes(_sparse_inputs(g, np.random.default_rng(4))["ball"], 2, 3)
+    assert _blocks(g, swapped, 0) == [np.s_[...]]
+    assert len(_blocks(g, swapped, 1)) > 1
+    spec = scipy.fft.fftn(swapped, axes=(0, 1))
+    expected = scipy.fft.ifftn(_dz_multiplier(g, 0, False)[..., None] * spec, axes=(0, 1))
+    assert dz_array(g, swapped, 0).tobytes() == expected.tobytes()
+    g1 = GridSpec(1, 64, 8.0)
+    assert _blocks(g1, np.zeros(g1.shape + (2,)), 0) == [np.s_[...]]
 
 
 def test_interior_box_is_the_interior_mask():

@@ -4,6 +4,7 @@ import numpy as np
 import plateau_reference
 import pytest
 import spectral_reference as ref
+from field_helpers import smooth_source_bump_reference
 
 from dbarlab.errors import ValidationError
 from dbarlab.grid import GridSpec
@@ -122,3 +123,26 @@ def test_weight_fields_are_real_contiguous_arrays():
     bump = smooth_source_bump(g, (g.center,) * 4, 0.5)
     assert isinstance(bump, np.ndarray)
     assert bump.dtype == np.float64 and bump.shape == g.shape
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (1, 64), (2, 16), (1, 16)])
+def test_source_bump_on_its_support_box_is_the_full_grid_bump_bitwise(n, N):
+    # the bump is evaluated only on the box of its support; every point off
+    # the box is an exact zero of the full-grid formula, and every point on
+    # it takes the same arithmetic.  Centred, offset and near-seam centres,
+    # with supports inside the box, across the seam, past it and off the grid
+    g = GridSpec(n, N, 8.0)
+    dims = 2 * n
+    centers = [
+        (g.center,) * dims,
+        tuple(g.center + 0.3 * (-1) ** k for k in range(dims)),
+        tuple(0.1 + 0.37 * k for k in range(dims)),
+        (g.L - 0.05,) + (g.center,) * (dims - 1),
+        (g.L + 3.0,) * dims,
+    ]
+    for center in centers:
+        for sigma in (0.05 * g.L, 0.3, 0.42, 1.5):
+            got = smooth_source_bump(g, center, sigma)
+            expected = smooth_source_bump_reference(g, center, sigma)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes(), (center, sigma)
