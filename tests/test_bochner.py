@@ -321,7 +321,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     g = GridSpec(2, 8, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     field = np.prod(g.shape)
-    inputs, passes, dead = [], [], []
+    inputs, passes, live = [], [], []
     call = {}
 
     def nonzero_input(transform):
@@ -339,7 +339,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
                 j, merged = call["j"], arr.ndim < call["ndim"]
                 plane = (j, j + 1) if merged else (2 * j, 2 * j + 1)
                 components = range(4 - merged, arr.ndim)
-                dead.append(not np.all(np.any(arr, axis=plane + tuple(components))))
+                live.append(np.all(np.any(arr, axis=plane + tuple(components))))
             return fft(arr, *args, **kwargs)
         return wrapped
 
@@ -351,7 +351,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     assert sum(size for _, size in passes) == 23.875
     assert "rfft" not in {name for name, _ in passes}
     assert all(inputs)
-    assert dead and not any(dead)
+    assert live and all(live)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
