@@ -65,7 +65,7 @@ from .exterior import (
     pairing,
     wedge,
 )
-from .grid import _interior_box, integrate, seam_leakage
+from .grid import SEAM_MARGIN, _interior_box, integrate, seam_leakage
 from .hermitian import (
     adjoint_from_dprime,
     connection_terms,
@@ -197,7 +197,7 @@ def _integrated_report(alpha: EForm, integrals: dict) -> IdentityReport:
     return report
 
 
-def bk_reports(alpha: EForm, h: MetricField, margin: float = 0.125) -> tuple:
+def bk_reports(alpha: EForm, h: MetricField, margin: float = SEAM_MARGIN) -> tuple:
     """(pointwise, periodic integrated) reports from one pass over the terms.
 
     Equal to bk_pointwise(alpha, h, margin) and bk_integrated(alpha, h) at a
@@ -221,7 +221,7 @@ def bk_reports(alpha: EForm, h: MetricField, margin: float = 0.125) -> tuple:
     return _pointwise_report(alpha, inner), _integrated_report(alpha, integrals)
 
 
-def bk_pointwise(alpha: EForm, h: MetricField, margin: float = 0.125) -> IdentityReport:
+def bk_pointwise(alpha: EForm, h: MetricField, margin: float = SEAM_MARGIN) -> IdentityReport:
     """Max pointwise residual of the del-dbar identity over the interior region."""
     return bk_reports(alpha, h, margin)[0]
 
@@ -254,7 +254,7 @@ def basic_estimate(
     alpha: EForm,
     h: MetricField,
     delta: float,
-    margin: float = 0.125,
+    margin: float = SEAM_MARGIN,
     enforce_support: bool = True,
 ) -> dict:
     """Slack of p*delta*||alpha||^2 <= ||dbar*_h alpha||^2 + ||dbar alpha||^2.

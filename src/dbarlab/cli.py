@@ -31,7 +31,7 @@ from .exterior import (
     omega_power,
     wedge,
 )
-from .grid import GridSpec, _is_power_of_two, interior_mask
+from .grid import SEAM_MARGIN, GridSpec, _is_power_of_two, region
 from .hermitian import CurvatureField, curvature
 from .hormander import project_to_range, solve_min_norm, verify_hormander
 from .io import write_csv, write_field, write_svg_plot
@@ -118,7 +118,7 @@ FIELDS = (
     Field("domain", "N", _power_of_two, "[8, inf)", ...,
           "spectral derivatives need a power-of-two lattice of at least 8 points"),
     Field("domain", "L", _finite, POSITIVE, ..., "a box side is a positive length"),
-    Field("domain", "seam_margin", _finite, "[0, 0.5)", 0.125,
+    Field("domain", "seam_margin", _finite, "[0, 0.5)", SEAM_MARGIN,
           "the seam band on each side is a fraction of the box side"),
     Field("random", "seed", int, "[0, inf)", 20260808, "PCG64 takes a non-negative seed"),
     Field("metric", "catalog", str, "{gaussian, log_pole, log_pole_pair, matrix_psh_dual}",
@@ -495,7 +495,17 @@ def _certified_region(cfg: ExperimentConfig, grid: GridSpec, cat) -> np.ndarray:
     margin = max(cfg.seam_margin, 0.5 - cat.plateau_radius / grid.L)
     if not margin < 0.5:
         raise ValidationError(f"plateau radius r0={cat.plateau_radius:g} vanishes at L={grid.L:g}")
-    return interior_mask(grid, margin)
+    box = region(grid, margin)
+    # an unmollified pole's lattice curvature rings far from its cell: refuse, carve no disc
+    if cat.poles and not np.array_equal(region(grid, margin, cat.poles), box):
+        offsets = ", ".join(f"({z.real - grid.center:g}, {z.imag - grid.center:g})"
+                            for z in cat.poles)
+        raise ValidationError(
+            f"no certified floor region: a pole of catalog={cat.name} at offset_re, offset_im "
+            f"= {offsets} lies within 3 spacings of the box trimming {margin:g}*L per side "
+            f"(r0={cat.plateau_radius:g}, seam_margin={cfg.seam_margin:g}): move it or shrink r0"
+        )
+    return box
 
 
 def run_positivity(cfg: ExperimentConfig, rng: np.random.Generator) -> list:
@@ -552,8 +562,8 @@ def run_solve(cfg: ExperimentConfig, rng: np.random.Generator, out_dir=None) -> 
     for c in cfg.sweep:
         cat = _metric_for(cfg, grid, c=c)
         h = cat.metric
-        theta = curvature(h)
         region = _certified_region(cfg, grid, cat)
+        theta = curvature(h)
         delta = nakano_report(h, theta, region, symmetry_tol=cfg.symmetry)[0]
         delta_global = nakano_report(h, theta, None, symmetry_tol=cfg.symmetry)[0]
         rows.append(_row(f"certified-floor-c{c:g}", "interior-curvature-floor", 1, 1,

@@ -39,6 +39,10 @@ over the same axes.  Every other spectral step goes through these.
 A scalar field on the lattice is a plain array of ``grid.shape``, float64 or
 complex128 as its producer computes it; ``integrate`` is the package's one
 lattice quadrature.
+
+``region`` is the one rule for where a floor or an interior check holds:
+the central box trimmed by margin*L per side, less every point within
+eps + 3 spacings of a pole, eps being the metric's mollifier radius.
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ import numpy as np
 import numpy.fft  # loaded with the package, not on a run's first transform
 
 from .errors import FormError, ValidationError
+
+
+# the band each interior check trims from both ends of every axis, a fraction of L
+SEAM_MARGIN = 0.125
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -327,41 +335,42 @@ def convolve(grid: GridSpec, f: np.ndarray, kernel_spec: np.ndarray) -> np.ndarr
     return out if np.iscomplexobj(f) else out.real
 
 
-def _interior_axis(grid: GridSpec, margin_frac: float) -> np.ndarray:
-    """Length-N mask of the axis coordinates left after trimming margin_frac*L per side."""
-    if not 0 <= margin_frac < 0.5:
-        raise ValidationError(f"margin fraction must lie in [0, 0.5), got {margin_frac}")
+def periodic_offset(grid: GridSpec, d):
+    """Coordinate differences taken periodically, into [-L/2, L/2)."""
+    return (d + 0.5 * grid.L) % grid.L - 0.5 * grid.L
+
+
+def _interior_box(grid: GridSpec, margin: float) -> tuple:
+    """The central box margin*L <= t < (1 - margin)*L on every axis, as basic slices."""
+    if not 0 <= margin < 0.5:
+        raise ValidationError(f"margin fraction must lie in [0, 0.5), got {margin}")
     t = grid.axis_coordinates()
-    lo = margin_frac * grid.L
-    hi = (1.0 - margin_frac) * grid.L
-    return (t >= lo) & (t < hi)
-
-
-def interior_mask(grid: GridSpec, margin_frac: float = 0.125) -> np.ndarray:
-    """Boolean mask of the central box obtained by trimming margin_frac*L per side."""
-    return box_mask(grid, _interior_axis(grid, margin_frac))
-
-
-def _interior_box(grid: GridSpec, margin_frac: float) -> tuple:
-    """interior_mask's box as basic slices: arr[box] is a view of the masked points."""
-    kept = np.flatnonzero(_interior_axis(grid, margin_frac))
+    kept = np.flatnonzero((t >= margin * grid.L) & (t < (1.0 - margin) * grid.L))
     axis = slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
     return (axis,) * (2 * grid.n)
 
 
-def box_mask(grid: GridSpec, axis_ok: np.ndarray) -> np.ndarray:
-    """Separable box: the points whose every real coordinate passes axis_ok (length N)."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for ok in grid.along_axes(axis_ok):
-        mask &= ok
+def region(grid: GridSpec, margin: float, poles=(), eps: float = 0.0) -> np.ndarray:
+    """Where a floor holds: _interior_box's points, less those near a pole of the first plane.
+
+    Near is a periodic distance of at most eps + 3 spacings, eps the radius of
+    the mollifier the metric was averaged with (0 if none).
+    """
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[_interior_box(grid, margin)] = True
+    clear = eps + 3.0 * grid.spacing
+    x, y = grid.along_axes(grid.axis_coordinates())[:2]
+    for z0 in poles:
+        dist2 = periodic_offset(grid, x - z0.real) ** 2 + periodic_offset(grid, y - z0.imag) ** 2
+        mask &= dist2 > clear * clear
     return mask
 
 
-def seam_leakage(density: np.ndarray, grid: GridSpec, margin_frac: float = 0.125) -> float:
+def seam_leakage(density: np.ndarray, grid: GridSpec, margin_frac: float = SEAM_MARGIN) -> float:
     """Fraction of a nonnegative density living outside the interior box."""
     d = np.abs(np.asarray(density))
     total = d.sum()
     if total == 0.0:
         return 0.0
-    inner = d[interior_mask(grid, margin_frac)].sum()
+    inner = d[region(grid, margin_frac)].sum()
     return float((total - inner) / total)

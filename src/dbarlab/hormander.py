@@ -48,6 +48,7 @@ import numpy as np
 from .errors import FormError, PreconditionError, SolverError
 from .exterior import EForm, index_tuples, norm_sq
 from .grid import (
+    SEAM_MARGIN,
     GridSpec,
     _dz_multiplier,
     integrate,
@@ -203,7 +204,7 @@ def solve_min_norm(
     tol: float = 1e-10,
     maxiter_factor: int = 10,
     range_tol: float = 1e-8,
-    margin: float = 0.125,
+    margin: float = SEAM_MARGIN,
 ) -> tuple:
     """Minimal-norm u with dbar u = f, plus a SolveReport.
 

@@ -16,11 +16,11 @@ and h-weighted quadrature excludes masked cells.  Pole distances are periodic
 everywhere, so offsets that differ by a box side build the same metric, mask
 and regions.  DEFAULTS holds every catalog parameter's default once.
 
-All quantitative monotonicity claims are made on the region where the
-averaging argument actually applies: points whose kernel ball stays inside
-the plurisubharmonic zone of the dual and clear of the pole cells.  At coarse
-kernel radii that region can be empty on a small box; such pairs are reported
-as unchecked rather than silently passed.
+Each region is grid.region of a centred box, given by its half-width, less
+the points within eps + 3 spacings of a pole: the floors' half-r0 box, and
+for monotonicity the points whose coarse kernel ball stays inside the dual's
+plurisubharmonic zone.  That zone can leave no point at coarse radii on a
+small box; such pairs are reported as unchecked rather than silently passed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .exterior import EForm
-from .grid import GridSpec, box_mask, convolve, kernel_spectrum, to_lattice, to_spectrum
+from .grid import GridSpec, convolve, kernel_spectrum, periodic_offset, region
+from .grid import to_lattice, to_spectrum
 from .hermitian import curvature
 from .hormander import norm2, solve_min_norm
 from .metric import MetricField, dual_metric
@@ -228,18 +229,13 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     raise ValidationError(f"unknown catalog metric {name!r}")
 
 
-def _wrapped(grid: GridSpec, d):
-    """Coordinate differences taken periodically, into [-L/2, L/2)."""
-    return (d + 0.5 * grid.L) % grid.L - 0.5 * grid.L
-
-
 def _mask_nearest(h: MetricField, poles: tuple) -> MetricField:
     """Mask the grid point nearest each pole: the det h = 0 stand-in."""
     mask = np.zeros(h.grid.shape, dtype=bool)
     t = h.grid.axis_coordinates()
     for z0 in poles:
-        ix = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.real))))
-        iy = int(np.argmin(np.abs(_wrapped(h.grid, t - z0.imag))))
+        ix = int(np.argmin(np.abs(periodic_offset(h.grid, t - z0.real))))
+        iy = int(np.argmin(np.abs(periodic_offset(h.grid, t - z0.imag))))
         mask[ix, iy] = True
     return MetricField(h.grid, h.rank, h.mat, mask)
 
@@ -257,29 +253,11 @@ class MonotoneReport:
     unchecked_pairs: list = field(default_factory=list)
 
 
-def _psh_zone_halfwidth(cat: CatalogMetric) -> float:
-    # the dual exponent keeps nonnegative complex Hessian out to ~4 smoothing
-    # scales past the quadratic radius
-    return cat.plateau_radius + 4.0 * cat.smoothing
-
-
-def _box_off_poles(grid: GridSpec, halfwidth: float, poles: tuple, clear: float) -> np.ndarray:
-    """Centered box |t - L/2| <= halfwidth on every axis, minus radius-clear pole discs.
-
-    A pole's distance is periodic, as the pole and its mask are.
-    """
-    region = box_mask(grid, np.abs(grid.axis_coordinates() - grid.center) <= halfwidth)
-    x, y = grid.along_axes(grid.axis_coordinates())[:2]
-    for z0 in poles:
-        dist2 = _wrapped(grid, x - z0.real) ** 2 + _wrapped(grid, y - z0.imag) ** 2
-        region &= dist2 > clear * clear
-    return region
-
-
-def monotone_region(grid: GridSpec, cat: CatalogMetric, eps: float) -> np.ndarray:
-    """Points whose eps-ball stays in the dual's psh zone and off the pole cells."""
-    clear = eps + 3.0 * grid.spacing
-    return _box_off_poles(grid, _psh_zone_halfwidth(cat) - eps, cat.poles, clear)
+def _centred_region(grid: GridSpec, halfwidth: float, poles: tuple, eps: float) -> np.ndarray:
+    """region() of the box L/2 - halfwidth <= t < L/2 + halfwidth; empty unless halfwidth > 0."""
+    if halfwidth <= 0:
+        return np.zeros(grid.shape, dtype=bool)
+    return region(grid, 0.5 - halfwidth / grid.L, poles, eps)
 
 
 def check_monotone(cat: CatalogMetric, schedule: MollifierSchedule) -> MonotoneReport:
@@ -303,16 +281,19 @@ def _monotone_report(cat: CatalogMetric, radii: tuple, mollified: list):
     report = MonotoneReport()
     for idx in range(len(radii) - 1):
         eps_coarse = radii[idx]
-        region = monotone_region(grid, cat, eps_coarse)
-        if not region.any():
+        # the coarse kernel ball stays off the pole cells and in the dual's psh zone,
+        # whose complex Hessian is nonnegative to ~4 smoothing scales past r0
+        zone = _centred_region(grid, cat.plateau_radius + 4.0 * cat.smoothing - eps_coarse,
+                               cat.poles, eps_coarse)
+        if not zone.any():
             report.unchecked_pairs.append(idx + 1)
             continue
         # exactly hermitian, as the difference of two MetricField matrices
-        diff = mollified[idx + 1].mat[region] - mollified[idx].mat[region]
+        diff = mollified[idx + 1].mat[zone] - mollified[idx].mat[zone]
         top = np.linalg.eigvalsh(diff)[..., -1]
-        scale = np.abs(np.linalg.eigvalsh(mollified[idx].mat[region])).max()
+        scale = np.abs(np.linalg.eigvalsh(mollified[idx].mat[zone])).max()
         defect = float(max(top.max(), 0.0) / max(scale, 1e-300))
-        report.pair_defects.append((idx + 1, defect, int(region.sum())))
+        report.pair_defects.append((idx + 1, defect, int(zone.sum())))
         report.max_defect = max(report.max_defect, defect)
     return report
 
@@ -357,29 +338,28 @@ def regularized_solve(f: EForm, cat: CatalogMetric, schedule: MollifierSchedule)
         raise PreconditionError("source must have finite nonzero h-weighted norm")
 
     radii = schedule.radii
-    # the coarsest kernel's averaging ball must stay inside the certified
-    # zone, which at desk scale leaves about half the plateau radius; the
-    # region only grows as the radius shrinks, so the first one decides
+    # each kernel's averaging ball must stay inside the certified zone, which
+    # at desk scale leaves about half the plateau radius; the region only
+    # grows as the radius shrinks, so the first one decides
     interior_halfwidth = 0.5 * cat.plateau_radius
-    clear = schedule.eps0 + 3.0 * grid.spacing
-    if not _box_off_poles(grid, interior_halfwidth, cat.poles, clear).any():
+    regions = [_centred_region(grid, interior_halfwidth, cat.poles, eps) for eps in radii]
+    if not regions[0].any():
         offsets = ", ".join(f"({z.real - grid.center:g}, {z.imag - grid.center:g})"
                             for z in cat.poles)
         raise ValidationError(
             f"no certified floor region: no grid point within r0/2 = {interior_halfwidth:g} "
             f"of the box centre on each axis (r0={cat.plateau_radius:g}) lies farther than "
-            f"eps0 + 3 spacings = {clear:g} (eps0={schedule.eps0:g}) from a pole at "
-            f"offset_re, offset_im = {offsets}"
+            f"eps0 + 3 spacings (eps0={schedule.eps0:g}, spacing {grid.spacing:g}) from a pole "
+            f"at offset_re, offset_im = {offsets}"
         )
 
     g = dual_metric(h)
     mollified, metrics, deltas, solves, us = [], [], [], [], []
 
-    for eps in radii:
+    for eps, reg_nu in zip(radii, regions):
         mollified.append(mollify(g, eps))
         h_nu = dual_metric(mollified[-1])
         metrics.append(h_nu)
-        reg_nu = _box_off_poles(grid, interior_halfwidth, cat.poles, eps + 3.0 * grid.spacing)
         # a diagonal family's curvature comes from its exponents and is block
         # symmetric to roundoff; a non-diagonal one takes h^{-1} dh, whose
         # mollified matrix_psh_dual curvature misses the default 1e-6 check

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .grid import GridSpec
+from .grid import GridSpec, periodic_offset
 
 RAMP_REACH = 5.5   # erfc(5.5) ~ 7e-15: the ramp has saturated to 0 beyond this
 CORE_REACH = 4.5   # erfc(4.5)/2 ~ 1e-10: the ramp is still 1 to within 1e-10 here
@@ -126,8 +126,7 @@ def _axis_profile(grid: GridSpec, r0: float, s: float, center: float) -> np.ndar
     """Profile m(t - center) sampled on the axis, wrapped periodically."""
     _, vals = saturating_square_profile(grid.N, grid.L, r0, s)
     vals = np.asarray(vals)
-    t = np.arange(grid.N) * grid.spacing
-    d = (t - center + 0.5 * grid.L) % grid.L - 0.5 * grid.L
+    d = periodic_offset(grid, grid.axis_coordinates() - center)
     idx = np.round((d + 0.5 * grid.L) / grid.spacing).astype(int) % grid.N
     return vals[idx]
 

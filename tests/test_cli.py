@@ -393,10 +393,7 @@ def test_cli_solve_rank_two_matches_rank_one(tmp_path):
     ("positivity", "log_pole", 0),
     ("positivity", "log_pole_pair", 0),
     ("solve", "log_pole", 0),
-    # the pair's second pole stays at its fixed offset2, inside the certified
-    # region: the c = 1 floor there is -19.6, so that entry claims no bound
-    # and its three bound rows fail; the sweep's c = 2 and c = 4 entries pass
-    ("solve", "log_pole_pair", 2),
+    ("solve", "log_pole_pair", 0),
 ])
 def test_cli_log_pole_metrics_pass_the_default_symmetry_check(tmp_path, capsys, op, catalog,
                                                               code):
@@ -406,18 +403,46 @@ def test_cli_log_pole_metrics_pass_the_default_symmetry_check(tmp_path, capsys, 
     text = (ROOT / "configs" / f"{op}.cfg").read_text(encoding="utf-8")
     text = text.replace("catalog = gaussian",
                         f"catalog = {catalog}\noffset_re = 1.5\noffset_im = 1.5")
+    if catalog == "log_pole_pair":
+        # the pair's fixed second pole lies in the c = 1 certified box, which
+        # the run refuses (test_cli_pole_in_the_certified_box_exits_one); the
+        # c = 4 box has shrunk clear of both poles
+        text = text.replace("c = 1.0", "c = 4.0").replace("sweep = 1,2,4", "sweep = 4")
     cfg = write_config(tmp_path, text.replace("count = 20", "count = 3"))
     out = tmp_path / "o"
     assert main([op, "--config", str(cfg), "--out", str(out)]) == code
     assert "symmetry" not in capsys.readouterr().err
     with open(out / f"{op}.csv", newline="", encoding="utf-8") as fh:
         rows = {row["check"]: row for row in csv.DictReader(fh)}
-    failed = {check for check, row in rows.items() if row["passed"] != "1"}
-    if code == 0:
-        assert not failed
-    else:
-        assert failed == {f"hormander-bound-c1-{idx:02d}" for idx in range(3)}
-        assert float(rows["certified-floor-c1"]["value"]) < 0
+    assert all(row["passed"] == "1" for row in rows.values())
+    if catalog == "log_pole_pair":
+        floor = rows["certified-floor-c4" if op == "solve" else "nakano-floor"]
+        assert abs(float(floor["value"]) - 3.9228) < 1e-4
+        bounds = [float(row["value"]) for check, row in rows.items()
+                  if check.startswith("hormander-bound")]
+        assert len(bounds) == (3 if op == "solve" else 0)
+        assert all(0.834 < value < 0.875 for value in bounds)
+
+
+@pytest.mark.parametrize("op", ["positivity", "solve"])
+@pytest.mark.parametrize("catalog, offsets", [
+    # the default offset (0.55, 0.35) puts the pole in the certified box: the
+    # floor there read -46.18, the pole's lattice curvature ringing
+    ("log_pole", ""),
+    # the pair's second pole is fixed at (-0.62, -0.41), in the c = 1 box: -19.61
+    ("log_pole_pair", "\noffset_re = 1.5\noffset_im = 1.5"),
+], ids=["log_pole", "log_pole_pair"])
+def test_cli_pole_in_the_certified_box_exits_one(tmp_path, capsys, op, catalog, offsets):
+    text = (ROOT / "configs" / f"{op}.cfg").read_text(encoding="utf-8")
+    text = text.replace("catalog = gaussian", f"catalog = {catalog}{offsets}")
+    cfg = write_config(tmp_path, text.replace("count = 20", "count = 3"))
+    out = tmp_path / "o"
+    assert main([op, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "no certified floor region" in err
+    for field in ("offset_re", "offset_im", "r0"):
+        assert field in err
+    assert not (out / f"{op}.csv").exists()
 
 
 def test_cli_solve_reads_the_symmetry_tolerance(tmp_path, capsys):

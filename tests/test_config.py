@@ -25,6 +25,9 @@ from dbarlab.cli import (
     working_set_mb,
 )
 from dbarlab.errors import ValidationError
+from dbarlab.grid import GridSpec
+from dbarlab.singular import singular_catalog
+import region_reference as ref
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = sorted((ROOT / "configs").glob("*.cfg")) + sorted(
@@ -138,6 +141,34 @@ def test_corrupted_field_exits_cleanly_and_names_it(case):
     assert "Traceback" not in text
     if code == 1:
         assert f"{name!r}" in text or f"{name}=" in text, text
+
+
+# a pole's drawn offset ranges over the whole box, wrapping at the seam
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["positivity", "solve"]), st.floats(-4.5, 4.5), st.floats(-4.5, 4.5))
+def test_a_pole_near_the_certified_box_exits_one_naming_its_offset(op, re, im):
+    sections = _sections(op)
+    sections["metric"] = {"catalog": "log_pole", "offset_re": _number(re),
+                          "offset_im": _number(im)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.cfg"
+        path.write_text(_render(sections), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([op, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    text = err.getvalue()
+    # the base configs run c = 1 on the default seam margin; K is the old
+    # certified box, near the points within 3 spacings of the pole
+    grid = GridSpec(1, int(_DOMAIN["N"]), float(_DOMAIN["L"]))
+    cat = singular_catalog("log_pole", grid, offset=complex(re, im))
+    near = ~ref.box_off_poles(grid, grid.L, cat.poles, 3.0 * grid.spacing)
+    assert "Traceback" not in text
+    if (ref.certified_region(0.125, grid, cat) & near).any():
+        assert code == 1 and "offset_re" in text, text
+    else:
+        assert code in (0, 2), text
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: f"{p.parent.name}/{p.name}")

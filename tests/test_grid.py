@@ -13,8 +13,8 @@ from dbarlab.grid import (
     convolve,
     dz_array,
     integrate,
-    interior_mask,
     kernel_spectrum,
+    region,
     seam_leakage,
     to_lattice,
     to_spectrum,
@@ -215,7 +215,7 @@ def test_convolve_preserves_integral():
 
 def test_interior_mask_and_leakage():
     g = GridSpec(1, 16, 8.0)
-    mask = interior_mask(g, 0.25)
+    mask = region(g, 0.25)
     assert mask.sum() == (g.N // 2) ** 2
     density = np.ones(g.shape)
     assert seam_leakage(density, g, 0.25) == pytest.approx(0.75)
@@ -395,7 +395,7 @@ def test_interior_box_is_the_interior_mask():
         g = GridSpec(n, N, 8.0)
         mask = np.zeros(g.shape, dtype=bool)
         mask[_interior_box(g, margin)] = True
-        assert np.array_equal(mask, interior_mask(g, margin))
+        assert np.array_equal(mask, region(g, margin))
 
 
 @pytest.mark.parametrize("n, N", [(1, 8), (1, 16), (1, 64), (1, 128), (2, 8), (2, 16), (2, 32)])

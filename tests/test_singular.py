@@ -19,6 +19,7 @@ from dbarlab.metric import MetricField, dual_metric
 from dbarlab.positivity import nakano_report
 from dbarlab.singular import (
     MollifierSchedule,
+    _centred_region,
     check_monotone,
     mollifier_kernel,
     mollify,
@@ -396,17 +397,18 @@ def test_shipped_regularize_config_builds_each_piece_once(tmp_path, monkeypatch)
 def test_pole_offset_past_half_the_box_is_the_same_pole(tmp_path):
     # (9.5, 9.5) is (1.5, 1.5) moved by the box side L = 8: the same point of
     # the torus, so the same metric, certified regions and report rows
-    from dbarlab.singular import _box_off_poles, monotone_region
-
     g = GridSpec(1, 64, 8.0)
     near = singular_catalog("log_pole", g, a=0.5, offset=1.5 + 1.5j)
     far = singular_catalog("log_pole", g, a=0.5, offset=9.5 + 9.5j)
     assert np.array_equal(near.metric.mask, far.metric.mask)
     for eps in MollifierSchedule(2.0, 8).radii:
-        clear = eps + 3.0 * g.spacing
-        assert np.array_equal(_box_off_poles(g, 0.5 * near.plateau_radius, near.poles, clear),
-                              _box_off_poles(g, 0.5 * far.plateau_radius, far.poles, clear))
-        assert np.array_equal(monotone_region(g, near, eps), monotone_region(g, far, eps))
+        # regularize's half-r0 box and check_monotone's psh zone, as half-widths
+        half = 0.5 * near.plateau_radius
+        assert np.array_equal(_centred_region(g, half, near.poles, eps),
+                              _centred_region(g, half, far.poles, eps))
+        zone = near.plateau_radius + 4.0 * near.smoothing - eps
+        assert np.array_equal(_centred_region(g, zone, near.poles, eps),
+                              _centred_region(g, zone, far.poles, eps))
 
     shipped = Path(__file__).resolve().parent.parent / "configs" / "regularize.cfg"
     text = shipped.read_text(encoding="utf-8")
