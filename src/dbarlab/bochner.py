@@ -18,14 +18,26 @@ by block (grid._plane_derivatives), forward and back.  One forward
 transform per coefficient of gamma and direction gives dbar gamma and del
 gamma in that direction.  The kernel transforms only the slices of the
 other plane where its input is not identically zero, and the source is a
-bump of compact support, so on the identities-n2 benchmark config the pass
-runs 24.6 one-axis FFT passes over the field, where transforming every
-slice took 42 and transforming every grid axis 72.  One set of connection
-blocks theta_j, built only for the directions j that grow a nonzero
-coefficient of gamma, gives the connection term of D'gamma and the
-curvature blocks Theta_jk = -dbar_k theta_j.  The adjoint reuses D'gamma,
-since dbar*_h alpha = i D'gamma ^ omega_{p-1}; bk_reports returns the
-pointwise and integrated reports of a single pass.
+bump of compact support.  One set of connection blocks theta_j, built only
+for the directions j that grow a nonzero coefficient of gamma, gives the
+connection term of D'gamma and the curvature blocks Theta_jk = -dbar_k
+theta_j.  The adjoint reuses D'gamma, since dbar*_h alpha = i D'gamma ^
+omega_{p-1}; bk_reports returns the pointwise and integrated reports of a
+single pass.
+
+Four densities are products with gamma: <gamma,gamma>, <Theta gamma,gamma>
+and the two cross terms <dbar D'gamma,gamma> and <gamma,dbar D'gamma>.
+Their factors are formed only where gamma lives (grid._support): pairing
+multiplies each slot pair on the intersection of the slots' support boxes,
+theta_j ^ gamma and Theta_jk gamma are formed on gamma's box, and Theta_jk
+and dbar D'gamma are transformed only on the slices where gamma is live
+(dbar_dpg_on_gamma is exact there and nowhere else).  Every density is
+bitwise what the whole-grid products give, up to the sign of zeros.  On
+the identities-n2 benchmark config, whose gamma meets a third of each
+plane's slices, the pass runs 16.5 one-axis FFT passes over the field.
+It ran 24.6 when Theta_jk and dbar D'gamma were transformed on every slice
+where their own inputs live, 42 when every slice was transformed and 72
+when every grid axis was.
 The curvature is always that of h.  The compact-support proxy check_support
 holds the seam-margin mass to SUPPORT_TOL.
 
@@ -34,17 +46,18 @@ orders its stages so that few live at once.  The del-dbar term of the left
 side comes first, while only gamma exists.  dbar gamma is reduced to its
 density before any theta_j is built.  Derivatives are added into their
 target slots block by block, so no full-grid derivative or spectrum
-exists, and pairing and hodge_star leave the slots an identically zero slot
-would fill unwritten.  Each theta_j goes once its last curvature block is
-formed, and each block is applied as soon as it is formed, so no curvature
-field exists; D'gamma goes once dbar D'gamma exists, and gamma once the
-cross terms are done.  omega_{p-1} is a read-only broadcast of one constant
-block (omega_power), so it costs no full-grid array.  The pass yields each
-density in turn, and the reports reduce it before the next is made: a copy
-of its interior box for the pointwise report, its whole-grid integral for
-the integrated one.  At n = 2 and rank 1 the traced peak is 8.8 full-grid
-complex fields (141 MiB at N = 32), against 10 when every density and
-derivative was a full-grid array.
+exists; pairing leaves its output unwritten outside its slot pairs' boxes,
+and hodge_star the slot of an identically zero slot.  Each theta_j goes
+once its last curvature block is formed, and each block is applied as soon
+as it is formed, on gamma's box, so no curvature field exists; D'gamma goes
+once dbar D'gamma exists, and gamma once the cross terms are done.
+omega_{p-1} is a read-only broadcast of one constant block (omega_power),
+so it costs no full-grid array.  The pass yields each density in turn, and
+the reports reduce it before the next is made: a copy of its interior box
+for the pointwise report, its whole-grid integral for the integrated one.
+At n = 2 and rank 1 the traced peak is 8.8 full-grid complex fields
+(141 MiB at N = 32), against 10 when every density and derivative was a
+full-grid array.
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ from .exterior import (
     pairing,
     wedge,
 )
-from .grid import SEAM_MARGIN, _interior_box, integrate, seam_leakage
+from .grid import SEAM_MARGIN, _interior_box, _support, integrate, seam_leakage
 from .hermitian import (
     adjoint_from_dprime,
     connection_terms,
@@ -116,10 +129,11 @@ def _bk_terms(alpha: EForm, h: MetricField):
     One plane transform per coefficient of gamma and direction gives dbar
     gamma and del gamma, and one connection theta gives D'gamma and the
     curvature blocks (connection_terms).  The adjoint term reuses
-    D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.  Each full-grid
-    intermediate is dropped after its last use, in an order that keeps few
-    of them alive at once (see the module docstring); a consumer drops each
-    density before it asks for the next.
+    D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.  dbar D'gamma is
+    only paired with gamma, so it is transformed on gamma's live slices
+    only.  Each full-grid intermediate is dropped after its last use, in an
+    order that keeps few of them alive at once (see the module docstring); a
+    consumer drops each density before it asks for the next.
     """
     n = alpha.grid.n
     p = alpha.q
@@ -135,11 +149,12 @@ def _bk_terms(alpha: EForm, h: MetricField):
     yield "curvature", ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))
     del theta_gamma
     yield "adjoint_sq", norm_sq(adjoint_from_dprime(dpg, om_p1), h)
-    dbar_dpg = dbar(dpg)
+    # only the cross pairings read dbar D'gamma, at gamma's nonzeros
+    dbar_dpg_on_gamma = dbar(dpg, _support(alpha.grid, gamma.coeffs)[1])
     del dpg
-    yield "cross_minus", -ic * dv_density(wedge(pairing(dbar_dpg, gamma, h), om_p1))
-    yield "cross_plus", ic * dv_density(wedge(pairing(gamma, dbar_dpg, h), om_p1))
-    del dbar_dpg, gamma
+    yield "cross_minus", -ic * dv_density(wedge(pairing(dbar_dpg_on_gamma, gamma, h), om_p1))
+    yield "cross_plus", ic * dv_density(wedge(pairing(gamma, dbar_dpg_on_gamma, h), om_p1))
+    del dbar_dpg_on_gamma, gamma
     yield "dbar_alpha_sq", np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
 
 

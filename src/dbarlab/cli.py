@@ -189,9 +189,13 @@ _SUITE_FIELDS = 21
 
 
 def _parse_sections(text: str) -> dict:
-    """{section: {key: text}}; a section or key that FIELDS does not list is rejected."""
+    """{section: {key: text}}; a section or key that FIELDS does not list is rejected.
+
+    So is a key given twice in one section, under one header or two.
+    """
     known = {(spec.section, spec.name) for spec in FIELDS}
     sections = {}
+    first_line = {}  # (section, key) -> the line that gave it
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -210,6 +214,10 @@ def _parse_sections(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if (current, key) not in known:
             raise ValidationError(f"line {lineno}: unknown field {key!r} in [{current}]")
+        if (current, key) in first_line:
+            raise ValidationError(f"line {lineno}: field {key!r} in [{current}] is given "
+                                  f"twice, on lines {first_line[current, key]} and {lineno}")
+        first_line[current, key] = lineno
         sections[current][key] = value
     return sections
 

@@ -42,12 +42,14 @@ The pointwise contractions move no memory they do not need:
 * a constant form (``omega_power``, a zero-stride broadcast) wedges as
   scalars: each nonzero entry of its block multiplies the other operand's
   field, and the zero entries are skipped;
-* ``pairing`` tests each slot of its operands once with np.any (a NaN
-  counts as nonzero) and skips every slot pair with an identically zero
-  slot, whose product would add exact zeros for finite data; ``hodge_star``
-  leaves the slot of a zero slot unwritten.  An output slot nothing is
-  added to stays as EForm.zeros made it, pages the system has not yet
-  backed with memory;
+* ``pairing`` finds the support box of each slot of its operands once, in
+  one pass (grid._support; a NaN counts as nonzero), and takes each slot
+  pair's product on the intersection of the two boxes only: a point outside
+  it has a zero factor, whose product is an exact zero for finite data.
+  A pair whose boxes do not meet, one with an identically zero slot among
+  them, is skipped; ``hodge_star`` leaves the slot of a zero slot
+  unwritten.  Output that nothing is written to stays as EForm.zeros made
+  it, pages the system has not yet backed with memory;
 * a +-1 sign or factor picks an add or a subtract instead of a product, and
   a unit constant in {1, -1, i, -i} (``dv_density``, ``hodge_star``) is one
   product written straight into the result: no division and no temporary.
@@ -65,7 +67,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import FormError
-from .grid import GridSpec, add_signed
+from .grid import GridSpec, _support, add_signed
 from .metric import MetricField, vector_inner
 
 
@@ -325,7 +327,12 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
     """Sesquilinear pairing <a, b>_h, a scalar form of bidegree (pa+qb, qa+pb).
 
     On decomposables alpha (x) s, beta (x) t this is alpha ^ conj(beta) (s,t)_h;
-    the second argument enters conjugated.
+    the second argument enters conjugated.  Each slot pair's product is
+    taken on the intersection of the two slots' support boxes only, point
+    by point as on the whole grid; elsewhere the output keeps EForm.zeros'
+    +0.0, where the whole-grid product of finite data is an exact zero.  A
+    NaN outside the other slot's box meets a zero there and leaves +0.0,
+    as a NaN slot always did against an identically zero one.
     """
     if a.grid != b.grid:
         raise FormError("forms live on different grids")
@@ -341,27 +348,33 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
     pos_I = index_slot(n, p)
     pos_J = index_slot(n, q)
     conj_sign = (-1) ** (b.p * b.q)
-    a_slots = _live_slots(a)
-    b_slots = a_slots if b is a else _live_slots(b)
-    for Ia, Ja, ca in a_slots:
-        for Ib, Jb, cb in b_slots:
+    a_slots = _slot_supports(a)
+    b_slots = a_slots if b is a else _slot_supports(b)
+    for Ia, Ja, ca, box_a in a_slots:
+        for Ib, Jb, cb, box_b in b_slots:
             # conj(dz_Ib ^ dzbar_Jb) = (-1)^(pb*qb) dz_Jb ^ dzbar_Ib
             sign, I, J = wedge_basis(Ia, Ja, Jb, Ib)
-            if sign == 0:
+            box = _meet(box_a, box_b)
+            if sign == 0 or box is None:
                 continue
-            add_signed(out.coeffs[..., pos_I[I], pos_J[J], 0], conj_sign * sign,
-                       vector_inner(h, ca, cb))
+            add_signed(out.coeffs[box + (pos_I[I], pos_J[J], 0)], conj_sign * sign,
+                       vector_inner(h.mat[box], ca[box], cb[box]))
     return out
 
 
-def _live_slots(a: EForm) -> list:
-    """(I, J, coefficient field) of each slot of a that is not identically zero.
+def _slot_supports(a: EForm) -> list:
+    """(I, J, coefficient field, support box) of each slot of a, from one pass per slot.
 
-    One np.any pass per slot; a NaN counts as nonzero.  A product with a zero
-    slot is exact zeros for finite data, and costs several passes.
+    The box is grid._support's; a NaN counts as nonzero.
     """
-    return [(I, J, a.slot(I, J)) for I in a.dz_slots() for J in a.dzbar_slots()
-            if np.any(a.slot(I, J))]
+    return [(I, J, a.slot(I, J), _support(a.grid, a.slot(I, J))[0])
+            for I in a.dz_slots() for J in a.dzbar_slots()]
+
+
+def _meet(box_a: tuple, box_b: tuple):
+    """The intersection of two support boxes, or None when it holds no point."""
+    box = tuple(slice(max(s.start, t.start), min(s.stop, t.stop)) for s, t in zip(box_a, box_b))
+    return box if all(s.start < s.stop for s in box) else None
 
 
 def norm_sq(a: EForm, h: MetricField) -> np.ndarray:
@@ -404,7 +417,7 @@ def inner_product(a: EForm, b: EForm, h: MetricField) -> np.ndarray:
     total = np.zeros(a.grid.shape, dtype=np.complex128)
     for I in a.dz_slots():
         for J in a.dzbar_slots():
-            total += vector_inner(h, a.slot(I, J), b.slot(I, J))
+            total += vector_inner(h.mat, a.slot(I, J), b.slot(I, J))
     return total
 
 

@@ -14,25 +14,28 @@ are the forward and inverse transforms over all grid axes, for the Fourier
 space solver, ``convolve`` and ``kernel_spectrum``.  A derivative d/dz_j or
 d/dzbar_j varies only along the real axes (x_j, y_j) of its complex plane,
 so it transforms only those two, in one cache-blocked kernel,
-``_plane_derivatives(grid, arr, j, targets)``.  At n = 2 a slice is one
-point of the other plane, with the plane and the components whole; it is
-live unless the field is identically zero there, and a dead slice has
-derivative exactly 0.  A block is a run of consecutive live slices, the
-other plane's two axes seen as one index of a view, sized to stay in
-cache: on a dense field, whole rows of the other axes.  For one block at a
-time the kernel transforms the plane forward once and, per target,
-applies the multiplier, inverts the plane and writes the block into a new
-array (of zeros, which the dead slices keep) or adds or subtracts it into
-a view of the target.  A dead slice is never copied, transformed or
-written, so a field of compact support transforms only the slices its
-support meets.  No full-grid spectrum or derivative exists, and the first
-axis is transformed within the block instead of at the field's full
-stride.  ``dz_array`` is its single-target case.  At n = 1 the plane is
-the whole grid, and a dense field that fits one block, or one whose
-smallest block (a row of the other axes) would not fit (n = 2 at N >= 64),
-is transformed whole.  Every transform is the same complex arithmetic: a
-real input is cast to complex128 once, into the transformed buffer, and
-takes the same passes.
+``_plane_derivatives(grid, arr, j, targets, slices)``.  At n = 2 a slice
+is one point of the other plane, with the plane and the components whole;
+it is live unless the field is identically zero there, and a dead slice
+has derivative exactly 0.  A caller that reads a derivative only on some
+slices (where another field lives, as ``_support`` finds them with the
+bounding box of its nonzeros, in one np.any pass) passes a mask of them,
+and only the live slices inside it are transformed.  A block is a run of
+consecutive slices to transform, the other plane's two axes seen as one
+index of a view, sized to stay in cache: on a dense field, whole rows of
+the other axes.  For one block at a time the kernel transforms the plane
+forward once and, per target, applies the multiplier, inverts the plane
+and writes the block into a new array (of zeros, which the other slices
+keep) or adds or subtracts it into a view of the target.  Any other slice
+is never copied, transformed or written, so a field of compact support
+transforms only the slices its support meets.  No full-grid spectrum or
+derivative exists, and the first axis is transformed within the block
+instead of at the field's full stride.  ``dz_array`` is its single-target
+case.  At n = 1 the plane is the whole grid, and a dense field that fits
+one block, or one whose smallest block (a row of the other axes) would not
+fit (n = 2 at N >= 64), is transformed whole.  Every transform is the same
+complex arithmetic: a real input is cast to complex128 once, into the
+transformed buffer, and takes the same passes.
 The results are bitwise equal to scipy.fft.fftn/ifftn of the complex input
 over the same axes.  Every other spectral step goes through these.
 
@@ -142,14 +145,15 @@ def _dz_multiplier(grid: GridSpec, j: int, conjugate: bool) -> np.ndarray:
     return 0.5 * (1j * kx + sign * ky)
 
 
-def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False) -> np.ndarray:
+def dz_array(grid: GridSpec, arr: np.ndarray, j: int, conjugate: bool = False,
+             slices=None) -> np.ndarray:
     """Spectral d/dz_j (or d/dzbar_j) of an array, transforming only the plane of z_j.
 
     Leading axes must be the grid axes; any trailing axes are treated as
     components and differentiated entrywise.  This is _plane_derivatives
-    with one target, a new array.
+    with one target, a new array, and the same slices.
     """
-    return _plane_derivatives(grid, arr, j, [(None, 1, conjugate)])[0]
+    return _plane_derivatives(grid, arr, j, [(None, 1, conjugate)], slices)[0]
 
 
 def _transform(arr: np.ndarray, axes: tuple, forward: bool) -> np.ndarray:
@@ -203,27 +207,57 @@ def _merged(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
     return arr.reshape(arr.shape[:k] + (grid.N**2,) + arr.shape[k + 2 :])
 
 
-def _blocks(grid: GridSpec, arr: np.ndarray, j: int) -> list:
+def _support(grid: GridSpec, arr: np.ndarray) -> tuple:
+    """(box, slices): where arr is not identically zero, from one np.any pass over it.
+
+    Trailing component axes are collapsed and a NaN counts as nonzero.  box
+    is the bounding box of the nonzeros on each grid axis, as basic slices
+    of the lattice indices, not taken periodically: a support that crosses
+    the seam spans the whole axis, and an all-zero arr gives slice(0, 0) on
+    every axis.  slices[k] is the bool array of the points of the other
+    planes than k where arr is live, the live slices of a derivative in
+    plane k: (N, N) at n = 2, and at n = 1 a 0-d array, whether arr is
+    live at all.
+    """
+    dims = 2 * grid.n
+    live = np.any(arr, axis=tuple(range(dims, arr.ndim)))
+    slices = tuple(live.any(axis=(2 * k, 2 * k + 1)) for k in range(grid.n))
+    box = []
+    for k in range(grid.n):
+        # plane k's points where arr is live: the box's two axes are read off
+        # it, as a reduction of live that keeps an inner axis is slow
+        shadow = live.any(axis=tuple(a for a in range(dims) if a // 2 != k))
+        for other in (1, 0):
+            kept = np.flatnonzero(shadow.any(axis=other))
+            box.append(slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0))
+    return tuple(box), slices
+
+
+def _blocks(grid: GridSpec, arr: np.ndarray, j: int, slices=None) -> list:
     """Index tuples of the blocks of arr's live slices, for derivatives in plane j.
 
     A slice is one point of the other complex plane, with plane j's two axes
     and every trailing component axis whole.  It is live when np.any over
-    it is true (a NaN is nonzero); a dead slice has derivative exactly 0.  A
-    block is a run of consecutive live slices of _merged(grid, arr, j),
-    indexed there, of at most a power of two of whole rows of the other
-    plane's outer axis in _BLOCK_BYTES of complex128; so on a dense array
-    the blocks are runs of whole rows.  One block (...) covers an array
-    with every slice live that fits the budget, or whose single row exceeds
-    it (n = 2 at N >= 64, where splitting a row was measured no faster than
-    the unblocked transform; such runs are not split), an array at n = 1,
-    which has no other plane and takes no test, and an array whose other
-    plane's axes do not merge into one index without a copy.
+    it is true (a NaN is nonzero) and slices, an (N, N) bool array over the
+    other plane's points if given, keeps it; a dead slice has derivative
+    exactly 0, or is one the caller does not read.  A block is a run of
+    consecutive live slices of _merged(grid, arr, j), indexed there, of at
+    most a power of two of whole rows of the other plane's outer axis in
+    _BLOCK_BYTES of complex128; so on a dense array the blocks are runs of
+    whole rows.  One block (...) covers an array with every slice live that
+    fits the budget, or whose single row exceeds it (n = 2 at N >= 64, where
+    splitting a row was measured no faster than the unblocked transform;
+    such runs are not split), an array at n = 1, which has no other plane
+    and takes no test, and an array whose other plane's axes do not merge
+    into one index without a copy; these last two take no slices either.
     """
     flat = _merged(grid, arr, j) if grid.n == 2 else None
     if flat is None:
         return [np.s_[...]]
     axis = 2 if j == 0 else 0  # the merged index
     live = np.any(flat, axis=tuple(a for a in range(flat.ndim) if a != axis))
+    if slices is not None:
+        live &= slices.reshape(-1)
     line = 16 * math.prod(arr.shape) // grid.N**2  # bytes of complex128 in one slice
     rows = _BLOCK_BYTES // (line * grid.N)  # whole rows of the outer axis in one block
     per = grid.N * (1 << (rows.bit_length() - 1)) if 0 < rows < grid.N else grid.N**2
@@ -239,7 +273,8 @@ def _blocks(grid: GridSpec, arr: np.ndarray, j: int) -> list:
     return blocks
 
 
-def _plane_derivatives(grid: GridSpec, arr: np.ndarray, j: int, targets: list) -> list:
+def _plane_derivatives(grid: GridSpec, arr: np.ndarray, j: int, targets: list,
+                       slices=None) -> list:
     """d/dz_j or d/dzbar_j of arr into every target (dst, sign, conjugate), block by block.
 
     A target whose dst is None gets a new array; any other gets dst += sign
@@ -254,17 +289,23 @@ def _plane_derivatives(grid: GridSpec, arr: np.ndarray, j: int, targets: list) -
     block is inverted over the same axes and written out, the last target
     in the spectrum's own buffer.  Every line and every point takes the
     arithmetic of scipy.fft.ifftn(multiplier * scipy.fft.fftn(arr,
-    axes=plane)), bit for bit.  A dead slice is not copied, transformed,
+    axes=plane)), bit for bit.  A slice not transformed is not copied,
     multiplied or added: a new-array target is allocated with np.zeros, so
     there it is exactly +0.0, and a target view is left as it was.  An
     array of one block (...) is transformed into a new array with no copy
     in, and a new-array target keeps its result.
+
+    slices, if given, is an (N, N) bool array over the other plane's points,
+    the slices the caller reads (such as _support's of another field): only
+    the live slices it keeps are transformed.  A plane-j derivative acts
+    slice by slice, so every target is exact on those slices whatever arr
+    holds on the others.
     """
     if arr.shape[: 2 * grid.n] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")
     if not 0 <= j < grid.n:
         raise FormError(f"complex axis {j} out of range for n={grid.n}")
-    blocks = _blocks(grid, arr, j)
+    blocks = _blocks(grid, arr, j, slices)
     whole = blocks == [np.s_[...]]
     src = arr if whole else _merged(grid, arr, j)
     x, y = (2 * j, 2 * j + 1) if whole else (j, j + 1)  # the plane's axes in src

@@ -26,12 +26,13 @@ theta_j are d_j of each exponent phi_a = -log h_aa of a positive diagonal
 metric (MetricField.diagonal_exponents), or of the matrix field of any
 other, and the curvature blocks Theta_jk are dbar_k of theta_j, of each
 diagonal entry on its own for a positive diagonal metric; each of these is
-a single-use grid.dz_array.  For a positive diagonal metric theta_j and
-Theta_jk are kept as their r diagonal fields and applied as elementwise
-products; curvature and chern_connection write them into full r x r
-blocks.  The Bochner-Kodaira pass calls connection_terms, where one set of
-theta_j feeds both D'gamma and Theta ^ gamma.  D' and Theta wedge take
-their insertion signs and target slots from ``exterior.grow_table`` too.
+a single-use derivative into a new array.  For a positive diagonal metric
+theta_j and Theta_jk are kept as their r diagonal fields and applied as
+elementwise products; curvature and chern_connection write them into full
+r x r blocks.  The Bochner-Kodaira pass calls connection_terms, where one
+set of theta_j feeds both D'gamma and Theta ^ gamma.  D' and Theta wedge
+take their insertion signs and target slots from ``exterior.grow_table``
+too.
 
 An identically zero coefficient (say the empty slot of a source filled in
 one slot only) has derivative exactly 0: _differentials tests each source
@@ -54,6 +55,12 @@ exterior.pairing 6.1 ms.  So a zero test pays where it can skip several
 passes (a transform, or pairing's slot pairs), and is not made before a
 single product, such as the connection term of dprime, where it costs a
 large part of what it could save and a nonzero coefficient pays both.
+
+A caller that reads a derivative only where another field lives narrows
+the slices further: connection_terms forms Theta_jk only on its form's
+support box (grid._support), transformed on the slices where the form is
+live, and dbar takes such slices for dbar D'gamma, which the
+Bochner-Kodaira pass pairs only with gamma.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from itertools import product
 import numpy as np
 
 from .errors import FormError
-from .grid import GridSpec, _plane_derivatives, add_signed, dz_array
+from .grid import GridSpec, _plane_derivatives, _support, add_signed, dz_array
 from .metric import MetricField, matrix_apply
 from .exterior import EForm, grow_table, hodge_star, index_tuples, omega_power, wedge
 
@@ -138,14 +145,17 @@ def _apply(block: np.ndarray, diagonal: bool, vec: np.ndarray) -> np.ndarray:
 
 
 def _curvature_block(grid: GridSpec, theta_j: np.ndarray, diagonal: bool, k: int,
-                     out: np.ndarray) -> None:
-    """Write Theta_jk = -dbar_k(theta_j) into out, of theta_j's shape.
+                     out: np.ndarray, box=..., slices=None) -> None:
+    """Write Theta_jk = -dbar_k(theta_j) on the grid points box into out, theta_j[box]'s shape.
 
     A diagonal theta_j takes r derivatives, one per entry, instead of r^2.
+    With slices (grid._plane_derivatives) only the live slices of the other
+    plane than k that they keep are transformed: out is Theta_jk on those
+    and 0 elsewhere.
     """
     entries = [np.s_[..., a] for a in range(theta_j.shape[-1])] if diagonal else [np.s_[...]]
     for entry in entries:
-        np.negative(dz_array(grid, theta_j[entry], k, True), out=out[entry])
+        np.negative(dz_array(grid, theta_j[entry], k, True, slices)[box], out=out[entry])
 
 
 def _block_view(out: np.ndarray, diagonal: bool) -> np.ndarray:
@@ -210,7 +220,7 @@ def _derivative_rows(n: int, p: int, q: int, op: str) -> tuple:
                  for j in range(len(index_tuples(n, q))))
 
 
-def _differentials(a: EForm, ops: tuple) -> list:
+def _differentials(a: EForm, ops: tuple, slices=None) -> list:
     """The operators ops (keys of _OPERATORS) of a, one plane transform per coefficient and k.
 
     Each applies its _derivative_rows.  Within a coefficient the directions
@@ -219,7 +229,10 @@ def _differentials(a: EForm, ops: tuple) -> list:
     the derivative into its slot block by block: no full-grid derivative
     exists.  A source slot meets each target slot in one direction only, so
     every target sums its terms in row order.  A coefficient that is
-    identically zero is skipped, as its rows would add exact zeros.
+    identically zero is skipped, as its rows would add exact zeros.  With
+    slices (grid._support's of another field) a direction-k derivative
+    transforms only the live slices slices[k] keeps, and the result is
+    exact there only.
     """
     grid = a.grid
     outs, rows = [], []
@@ -236,22 +249,26 @@ def _differentials(a: EForm, ops: tuple) -> list:
         for k in range(grid.n):
             targets = [row[2:] for row in rows if row[:2] == (src, k)]
             if targets:
-                _plane_derivatives(grid, coeff, k, targets)
+                _plane_derivatives(grid, coeff, k, targets, None if slices is None else slices[k])
     return outs
 
 
-def dbar(a: EForm) -> EForm:
+def dbar(a: EForm, slices=None) -> EForm:
     """Componentwise spectral dbar with multi-index insertion signs.
 
     dbar of a (p,n)-form vanishes identically and has no representable
     bidegree, so that call raises; closedness checks treat q = n as closed.
+    slices, the second item of grid._support of a field, restricts each
+    dbar_k to the slices of the other plane than k where that field is
+    live; the result is then exact on the field's support only, and 0 on
+    the slices left out.
     """
     if a.q == a.grid.n:
         raise FormError(
             f"dbar target bidegree ({a.p},{a.q + 1}) exceeds n={a.grid.n}; "
             "a top-degree form is automatically dbar-closed"
         )
-    return _differentials(a, ("dbar",))[0]
+    return _differentials(a, ("dbar",), slices)[0]
 
 
 def dpartial(a: EForm) -> EForm:
@@ -281,25 +298,31 @@ def _check_connection_operand(a: EForm, h: MetricField):
         raise FormError("metric does not match the form")
 
 
-def _add_connection(out: EForm, a: EForm, theta: dict, diagonal: bool, rows) -> None:
-    """out += theta ^ a over the grow_table rows of the (q,0)-form a; theta is {j: theta_j}."""
+def _add_connection(out: EForm, a: EForm, theta: dict, diagonal: bool, rows,
+                    box=...) -> None:
+    """out += theta ^ a over the grow_table rows of the (q,0)-form a, on the grid points box.
+
+    theta is {j: theta_j}; box is a tuple of basic slices of the grid axes,
+    or ... for the whole grid.
+    """
     for src, j, dst, sign in rows:
-        add_signed(out.coeffs[..., dst, 0, :], sign,
-                   _apply(theta[j], diagonal, a.coeffs[..., src, 0, :]))
+        add_signed(out.coeffs[box][..., dst, 0, :], sign,
+                   _apply(theta[j][box], diagonal, a.coeffs[box][..., src, 0, :]))
 
 
 def _add_curvature_term(out: EForm, a: EForm, j: int, k: int, block, diagonal: bool,
-                        rows) -> None:
-    """out += the terms Theta_jk a_I dz_j ^ dzbar_k ^ dz_I of Theta ^ a, block = Theta_jk.
+                        rows, box=...) -> None:
+    """out += the terms Theta_jk a_I dz_j ^ dzbar_k ^ dz_I of Theta ^ a on box.
 
-    At n <= 2 each target slot takes at most two terms, so adding them j by j
-    rounds as adding them in grow_table order does.
+    block is Theta_jk on box.  At n <= 2 each target slot takes at most two
+    terms, so adding them j by j rounds as adding them in grow_table order
+    does.
     """
     crossing = (-1) ** a.p  # dzbar_k crossing dz_I
     for src, j_row, dst, sign in rows:
         if j_row == j:
-            add_signed(out.coeffs[..., dst, k, :], crossing * sign,
-                       _apply(block, diagonal, a.coeffs[..., src, 0, :]))
+            add_signed(out.coeffs[box][..., dst, k, :], crossing * sign,
+                       _apply(block, diagonal, a.coeffs[box][..., src, 0, :]))
 
 
 def dprime(a: EForm, h: MetricField) -> EForm:
@@ -313,24 +336,30 @@ def dprime(a: EForm, h: MetricField) -> EForm:
 def connection_terms(a: EForm, h: MetricField, del_a: EForm) -> EForm:
     """Theta ^ a for a (q,0)-form a; adds theta ^ a to del_a = dpartial(a), making it D'a.
 
-    Each coefficient of a is tested once, and theta_j is built only for the
-    directions j that grow a nonzero one; theta_j feeds both D'a and the
-    curvature blocks Theta_jk = -dbar_k(theta_j).  theta_j goes once its
-    last block is formed, and each block is applied as soon as it is formed,
-    in one buffer per j, so no curvature field exists.
+    One pass over a finds where each coefficient lives, and theta_j is
+    built only for the directions j that grow a nonzero one; theta_j feeds
+    both D'a and the curvature blocks Theta_jk = -dbar_k(theta_j).  Both
+    products are taken on a's support box only (grid._support), as a is 0
+    elsewhere, and Theta_jk only on it, transformed on the slices of the
+    other plane than k where a is live.  theta_j itself is a full field,
+    since Theta_jk reads it at every point of plane k.  theta_j goes
+    once its last block is formed, and each block is applied as soon as it
+    is formed, in one buffer per j, so no curvature field exists.
     """
     _check_connection_operand(a, h)
-    live = [np.any(c) for c in np.moveaxis(a.coeffs[..., 0, :], -2, 0)]
-    rows = [row for row in grow_table(a.grid.n, a.p) if live[row[0]]]
+    grid = a.grid
+    live = np.any(a.coeffs[..., 0, :], axis=-1)  # grid + (C(n,p),): where each coefficient lives
+    box, slices = _support(grid, live)
+    rows = [row for row in grow_table(grid.n, a.p) if live[..., row[0]].any()]
     theta, diagonal = _connection_blocks(h, sorted({j for _, j, _, _ in rows}))
-    _add_connection(del_a, a, theta, diagonal, rows)
-    out = EForm.zeros(a.grid, a.rank, a.p + 1, 1)
+    _add_connection(del_a, a, theta, diagonal, rows, box)
+    out = EForm.zeros(grid, a.rank, a.p + 1, 1)
     for j in list(theta):
         theta_j = theta.pop(j)
-        block = np.empty_like(theta_j)
-        for k in range(a.grid.n):
-            _curvature_block(a.grid, theta_j, diagonal, k, block)
-            _add_curvature_term(out, a, j, k, block, diagonal, rows)
+        block = np.empty_like(theta_j[box])
+        for k in range(grid.n):
+            _curvature_block(grid, theta_j, diagonal, k, block, box, slices[k])
+            _add_curvature_term(out, a, j, k, block, diagonal, rows, box)
         del theta_j, block  # before the next theta_j's blocks are formed
     return out
 

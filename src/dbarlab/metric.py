@@ -33,20 +33,21 @@ def matrix_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def vector_inner(h: MetricField, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Pointwise (s, t)_h = t^H h s; linear in s, conjugate-linear in t.
+def vector_inner(mat: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Pointwise (s, t)_h = t^H h s for mat, a MetricField's h.mat or a view of it.
 
-    At rank 1 the metric is a real weight w = h_00: construction rejects
-    non-finite entries and symmetrizes the imaginary part to exactly 0, so
-    multiplying by the complex entry scales both parts by w with no other
-    rounding.  This is conj(t) w s, two elementwise products.
+    Linear in s, conjugate-linear in t.  At rank 1 the metric is a real
+    weight w = h_00: construction rejects non-finite entries and
+    symmetrizes the imaginary part to exactly 0, so multiplying by the
+    complex entry scales both parts by w with no other rounding.  This is
+    conj(t) w s, two elementwise products.
     """
-    if h.rank == 1:
+    if mat.shape[-1] == 1:
         out = np.conj(t[..., 0])
-        out *= h.mat[..., 0, 0]
+        out *= mat[..., 0, 0]
         out *= s[..., 0]
         return out
-    return np.einsum("...a,...ab,...b->...", np.conj(t), h.mat, s)
+    return np.einsum("...a,...ab,...b->...", np.conj(t), mat, s)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Each contraction runs one three-operand einsum (t^H h s) per slot or slot
 pair on the full metric stack, at every rank.  The library contracts a rank-1
 metric as a real weight and a rank-1 norm over the whole coefficient stack;
 at rank 1 it must agree with these to a few ulps of the pointwise scale, and
-at rank > 1 bitwise.
+at rank > 1 bitwise.  pairing_rank1_full_grid is the library's rank-1 pairing
+as it was before it worked on support boxes, which it must match bitwise.
 """
 
 import numpy as np
@@ -55,3 +56,37 @@ def inner_product(a, b, h):
         for J in a.dzbar_slots():
             total += vector_inner(h.mat, a.slot(I, J), b.slot(I, J))
     return total
+
+
+def pairing_rank1_full_grid(a, b, h):
+    """<a, b>_h at rank 1 as the library took it on the whole grid, slot pair by slot pair.
+
+    Each slot pair with no identically zero slot (np.any; a NaN is nonzero)
+    adds conj(t) w s, w = h_00, at every grid point: the reference for the
+    support-box pairing, which must agree with it bitwise.
+    """
+    n = a.grid.n
+    p, q = a.p + b.q, a.q + b.p
+    out = EForm.zeros(a.grid, 1, p, q)
+    pos_I = index_slot(n, p)
+    pos_J = index_slot(n, q)
+    conj_sign = (-1) ** (b.p * b.q)
+
+    def live(form):
+        return [(I, J, form.slot(I, J)) for I in form.dz_slots() for J in form.dzbar_slots()
+                if np.any(form.slot(I, J))]
+
+    for Ia, Ja, ca in live(a):
+        for Ib, Jb, cb in live(b):
+            sign, I, J = wedge_basis(Ia, Ja, Jb, Ib)
+            if sign == 0:
+                continue
+            product = np.conj(cb[..., 0])
+            product *= h.mat[..., 0, 0]
+            product *= ca[..., 0]
+            target = out.coeffs[..., pos_I[I], pos_J[J], 0]
+            if conj_sign * sign > 0:
+                target += product
+            else:
+                target -= product
+    return out

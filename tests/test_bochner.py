@@ -280,7 +280,7 @@ def test_bk_reports_traced_peak_stays_within_field_budget():
     # holds gamma, one curvature block at a time and no materialized omega
     # power, frees theta_j and dbar gamma early, adds each derivative into
     # its slot block by block, leaves zero slots unwritten, and keeps only
-    # the interior box of each finished density: 9.45 full-grid complex
+    # the interior box of each finished density: 8.82 full-grid complex
     # fields of traced peak, against 10.1 with full-grid derivatives and
     # densities, 11.1 with the full curvature field and 21.0 when it and
     # omega^0 lived for the whole pass.
@@ -291,19 +291,20 @@ def test_bk_reports_traced_peak_stays_within_field_budget():
         g, tuple(g.center + 0.3 * (-1) ** k for k in range(4)), 0.05 * g.L
     )
     peak, same = _traced_peak_fields(alpha, h)
-    assert peak <= 9.5
+    assert peak <= 9.0
     assert same
 
 
 def test_bk_reports_traced_peak_keeps_a_diagonal_connection_at_rank():
     # a rank-2 diagonal metric keeps theta_j and Theta_jk as their r
-    # diagonal fields, not r x r blocks: 12.9 full-grid complex fields of
-    # traced peak at n = 1, N = 128, against 21.0 with full blocks,
+    # diagonal fields, not r x r blocks, and Theta_jk only on gamma's support
+    # box: 12.43 full-grid complex fields of traced peak at n = 1, N = 128,
+    # against 12.86 with full-grid blocks and 21.0 with full r x r blocks,
     # full-grid derivatives and full-grid densities
     g = GridSpec(1, 128, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30, rank=2).metric
     peak, same = _traced_peak_fields(_bk_source(g, 2), h)
-    assert peak <= 13.0
+    assert peak <= 12.5
     assert same
 
 
@@ -314,10 +315,12 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     # and one connection block feeds D'gamma and its curvature row.  Each
     # derivative transforms only its own complex plane, and there only the
     # live slices of the other plane (the source is a bump of compact
-    # support): 23.875 one-axis FFT passes over the field, where every slice
-    # took 42 and 18 full-grid transforms took 72.  A pass is counted in
-    # elements over the field's size, so a blocked transform counts once.
-    # No forward pass has a dead slice in its input
+    # support); the curvature blocks and dbar D'gamma only those where gamma
+    # is live: 15.8125 one-axis FFT passes over the field, where
+    # transforming them on every live slice took 23.875, every slice 42 and
+    # 18 full-grid transforms 72.  A pass is counted in elements over the
+    # field's size, so a blocked transform counts once.  No forward pass has
+    # a dead slice in its input
     g = GridSpec(2, 8, 8.0)
     h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
     field = np.prod(g.shape)
@@ -348,7 +351,7 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     for name in ("fft", "ifft", "rfft"):
         monkeypatch.setattr(np.fft, name, one_pass(getattr(np.fft, name)))
     bk_reports(_bk_source(g, 1), h)
-    assert sum(size for _, size in passes) == 23.875
+    assert sum(size for _, size in passes) == 15.8125
     assert "rfft" not in {name for name, _ in passes}
     assert all(inputs)
     assert live and all(live)

@@ -168,9 +168,8 @@ def test_cli_subcommand_config_mismatch(tmp_path):
 def test_cli_flat_weight_fails_hormander_check(tmp_path):
     # c = 0 gives a flat metric with no positive floor: the bound check must
     # fail by name with exit code 2
-    text = BASE.replace("name = identities", "name = solve\ncount = 2\nsweep = 0").replace(
-        "c = 1.0", "c = 0"
-    )
+    text = BASE.replace("name = identities\ncount = 5",
+                        "name = solve\ncount = 2\nsweep = 0").replace("c = 1.0", "c = 0")
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out2"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2

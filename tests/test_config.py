@@ -143,6 +143,31 @@ def test_corrupted_field_exits_cleanly_and_names_it(case):
         assert f"{name!r}" in text or f"{name}=" in text, text
 
 
+@pytest.mark.parametrize("second_header", [False, True])
+def test_a_key_given_twice_exits_one_naming_it_and_both_lines(second_header, tmp_path):
+    # [domain] with N = 64 and then N = 16 once ran at N = 16; the repeat,
+    # under the same header or a second [domain], is rejected instead
+    text = _render(_sections("identities")).replace("N = 16\n", "N = 64\n", 1)
+    lines = text.splitlines()
+    first = lines.index("N = 64") + 1
+    if second_header:
+        lines += ["[domain]", "N = 16"]
+        second = len(lines)
+    else:
+        lines.insert(first, "N = 16")
+        second = first + 1
+    path = tmp_path / "exp.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=rf"'N' in \[domain\].* lines {first} and {second}"):
+        parse_config(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["identities", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "'N'" in err.getvalue() and "Traceback" not in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
 # a pole's drawn offset ranges over the whole box, wrapping at the seam
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,

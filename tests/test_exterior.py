@@ -22,7 +22,7 @@ from dbarlab.exterior import (
     wedge,
     wedge_basis,
 )
-from dbarlab.grid import GridSpec
+from dbarlab.grid import GridSpec, periodic_offset
 from dbarlab.hermitian import dbar, dprime
 from dbarlab.metric import MetricField
 from dbarlab.singular import singular_catalog
@@ -388,6 +388,95 @@ def test_contractions_match_per_slot_einsum_reference(n, rank):
                 scale = (w * moduli[d] * moduli[e])[..., None, None, None]
                 assert_matches_reference(pairing(a, c, h).coeffs,
                                          exterior_reference.pairing(a, c, h).coeffs, rank, scale)
+
+
+def _ball(g, center, radius):
+    """The grid points within radius of center, taken periodically: the seam may cut the ball."""
+    axes = g.along_axes(g.axis_coordinates())
+    return sum(periodic_offset(g, t - c) ** 2 for t, c in zip(axes, center)) < radius**2
+
+
+def _support_cases(g):
+    """{case: (a's slot masks, b's slot masks)} of two (1,0)-forms; None is a zero slot."""
+    c = g.center
+    dense = np.ones(g.shape, dtype=bool)
+    lone = np.zeros(g.shape, dtype=bool)
+    lone[(3,) * (2 * g.n)] = True  # the NaN's point
+    return {
+        "disjoint": ([_ball(g, (c - 2.0,) * (2 * g.n), 1.5), None],
+                     [_ball(g, (c + 2.0,) * (2 * g.n), 1.5)] * 2),
+        "overlapping": ([_ball(g, (c - 0.5,) * (2 * g.n), 2.0),
+                         _ball(g, (c + 1.0,) * (2 * g.n), 1.5)],
+                        [_ball(g, (c + 0.5,) * (2 * g.n), 2.0), None]),
+        "seam": ([_ball(g, (0.0,) * (2 * g.n), 2.0), _ball(g, (c,) * (2 * g.n), 1.5)],
+                 [_ball(g, (0.5,) * (2 * g.n), 2.0), _ball(g, (g.L - 1.0,) * (2 * g.n), 2.0)]),
+        "lone-nan": ([lone, None], [dense, _ball(g, (c,) * (2 * g.n), 2.5)]),
+        "dense": ([dense, _ball(g, (c,) * (2 * g.n), 2.0)], [dense, dense]),
+    }
+
+
+def _slot_form(g, rank, masks, rng):
+    """A (1,0)-form whose slot s is complex noise on masks[s] (a lone point is NaN) and 0 off it.
+
+    At n = 1 the form has one slot, and takes masks[0].
+    """
+    a = EForm.zeros(g, rank, 1, 0)
+    for slot, mask in enumerate(masks[: g.n]):
+        if mask is not None:
+            shape = g.shape + (rank,)
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            a.coeffs[..., slot, 0, :] = np.where(mask[..., None], noise, 0.0)
+            if mask.sum() == 1:
+                a.coeffs[..., slot, 0, :][mask] = np.nan
+    return a
+
+
+def _bounding_box_mask(field):
+    """The points of the bounding box of field's nonzeros (a NaN is nonzero), as a grid mask."""
+    live = np.any(field != 0, axis=-1)
+    mask = np.zeros(live.shape, dtype=bool)
+    points = np.nonzero(live)
+    if points[0].size:
+        mask[tuple(slice(p.min(), p.max() + 1) for p in points)] = True
+    return mask
+
+
+def _same_values(x, y):
+    """Equal real and imaginary parts, NaN matching NaN; a zero's sign is not compared."""
+    return (np.array_equal(x.real, y.real, equal_nan=True)
+            and np.array_equal(x.imag, y.imag, equal_nan=True))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("case", ["disjoint", "overlapping", "seam", "lone-nan", "dense"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_pairing_on_support_boxes_equals_the_full_grid_pairing(n, case, rank):
+    # each slot pair's product is taken on the intersection of the slots'
+    # support boxes: there it is bitwise the whole-grid product (rank 1: the
+    # library's former slot loop; rank 2: the per-slot einsum reference) up
+    # to the sign of zeros.  Outside it is exactly +0.0, where the whole-grid
+    # product is a zero too, except at a NaN factor, which meets a zero there
+    g = GridSpec(n, 16, 8.0)
+    rng = np.random.default_rng(31 + 10 * n + rank)
+    h = reference_metrics(g, rank, rng)[-1]
+    a_masks, b_masks = _support_cases(g)[case]
+    a, b = _slot_form(g, rank, a_masks, rng), _slot_form(g, rank, b_masks, rng)
+    got = pairing(a, b, h).coeffs
+    full = (exterior_reference.pairing_rank1_full_grid if rank == 1
+            else exterior_reference.pairing)(a, b, h).coeffs
+    for i, k in np.ndindex(n, n):  # a's slot i and b's slot k fill the output slot (i, k)
+        ca, cb = a.coeffs[..., i, 0, :], b.coeffs[..., k, 0, :]
+        box = _bounding_box_mask(ca) & _bounding_box_mask(cb)
+        assert _same_values(got[..., i, k, 0][box], full[..., i, k, 0][box]), (i, k)
+        assert not got[..., i, k, 0][~box].view(np.uint64).any(), (i, k)  # +0.0, sign bit too
+        finite = ~np.isnan(ca).any(axis=-1) & ~np.isnan(cb).any(axis=-1)
+        assert np.all(full[..., i, k, 0][~box & finite] == 0), (i, k)
+    if case == "disjoint":
+        assert not got.view(np.uint64).any()
+    if case == "lone-nan":  # the NaN is the support of its slot, and meets the dense slot
+        assert np.isnan(got[..., 0, 0, 0]).sum() == 1
+    if case == "dense":
+        assert np.abs(got[..., 0, 0, 0]).min() > 0  # dense times dense: the whole grid
 
 
 IDENTITIES_CFG = Path(__file__).resolve().parent.parent / "configs" / "identities.cfg"

@@ -10,6 +10,7 @@ from dbarlab.grid import (
     _dz_multiplier,
     _interior_box,
     _plane_derivatives,
+    _support,
     convolve,
     dz_array,
     integrate,
@@ -267,6 +268,16 @@ def _slot_major(g, slots, rng):
     return np.moveaxis(store, tuple(range(len(slots))), tuple(range(-len(slots), 0)))
 
 
+def _same_bits(x, y):
+    """Whether two complex128 arrays hold the same bits, signed zeros and NaN payloads included.
+
+    The bit patterns are compared in place, with no copy of either array.
+    """
+    return (x.dtype == y.dtype == np.complex128
+            and np.array_equal(x.real.view(np.uint64), y.real.view(np.uint64))
+            and np.array_equal(x.imag.view(np.uint64), y.imag.view(np.uint64)))
+
+
 @pytest.mark.parametrize("N", [8, 16, 32])
 def test_plane_derivatives_are_bitwise_scipy_fft(N, monkeypatch):
     # the blocked kernel is scipy.fft.ifftn(mult * scipy.fft.fftn(arr)) over
@@ -302,8 +313,8 @@ def test_plane_derivatives_are_bitwise_scipy_fft(N, monkeypatch):
                            (None, 1, False)]
                 outs = _plane_derivatives(g, arr, j, targets)
                 for got, want in zip(outs, expected):
-                    assert got.tobytes() == want.tobytes(), (block_bytes, arr.strides, j)
-            assert dz_array(g, arr, j, True).tobytes() == dbar.tobytes()
+                    assert _same_bits(got, want), (block_bytes, arr.strides, j)
+            assert _same_bits(dz_array(g, arr, j, True), dbar)
 
 
 def _sparse_inputs(g, rng):
@@ -359,6 +370,79 @@ def test_plane_derivatives_of_sparse_fields_are_bitwise_scipy_fft(name, monkeypa
                 assert got.tobytes() == want.tobytes(), (name, j, block_bytes)
             for got in outs[2:]:
                 assert not got[dead].view(np.uint8).any(), (name, j, block_bytes)
+
+
+@pytest.mark.parametrize("name", ["dense", "ball", "discs"])
+def test_plane_derivatives_on_kept_slices_are_bitwise_scipy_fft(name, monkeypatch):
+    # with a mask of the other plane's slices the kernel transforms only the
+    # live slices it keeps: there every target is scipy.fft.ifftn(mult *
+    # scipy.fft.fftn(arr)) over plane j bit for bit, a new array is +0.0 on
+    # the slices left out and a target view keeps its values there.  A NaN
+    # in a slice left out reaches no kept slice
+    g = GridSpec(2, 16, 8.0)
+    rng = np.random.default_rng(41)
+    arr = _slot_major(g, (2,), rng) if name == "dense" else _sparse_inputs(g, rng)[name]
+    x1, y1, x2, y2 = g.along_axes(g.axis_coordinates())
+    line = 16 * g.N**2 * 2  # bytes of one slice
+    start = _slot_major(g, (2, 1, 2), rng)
+    form = _slot_major(g, (2, 1, 2), rng)
+    for j in range(2):
+        plane = (2 * j, 2 * j + 1)
+        u, v = (x2, y2) if j == 0 else (x1, y1)  # the other plane's coordinates
+        kept = ((u - 4.5) ** 2 + (v - 3.0) ** 2 < 2.0**2).reshape(g.N, g.N)
+        dropped = np.s_[:, :, ~kept] if j == 0 else np.s_[~kept]
+        on_kept = np.s_[:, :, kept] if j == 0 else np.s_[kept]
+        field = arr.copy()
+        field[dropped] = np.nan  # every slice left out
+        spec = scipy.fft.fftn(field, axes=plane)
+        d, dbar = (scipy.fft.ifftn(_dz_multiplier(g, j, conj)[..., None] * spec, axes=plane)
+                   for conj in (False, True))
+        expected = [start[..., 0, 0, :] + d, start[..., 1, 0, :] - dbar, d, dbar]
+        for block_bytes in (line * g.N, line * g.N * 4, line * g.N**2):
+            monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
+            form[...] = start
+            targets = [(form[..., 0, 0, :], 1, False), (form[..., 1, 0, :], -1, True),
+                       (None, 1, False), (None, 1, True)]
+            outs = _plane_derivatives(g, field, j, targets, kept)
+            for got, want in zip(outs, expected):
+                assert _same_bits(got[on_kept], want[on_kept]), (name, j, block_bytes)
+                assert not np.isnan(got[on_kept]).any()
+            for got, before in zip(outs, (start[..., 0, 0, :], start[..., 1, 0, :])):
+                assert _same_bits(got[dropped], before[dropped]), (name, j, block_bytes)
+            for got in outs[2:]:
+                assert not got[dropped].view(np.uint64).any(), (name, j, block_bytes)
+
+
+def test_support_is_the_bounding_box_and_the_live_slices():
+    # one np.any pass: the bounding box of the nonzeros on each grid axis
+    # (a NaN is nonzero; a support across the seam spans the axis; none is
+    # an empty box) and, per plane k, the live slices of the other plane
+    g = GridSpec(2, 16, 8.0)
+    rng = np.random.default_rng(43)
+    fields = _sparse_inputs(g, rng)
+    fields["dense"] = _slot_major(g, (2,), rng)
+    fields["only-nan"] = np.zeros(g.shape + (2,))
+    fields["only-nan"][3, 5, 7, 11, 1] = np.nan
+    for name, arr in fields.items():
+        box, slices = _support(g, arr)
+        live = np.any(arr, axis=-1)
+        points = np.nonzero(live)
+        assert box == tuple(slice(p.min(), p.max() + 1) if p.size else slice(0, 0)
+                            for p in points), name
+        assert np.array_equal(slices[0], live.any(axis=(0, 1))), name
+        assert np.array_equal(slices[1], live.any(axis=(2, 3))), name
+    assert _support(g, fields["only-nan"])[0] == (slice(3, 4), slice(5, 6), slice(7, 8),
+                                                  slice(11, 12))
+    box = _support(g, fields["discs"])[0]
+    assert [box[axis] for axis in (0, 1, 3)] == [slice(0, g.N)] * 3  # the axes the seam cuts
+    assert _support(g, fields["zero"])[0] == (slice(0, 0),) * 4
+    g1 = GridSpec(1, 32, 8.0)
+    line = np.zeros(g1.shape)
+    line[30, 4:9] = 1.0
+    box, slices = _support(g1, line)  # n = 1: the other plane is one point
+    assert box == (slice(30, 31), slice(4, 9))
+    assert len(slices) == 1 and slices[0].shape == () and slices[0]
+    assert not _support(g1, np.zeros(g1.shape + (2,)))[1][0]
 
 
 def test_blocks_of_a_dense_field_are_runs_of_whole_rows(monkeypatch):
