@@ -16,28 +16,35 @@ Both forms of the identity are read off one term pass that builds every
 density once.  Each derivative transforms only its own complex plane, block
 by block (grid._plane_derivatives), forward and back.  One forward
 transform per coefficient of gamma and direction gives dbar gamma and del
-gamma in that direction.  The kernel transforms only the slices of the
-other plane where its input is not identically zero, and the source is a
-bump of compact support.  One set of connection blocks theta_j, built only
-for the directions j that grow a nonzero coefficient of gamma, gives the
-connection term of D'gamma and the curvature blocks Theta_jk = -dbar_k
-theta_j.  The adjoint reuses D'gamma, since dbar*_h alpha = i D'gamma ^
-omega_{p-1}; bk_reports returns the pointwise and integrated reports of a
-single pass.
+gamma in that direction.  The source is a bump of compact support, and the
+kernel transforms only the slices of the other plane where its input is
+not identically zero.  One set of connection blocks theta_j, built only
+for the directions j that grow a live slot of gamma, gives the connection
+term of D'gamma and the curvature blocks Theta_jk = -dbar_k theta_j.  The
+adjoint reuses D'gamma, since dbar*_h alpha = i D'gamma ^ omega_{p-1}, and
+its squared norm leaves the i out: |i v|^2 = |v|^2 bit for bit.
+bk_reports returns the pointwise and integrated reports of a single pass.
 
-Four densities are products with gamma: <gamma,gamma>, <Theta gamma,gamma>
-and the two cross terms <dbar D'gamma,gamma> and <gamma,dbar D'gamma>.
-Their factors are formed only where gamma lives (grid._support): pairing
-multiplies each slot pair on the intersection of the slots' support boxes,
-theta_j ^ gamma and Theta_jk gamma are formed on gamma's box, and Theta_jk
-and dbar D'gamma are transformed only on the slices where gamma is live
-(dbar_dpg_on_gamma is exact there and nowhere else).  Every density is
-bitwise what the whole-grid products give, up to the sign of zeros.  On
-the identities-n2 benchmark config, whose gamma meets a third of each
-plane's slices, the pass runs 16.5 one-axis FFT passes over the field.
-It ran 24.6 when Theta_jk and dbar D'gamma were transformed on every slice
-where their own inputs live, 42 when every slice was transformed and 72
-when every grid axis was.
+The pass scans gamma once (exterior._form_support): its live slots, its
+support box and, per plane, the slices where it is live.  Four pairings
+are products with gamma: <gamma,gamma>, <Theta gamma,gamma> and the two
+cross terms <dbar D'gamma,gamma> and <gamma,dbar D'gamma>.  Each takes
+gamma's support and multiplies the slot pairs of gamma's live slots on its
+box only, scanning neither operand.  For the last three, which are densities themselves, dv_density
+writes the density of the pairing wedged with omega_{p-1}, times the
+unit i c_{n-p}, on that box in one product per term.  connection_terms
+takes the whole support: theta_j ^ gamma and Theta_jk gamma are formed on
+gamma's box, and Theta_jk is transformed on the slices where both gamma
+and theta_j are live.  The derivatives of fields that live where gamma
+does (gamma, alpha and <gamma,gamma>) take gamma's slices instead of
+scanning, and so does dbar D'gamma, which only the cross pairings read
+(dbar_dpg_on_gamma is exact on gamma's slices and nowhere else).  del
+dbar <gamma,gamma> is dense in the plane of its dbar and scans its own
+input.  Every density is bitwise what the whole-grid products give, up to
+the sign of zeros.  On the identities-n2 benchmark config, whose gamma
+meets a third of each plane's slices, the pass makes 18 full-field
+liveness scans (np.any over at least a field's size of elements, counted
+in field sizes) and 16.5 one-axis FFT passes over the field.
 The curvature is always that of h.  The compact-support proxy check_support
 holds the seam-margin mass to SUPPORT_TOL.
 
@@ -46,18 +53,19 @@ orders its stages so that few live at once.  The del-dbar term of the left
 side comes first, while only gamma exists.  dbar gamma is reduced to its
 density before any theta_j is built.  Derivatives are added into their
 target slots block by block, so no full-grid derivative or spectrum
-exists; pairing leaves its output unwritten outside its slot pairs' boxes,
-and hodge_star the slot of an identically zero slot.  Each theta_j goes
-once its last curvature block is formed, and each block is applied as soon
-as it is formed, on gamma's box, so no curvature field exists; D'gamma goes
+exists; pairing leaves its output unwritten outside gamma's box, and
+hodge_star the slot of an identically zero slot.  Each theta_j goes once
+its last curvature block is formed, and each block is applied as soon as
+it is formed, on gamma's box, so no curvature field exists; D'gamma goes
 once dbar D'gamma exists, and gamma once the cross terms are done.
 omega_{p-1} is a read-only broadcast of one constant block (omega_power),
-so it costs no full-grid array.  The pass yields each density in turn, and
-the reports reduce it before the next is made: a copy of its interior box
-for the pointwise report, its whole-grid integral for the integrated one.
-At n = 2 and rank 1 the traced peak is 8.8 full-grid complex fields
-(141 MiB at N = 32), against 10 when every density and derivative was a
-full-grid array.
+so it costs no full-grid array, and each density is one field.  The pass
+yields each density in turn, and the reports reduce it before the next is
+made: a copy of its interior box for the pointwise report, its whole-grid
+integral for the integrated one.  At n = 2 and rank 1 the traced peak is
+8.8 full-grid complex fields (141 MiB at N = 32), below the 189 MiB of a
+whole identities run there; at n = 1, N = 128 with a diagonal rank-2
+metric it is 11.6 fields.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ import numpy as np
 from .errors import FormError, SupportError
 from .exterior import (
     EForm,
+    _form_support,
     c_const,
     dv_density,
     hodge_star,
@@ -78,9 +87,8 @@ from .exterior import (
     pairing,
     wedge,
 )
-from .grid import SEAM_MARGIN, _interior_box, _support, integrate, seam_leakage
+from .grid import SEAM_MARGIN, _interior_box, integrate, seam_leakage
 from .hermitian import (
-    adjoint_from_dprime,
     connection_terms,
     dbar,
     dbar_and_del,
@@ -126,36 +134,46 @@ def _require_np_form(alpha: EForm):
 def _bk_terms(alpha: EForm, h: MetricField):
     """Yield (name, density) for every density of the identity against dV, each computed once.
 
-    One plane transform per coefficient of gamma and direction gives dbar
-    gamma and del gamma, and one connection theta gives D'gamma and the
-    curvature blocks (connection_terms).  The adjoint term reuses
-    D'gamma: dbar*_h alpha = i D'gamma ^ omega_{p-1}.  dbar D'gamma is
-    only paired with gamma, so it is transformed on gamma's live slices
-    only.  Each full-grid intermediate is dropped after its last use, in an
-    order that keeps few of them alive at once (see the module docstring); a
-    consumer drops each density before it asks for the next.
+    gamma is scanned once, and its box, slices and live slots are handed to
+    every pairing with it, every derivative of a field that lives where it
+    does and connection_terms (see the module docstring).  One plane
+    transform per coefficient of gamma and direction gives dbar gamma and
+    del gamma, and one connection theta gives D'gamma and the curvature
+    blocks.  The adjoint term reuses D'gamma: dbar*_h alpha = i D'gamma ^
+    omega_{p-1}.  Each full-grid intermediate is dropped after its last
+    use, in an order that keeps few of them alive at once; a consumer drops
+    each density before it asks for the next.
     """
     n = alpha.grid.n
     p = alpha.q
     gamma = hodge_star(alpha)
+    _, box, slices = support = _form_support(gamma)
     om_p1 = omega_power(alpha.grid, p - 1)
     ic = 1j * c_const(n - p)
 
-    yield "lhs", ic * dv_density(wedge(dpartial(dbar(pairing(gamma, gamma, h))), om_p1))
-    dbar_gamma, dpg = dbar_and_del(gamma)
+    # <gamma,gamma> lives where gamma does; del dbar of it does not
+    yield "lhs", dv_density(dpartial(dbar(pairing(gamma, gamma, h, (support, support)),
+                                          slices)), ic, om_p1)
+    dbar_gamma, dpg = dbar_and_del(gamma, slices)
     yield "dbar_gamma_sq", norm_sq(dbar_gamma, h)
     del dbar_gamma
-    theta_gamma = connection_terms(gamma, h, dpg)  # dpg is now D'gamma
-    yield "curvature", ic * dv_density(wedge(pairing(theta_gamma, gamma, h), om_p1))
+    theta_gamma = connection_terms(gamma, h, dpg, support)  # dpg is now D'gamma
+    yield "curvature", dv_density(pairing(theta_gamma, gamma, h, (None, support)), ic, om_p1, box)
     del theta_gamma
-    yield "adjoint_sq", norm_sq(adjoint_from_dprime(dpg, om_p1), h)
+    # |i v|^2 = |v|^2 bit for bit: the adjoint i D'gamma ^ omega_{p-1} drops its i
+    yield "adjoint_sq", norm_sq(dpg if p == 1 else wedge(dpg, om_p1), h)
     # only the cross pairings read dbar D'gamma, at gamma's nonzeros
-    dbar_dpg_on_gamma = dbar(dpg, _support(alpha.grid, gamma.coeffs)[1])
+    dbar_dpg_on_gamma = dbar(dpg, slices)
     del dpg
-    yield "cross_minus", -ic * dv_density(wedge(pairing(dbar_dpg_on_gamma, gamma, h), om_p1))
-    yield "cross_plus", ic * dv_density(wedge(pairing(gamma, dbar_dpg_on_gamma, h), om_p1))
+    yield "cross_minus", dv_density(pairing(dbar_dpg_on_gamma, gamma, h, (None, support)),
+                                    -ic, om_p1, box)
+    yield "cross_plus", dv_density(pairing(gamma, dbar_dpg_on_gamma, h, (support, None)),
+                                   ic, om_p1, box)
     del dbar_dpg_on_gamma, gamma
-    yield "dbar_alpha_sq", np.zeros(alpha.grid.shape) if p == n else norm_sq(dbar(alpha), h)
+    if p == n:
+        yield "dbar_alpha_sq", np.zeros(alpha.grid.shape)
+    else:  # alpha = gamma ^ omega_p lives where gamma does
+        yield "dbar_alpha_sq", norm_sq(dbar(alpha, slices), h)
 
 
 # the densities whose whole-grid integrals the integrated report balances
@@ -257,7 +275,7 @@ def xi_omega_identity(xi: EForm, h: MetricField | None = None) -> float:
         raise FormError(f"identity requires an (n-1,1)-form, got ({xi.p},{xi.q})")
     if h is None:
         h = MetricField.identity(xi.grid, xi.rank)
-    lhs = 1j * c_const(n - 1) * (-1) ** n * dv_density(pairing(xi, xi, h))
+    lhs = dv_density(pairing(xi, xi, h), 1j * c_const(n - 1) * (-1) ** n)
     rhs = norm_sq(xi, h)
     if n >= 2:
         rhs -= norm_sq(wedge(xi, omega(xi.grid)), h)

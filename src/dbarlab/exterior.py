@@ -48,14 +48,20 @@ The pointwise contractions move no memory they do not need:
   it has a zero factor, whose product is an exact zero for finite data.
   A pair whose boxes do not meet, one with an identically zero slot among
   them, is skipped; ``hodge_star`` leaves the slot of a zero slot
-  unwritten.  Output that nothing is written to stays as EForm.zeros made
-  it, pages the system has not yet backed with memory;
+  unwritten.  A caller that has found where an operand lives
+  (``_form_support``, one pass over each slot) gives pairing that support
+  instead: its box and its live slots, and no operand is scanned.  Output
+  that nothing is written to stays as EForm.zeros made it, pages the
+  system has not yet backed with memory;
 * a +-1 sign or factor picks an add or a subtract instead of a product, and
   a unit constant in {1, -1, i, -i} (``dv_density``, ``hodge_star``) is one
   product written straight into the result: no division and no temporary.
   numpy runs a complex-scalar product at about copy speed, faster than its
   complex negation or a swap of real and imaginary parts through strided
-  views.
+  views.  ``dv_density(a, scale, om, box)`` is the density of a wedged with
+  a constant form, times a unit, on a box: each term is one such product
+  into one zero field, so neither the wedge nor the density is a form or a
+  field of its own.
 """
 
 from __future__ import annotations
@@ -308,22 +314,47 @@ def omega_power(grid: GridSpec, p: int) -> EForm:
     return EForm(grid, 1, p, p, np.broadcast_to(block, grid.shape + block.shape))
 
 
-def dv_density(a: EForm) -> np.ndarray:
-    """Density of an (n,n)-form against the volume form omega^n/n!."""
+def dv_density(a: EForm, scale=1, om: EForm | None = None, box=...) -> np.ndarray:
+    """scale times the density of a ^ om (of a, if om is None) against omega^n/n!, on box.
+
+    a ^ om must have bidegree (n, n) and rank 1.  om is a constant form
+    (omega_power) and scale a unit constant, such as i c_{n-p}: then each
+    term of the top coefficient, a slot of a times an entry of om, is one
+    product of the slot by a unit constant, written or added into one zero
+    field, and neither the wedge nor the density is a full-grid form of its
+    own.  Units multiply exactly, so this is scale * dv_density(wedge(a,
+    om)) bit for bit, up to the sign of zeros.  box, a tuple of basic slices
+    of the grid axes or ... for the whole grid, is where the density is
+    computed; elsewhere it is +0.0, which is the density wherever a vanishes.
+    """
     n = a.grid.n
-    if (a.p, a.q) != (n, n):
-        raise FormError(f"density requires a top-degree form, got ({a.p},{a.q})")
+    if om is None:
+        om = omega_power(a.grid, 0)
+    if (a.p + om.p, a.q + om.q) != (n, n):
+        raise FormError(f"density requires a top-degree form, got ({a.p + om.p},{a.q + om.q})")
     if a.rank != 1:
         raise FormError("density of a bundle-valued form is undefined")
-    # 1/c is a unit too, and a product by it is one vectorized pass
-    return a.coeffs[..., 0, 0, 0] * (1 / c_const(n))
+    out = np.zeros(a.grid.shape, dtype=np.complex128)
+    unit = scale * (1 / c_const(n))  # 1/c is a unit too, so no division is needed
+    first = True
+    for Ia, Ja, ca in _factors(a):
+        for Ib, Jb, cb in _factors(om):
+            sign, _, _ = wedge_basis(Ia, Ja, Ib, Jb)
+            if sign == 0:
+                continue
+            if first:
+                np.multiply(ca[box][..., 0], sign * cb * unit, out=out[box])
+                first = False
+            else:
+                add_signed(out[box], *_signed_product(1, sign * cb * unit, ca[box][..., 0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # metric pairing, norms, Hodge star
 # ---------------------------------------------------------------------------
 
-def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
+def pairing(a: EForm, b: EForm, h: MetricField, supports=None) -> EForm:
     """Sesquilinear pairing <a, b>_h, a scalar form of bidegree (pa+qb, qa+pb).
 
     On decomposables alpha (x) s, beta (x) t this is alpha ^ conj(beta) (s,t)_h;
@@ -333,6 +364,13 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
     +0.0, where the whole-grid product of finite data is an exact zero.  A
     NaN outside the other slot's box meets a zero there and leaves +0.0,
     as a NaN slot always did against an identically zero one.
+
+    supports, if given, is a pair (for a, for b) of _form_support results,
+    found once by the caller, or None for an operand not scanned; one at
+    least is given.  Then every slot pair is multiplied on the given box
+    (the intersection of both, if both are given), a slot a given support
+    leaves out is skipped, and neither operand is scanned.  For finite data
+    the result is the one above, value for value.
     """
     if a.grid != b.grid:
         raise FormError("forms live on different grids")
@@ -348,17 +386,22 @@ def pairing(a: EForm, b: EForm, h: MetricField) -> EForm:
     pos_I = index_slot(n, p)
     pos_J = index_slot(n, q)
     conj_sign = (-1) ** (b.p * b.q)
-    a_slots = _slot_supports(a)
-    b_slots = a_slots if b is a else _slot_supports(b)
+    if supports is None:
+        a_slots = _slot_supports(a)
+        b_slots = a_slots if b is a else _slot_supports(b)
+    else:
+        boxes = [support[1] for support in supports if support is not None]
+        box = _meet(boxes[0], boxes[-1])
+        a_slots, b_slots = (_given_slots(x, support, box) for x, support in zip((a, b), supports))
     for Ia, Ja, ca, box_a in a_slots:
         for Ib, Jb, cb, box_b in b_slots:
             # conj(dz_Ib ^ dzbar_Jb) = (-1)^(pb*qb) dz_Jb ^ dzbar_Ib
             sign, I, J = wedge_basis(Ia, Ja, Jb, Ib)
-            box = _meet(box_a, box_b)
-            if sign == 0 or box is None:
+            meet = _meet(box_a, box_b)
+            if sign == 0 or meet is None:
                 continue
-            add_signed(out.coeffs[box + (pos_I[I], pos_J[J], 0)], conj_sign * sign,
-                       vector_inner(h.mat[box], ca[box], cb[box]))
+            add_signed(out.coeffs[meet + (pos_I[I], pos_J[J], 0)], conj_sign * sign,
+                       vector_inner(h.mat[meet], ca[meet], cb[meet]))
     return out
 
 
@@ -369,6 +412,36 @@ def _slot_supports(a: EForm) -> list:
     """
     return [(I, J, a.slot(I, J), _support(a.grid, a.slot(I, J))[0])
             for I in a.dz_slots() for J in a.dzbar_slots()]
+
+
+def _given_slots(a: EForm, support, box) -> list:
+    """(I, J, coefficient field, box) of each slot of a that support, if given, keeps live.
+
+    No slot is kept when box is None (an empty box).
+    """
+    if box is None:
+        return []
+    return [(I, J, a.coeffs[..., i, j, :], box)
+            for i, I in enumerate(a.dz_slots()) for j, J in enumerate(a.dzbar_slots())
+            if support is None or (i, j) in support[0]]
+
+
+def _form_support(a: EForm) -> tuple:
+    """(slots, box, slices): where a lives, from one np.any pass over each slot.
+
+    slots is the set of the (dz, dzbar) slot positions of a that are not
+    identically zero (a NaN counts as nonzero), and box and slices are
+    grid._support's of all of them together.  A caller that works on a's
+    support scans a once with this, and hands it to pairing and the slices
+    to the derivatives of fields that live where a does.
+    """
+    slots, live = set(), np.zeros(a.grid.shape, dtype=bool)
+    for i, j in np.ndindex(a.coeffs.shape[-3:-1]):
+        mask = np.any(a.coeffs[..., i, j, :], axis=-1)
+        if mask.any():
+            slots.add((i, j))
+            live |= mask
+    return frozenset(slots), *_support(a.grid, live)
 
 
 def _meet(box_a: tuple, box_b: tuple):

@@ -17,18 +17,19 @@ so it transforms only those two, in one cache-blocked kernel,
 ``_plane_derivatives(grid, arr, j, targets, slices)``.  At n = 2 a slice
 is one point of the other plane, with the plane and the components whole;
 it is live unless the field is identically zero there, and a dead slice
-has derivative exactly 0.  A caller that reads a derivative only on some
-slices (where another field lives, as ``_support`` finds them with the
-bounding box of its nonzeros, in one np.any pass) passes a mask of them,
-and only the live slices inside it are transformed.  A block is a run of
-consecutive slices to transform, the other plane's two axes seen as one
-index of a view, sized to stay in cache: on a dense field, whole rows of
-the other axes.  For one block at a time the kernel transforms the plane
-forward once and, per target, applies the multiplier, inverts the plane
-and writes the block into a new array (of zeros, which the other slices
-keep) or adds or subtracts it into a view of the target.  Any other slice
-is never copied, transformed or written, so a field of compact support
-transforms only the slices its support meets.  No full-grid spectrum or
+has derivative exactly 0, so by default the kernel scans its input once
+and transforms the live slices.  A caller that already knows the slices
+it needs (where another field lives, as ``_support`` finds them with the
+bounding box of its nonzeros, in one np.any pass) passes a mask of them:
+exactly those slices are transformed, and the input is not scanned.  A
+block is a run of consecutive slices to transform, the other plane's two
+axes seen as one index of a view, sized to stay in cache: on a dense
+field, whole rows of the other axes.  For one block at a time the kernel
+transforms the plane forward once and, per target, applies the
+multiplier, inverts the plane and writes the block into a new array (of
+zeros, which the other slices keep) or adds or subtracts it into a view of
+the target.  Any other slice is never copied, transformed or written, so a
+field of compact support transforms only the slices its support meets.  No full-grid spectrum or
 derivative exists, and the first axis is transformed within the block
 instead of at the field's full stride.  ``dz_array`` is its single-target
 case.  At n = 1 the plane is the whole grid, and a dense field that fits
@@ -210,7 +211,9 @@ def _merged(grid: GridSpec, arr: np.ndarray, j: int) -> np.ndarray:
 def _support(grid: GridSpec, arr: np.ndarray) -> tuple:
     """(box, slices): where arr is not identically zero, from one np.any pass over it.
 
-    Trailing component axes are collapsed and a NaN counts as nonzero.  box
+    Trailing component axes are collapsed and a NaN counts as nonzero; a
+    bool arr of the grid's shape is that collapsed mask already, and is read
+    as it is.  box
     is the bounding box of the nonzeros on each grid axis, as basic slices
     of the lattice indices, not taken periodically: a support that crosses
     the seam spans the whole axis, and an all-zero arr gives slice(0, 0) on
@@ -220,7 +223,10 @@ def _support(grid: GridSpec, arr: np.ndarray) -> tuple:
     live at all.
     """
     dims = 2 * grid.n
-    live = np.any(arr, axis=tuple(range(dims, arr.ndim)))
+    if arr.dtype == bool and arr.ndim == dims:
+        live = arr
+    else:
+        live = np.any(arr, axis=tuple(range(dims, arr.ndim)))
     slices = tuple(live.any(axis=(2 * k, 2 * k + 1)) for k in range(grid.n))
     box = []
     for k in range(grid.n):
@@ -234,18 +240,19 @@ def _support(grid: GridSpec, arr: np.ndarray) -> tuple:
 
 
 def _blocks(grid: GridSpec, arr: np.ndarray, j: int, slices=None) -> list:
-    """Index tuples of the blocks of arr's live slices, for derivatives in plane j.
+    """Index tuples of the blocks of arr's slices to transform, for derivatives in plane j.
 
     A slice is one point of the other complex plane, with plane j's two axes
-    and every trailing component axis whole.  It is live when np.any over
-    it is true (a NaN is nonzero) and slices, an (N, N) bool array over the
-    other plane's points if given, keeps it; a dead slice has derivative
-    exactly 0, or is one the caller does not read.  A block is a run of
-    consecutive live slices of _merged(grid, arr, j), indexed there, of at
-    most a power of two of whole rows of the other plane's outer axis in
-    _BLOCK_BYTES of complex128; so on a dense array the blocks are runs of
-    whole rows.  One block (...) covers an array with every slice live that
-    fits the budget, or whose single row exceeds it (n = 2 at N >= 64, where
+    and every trailing component axis whole.  Without slices the slices to
+    transform are the live ones, where np.any over the slice is true (a NaN
+    is nonzero), since a dead slice has derivative exactly 0.  slices, an
+    (N, N) bool array over the other plane's points, names them instead and
+    arr is not scanned.  A block is a run of consecutive slices to transform
+    of _merged(grid, arr, j), indexed there, of at most a power of two of
+    whole rows of the other plane's outer axis in _BLOCK_BYTES of
+    complex128; so on a dense array the blocks are runs of whole rows.  One
+    block (...) covers an array with every slice to transform that fits the
+    budget, or whose single row exceeds it (n = 2 at N >= 64, where
     splitting a row was measured no faster than the unblocked transform;
     such runs are not split), an array at n = 1, which has no other plane
     and takes no test, and an array whose other plane's axes do not merge
@@ -255,9 +262,10 @@ def _blocks(grid: GridSpec, arr: np.ndarray, j: int, slices=None) -> list:
     if flat is None:
         return [np.s_[...]]
     axis = 2 if j == 0 else 0  # the merged index
-    live = np.any(flat, axis=tuple(a for a in range(flat.ndim) if a != axis))
-    if slices is not None:
-        live &= slices.reshape(-1)
+    if slices is None:
+        live = np.any(flat, axis=tuple(a for a in range(flat.ndim) if a != axis))
+    else:
+        live = slices.reshape(-1)
     line = 16 * math.prod(arr.shape) // grid.N**2  # bytes of complex128 in one slice
     rows = _BLOCK_BYTES // (line * grid.N)  # whole rows of the outer axis in one block
     per = grid.N * (1 << (rows.bit_length() - 1)) if 0 < rows < grid.N else grid.N**2
@@ -296,10 +304,12 @@ def _plane_derivatives(grid: GridSpec, arr: np.ndarray, j: int, targets: list,
     in, and a new-array target keeps its result.
 
     slices, if given, is an (N, N) bool array over the other plane's points,
-    the slices the caller reads (such as _support's of another field): only
-    the live slices it keeps are transformed.  A plane-j derivative acts
-    slice by slice, so every target is exact on those slices whatever arr
-    holds on the others.
+    the slices the caller reads (such as _support's of another field):
+    exactly those are transformed, and arr is not scanned.  A plane-j
+    derivative acts slice by slice, so every target is exact on those
+    slices whatever arr holds on the others; a dead slice among them
+    transforms to exact zeros, at the cost of its passes, so a caller gives
+    the slices where arr is live, or a mask it knows holds no dead one.
     """
     if arr.shape[: 2 * grid.n] != grid.shape:
         raise FormError(f"array shape {arr.shape} does not start with grid {grid.shape}")

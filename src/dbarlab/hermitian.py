@@ -38,15 +38,16 @@ An identically zero coefficient (say the empty slot of a source filled in
 one slot only) has derivative exactly 0: _differentials tests each source
 coefficient once, in one pass over the field, and gives a zero one no
 forward transform, no inverse and no add.  A NaN counts as nonzero.
-connection_terms tests the coefficients of its form the same way and builds
-theta_j and the blocks Theta_jk only for the directions j that grow a
-nonzero one.  At n = 2 grid._plane_derivatives applies the same rule slice
-by slice: a point of the other complex plane where the field is
-identically zero over plane k and the components is a dead slice, and is
-not transformed, so a coefficient of compact support (every field the
-Bochner-Kodaira pass derives from its source bump) transforms only the
-slices its support meets.  That slice test is one np.any pass per call,
-and the coefficient test stays in front of it: a zero coefficient then
+connection_terms reads its form's live slots (exterior._form_support, the
+same test) and builds theta_j and the blocks Theta_jk only for the
+directions j that grow a live one.  At n = 2 grid._plane_derivatives
+applies the same rule slice by slice: a point of the other complex plane
+where the field is identically zero over plane k and the components is a
+dead slice, and is not transformed, so a coefficient of compact support
+(every field the Bochner-Kodaira pass derives from its source bump)
+transforms only the slices its support meets.  That slice test is one
+np.any pass per call unless the caller gives the slices, and the
+coefficient test stays in front of it: a zero coefficient then
 costs one pass instead of one per direction (dropping the coefficient test
 measured 0-3% slower on the Bochner-Kodaira pass).  The rule is measured,
 on 16 MiB fields on one core of a 2-vCPU Xeon: an np.any pass costs
@@ -56,11 +57,17 @@ passes (a transform, or pairing's slot pairs), and is not made before a
 single product, such as the connection term of dprime, where it costs a
 large part of what it could save and a nonzero coefficient pays both.
 
-A caller that reads a derivative only where another field lives narrows
-the slices further: connection_terms forms Theta_jk only on its form's
-support box (grid._support), transformed on the slices where the form is
-live, and dbar takes such slices for dbar D'gamma, which the
-Bochner-Kodaira pass pairs only with gamma.
+A caller that knows where a derivative is needed gives the slices itself
+(dbar, dbar_and_del and _differentials take grid._support's slices of a
+field): exactly those are transformed, and the input is not
+scanned for its own.  The result is exact on the given slices and 0 on
+the others, and a dead slice among them costs its transforms and adds
+zeros.  The Bochner-Kodaira pass scans gamma once and gives its slices to
+the derivatives of gamma, alpha and <gamma,gamma>, which live where gamma
+does, and to dbar D'gamma, which it pairs only with gamma.
+connection_terms takes its form's support from the caller, forms Theta_jk
+only on the form's support box, and transforms it on the slices where
+both the form and theta_j are live: one scan of theta_j finds its own.
 """
 
 from __future__ import annotations
@@ -149,8 +156,8 @@ def _curvature_block(grid: GridSpec, theta_j: np.ndarray, diagonal: bool, k: int
     """Write Theta_jk = -dbar_k(theta_j) on the grid points box into out, theta_j[box]'s shape.
 
     A diagonal theta_j takes r derivatives, one per entry, instead of r^2.
-    With slices (grid._plane_derivatives) only the live slices of the other
-    plane than k that they keep are transformed: out is Theta_jk on those
+    With slices (grid._plane_derivatives) exactly the slices of the other
+    plane than k that they name are transformed: out is Theta_jk on those
     and 0 elsewhere.
     """
     entries = [np.s_[..., a] for a in range(theta_j.shape[-1])] if diagonal else [np.s_[...]]
@@ -231,8 +238,8 @@ def _differentials(a: EForm, ops: tuple, slices=None) -> list:
     every target sums its terms in row order.  A coefficient that is
     identically zero is skipped, as its rows would add exact zeros.  With
     slices (grid._support's of another field) a direction-k derivative
-    transforms only the live slices slices[k] keeps, and the result is
-    exact there only.
+    transforms exactly the slices slices[k] names, with no scan of the
+    coefficient, and the result is exact there only.
     """
     grid = a.grid
     outs, rows = [], []
@@ -260,8 +267,8 @@ def dbar(a: EForm, slices=None) -> EForm:
     bidegree, so that call raises; closedness checks treat q = n as closed.
     slices, the second item of grid._support of a field, restricts each
     dbar_k to the slices of the other plane than k where that field is
-    live; the result is then exact on the field's support only, and 0 on
-    the slices left out.
+    live, and a is not scanned for its own; the result is then exact on
+    those slices only, and 0 on the slices left out.
     """
     if a.q == a.grid.n:
         raise FormError(
@@ -281,12 +288,14 @@ def dpartial(a: EForm) -> EForm:
     return _differentials(a, ("del",))[0]
 
 
-def dbar_and_del(a: EForm) -> tuple:
+def dbar_and_del(a: EForm, slices) -> tuple:
     """(dbar a, del a) from one forward transform of each coefficient of a.
 
-    A target bidegree past n raises FormError, from EForm.zeros.
+    slices restricts each direction-k derivative as in dbar (None: every
+    live slice).  A target bidegree past n raises FormError, from
+    EForm.zeros.
     """
-    return tuple(_differentials(a, ("dbar", "del")))
+    return tuple(_differentials(a, ("dbar", "del"), slices))
 
 
 def _check_connection_operand(a: EForm, h: MetricField):
@@ -333,32 +342,33 @@ def dprime(a: EForm, h: MetricField) -> EForm:
     return out
 
 
-def connection_terms(a: EForm, h: MetricField, del_a: EForm) -> EForm:
+def connection_terms(a: EForm, h: MetricField, del_a: EForm, support: tuple) -> EForm:
     """Theta ^ a for a (q,0)-form a; adds theta ^ a to del_a = dpartial(a), making it D'a.
 
-    One pass over a finds where each coefficient lives, and theta_j is
-    built only for the directions j that grow a nonzero one; theta_j feeds
-    both D'a and the curvature blocks Theta_jk = -dbar_k(theta_j).  Both
-    products are taken on a's support box only (grid._support), as a is 0
-    elsewhere, and Theta_jk only on it, transformed on the slices of the
-    other plane than k where a is live.  theta_j itself is a full field,
-    since Theta_jk reads it at every point of plane k.  theta_j goes
-    once its last block is formed, and each block is applied as soon as it
-    is formed, in one buffer per j, so no curvature field exists.
+    support is exterior._form_support(a), from the caller's one scan of a,
+    so a is not scanned here.  theta_j is built only for the directions j
+    that grow a live slot, and feeds both D'a and the curvature blocks
+    Theta_jk = -dbar_k(theta_j).  Both products are taken on a's support
+    box only, as a is 0 elsewhere, and Theta_jk only on it, transformed on
+    the slices of the other plane than k where both a and theta_j are live
+    (one scan of theta_j finds its own).  theta_j itself is a full field,
+    since Theta_jk reads it at every point of plane k.  theta_j goes once
+    its last block is formed, and each block is applied as soon as it is
+    formed, in one buffer per j, so no curvature field exists.
     """
     _check_connection_operand(a, h)
     grid = a.grid
-    live = np.any(a.coeffs[..., 0, :], axis=-1)  # grid + (C(n,p),): where each coefficient lives
-    box, slices = _support(grid, live)
-    rows = [row for row in grow_table(grid.n, a.p) if live[..., row[0]].any()]
+    slots, box, slices = support
+    rows = [row for row in grow_table(grid.n, a.p) if (row[0], 0) in slots]
     theta, diagonal = _connection_blocks(h, sorted({j for _, j, _, _ in rows}))
     _add_connection(del_a, a, theta, diagonal, rows, box)
     out = EForm.zeros(grid, a.rank, a.p + 1, 1)
     for j in list(theta):
         theta_j = theta.pop(j)
+        live = _support(grid, theta_j)[1]
         block = np.empty_like(theta_j[box])
         for k in range(grid.n):
-            _curvature_block(grid, theta_j, diagonal, k, block, box, slices[k])
+            _curvature_block(grid, theta_j, diagonal, k, block, box, slices[k] & live[k])
             _add_curvature_term(out, a, j, k, block, diagonal, rows, box)
         del theta_j, block  # before the next theta_j's blocks are formed
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvatureSymmetryError, MetricError, PreconditionError
-from .exterior import c_const, dv_density, grow_table, norm_sq, omega_power, pairing, wedge
+from .exterior import c_const, dv_density, grow_table, norm_sq, omega_power, pairing
 from .grid import add_signed
 from .hermitian import CurvatureField, curvature_wedge
 from .metric import MetricField, matrix_apply
@@ -210,7 +210,7 @@ def check_nakano_pointwise_identity(
     n = gamma.grid.n
     if (gamma.p, gamma.q) != (n - 1, 0):
         raise PreconditionError(f"identity requires an (n-1,0)-form, got ({gamma.p},{gamma.q})")
-    lhs = 1j * c_const(n - 1) * dv_density(pairing(curvature_wedge(theta, gamma), gamma, h))
+    lhs = dv_density(pairing(curvature_wedge(theta, gamma), gamma, h), 1j * c_const(n - 1))
 
     # dz_j ^ dz_rest = sign dz_full for the one j outside each (n-1)-set rest;
     # gamma^j is that sign times the rest's coefficient, and the two signs of
@@ -240,8 +240,8 @@ def check_basic_inequality(
     n = gamma.grid.n
     if (gamma.p, gamma.q) != (n - p, 0):
         raise PreconditionError(f"inequality requires an (n-p,0)-form, got ({gamma.p},{gamma.q})")
-    top = wedge(pairing(curvature_wedge(theta, gamma), gamma, h), omega_power(gamma.grid, p - 1))
-    lhs = (1j * c_const(n - p) * dv_density(top)).real
+    pair = pairing(curvature_wedge(theta, gamma), gamma, h)
+    lhs = dv_density(pair, 1j * c_const(n - p), omega_power(gamma.grid, p - 1)).real
     rhs = delta * p * norm_sq(gamma, h)
     slack = lhs - rhs
     return {

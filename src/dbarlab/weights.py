@@ -196,8 +196,8 @@ def apodized_quadratic_weight(grid: GridSpec, c: float, r0: float, s: float) -> 
     phi(z) = c * sum_axes m(t_axis - L/2), separable per real axis, constant
     near the seam to machine precision.
     """
-    phi = np.zeros(grid.shape, dtype=np.float64)
-    for prof in grid.along_axes(_axis_profile(grid, r0, s, grid.center)):
+    phi, *rest = grid.along_axes(_axis_profile(grid, r0, s, grid.center))
+    for prof in rest:  # broadcast: only the last sum is a full-grid array
         phi = phi + prof
     return c * phi
 

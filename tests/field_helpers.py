@@ -1,10 +1,11 @@
-"""Lattice coordinates, a compactly supported bump and a field scaling for the tests.
+"""Lattice coordinates, a compactly supported bump, a field scaling and a call recorder.
 
 The tests build their model fields from these: coordinate and
 complex_coordinate sample the real and complex coordinates on the full
 grid, plateau_bump cuts a form down to a ball clear of the seam, and
 scale_by_field multiplies a form by such a cutoff.  smooth_source_bump_reference
-is the source bump evaluated at every grid point.
+is the source bump evaluated at every grid point.  record_calls wraps a
+function so that a test can count what a pass hands it.
 """
 
 from __future__ import annotations
@@ -78,3 +79,17 @@ def scale_by_field(a: EForm, field: np.ndarray) -> EForm:
     if field.shape != a.grid.shape:
         raise FormError("scaling field shape does not match the grid")
     return EForm(a.grid, a.rank, a.p, a.q, a.coeffs * field[..., None, None, None])
+
+
+def record_calls(monkeypatch, owner, name: str, record) -> None:
+    """Replace owner.name for the test by a wrapper that records each call's arguments.
+
+    The wrapper calls record with the arguments, then the original function.
+    """
+    original = getattr(owner, name)
+
+    def wrapped(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapped)

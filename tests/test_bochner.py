@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import spectral_reference as ref
 
-from dbarlab import hermitian
+from dbarlab import exterior, hermitian
 from dbarlab.bochner import (
     _bk_terms,
     basic_estimate,
@@ -16,8 +16,8 @@ from dbarlab.bochner import (
 )
 from dbarlab.cli import _bk_source
 from dbarlab.errors import FormError, SupportError
-from dbarlab.exterior import EForm, norm_sq
-from dbarlab.grid import GridSpec, integrate
+from dbarlab.exterior import EForm, hodge_star, norm_sq
+from dbarlab.grid import GridSpec, _support, integrate
 from dbarlab.hermitian import curvature, dbar, dbar_star_formal, dpartial
 from dbarlab.hormander import dbar_transpose
 from dbarlab.metric import MetricField
@@ -26,7 +26,7 @@ from dbarlab.singular import singular_catalog
 from dbarlab.weights import random_form, smooth_source_bump
 
 from bochner_reference import bk_terms, cross_term_integrals
-from field_helpers import complex_coordinate, plateau_bump, scale_by_field
+from field_helpers import complex_coordinate, plateau_bump, record_calls, scale_by_field
 from test_hormander import nondiagonal_rank2_metric
 
 
@@ -327,34 +327,56 @@ def test_bk_pass_transforms_no_zero_coefficient(monkeypatch):
     inputs, passes, live = [], [], []
     call = {}
 
-    def nonzero_input(transform):
-        def wrapped(grid, arr, j, *args):
-            inputs.append(np.any(arr))
-            call.update(j=j, ndim=arr.ndim)
-            return transform(grid, arr, j, *args)
-        return wrapped
+    def nonzero_input(grid, arr, j, *args):
+        inputs.append(np.any(arr))
+        call.update(j=j, ndim=arr.ndim)
 
-    def one_pass(fft):
-        def wrapped(arr, *args, **kwargs):
-            passes.append((fft.__name__, arr.size / field))
-            if fft.__name__ == "fft":
+    def one_pass(name):
+        def record(arr, *args, **kwargs):
+            passes.append((name, arr.size / field))
+            if name == "fft":
                 # a block has the other plane's axes merged into one index
                 j, merged = call["j"], arr.ndim < call["ndim"]
                 plane = (j, j + 1) if merged else (2 * j, 2 * j + 1)
                 components = range(4 - merged, arr.ndim)
                 live.append(np.all(np.any(arr, axis=plane + tuple(components))))
-            return fft(arr, *args, **kwargs)
-        return wrapped
+        return record
 
     for name in ("_plane_derivatives", "dz_array"):
-        monkeypatch.setattr(hermitian, name, nonzero_input(getattr(hermitian, name)))
+        record_calls(monkeypatch, hermitian, name, nonzero_input)
     for name in ("fft", "ifft", "rfft"):
-        monkeypatch.setattr(np.fft, name, one_pass(getattr(np.fft, name)))
+        record_calls(monkeypatch, np.fft, name, one_pass(name))
     bk_reports(_bk_source(g, 1), h)
     assert sum(size for _, size in passes) == 15.8125
     assert "rfft" not in {name for name, _ in passes}
     assert all(inputs)
     assert live and all(live)
+
+
+def test_bk_pass_scans_gamma_once_and_hands_its_support_on(monkeypatch):
+    # full-field liveness scans (np.any inputs of at least the field's size,
+    # counted in field sizes) of one pass on the CLI's source, the same at
+    # N = 8 and 32: alpha's two slots in hodge_star, gamma's two once
+    # (_form_support), the 11 source coefficients of the five differentials,
+    # the metric exponent and del dbar <gamma,gamma> in the derivative kernel,
+    # and theta_0 once.  Every pairing with gamma takes its support and every
+    # other derivative its slices, where 43 scans were made when each step
+    # found them again.  gamma has one live slot of two, and each of the four
+    # pairings with it multiplies the one slot pair it meets, on gamma's box
+    g = GridSpec(2, 8, 8.0)
+    h = singular_catalog("gaussian", g, c=0.5, r0=1.0, s=0.30).metric
+    field = np.prod(g.shape)
+    sizes, products = [], []
+    record_calls(monkeypatch, np, "any", lambda arr, *args, **kwargs: sizes.append(
+        np.size(arr) / field))
+    record_calls(monkeypatch, exterior, "vector_inner", lambda mat, a, b: products.append(
+        a.shape[:4]))
+    alpha = _bk_source(g, 1)
+    box = _support(g, hodge_star(alpha).coeffs)[0]
+    sizes.clear()
+    bk_reports(alpha, h)
+    assert sum(size for size in sizes if size >= 1) == 18
+    assert products == [tuple(s.stop - s.start for s in box)] * 4
 
 
 @pytest.mark.parametrize("rank", [1, 2])

@@ -8,6 +8,7 @@ from dbarlab.cli import main, parse_config
 from dbarlab.errors import FormError
 from dbarlab.exterior import (
     EForm,
+    _form_support,
     c_const,
     dv_density,
     grow_table,
@@ -22,7 +23,7 @@ from dbarlab.exterior import (
     wedge,
     wedge_basis,
 )
-from dbarlab.grid import GridSpec, periodic_offset
+from dbarlab.grid import GridSpec, _support, periodic_offset
 from dbarlab.hermitian import dbar, dprime
 from dbarlab.metric import MetricField
 from dbarlab.singular import singular_catalog
@@ -455,7 +456,12 @@ def test_pairing_on_support_boxes_equals_the_full_grid_pairing(n, case, rank):
     # support boxes: there it is bitwise the whole-grid product (rank 1: the
     # library's former slot loop; rank 2: the per-slot einsum reference) up
     # to the sign of zeros.  Outside it is exactly +0.0, where the whole-grid
-    # product is a zero too, except at a NaN factor, which meets a zero there
+    # product is a zero too, except at a NaN factor, which meets a zero there.
+    # Given the support (_form_support) of either operand or both, every
+    # slot pair of live slots is taken on the given box with no scan: the
+    # whole-grid product there, NaN included, +0.0 off it and in the output
+    # slots of a dead slot, and the scanning pairing's values wherever no
+    # factor is NaN
     g = GridSpec(n, 16, 8.0)
     rng = np.random.default_rng(31 + 10 * n + rank)
     h = reference_metrics(g, rank, rng)[-1]
@@ -477,6 +483,32 @@ def test_pairing_on_support_boxes_equals_the_full_grid_pairing(n, case, rank):
         assert np.isnan(got[..., 0, 0, 0]).sum() == 1
     if case == "dense":
         assert np.abs(got[..., 0, 0, 0]).min() > 0  # dense times dense: the whole grid
+    slots = (-3, -2, -1)
+    finite = ~np.isnan(a.coeffs).any(axis=slots) & ~np.isnan(b.coeffs).any(axis=slots)
+    for operand, masks in ((a, a_masks), (b, b_masks)):
+        support = _form_support(operand)
+        assert support[0] == {(s, 0) for s in range(n) if masks[s] is not None}
+        assert support[1] == _support(g, operand.coeffs)[0]
+    both = (_form_support(a), _form_support(b))
+    for supports in ((both[0], None), (None, both[1]), both):
+        on_box = np.ones(g.shape, dtype=bool)
+        kept = np.ones((n, n), dtype=bool)  # a's slot i and b's slot k, for output slot (i, k)
+        for side, support in enumerate(supports):
+            if support is not None:
+                mask = np.zeros(g.shape, dtype=bool)
+                mask[support[1]] = True
+                on_box &= mask
+                live = np.array([(s, 0) in support[0] for s in range(n)])
+                kept &= live[:, None] if side == 0 else live[None, :]
+        given = pairing(a, b, h, supports).coeffs
+        where = [support is not None for support in supports]
+        assert not given[~on_box].view(np.uint64).any(), where
+        for i, k in np.ndindex(n, n):
+            if kept[i, k]:
+                assert _same_values(given[..., i, k, 0][on_box], full[..., i, k, 0][on_box])
+            else:
+                assert not given[..., i, k, 0].view(np.uint64).any(), (where, i, k)
+        assert _same_values(given[finite], got[finite]), where
 
 
 IDENTITIES_CFG = Path(__file__).resolve().parent.parent / "configs" / "identities.cfg"
@@ -568,3 +600,17 @@ def test_unit_constants_equal_their_products(rng, n):
                                       eps * alpha.slot(full, J))
     top = random_form(g, 1, n, n, rng)
     assert np.array_equal(dv_density(top), top.coeffs[..., 0, 0, 0] / c_const(n))
+    # scale times the density of a ^ omega_p on a box, one unit product per
+    # term, against the wedge and the density taken in full
+    box = (slice(1, 6), slice(2, 7)) * n
+    on_box = np.zeros(g.shape, dtype=bool)
+    on_box[box] = True
+    for p in range(n + 1):
+        a = random_form(g, 1, n - p, n - p, rng)
+        om = omega_power(g, p)
+        for scale in (1, -1, 1j, -1j):
+            expected = scale * dv_density(wedge(a, om))
+            assert _same_values(dv_density(a, scale, om), expected), (p, scale)
+            got = dv_density(a, scale, om, box)
+            assert _same_values(got[box], expected[box]), (p, scale)
+            assert not got[~on_box].view(np.uint64).any(), (p, scale)

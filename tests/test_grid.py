@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -340,12 +342,13 @@ def _sparse_inputs(g, rng):
 
 @pytest.mark.parametrize("name", ["ball", "discs", "lone-nan", "one-component", "zero"])
 def test_plane_derivatives_of_sparse_fields_are_bitwise_scipy_fft(name, monkeypatch):
-    # the kernel transforms only the live slices of the other plane: for a
-    # field with compact support, one across the seam, one NaN or one
-    # nonzero component in an otherwise dead slice, and none at all, every
-    # target is still scipy.fft.ifftn(mult * scipy.fft.fftn(arr)) over plane
-    # j bit for bit, whatever the block budget, and a new array's dead
-    # slices are exact +0.0
+    # the kernel transforms only the live slices of the other plane, found
+    # by its own scan or given by the caller as an exact mask: for a field
+    # with compact support, one across the seam, one NaN or one nonzero
+    # component in an otherwise dead slice, and none at all, every target is
+    # still scipy.fft.ifftn(mult * scipy.fft.fftn(arr)) over plane j bit for
+    # bit, whatever the block budget, and a new array's dead slices are
+    # exact +0.0
     g = GridSpec(2, 16, 8.0)
     rng = np.random.default_rng(27)
     arr = _sparse_inputs(g, rng)[name]
@@ -360,16 +363,19 @@ def test_plane_derivatives_of_sparse_fields_are_bitwise_scipy_fft(name, monkeypa
         d, dbar = (scipy.fft.ifftn(_dz_multiplier(g, j, conj)[..., None] * spec, axes=plane)
                    for conj in (False, True))
         expected = [start[..., 0, 0, :] + d, start[..., 1, 0, :] - dbar, d, dbar]
-        for block_bytes in (line * g.N, line * g.N * 4, line * g.N**2, line * g.N // 2):
+        # the kernel's own scan, and the exact mask of live slices given by the caller
+        for block_bytes, slices in itertools.product(
+                (line * g.N, line * g.N * 4, line * g.N**2, line * g.N // 2), (None, live)):
             monkeypatch.setattr(grid_module, "_BLOCK_BYTES", block_bytes)
             form[...] = start
             targets = [(form[..., 0, 0, :], 1, False), (form[..., 1, 0, :], -1, True),
                        (None, 1, False), (None, 1, True)]
-            outs = _plane_derivatives(g, arr, j, targets)
+            outs = _plane_derivatives(g, arr, j, targets, slices)
+            where = (name, j, block_bytes, slices is None)
             for got, want in zip(outs, expected):
-                assert got.tobytes() == want.tobytes(), (name, j, block_bytes)
+                assert got.tobytes() == want.tobytes(), where
             for got in outs[2:]:
-                assert not got[dead].view(np.uint8).any(), (name, j, block_bytes)
+                assert not got[dead].view(np.uint8).any(), where
 
 
 @pytest.mark.parametrize("name", ["dense", "ball", "discs"])
@@ -416,7 +422,8 @@ def test_plane_derivatives_on_kept_slices_are_bitwise_scipy_fft(name, monkeypatc
 def test_support_is_the_bounding_box_and_the_live_slices():
     # one np.any pass: the bounding box of the nonzeros on each grid axis
     # (a NaN is nonzero; a support across the seam spans the axis; none is
-    # an empty box) and, per plane k, the live slices of the other plane
+    # an empty box) and, per plane k, the live slices of the other plane;
+    # a bool mask of the grid's shape is read as that collapsed mask
     g = GridSpec(2, 16, 8.0)
     rng = np.random.default_rng(43)
     fields = _sparse_inputs(g, rng)
@@ -431,6 +438,8 @@ def test_support_is_the_bounding_box_and_the_live_slices():
                             for p in points), name
         assert np.array_equal(slices[0], live.any(axis=(0, 1))), name
         assert np.array_equal(slices[1], live.any(axis=(2, 3))), name
+        from_mask = _support(g, live)
+        assert from_mask[0] == box and all(map(np.array_equal, from_mask[1], slices)), name
     assert _support(g, fields["only-nan"])[0] == (slice(3, 4), slice(5, 6), slice(7, 8),
                                                   slice(11, 12))
     box = _support(g, fields["discs"])[0]

@@ -10,8 +10,10 @@ from dbarlab.errors import ValidationError
 from dbarlab.grid import GridSpec
 from dbarlab.singular import singular_catalog
 from dbarlab.weights import (
+    _axis_profile,
     _reach,
     _saturation_law,
+    apodized_quadratic_weight,
     default_plateau_radius,
     random_band_limited,
     saturating_square_profile,
@@ -123,6 +125,21 @@ def test_weight_fields_are_real_contiguous_arrays():
     bump = smooth_source_bump(g, (g.center,) * 4, 0.5)
     assert isinstance(bump, np.ndarray)
     assert bump.dtype == np.float64 and bump.shape == g.shape
+
+
+@pytest.mark.parametrize("n, N", [(2, 32), (1, 64), (2, 8)])
+def test_apodized_weight_sums_its_axis_profiles_by_broadcasting_bitwise(n, N):
+    # the profiles are summed in axis order, each broadcast along the other
+    # axes, so only the last sum is a full-grid array: the same additions as
+    # adding each into a full-grid array of zeros
+    g = GridSpec(n, N, 8.0)
+    for c, r0, s in ((0.5, 1.0, 0.3), (2.0, 0.5, 0.2)):
+        phi = np.zeros(g.shape)
+        for prof in g.along_axes(_axis_profile(g, r0, s, g.center)):
+            phi = phi + prof
+        got = apodized_quadratic_weight(g, c, r0, s)
+        assert got.dtype == np.float64 and got.shape == g.shape
+        assert got.tobytes() == (c * phi).tobytes(), (c, r0, s)
 
 
 @pytest.mark.parametrize("n, N", [(2, 32), (1, 64), (2, 16), (1, 16)])
