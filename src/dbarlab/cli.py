@@ -43,7 +43,7 @@ from .positivity import (
     positivity_report,
 )
 from .singular import DEFAULTS, FIXED_RANK, MollifierSchedule, regularized_solve, singular_catalog
-from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump
+from .weights import BUMP_SUPPORT_RADIUS, random_form, smooth_source_bump, smooth_source_bump_box
 
 OPERATIONS = ("identities", "positivity", "solve", "regularize", "convergence")
 
@@ -450,9 +450,10 @@ def _algebraic_sample(h: MetricField, p: int, rng) -> tuple:
 def _bk_source(grid: GridSpec, rank: int) -> EForm:
     """The (n,1)-form the Bochner-Kodaira checks run on: one bump off the box centre."""
     alpha = EForm.zeros(grid, rank, grid.n, 1)
-    alpha.coeffs[..., 0, 0, 0] = smooth_source_bump(
+    box, vals = smooth_source_bump_box(
         grid, tuple(grid.center + 0.3 * (-1) ** k for k in range(2 * grid.n)), 0.05 * grid.L
     )
+    alpha.coeffs[..., 0, 0, 0][box] = vals
     return alpha
 
 

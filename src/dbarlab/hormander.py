@@ -25,12 +25,22 @@ contracting with d anticommute to |d|^2, D D^H + D^H D = |d|^2, so the cached
 per-mode pseudoinverse is the closed form D^+ = D^H / |d|^2, zero at the
 zero and Nyquist modes where d vanishes, and D D^+ is the range projection.
 A acts as D F[h^{-1} F^{-1}[D^H p]] and the preconditioner as
-D^+H F[h F^{-1}[D^+ r]]: the weight sits between the two pseudoinverses.  At
-n = 1 the symbol is a nonzero scalar off the four modes where it vanishes, so
-the preconditioned operator is the identity up to a term of rank at most
-four per bundle component; at n = 2 it is a close approximation.  The stopping
-norm needs r on the lattice: five transforms per iteration, all through
-grid's numpy.fft transform pair.  The stopping norm is taken in place, as one
+D^+H F[h (v - P_h v)] with v = F^{-1}[D^+ r]: the weight sits between the
+two pseudoinverses, less the symbol's kernel.  d vanishes on the 2^(2n)
+modes that are zero or Nyquist on every axis, and those modes span exactly
+the functions constant on each parity class of lattice points (i mod 2
+fixed on every axis).  So P_h, the h-orthogonal projection onto them, is
+v's h-weighted mean over each class, slot by slot,
+(sum_class h)^{-1} sum_class h v: each grid axis is read as i = 2m + parity
+and summed over m, the class sums of h formed once per solve.  M stays
+hermitian positive semidefinite.  At p = 1, D^+ D = 1 off the kernel, and M A
+is exactly the range projection at every n and rank: a solve stops after
+one iteration.  At p = 2 M remains a good preconditioner (17-21 iterations
+in the tests).  An iteration runs five transforms, all through grid's
+numpy.fft transform pair: two for h^{-1}, two for h in the preconditioner
+and one for the real-space stopping norm; the iteration that converges
+skips the preconditioner, so a one-iteration solve runs eight in all,
+counting the source's forward one and the solution's inverse one.  The stopping norm is taken in place, as one
 h-weighted sum over the inverse transform of r.  The per-mode products, and
 h and h^{-1} (formed entrywise when h is diagonal) through
 ``metric.matrix_apply``, are broadcast multiply-adds over the small
@@ -170,6 +180,29 @@ def project_to_range(f: EForm) -> EForm:
     return out
 
 
+def _parity_split(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
+    """arr, grid + tail, with each grid axis read as i = 2m + parity: (N/2, 2) per axis.
+
+    A parity class of lattice points fixes i mod 2 on every axis.  The result
+    is a view of a C-contiguous arr, as the transforms leave their output.
+    """
+    return arr.reshape(sum(((grid.N // 2, 2),) * (2 * grid.n), ()) + arr.shape[2 * grid.n :])
+
+
+def _class_sums(grid: GridSpec, arr: np.ndarray) -> np.ndarray:
+    """Sums of arr, grid + tail, over each parity class: (1, 2) per axis + tail."""
+    return _parity_split(grid, arr).sum(axis=tuple(range(0, 4 * grid.n, 2)), keepdims=True)
+
+
+def _class_mean(grid: GridSpec, hmat: np.ndarray, hsum_inv: np.ndarray, v: np.ndarray):
+    """h-weighted mean of v, grid + (slots, r), over each parity class, slot by slot.
+
+    (sum_class h)^-1 sum_class h v, shaped to broadcast against v's split
+    axes; hsum_inv is the inverse of _class_sums(grid, hmat).
+    """
+    return matrix_apply(hsum_inv, _class_sums(grid, matrix_apply(hmat, v)))
+
+
 def _spectral_norm2(grid: GridSpec, hmat: np.ndarray, spec: np.ndarray) -> float:
     """h-weighted squared L2 norm of the (n,p)-form whose dzbar spectrum is spec.
 
@@ -259,11 +292,17 @@ def solve_min_norm(
         w = matrix_apply(hinv, to_lattice(grid, _per_mode(DH, spec)))
         return _per_mode(D, to_spectrum(grid, w))
 
+    # the symbol's kernel spans the functions constant on each parity class;
+    # their h-orthogonal projection P_h v is v's h-weighted class mean
+    hsum = _class_sums(grid, hmat)
+    hsum_inv = 1.0 / hsum if f.rank == 1 else np.linalg.inv(hsum)
+
     def precondition(spec: np.ndarray) -> np.ndarray:
-        # M = D^+H F[h F^-1[D^+ r]]: the weight sits between the two
-        # pseudoinverses; at n = 1 M is A^+ up to the four modes where D vanishes
-        w = matrix_apply(hmat, to_lattice(grid, _per_mode(Dp, spec)))
-        return _per_mode(DpH, to_spectrum(grid, w))
+        # M = D^+H F[h (v - P_h v)], v = F^-1[D^+ r]: the weight sits between
+        # the two pseudoinverses, and at p = 1 M A is the range projection
+        v = to_lattice(grid, _per_mode(Dp, spec))
+        _parity_split(grid, v)[...] -= _class_mean(grid, hmat, hsum_inv, v)
+        return _per_mode(DpH, to_spectrum(grid, matrix_apply(hmat, v)))
 
     def h2_norm(spec: np.ndarray) -> float:
         return np.sqrt(max(_spectral_norm2(grid, hmat, spec), 0.0))
@@ -305,11 +344,6 @@ def solve_min_norm(
         alpha = rho / pAp
         z += alpha * pdir
         r -= alpha * Ap
-        Mr = precondition(r)
-        rho_new = np.vdot(r, Mr).real
-        beta = rho_new / rho
-        rho = rho_new
-        pdir = Mr + beta * pdir
         iterations += 1
         resid = h2_norm(r) / f_norm
         if resid < best_resid:
@@ -332,6 +366,14 @@ def solve_min_norm(
             rho = np.vdot(r, Mr).real
             pdir = Mr
             resid = h2_norm(r) / f_norm
+            continue
+        if resid <= tol:
+            break  # the next direction would never be used
+        Mr = precondition(r)
+        rho_new = np.vdot(r, Mr).real
+        beta = rho_new / rho
+        rho = rho_new
+        pdir = Mr + beta * pdir
 
     # the solution and its true residual go through the real-space operators,
     # which checks the spectral iteration on every solve

@@ -60,19 +60,26 @@ class MetricField:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=np.complex128)
+        raw = np.asarray(self.mat)
+        # converting a float64 input makes a new array whose imaginary parts are +0.0
+        real = raw.dtype == np.float64
+        self.mat = np.asarray(raw, dtype=np.complex128)
         expected = self.grid.shape + (self.rank, self.rank)
         if self.mat.shape != expected:
             raise FormError(f"metric shape {self.mat.shape} does not match {expected}")
-        scale = np.abs(self.mat).max()
+        scale = np.abs(raw if real else self.mat).max()
         if not np.isfinite(scale):
             # a nan entry makes the max nan, an inf (or overflowing modulus) makes it inf
             raise MetricError("metric has a non-finite entry (nan or inf)")
         # the one place a metric is made hermitian: symmetrizing the roundoff away
         # leaves mat exactly hermitian, so downstream eigensolves stay clean.  At
         # rank 1, |h - conj(h)| = 2|Im h| and (h + conj(h))/2 = Re h + 0.0j, bit
-        # for bit, without the general formula's full-grid temporaries.
-        if self.rank == 1:
+        # for bit, without the general formula's full-grid temporaries; a
+        # converted real input is already Re h + 0.0j.
+        if self.rank == 1 and real:
+            defect = 0.0
+            hermitian = self.mat
+        elif self.rank == 1:
             defect = 2 * np.abs(self.mat.imag).max()
             hermitian = self.mat.real.astype(np.complex128)
         else:
@@ -102,10 +109,13 @@ class MetricField:
         rank = len(weights)
         if rank == 0:
             raise FormError("a diagonal metric needs at least one weight")
-        mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
-        for a, w in enumerate(weights):
+        for w in weights:
             if np.shape(w) != grid.shape:
                 raise FormError(f"weight shape {np.shape(w)} does not match the grid {grid.shape}")
+        if rank == 1:
+            return cls(grid, 1, np.asarray(weights[0])[..., None, None])
+        mat = np.zeros(grid.shape + (rank, rank), dtype=np.complex128)
+        for a, w in enumerate(weights):
             mat[..., a, a] = w
         return cls(grid, rank, mat)
 

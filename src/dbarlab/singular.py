@@ -170,8 +170,9 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     s set the plateau geometry (weights.plateau_geometry).
 
     * "log_pole" (r=1): |z - z0|^(2a)-type factor times the apodized Gaussian
-      weight; positively curved off the pole with floor ~ delta = c, vanishing
-      determinant at the pole z0 = centre + offset.
+      weight, vanishing determinant at the pole z0 = centre + offset.  It is
+      positively curved off the pole only, with floor ~ delta = c there: its
+      curvature carries a point mass of about -pi a at z0.
     * "log_pole_pair" (r=2): diagonal of two such weights with distinct poles
       (offset, offset2) and exponents (a1, a2).
     * "matrix_psh_dual" (r=2): dual of the Griffiths-negative F^H F + e^phi I
@@ -186,7 +187,8 @@ def singular_catalog(name: str, grid: GridSpec, **params) -> CatalogMetric:
     phi = apodized_quadratic_weight(grid, c, r0, s)
 
     if name == "gaussian":
-        h = MetricField.from_weight(grid, np.exp(-phi), int(p["rank"]))
+        h = MetricField.from_weight(grid, np.exp(np.negative(phi, out=phi), out=phi),
+                                    int(p["rank"]))
         return CatalogMetric(name, h, (), c, r0, s)
 
     if name == "log_pole":

@@ -199,7 +199,8 @@ def apodized_quadratic_weight(grid: GridSpec, c: float, r0: float, s: float) -> 
     phi, *rest = grid.along_axes(_axis_profile(grid, r0, s, grid.center))
     for prof in rest:  # broadcast: only the last sum is a full-grid array
         phi = phi + prof
-    return c * phi
+    phi *= c  # the last sum is a new array
+    return phi
 
 
 @lru_cache(maxsize=64)
@@ -245,6 +246,15 @@ def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> np.ndarra
     the full-grid formula's value there.  The distance is not periodic, so
     the box is clipped to the grid rather than wrapped across the seam.
     """
+    box, vals = smooth_source_bump_box(grid, center, sigma)
+    bump = np.zeros(grid.shape)
+    bump[box] = vals
+    return bump
+
+
+def smooth_source_bump_box(grid: GridSpec, center: tuple, sigma: float) -> tuple:
+    """(box, vals): smooth_source_bump's support box, a slice per real axis, and its
+    values there; the bump is exactly 0 off the box."""
     radius = BUMP_SUPPORT_RADIUS * sigma
     t = grid.axis_coordinates()
     box = [slice(None)] * (2 * grid.n)
@@ -254,11 +264,13 @@ def smooth_source_bump(grid: GridSpec, center: tuple, sigma: float) -> np.ndarra
     box = tuple(box)
     rho = _radial_distance(grid, center, box)
     vals = np.exp(-rho * rho / (2.0 * sigma * sigma))
-    vals *= 1.0 - smooth_step((rho - 5.0 * sigma) / ((BUMP_SUPPORT_RADIUS - 5.0) * sigma))
+    # the cutoff is exactly 1 inside 5 sigma and 0 from the radius on
+    shell = (rho >= 5.0 * sigma) & (rho < radius)
+    vals[shell] *= 1.0 - smooth_step(
+        (rho[shell] - 5.0 * sigma) / ((BUMP_SUPPORT_RADIUS - 5.0) * sigma)
+    )
     vals[rho >= radius] = 0.0
-    bump = np.zeros(grid.shape)
-    bump[box] = vals
-    return bump
+    return box, vals
 
 
 def _radial_distance(grid: GridSpec, center: tuple, box: tuple) -> np.ndarray:

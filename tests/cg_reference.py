@@ -8,9 +8,15 @@ D^+H = B^+ dbar, with B^+ the flat-symbol pseudoinverse of B = D D^H applied
 through its own forward and back transform.  B^+ comes from a per-mode
 eigen-decomposition of B (``symbol_eig``), a different algorithm from the
 package's closed form D^H / |d|^2, and ``symbol_pinv`` is the per-mode D^+
-it gives.  It runs no preconditions and no seam or bound bookkeeping: it is
-the bare iteration, so that agreement with the fast path checks the spectral
-operators, the cached per-mode pseudoinverse and the rescaled inner products.
+it gives.  Between the two pseudoinverses the weight acts as h (1 - P_h),
+P_h the h-orthogonal projection onto the explicit plane waves at the modes
+where the p = 1 symbol vanishes (``kernel_waves``), fitted per slot by
+least squares on their h-Gram matrix (``kernel_projection``), where the
+package reads the same projection as parity-class means.  It runs no
+preconditions and no seam or bound bookkeeping: it is the bare iteration,
+so that agreement with the fast path checks the spectral operators, the
+cached per-mode pseudoinverse, the kernel projection and the rescaled
+inner products.
 
 ``flat_reference_min_norm`` runs the same iteration preconditioned by B^+
 alone, the yardstick for the weighted preconditioner's iteration counts.
@@ -78,16 +84,53 @@ def flat_pinv_apply(grid, p, coeffs):
     return _mode_transform(grid, spec, False)
 
 
+def kernel_waves(grid):
+    """exp(i k.x) on the lattice at each mode where the p = 1 dbar symbol is zero:
+    an array (modes,) + grid.shape."""
+    zero = np.all(_flat_symbol(grid, 1) == 0, axis=(-2, -1))
+    index = np.indices(grid.shape)
+    return np.stack([
+        np.exp(2j * np.pi / grid.N * np.tensordot(mode, index, axes=1))
+        for mode in np.argwhere(zero)
+    ])
+
+
+def kernel_projection(grid, hmat):
+    """P_h: coefficients grid + (slots..., r) -> their h-orthogonal projection onto
+    the span of kernel_waves, each slot fitted by np.linalg.lstsq on the h-Gram
+    matrix of the waves in every bundle component."""
+    waves = kernel_waves(grid).reshape(-1, np.prod(grid.shape))
+    modes = waves.shape[0]
+    rank = hmat.shape[-1]
+    hflat = hmat.reshape(-1, rank, rank)
+    # G[(k, a), (l, b)] = sum_x conj(w_k) h_ab w_l
+    gram = np.empty((modes, rank, modes, rank), dtype=np.complex128)
+    for a in range(rank):
+        for b in range(rank):
+            gram[:, a, :, b] = (np.conj(waves) * hflat[:, a, b]) @ waves.T
+    gram = gram.reshape(modes * rank, modes * rank)
+
+    def project(coeffs):
+        vec = coeffs.reshape(waves.shape[1], -1, rank)
+        hv = np.einsum("xab,xsb->xsa", hflat, vec)
+        rhs = np.einsum("kx,xsa->kas", np.conj(waves), hv).reshape(modes * rank, -1)
+        fit = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(modes, rank, -1)
+        return np.einsum("kx,kas->xsa", waves, fit).reshape(coeffs.shape)
+
+    return project
+
+
 def reference_min_norm(f, h, tol=1e-10, maxiter=None):
     """Minimal-norm u with dbar u = f by real-space CG preconditioned with
-    D^+H h D^+; returns (u, iterations)."""
+    D^+H h (1 - P_h) D^+; returns (u, iterations)."""
     grid = f.grid
     n = grid.n
     p = f.q
+    project = kernel_projection(grid, h.mat)
 
     def weighted_pinv_apply(r):
         w = dbar_transpose(EForm(grid, f.rank, n, p, flat_pinv_apply(grid, p, r)))
-        w.coeffs = np.einsum("...ab,...ijb->...ija", h.mat, w.coeffs)
+        w.coeffs = np.einsum("...ab,...ijb->...ija", h.mat, w.coeffs - project(w.coeffs))
         return flat_pinv_apply(grid, p, dbar(w).coeffs)
 
     return _reference_cg(f, h, weighted_pinv_apply, tol, maxiter)

@@ -4,6 +4,7 @@ import pytest
 from cg_reference import flat_reference_min_norm, reference_min_norm, symbol_eig, symbol_pinv
 from field_helpers import complex_coordinate, coordinate
 from hormander_reference import dense_min_norm, range_projection_defect
+from dbarlab import hormander
 from dbarlab.errors import FormError, PreconditionError, SolverError
 from dbarlab.exterior import EForm, inner_product, norm_sq
 from dbarlab.grid import GridSpec, integrate
@@ -458,6 +459,39 @@ def rank2_top_degree_source(rng):
     return g, h, project_to_range(random_form(g, 2, 2, 2, rng, kmax_frac=0.3))
 
 
+def p1_source(n, rank, rng):
+    """A dbar-exact (n,1)-source against the gaussian weight at rank 1, or against
+    nondiagonal_rank2_metric times that weight at rank 2."""
+    g = GridSpec(n, 32 if n == 1 else 8, 8.0)
+    h = singular_catalog("gaussian", g, c=0.5).metric
+    if rank == 2:
+        h = MetricField(g, 2, nondiagonal_rank2_metric(g, rng).mat * h.mat)
+    return h, dbar(random_form(g, rank, n, 0, rng, kmax_frac=0.2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_every_p1_solve_takes_one_iteration(n, rank, rng):
+    # at p = 1, D^+ D = 1 off the symbol's kernel, and the preconditioner
+    # projects that kernel out in the h inner product: M A is the range
+    # projection, so preconditioned CG stops after its first step
+    h, f = p1_source(n, rank, rng)
+    _u, rep = solve_min_norm(f, h, tol=1e-10)
+    assert rep.iterations == 1
+    assert rep.residual <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_p1_solves_need_the_class_projection(n, rank, rng, monkeypatch):
+    # without the projection the preconditioner is D^+H h D^+, which leaves a
+    # low-rank term from the symbol's kernel, and one iteration is not enough
+    monkeypatch.setattr(hormander, "_class_mean", lambda *args: 0.0)
+    h, f = p1_source(n, rank, rng)
+    _u, rep = solve_min_norm(f, h, tol=1e-10)
+    assert rep.iterations > 1
+
+
 @pytest.mark.parametrize(
     "make_source",
     [n1_bump_source, closed_n2_source, top_degree_n2_source, rank2_top_degree_source],
@@ -465,7 +499,7 @@ def rank2_top_degree_source(rng):
 )
 def test_weighted_preconditioner_cuts_flat_iterations_tenfold(make_source, rng):
     # the weight between the two symbol pseudoinverses is what the flat
-    # preconditioner misses; measured 4/254, 6/153, 17/301 and 25/500.  The
+    # preconditioner misses; measured 1/256, 1/152, 17/301 and 21/500.  The
     # flat run stops at ten times the weighted count, still above tol there
     g, h, f = make_source(rng)
     _u, rep = solve_min_norm(f, h, tol=1e-10)
